@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .syntax import Formula, Signature, Var
+from .syntax import Formula, Signature, Var, variables
 
 
 class FiniteAlgebra:
@@ -126,10 +126,6 @@ def homomorphisms(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
         ):
             out.append(h)
     return out
-
-
-def is_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, h: Sequence[int]) -> bool:
-    return len(set(h)) == A.size == B.size and tuple(h) in homomorphisms(A, B)
 
 
 def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra) -> tuple[int, ...] | None:
@@ -371,16 +367,10 @@ def _theorem_values(logic, A: FiniteAlgebra, num_vars: int, depth: int) -> froze
     values: set[int] = set()
     for phi in enumerate_formulas(A.signature, num_vars, depth):
         if logic.proves((), phi):
-            vars_ = sorted({v for v in _formula_vars(phi)})
+            vars_ = sorted(variables(phi))
             for assignment in itertools.product(A.elements(), repeat=len(vars_)):
                 values.add(evaluate(A, phi, dict(zip(vars_, assignment))))
     return frozenset(values)
-
-
-def _formula_vars(phi: Formula):
-    from .syntax import variables
-
-    return variables(phi)
 
 
 _theorem_cache: dict[tuple, frozenset[int]] = {}
@@ -476,7 +466,7 @@ def is_filter(logic, A: FiniteAlgebra, F: Iterable[int], num_vars: int | None = 
     if not theorem_values(logic, A, num_vars, depth) <= F:
         return False
     for phi in _spot_theorems(logic, A.signature):
-        vars_ = sorted(_formula_vars(phi))
+        vars_ = sorted(variables(phi))
         for assignment in itertools.product(A.elements(), repeat=len(vars_)):
             if evaluate(A, phi, dict(zip(vars_, assignment))) not in F:
                 return False

@@ -40,6 +40,9 @@ class AlgebraizingPair:
         for l, r in self.tau:
             if not variables(l) <= {0} or not variables(r) <= {0}:
                 raise ValueError("defining equations must use only x0")
+        # translations memoised per interned formula
+        self._tau_memo: dict[Formula, tuple[Equation, ...]] = {}
+        self._delta_memo: dict[tuple[Formula, Formula], tuple[Formula, ...]] = {}
 
     def __eq__(self, other):
         return isinstance(other, AlgebraizingPair) and (self.delta, self.tau) == (other.delta, other.tau)
@@ -72,7 +75,12 @@ class AlgebraizingPair:
 
 def tau_translate(pair: AlgebraizingPair, phi: Formula) -> tuple[Equation, ...]:
     """The defining equations instantiated at phi."""
-    return tuple(Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau)
+    eqs = pair._tau_memo.get(phi)
+    if eqs is None:
+        eqs = pair._tau_memo[phi] = tuple(
+            Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau
+        )
+    return eqs
 
 
 def delta_translate(pair: AlgebraizingPair, eq: Equation) -> tuple[Formula, ...]:
@@ -81,7 +89,11 @@ def delta_translate(pair: AlgebraizingPair, eq: Equation) -> tuple[Formula, ...]
 
 
 def _delta_at(pair: AlgebraizingPair, phi: Formula, psi: Formula) -> tuple[Formula, ...]:
-    return delta_translate(pair, Equation(phi, psi))
+    key = (phi, psi)
+    out = pair._delta_memo.get(key)
+    if out is None:
+        out = pair._delta_memo[key] = delta_translate(pair, Equation(phi, psi))
+    return out
 
 
 def _delta_tau(pair: AlgebraizingPair, phi: Formula) -> tuple[Formula, ...]:
@@ -262,6 +274,12 @@ class QuasiIdentity:
     premises: tuple[Equation, ...]
     conclusion: Equation
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.premises, self.conclusion)))
+
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         prem = " & ".join(map(repr, self.premises)) or "true"
         return f"[{self.kind}] {prem} -> {self.conclusion!r}"
@@ -294,9 +312,9 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
     seen: set[QuasiIdentity] = set()
     for size in range(0, max_premises + 1):
         for gamma in itertools.combinations(premise_pool, size):
+            prem = tuple(eq for g in gamma for eq in tau_translate(pair, g))
             for phi in conclusions:
                 if consequence(l, gamma, phi):
-                    prem = tuple(eq for g in gamma for eq in tau_translate(pair, g))
                     for eq in tau_translate(pair, phi):
                         qi = QuasiIdentity("iii", prem, eq)
                         if qi not in seen:

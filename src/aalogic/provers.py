@@ -11,13 +11,20 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, evaluate
-from .syntax import App, Formula, Var, variables
+from .syntax import App, Formula, Var, sorted_variables
 
 
 @dataclass(frozen=True)
 class Equation:
     lhs: Formula
     rhs: Formula
+
+    def __post_init__(self):
+        # the hash the dataclass would compute, taken once from the interned sides
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.lhs!r} == {self.rhs!r}"
@@ -30,40 +37,71 @@ BOOLEAN_CONNECTIVES = ("neg", "imp", "and", "or", "iff")
 # classical provability: bit-parallel truth tables
 # ---------------------------------------------------------------------------
 
+# Truth tables of queries over x0..x3 are computed over one fixed frame of
+# 2**4 rows and memoised on each node (``Formula._bits``); a query that
+# mentions a variable outside the frame gets a compact table of its own.
+_FRAME_VARS = 4
+
+
+def _column(j: int, rows: int) -> int:
+    """Bitmask of the rows (valuations) where variable number j is true."""
+    mask = 0
+    for row in range(rows):
+        if (row >> j) & 1:
+            mask |= 1 << row
+    return mask
+
+
+_FRAME_FULL = (1 << (1 << _FRAME_VARS)) - 1
+_FRAME_COLUMNS = tuple(_column(j, 1 << _FRAME_VARS) for j in range(_FRAME_VARS))
+
+
+def _connective_bits(name: str, args: list[int], full: int) -> int:
+    if name == "neg":
+        return full ^ args[0]
+    if name == "imp":
+        return (full ^ args[0]) | args[1]
+    if name == "and":
+        return args[0] & args[1]
+    if name == "or":
+        return args[0] | args[1]
+    if name == "iff":
+        return full ^ (args[0] ^ args[1])
+    raise ValueError(f"connective {name} is not a classical connective")
+
+
+def _frame_bits(phi: Formula) -> int:
+    """Bitmask of the frame rows where phi is true, memoised on the node."""
+    bits = phi._bits
+    if bits is None:
+        if isinstance(phi, Var):
+            bits = _FRAME_COLUMNS[phi.index]
+        else:
+            bits = _connective_bits(phi.name, [_frame_bits(a) for a in phi.args], _FRAME_FULL)
+        phi._bits = bits
+    return bits
+
+
 def _truth_bits(phi: Formula, columns: dict[int, int], full: int) -> int:
     """Bitmask of rows (valuations) where phi is true."""
     if isinstance(phi, Var):
         return columns[phi.index]
-    name = phi.name
-    if name == "neg":
-        return full ^ _truth_bits(phi.args[0], columns, full)
-    a = _truth_bits(phi.args[0], columns, full)
-    b = _truth_bits(phi.args[1], columns, full)
-    if name == "imp":
-        return (full ^ a) | b
-    if name == "and":
-        return a & b
-    if name == "or":
-        return a | b
-    if name == "iff":
-        return full ^ (a ^ b)
-    raise ValueError(f"connective {name} is not a classical connective")
+    return _connective_bits(phi.name, [_truth_bits(a, columns, full) for a in phi.args], full)
 
 
 def cpc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     """Gamma entails phi classically: every two-valued valuation making all of
     Gamma true makes phi true."""
     gamma = tuple(gamma)
-    vars_ = sorted(set().union(variables(phi), *(variables(g) for g in gamma)))
+    vars_ = sorted_variables(gamma + (phi,))
+    if not vars_ or vars_[-1] < _FRAME_VARS:
+        ok = _FRAME_FULL
+        for g in gamma:
+            ok &= _frame_bits(g)
+        return ok & ~_frame_bits(phi) & _FRAME_FULL == 0
     rows = 1 << len(vars_)
     full = (1 << rows) - 1
-    columns = {}
-    for j, v in enumerate(vars_):
-        mask = 0
-        for row in range(rows):
-            if (row >> j) & 1:
-                mask |= 1 << row
-        columns[v] = mask
+    columns = {v: _column(j, rows) for j, v in enumerate(vars_)}
     ok = full
     for g in gamma:
         ok &= _truth_bits(g, columns, full)
@@ -78,22 +116,26 @@ _BOT = App("_bot", ())
 
 
 def _desugar(phi: Formula) -> Formula:
-    """Rewrite neg/iff in terms of imp/and and an internal falsum."""
+    """Rewrite neg/iff in terms of imp/and and an internal falsum, memoised
+    on the node."""
+    out = phi._desugared
+    if out is not None:
+        return out
     if isinstance(phi, Var):
-        return phi
-    name = phi.name
-    if name == "neg":
-        return App("imp", (_desugar(phi.args[0]), _BOT))
-    if name == "iff":
-        a, b = map(_desugar, phi.args)
-        return App("and", (App("imp", (a, b)), App("imp", (b, a))))
-    if name in ("imp", "and", "or"):
-        return App(name, tuple(map(_desugar, phi.args)))
-    raise ValueError(f"connective {name} is not an intuitionistic connective")
-
-
-def _is_atom(phi: Formula) -> bool:
-    return isinstance(phi, Var)
+        out = phi
+    else:
+        name = phi.name
+        if name == "neg":
+            out = App("imp", (_desugar(phi.args[0]), _BOT))
+        elif name == "iff":
+            a, b = map(_desugar, phi.args)
+            out = App("and", (App("imp", (a, b)), App("imp", (b, a))))
+        elif name in ("imp", "and", "or"):
+            out = App(name, tuple(map(_desugar, phi.args)))
+        else:
+            raise ValueError(f"connective {name} is not an intuitionistic connective")
+    phi._desugared = out
+    return out
 
 
 _sequent_memo: dict[tuple, bool] = {}
@@ -147,7 +189,7 @@ def _prove_inner(ctx: set, goal: Formula) -> bool:
                     ctx.discard(phi)
                     reduced = True
                     break
-                if _is_atom(ant) and ant in ctx:
+                if isinstance(ant, Var) and ant in ctx:
                     ctx.discard(phi)
                     ctx.add(cons)
                     reduced = True
@@ -291,7 +333,7 @@ def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int 
     """Search all Kripke models with at most ``max_worlds`` worlds for one
     refuting Gamma |- phi. Returns None when no countermodel that small exists."""
     gamma = tuple(gamma)
-    vars_ = sorted(set().union(variables(phi), *(variables(g) for g in gamma)))
+    vars_ = sorted_variables(gamma + (phi,))
     for n in range(1, max_worlds + 1):
         for up in _preorders(n):
             upsets = _upsets(n, up)
@@ -306,10 +348,6 @@ def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int 
     return None
 
 
-def kripke_refutes(gamma: Iterable[Formula], phi: Formula, max_worlds: int = 4) -> bool:
-    return kripke_countermodel(gamma, phi, max_worlds) is not None
-
-
 # ---------------------------------------------------------------------------
 # equational consequence over finite algebra classes
 # ---------------------------------------------------------------------------
@@ -320,13 +358,7 @@ def equational_consequence(
     """For every algebra in K and every valuation satisfying all premise
     equations, the conclusion equation holds."""
     gamma = tuple(gamma)
-    vars_ = sorted(
-        set().union(
-            variables(eq.lhs),
-            variables(eq.rhs),
-            *(variables(e.lhs) | variables(e.rhs) for e in gamma),
-        )
-    )
+    vars_ = sorted_variables(side for e in gamma + (eq,) for side in (e.lhs, e.rhs))
     for A in K:
         for assignment in itertools.product(A.elements(), repeat=len(vars_)):
             v = dict(zip(vars_, assignment))

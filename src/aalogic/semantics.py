@@ -16,7 +16,7 @@ from .syntax import (
     enumerate_formulas,
     extend_morphism,
     formula_over,
-    variables,
+    sorted_variables,
 )
 
 BUILTIN_SIGNATURE = Signature(
@@ -48,7 +48,7 @@ def matrix_satisfies(M: Matrix, gamma: Iterable[Formula], phi: Formula) -> bool:
 
 def matrix_violation(M: Matrix, gamma: Iterable[Formula], phi: Formula) -> Optional[dict[int, int]]:
     gamma = tuple(gamma)
-    vars_ = sorted(set().union(variables(phi), *(variables(g) for g in gamma)))
+    vars_ = sorted_variables(gamma + (phi,))
     A, F = M.algebra, M.filter
     for assignment in itertools.product(A.elements(), repeat=len(vars_)):
         v = dict(zip(vars_, assignment))

@@ -3,6 +3,25 @@
 Formulas are immutable trees over a fixed enumerable variable set x0, x1, ...
 Nodes are interned, so structural equality usually resolves by identity, but
 ``==`` stays structural for nodes built outside the factories.
+
+Every interned node carries metadata computed once, when it is created, and
+never changed afterwards:
+
+- ``vmask``: a bitmask with bit i set when x_i occurs in the node;
+- ``depth``: the nodes on its longest root-to-leaf path (a variable has 1);
+- ``conns``: the frozenset of ``(name, arity)`` pairs of the connectives
+  occurring in it. Equal sets are one shared object, and a variable's set is
+  empty.
+
+A node also has two memo slots that start empty and are filled at most once,
+with a value that depends on the node alone: ``_bits``, the classical truth
+table over a fixed variable frame (``provers.cpc_decide``), and
+``_desugared``, the node rewritten over imp/and/or and falsum
+(``provers.ipc_decide``).
+
+Parsing rejects formulas nested deeper than MAX_FORMULA_DEPTH, so that the
+recursive parser, printer, substitution and evaluation stay well within the
+interpreter's recursion limit on any parsed formula.
 """
 
 from __future__ import annotations
@@ -15,6 +34,8 @@ from typing import Iterable, Iterator
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _VAR_RE = re.compile(r"x[0-9]+\Z")
 
+MAX_FORMULA_DEPTH = 200
+
 
 class FormulaSyntaxError(ValueError):
     """Parse failure; ``offset`` is the byte offset of the offending token."""
@@ -25,13 +46,16 @@ class FormulaSyntaxError(ValueError):
 
 
 class Formula:
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "vmask", "depth", "conns", "_bits", "_desugared")
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return print_formula(self)
+
+
+_NO_CONNECTIVES: frozenset = frozenset()
 
 
 class Var(Formula):
@@ -46,6 +70,10 @@ class Var(Formula):
             node = object.__new__(cls)
             node.index = index
             node._hash = hash((1, index))
+            node.vmask = 1 << index
+            node.depth = 1
+            node.conns = _NO_CONNECTIVES
+            node._bits = node._desugared = None
             cls._pool[index] = node
         return node
 
@@ -58,6 +86,8 @@ class Var(Formula):
 class App(Formula):
     __slots__ = ("name", "args")
     _pool: dict[tuple, "App"] = {}
+    # one shared frozenset per distinct set of connectives
+    _conn_sets: dict[frozenset, frozenset] = {}
 
     def __new__(cls, name: str, args: Iterable[Formula] = ()):
         args = tuple(args)
@@ -68,6 +98,21 @@ class App(Formula):
             node.name = name
             node.args = args
             node._hash = hash(key)
+            mask = depth = 0
+            conns = args[0].conns if args else _NO_CONNECTIVES
+            for a in args:
+                mask |= a.vmask
+                if a.depth > depth:
+                    depth = a.depth
+                if not a.conns <= conns:
+                    conns = conns | a.conns
+            op = (name, len(args))
+            if op not in conns:
+                conns = conns | {op}
+            node.vmask = mask
+            node.depth = depth + 1
+            node.conns = cls._conn_sets.setdefault(conns, conns)
+            node._bits = node._desugared = None
             cls._pool[key] = node
         return node
 
@@ -100,6 +145,7 @@ class Signature:
             seen.add(name)
         self.connectives = conns
         self._arity = dict(conns)
+        self._conn_set = frozenset(conns)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -142,8 +188,13 @@ _TOKEN_RE = re.compile(r"\s*(?:([a-z][a-z0-9_]*)|([(),])|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, value, offset). Counts open parentheses on the way,
+    so that a formula nested deeper than MAX_FORMULA_DEPTH is rejected before
+    the recursive parser sees it: a name or variable inside n open
+    parentheses is a node at depth n + 1."""
     tokens = []
     pos = 0
+    nesting = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -153,9 +204,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if bad:
             raise FormulaSyntaxError(f"unexpected character {bad!r}", start)
         if word:
+            if nesting >= MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", start)
             kind = "var" if _VAR_RE.match(word) else "name"
             tokens.append((kind, word, start))
         else:
+            if punct == "(":
+                nesting += 1
+            elif punct == ")":
+                nesting -= 1
             tokens.append((punct, punct, start))
         pos = m.end()
     tokens.append(("end", "", len(text)))
@@ -166,7 +223,7 @@ def parse_formula(sig: Signature, text: str) -> Formula:
     """Parse ``formula := var | name "(" formula ("," formula)* ")"``.
 
     Raises FormulaSyntaxError (with byte offset) on malformed input, unknown
-    connectives and arity mismatches.
+    connectives, arity mismatches and formulas deeper than MAX_FORMULA_DEPTH.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -213,35 +270,30 @@ def parse_formula(sig: Signature, text: str) -> Formula:
     return phi
 
 
+def sorted_variables(formulas: Iterable[Formula]) -> list[int]:
+    """The indices of the variables occurring in any of the formulas, ascending."""
+    mask = 0
+    for phi in formulas:
+        mask |= phi.vmask
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def variables(phi: Formula) -> frozenset[int]:
-    out: set[int] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.index)
-        else:
-            stack.extend(node.args)
-    return frozenset(out)
+    return frozenset(sorted_variables((phi,)))
 
 
 def formula_depth(phi: Formula) -> int:
     """Nodes on the longest root-to-leaf path; a variable has depth 1."""
-    if isinstance(phi, Var):
-        return 1
-    if not phi.args:
-        return 1
-    return 1 + max(formula_depth(a) for a in phi.args)
+    return phi.depth
 
 
 def formula_over(sig: Signature, phi: Formula) -> bool:
-    if isinstance(phi, Var):
-        return True
-    return (
-        phi.name in sig
-        and sig.arity(phi.name) == len(phi.args)
-        and all(formula_over(sig, a) for a in phi.args)
-    )
+    return phi.conns <= sig._conn_set
 
 
 def substitute(phi: Formula, sigma: dict[int, Formula]) -> Formula:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -45,6 +46,17 @@ class TestConsequence:
     def test_usage_error(self):
         out = run("consequence", "--phi", "x0")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("logic", ["cpc", "ipc"])
+    def test_too_deep_formula_is_a_parse_error(self, logic):
+        out = run("consequence", "--logic", logic, "--phi", "neg(" * 3000 + "x0" + ")" * 3000)
+        assert out.returncode == 2
+        assert "nested deeper than" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_formula_at_the_depth_limit_decides(self):
+        out = run("consequence", "--logic", "ipc", "--phi", "neg(" * 199 + "x0" + ")" * 199)
+        assert out.returncode == 0 and out.stdout.strip() == "false"
 
 
 class TestGlivenko:
@@ -119,6 +131,22 @@ class TestDeterminism:
         second = run(*args)
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "bp", "--logic", "cpc", "--pair", "data/cpc_pair.json", "--json"),
+            ("check", "institution", "--seed", "0"),
+        ],
+    )
+    def test_reports_do_not_depend_on_the_hash_seed(self, args):
+        outputs = [
+            subprocess.run(CLI + list(args), capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("0", "1")
+        ]
+        assert outputs[0].returncode == outputs[1].returncode == 0
+        assert outputs[0].stdout == outputs[1].stdout
 
     def test_seed_is_echoed(self):
         out = run("glivenko", "--exhaustive", "--vars", "2", "--depth", "2", "--seed", "42", "--json")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from aalogic import (
@@ -11,8 +13,20 @@ from aalogic import (
     kripke_countermodel,
     quasiidentity_holds,
 )
-from aalogic.semantics import matrix_satisfies
-from aalogic.syntax import App, enumerate_formulas
+from aalogic import corpus
+from aalogic.algebraization import _delta_at, delta_translate, tau_translate
+from aalogic.provers import _BOT, _FRAME_VARS, _desugar
+from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
+from aalogic.syntax import (
+    MAX_FORMULA_DEPTH,
+    App,
+    enumerate_formulas,
+    formula_depth,
+    parse_formula,
+    random_formula,
+    substitute,
+    variables,
+)
 
 
 class TestClassical:
@@ -205,3 +219,108 @@ class TestLukasiewiczLogic:
         phi, psi = F("x0"), F("neg(imp(x0,neg(x0)))")
         assert l3.interderivable(phi, psi)
         assert not l3.proves((), F("iff(x0,neg(imp(x0,neg(x0))))"))
+
+
+# ---------------------------------------------------------------------------
+# per-node memos against fresh computations
+# ---------------------------------------------------------------------------
+
+def ref_desugar(phi):
+    if isinstance(phi, Var):
+        return phi
+    args = [ref_desugar(a) for a in phi.args]
+    if phi.name == "neg":
+        return App("imp", (args[0], _BOT))
+    if phi.name == "iff":
+        a, b = args
+        return App("and", (App("imp", (a, b)), App("imp", (b, a))))
+    return App(phi.name, tuple(args))
+
+
+class TestNodeMemos:
+    def test_cpc_agrees_with_b2_inside_the_frame(self, sig, b2):
+        M = Matrix(b2, frozenset({1}))
+        universe = enumerate_formulas(sig, 3, 3)
+        for phi in universe:
+            assert cpc_decide((), phi) == matrix_satisfies(M, (), phi)
+        rng = random.Random(5)
+        for _ in range(2000):
+            gamma = tuple(rng.choice(universe) for _ in range(rng.randrange(1, 3)))
+            phi = rng.choice(universe)
+            assert cpc_decide(gamma, phi) == matrix_satisfies(M, gamma, phi)
+
+    def test_cpc_agrees_with_b2_outside_the_frame(self, sig, b2):
+        # variables up to x9, so that some queries leave the memoised frame
+        # x0..x{_FRAME_VARS - 1} and take the compact path, and formulas
+        # memoised in one query meet out-of-frame ones in the next
+        M = Matrix(b2, frozenset({1}))
+        rng = random.Random(17)
+        outside = 0
+        for _ in range(400):
+            gamma = tuple(random_formula(rng, sig, 10, 3) for _ in range(rng.randrange(3)))
+            phi = random_formula(rng, sig, 10, 4)
+            used = variables(phi).union(*map(variables, gamma))
+            outside += max(used) >= _FRAME_VARS
+            assert cpc_decide(gamma, phi) == matrix_satisfies(M, gamma, phi)
+        assert 0 < outside < 400
+
+    def test_desugar_matches_reference(self, sig):
+        rng = random.Random(23)
+        sample = enumerate_formulas(sig, 2, 3) + [random_formula(rng, sig, 10, 5) for _ in range(200)]
+        for _ in range(2):  # the first round fills the memo, the second reads it
+            for phi in sample:
+                assert _desugar(phi) == ref_desugar(phi)
+
+    @pytest.mark.parametrize("make_pair", [corpus.classical_pair, corpus.perturbed_pair])
+    def test_translations_match_fresh_substitution(self, sig, make_pair):
+        pair = make_pair()
+        universe = enumerate_formulas(sig, 3, 2)
+        for _ in range(2):  # the first round fills the memos, the second reads them
+            for phi in universe:
+                fresh_tau = tuple(
+                    Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau
+                )
+                assert tau_translate(pair, phi) == fresh_tau
+                for psi in universe:
+                    fresh_delta = tuple(substitute(d, {0: phi, 1: psi}) for d in pair.delta)
+                    assert _delta_at(pair, phi, psi) == fresh_delta
+                    assert delta_translate(pair, Equation(phi, psi)) == fresh_delta
+
+    def test_equation_hash_is_that_of_its_sides(self, F):
+        eq = Equation(F("x0"), F("imp(x0,x1)"))
+        assert hash(eq) == hash((F("x0"), F("imp(x0,x1)")))
+        assert eq == Equation(F("x0"), F("imp(x0,x1)"))
+        assert len({eq, Equation(F("x0"), F("imp(x0,x1)")), Equation(F("x1"), F("x0"))}) == 2
+
+
+# ---------------------------------------------------------------------------
+# formulas at the parse-time depth limit still decide
+# ---------------------------------------------------------------------------
+
+DEEP_SHAPES = [("neg", None), ("imp", "right"), ("imp", "left"), ("and", "left"),
+               ("or", "right"), ("iff", "left")]
+
+
+def nested_text(name, side, depth):
+    """A formula of the given depth, nested through one connective, with x0
+    innermost and x1 as every other argument."""
+    text = "x0"
+    for _ in range(depth - 1):
+        if name == "neg":
+            text = f"neg({text})"
+        elif side == "left":
+            text = f"{name}({text},x1)"
+        else:
+            text = f"{name}(x1,{text})"
+    return text
+
+
+@pytest.mark.parametrize("name,side", DEEP_SHAPES)
+def test_depth_limit_formulas_decide(name, side, cpc, ipc, b2):
+    phi = parse_formula(BUILTIN_SIGNATURE, nested_text(name, side, MAX_FORMULA_DEPTH))
+    assert formula_depth(phi) == MAX_FORMULA_DEPTH
+    classical = consequence(cpc, (), phi)
+    intuitionistic = consequence(ipc, (), phi)
+    model = kripke_countermodel((), phi, 2)
+    assert classical == matrix_satisfies(Matrix(b2, frozenset({1})), (), phi)
+    assert not intuitionistic or (classical and model is None)

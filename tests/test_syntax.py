@@ -16,7 +16,9 @@ from aalogic import (
     substitute,
     variables,
 )
-from aalogic.syntax import formula_depth, random_formula
+from aalogic.provers import _BOT
+from aalogic.semantics import BUILTIN_SIGNATURE
+from aalogic.syntax import MAX_FORMULA_DEPTH, formula_depth, formula_over, random_formula
 
 
 def neg(a):
@@ -197,3 +199,110 @@ class TestEnumeration:
             phi = random_formula(rng, sig, 2, 3)
             assert formula_depth(phi) <= 3
             assert variables(phi) <= {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# interning-time metadata against reference walks
+# ---------------------------------------------------------------------------
+
+def ref_variables(phi):
+    if isinstance(phi, Var):
+        return {phi.index}
+    return set().union(*map(ref_variables, phi.args))
+
+
+def ref_depth(phi):
+    if isinstance(phi, Var) or not phi.args:
+        return 1
+    return 1 + max(map(ref_depth, phi.args))
+
+
+def ref_over(sig, phi):
+    if isinstance(phi, Var):
+        return True
+    return (
+        phi.name in sig
+        and sig.arity(phi.name) == len(phi.args)
+        and all(ref_over(sig, a) for a in phi.args)
+    )
+
+
+def metadata_sample():
+    formulas = list(enumerate_formulas(BUILTIN_SIGNATURE, 3, 3))
+    rng = random.Random(8111)
+    formulas += [random_formula(rng, BUILTIN_SIGNATURE, 10, 6) for _ in range(400)]
+    # the internal falsum of the intuitionistic prover, alone and nested
+    formulas += [_BOT, imp(Var(9), _BOT), neg(imp(_BOT, Var(4)))]
+    return formulas
+
+
+SUB_SIGNATURES = [
+    BUILTIN_SIGNATURE,
+    Signature([("neg", 1), ("imp", 2)]),
+    Signature([("and", 2), ("or", 2), ("iff", 2)]),
+    Signature([("neg", 2), ("imp", 2)]),  # same names, one arity differs
+    Signature([("truth", 0)]),
+    Signature([]),
+]
+
+
+class TestNodeMetadata:
+    def test_variables_and_depth_match_reference(self):
+        sample = metadata_sample()
+        assert max(max(variables(phi), default=0) for phi in sample) == 9
+        for phi in sample:
+            assert variables(phi) == frozenset(ref_variables(phi))
+            assert formula_depth(phi) == ref_depth(phi)
+
+    def test_formula_over_matches_reference(self):
+        for phi in metadata_sample():
+            for sig in SUB_SIGNATURES:
+                assert formula_over(sig, phi) == ref_over(sig, phi), (sig, phi)
+
+    def test_internal_falsum(self):
+        assert variables(_BOT) == frozenset()
+        assert formula_depth(_BOT) == 1
+        assert not any(formula_over(sig, _BOT) for sig in SUB_SIGNATURES)
+
+    def test_nullary_connective(self):
+        truth = App("truth", ())
+        assert formula_depth(truth) == 1 and variables(truth) == frozenset()
+        assert formula_over(Signature([("truth", 0)]), truth)
+        assert not formula_over(Signature([("truth", 1)]), truth)
+
+    def test_equal_connective_sets_are_shared(self):
+        sample = metadata_sample()
+        assert len({id(phi.conns) for phi in sample}) == len({phi.conns for phi in sample})
+
+
+# ---------------------------------------------------------------------------
+# the parse-time depth limit
+# ---------------------------------------------------------------------------
+
+def nested_neg(depth):
+    return "neg(" * (depth - 1) + "x0" + ")" * (depth - 1)
+
+
+class TestDepthLimit:
+    def test_limit_is_accepted(self, sig):
+        assert formula_depth(parse_formula(sig, nested_neg(MAX_FORMULA_DEPTH))) == MAX_FORMULA_DEPTH
+
+    def test_one_deeper_is_rejected_at_the_offending_token(self, sig):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(sig, nested_neg(MAX_FORMULA_DEPTH + 1))
+        # the variable sits at depth MAX + 1, after MAX "neg(" prefixes
+        assert err.value.offset == 4 * MAX_FORMULA_DEPTH
+
+    def test_deepest_connective_is_rejected(self, sig):
+        # left-nested: the first token at depth MAX + 1 is a connective
+        text = "neg(" + "imp(" * MAX_FORMULA_DEPTH + "x0" + ",x1)" * MAX_FORMULA_DEPTH + ")"
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(sig, text)
+        assert err.value.offset == 4 * MAX_FORMULA_DEPTH
+        assert text[err.value.offset:].startswith("imp(")
+
+    def test_very_deep_input_raises_a_syntax_error(self, sig):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(sig, nested_neg(3000))
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(sig, "neg(" * 3000)
