@@ -251,7 +251,8 @@ def main(argv=None) -> int:
         if args.command == "glivenko":
             return cmd_glivenko(args)
         return cmd_check(args)
-    except (FormulaSyntaxError, ValueError, OSError, KeyError) as exc:
+    except (FormulaSyntaxError, ValueError, OSError, KeyError, RuntimeError) as exc:
+        # RuntimeError covers RecursionError from a search too deep to finish
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

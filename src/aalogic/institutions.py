@@ -21,7 +21,7 @@ from .semantics import (
     LogicSpec,
     Matrix,
     matrix_satisfies,
-    satisfaction_condition_check,
+    mod_translate,
 )
 from .syntax import Formula, print_formula, random_formula
 
@@ -258,11 +258,10 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
             gamma, phi = _random_sentence(rng, h.source.signature, num_vars, depth, gamma_size)
             override = corpus.reduct_overrides.get((mname, idx))
             left = matrix_satisfies(M, tuple(h.translate(g) for g in gamma), h.translate(phi))
-            if override is None:
-                agree = satisfaction_condition_check(h, M, gamma, phi)
-                right = left if agree else not left
-            else:
-                right = matrix_satisfies(Matrix(override, M.filter), gamma, phi)
+            reduct_model = (
+                mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
+            )
+            right = matrix_satisfies(reduct_model, gamma, phi)
             checked += 1
             if left != right:
                 violations.append({

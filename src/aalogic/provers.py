@@ -2,6 +2,15 @@
 {neg, imp, and, or, iff}, a Kripke countermodel search usable as an
 independent refutation oracle, and equational consequence over finite
 algebra classes.
+
+Intuitionistic provability is Dyckhoff's contraction-free sequent calculus
+G4ip, searched on integer-coded formulas. Each interned formula is coded once
+into the id of its desugared form (over imp/and/or and falsum), kept in the
+node's ``_desugared`` slot; the implications the left rules build are
+hash-consed at the integer level, and a sequent is a ``(frozenset[int], int)``
+pair. Ids are assigned in order of first use and the non-invertible rules are
+tried in ascending id order, so the search, its verdicts and the size of
+``_sequent_memo`` do not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -112,123 +121,171 @@ def cpc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
 # intuitionistic provability: contraction-free sequent search
 # ---------------------------------------------------------------------------
 
+# Node i of the desugared language has the constructor _tag[i] and the
+# children _left[i], _right[i] (an atom keeps its variable index in _left);
+# _ids hash-conses (tag, left, right) to its id, so the implications the left
+# rules build are found, not re-created.
+_ATOM, _FALSUM, _AND, _OR, _IMP = range(5)
+_TAGS = {"and": _AND, "or": _OR, "imp": _IMP}
+_NAMES = {tag: name for name, tag in _TAGS.items()}
+
+_tag: list[int] = []
+_left: list[int] = []
+_right: list[int] = []
+_ids: dict[tuple[int, int, int], int] = {}
+
+
+def _node(tag: int, left: int, right: int) -> int:
+    key = (tag, left, right)
+    i = _ids.get(key)
+    if i is None:
+        i = _ids[key] = len(_tag)
+        _tag.append(tag)
+        _left.append(left)
+        _right.append(right)
+    return i
+
+
 _BOT = App("_bot", ())
+_FALSE = _BOT._desugared = _node(_FALSUM, 0, 0)
+
+
+def _code(phi: Formula) -> int:
+    """The id of phi with neg a read as imp(a, falsum) and iff(a, b) as
+    and(imp(a, b), imp(b, a)), memoised on the node."""
+    i = phi._desugared
+    if i is None:
+        if isinstance(phi, Var):
+            i = _node(_ATOM, phi.index, 0)
+        else:
+            name = phi.name
+            if name == "neg":
+                i = _node(_IMP, _code(phi.args[0]), _FALSE)
+            elif name == "iff":
+                a, b = map(_code, phi.args)
+                i = _node(_AND, _node(_IMP, a, b), _node(_IMP, b, a))
+            elif name in _TAGS:
+                i = _node(_TAGS[name], *map(_code, phi.args))
+            else:
+                raise ValueError(f"connective {name} is not an intuitionistic connective")
+        phi._desugared = i
+    return i
+
+
+def _formula(i: int) -> Formula:
+    """The formula with id i, over imp/and/or and the internal falsum."""
+    tag = _tag[i]
+    if tag == _ATOM:
+        return Var(_left[i])
+    if tag == _FALSUM:
+        return _BOT
+    return App(_NAMES[tag], (_formula(_left[i]), _formula(_right[i])))
 
 
 def _desugar(phi: Formula) -> Formula:
-    """Rewrite neg/iff in terms of imp/and and an internal falsum, memoised
-    on the node."""
-    out = phi._desugared
-    if out is not None:
-        return out
-    if isinstance(phi, Var):
-        out = phi
-    else:
-        name = phi.name
-        if name == "neg":
-            out = App("imp", (_desugar(phi.args[0]), _BOT))
-        elif name == "iff":
-            a, b = map(_desugar, phi.args)
-            out = App("and", (App("imp", (a, b)), App("imp", (b, a))))
-        elif name in ("imp", "and", "or"):
-            out = App(name, tuple(map(_desugar, phi.args)))
-        else:
-            raise ValueError(f"connective {name} is not an intuitionistic connective")
-    phi._desugared = out
-    return out
+    """Rewrite neg/iff in terms of imp/and and an internal falsum: the
+    formula behind phi's prover id."""
+    return _formula(_code(phi))
 
 
-_sequent_memo: dict[tuple, bool] = {}
+_sequent_memo: dict[tuple[frozenset, int], bool] = {}
 
 
 def clear_proof_cache():
     _sequent_memo.clear()
 
 
-def _prove(ctx: frozenset, goal: Formula) -> bool:
+def _prove(ctx: frozenset, goal: int) -> bool:
     key = (ctx, goal)
     cached = _sequent_memo.get(key)
     if cached is not None:
         return cached
     if len(_sequent_memo) > 4_000_000:
         _sequent_memo.clear()
-    result = _prove_inner(set(ctx), goal)
+    result = _prove_inner(ctx, goal)
     _sequent_memo[key] = result
     return result
 
 
-def _prove_inner(ctx: set, goal: Formula) -> bool:
-    # invertible phase: rewrite the sequent until only branching rules apply
-    while True:
-        if _BOT in ctx or goal in ctx:
+def _prove_inner(ctx: frozenset, goal: int) -> bool:
+    tag, left, right = _tag, _left, _right
+    if goal in ctx:
+        return True
+    work = list(ctx)
+    while tag[goal] == _IMP:
+        work.append(left[goal])
+        goal = right[goal]
+    # invertible left rules, one pass over a worklist: every formula put on
+    # it follows from the sequent's antecedent, and the antecedent is
+    # rebuilt as ``out`` from the formulas no invertible rule rewrites
+    out = set()
+    waiting: dict[int, list[int]] = {}  # atom -> imp(atom, B) still in out
+    ors = []
+    nested = []  # imp(imp(C, D), B)
+    while work:
+        phi = work.pop()
+        if phi == goal:
             return True
-        if isinstance(goal, App) and goal.name == "and":
-            a, b = goal.args
-            return _prove(frozenset(ctx), a) and _prove(frozenset(ctx), b)
-        if isinstance(goal, App) and goal.name == "imp":
-            ctx = set(ctx)
-            ctx.add(goal.args[0])
-            goal = goal.args[1]
+        if phi in out:
             continue
-        reduced = False
-        for phi in list(ctx):
-            if not isinstance(phi, App):
-                continue
-            if phi.name == "and":
-                ctx.discard(phi)
-                ctx.update(phi.args)
-                reduced = True
-                break
-            if phi.name == "or":
-                a, b = phi.args
-                rest = frozenset(ctx - {phi})
-                return _prove(rest | {a}, goal) and _prove(rest | {b}, goal)
-            if phi.name == "imp":
-                ant, cons = phi.args
-                if ant == _BOT:
-                    ctx.discard(phi)
-                    reduced = True
-                    break
-                if isinstance(ant, Var) and ant in ctx:
-                    ctx.discard(phi)
-                    ctx.add(cons)
-                    reduced = True
-                    break
-                if isinstance(ant, App) and ant.name == "and":
-                    c, d = ant.args
-                    ctx.discard(phi)
-                    ctx.add(App("imp", (c, App("imp", (d, cons)))))
-                    reduced = True
-                    break
-                if isinstance(ant, App) and ant.name == "or":
-                    c, d = ant.args
-                    ctx.discard(phi)
-                    ctx.add(App("imp", (c, cons)))
-                    ctx.add(App("imp", (d, cons)))
-                    reduced = True
-                    break
-        if not reduced:
-            break
-    frozen = frozenset(ctx)
-    # branching phase: disjunction on the right, nested implication on the left
-    if isinstance(goal, App) and goal.name == "or":
-        if _prove(frozen, goal.args[0]) or _prove(frozen, goal.args[1]):
+        t = tag[phi]
+        if t == _ATOM:
+            out.add(phi)
+            for imp in waiting.pop(phi, ()):
+                out.discard(imp)
+                work.append(right[imp])
+        elif t == _IMP:
+            a = left[phi]
+            ta = tag[a]
+            if ta == _ATOM:
+                if a in out:
+                    work.append(right[phi])
+                else:
+                    out.add(phi)
+                    waiting.setdefault(a, []).append(phi)
+            elif ta == _IMP:
+                out.add(phi)
+                nested.append(phi)
+            elif ta == _AND:
+                work.append(_node(_IMP, left[a], _node(_IMP, right[a], right[phi])))
+            elif ta == _OR:
+                work.append(_node(_IMP, left[a], right[phi]))
+                work.append(_node(_IMP, right[a], right[phi]))
+            # imp(falsum, B) holds anyway and is dropped
+        elif t == _AND:
+            work.append(left[phi])
+            work.append(right[phi])
+        elif t == _OR:
+            out.add(phi)
+            ors.append(phi)
+        else:
+            return True  # falsum
+    frozen = frozenset(out)
+    t = tag[goal]
+    if t == _AND:
+        return _prove(frozen, left[goal]) and _prove(frozen, right[goal])
+    if ors:
+        phi = min(ors)
+        rest = frozen - {phi}
+        return _prove(rest | {left[phi]}, goal) and _prove(rest | {right[phi]}, goal)
+    # branching: disjunction on the right, then nested implications on the
+    # left in ascending id order
+    if t == _OR and (_prove(frozen, left[goal]) or _prove(frozen, right[goal])):
+        return True
+    nested.sort()
+    for phi in nested:
+        a = left[phi]
+        b = right[phi]
+        rest = frozen - {phi}
+        if _prove(rest | {_node(_IMP, right[a], b)}, a) and _prove(rest | {b}, goal):
             return True
-    for phi in frozen:
-        if isinstance(phi, App) and phi.name == "imp":
-            ant, cons = phi.args
-            if isinstance(ant, App) and ant.name == "imp":
-                rest = frozen - {phi}
-                if _prove(rest | {App("imp", (ant.args[1], cons))}, ant) and _prove(rest | {cons}, goal):
-                    return True
     return False
 
 
 def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     """Gamma entails phi intuitionistically, decided by terminating
     contraction-free sequent search with Gamma as the antecedent."""
-    ctx = frozenset(_desugar(g) for g in gamma)
-    return _prove(ctx, _desugar(phi))
+    return _prove(frozenset(map(_code, gamma)), _code(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ never changed afterwards:
   occurring in it. Equal sets are one shared object, and a variable's set is
   empty.
 
-A node also has two memo slots that start empty and are filled at most once,
-with a value that depends on the node alone: ``_bits``, the classical truth
-table over a fixed variable frame (``provers.cpc_decide``), and
-``_desugared``, the node rewritten over imp/and/or and falsum
-(``provers.ipc_decide``).
+A node also has two memo slots that start empty and are filled at most once:
+``_bits``, the classical truth table over a fixed variable frame
+(``provers.cpc_decide``), and ``_desugared``, the integer id under which
+``provers.ipc_decide`` codes the node rewritten over imp/and/or and falsum
+(ids are handed out in order of first use within the process).
 
 Parsing rejects formulas nested deeper than MAX_FORMULA_DEPTH, so that the
 recursive parser, printer, substitution and evaluation stay well within the

@@ -54,6 +54,17 @@ class TestConsequence:
         assert "nested deeper than" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_search_too_deep_is_an_error_not_a_traceback(self):
+        # an iff chain over alternating x0/x1 parses, but the sequent search
+        # on it recurses past the interpreter's limit
+        text = "x0"
+        for k in range(1, 200):
+            text = f"iff({text},x{k % 2})"
+        out = run("consequence", "--logic", "ipc", "--phi", text)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
+        assert "Traceback" not in out.stderr
+
     def test_formula_at_the_depth_limit_decides(self):
         out = run("consequence", "--logic", "ipc", "--phi", "neg(" * 199 + "x0" + ")" * 199)
         assert out.returncode == 0 and out.stdout.strip() == "false"

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -168,6 +171,47 @@ class TestKripkeOracle:
                 ) or not matrix_satisfies(Matrix(chain4, frozenset({3})), (), phi) or (
                     kripke_countermodel((), phi, max_worlds=4) is not None
                 )
+
+
+class TestFullSignatureOracle:
+    def test_prover_against_kripke_and_heyting_matrices(self, sig):
+        # seeded queries over neg/imp/and/or/iff: the sequent search and the
+        # Kripke search never both succeed, and whatever the search rejects
+        # is refuted by a small Kripke model or a Heyting corpus matrix
+        premises = enumerate_formulas(sig, 3, 2)
+        conclusions = enumerate_formulas(sig, 3, 3)
+        matrices = [Matrix(A, frozenset({A.size - 1})) for _, A in corpus.heyting_corpus()]
+        rng = random.Random(31)
+        unprovable = 0
+        for _ in range(400):
+            gamma = tuple(rng.choice(premises) for _ in range(rng.randrange(3)))
+            phi = rng.choice(conclusions)
+            proved = ipc_decide(gamma, phi)
+            refuted = kripke_countermodel(gamma, phi, 3) is not None
+            assert not (proved and refuted)
+            if not proved:
+                unprovable += 1
+                assert refuted or any(not matrix_satisfies(M, gamma, phi) for M in matrices)
+        assert 0 < unprovable < 400
+
+
+SEARCH_PROBE = """
+from aalogic import corpus, provers
+from aalogic.algebraization import check_bp_conditions
+report = check_bp_conditions(corpus.ipc_logic(), corpus.classical_pair(), 2, 1)
+print(len(provers._sequent_memo), report.to_json())
+"""
+
+
+def test_search_does_not_depend_on_the_hash_seed():
+    # the sequent search visits the same sequents under any hash seed
+    outputs = [
+        subprocess.run([sys.executable, "-c", SEARCH_PROBE], capture_output=True, text=True,
+                       check=True, env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    assert int(outputs[0].split()[0]) > 0
 
 
 class TestGlivenkoProperty:
