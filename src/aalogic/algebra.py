@@ -3,14 +3,28 @@ quotients, the Leibniz operator and logic filters.
 
 Carriers are always {0, ..., n-1}. Operation tables are stored flat in
 row-major order (first index = leftmost argument).
+
+All checks over every valuation go through one kernel, ``value_vector``. A
+frame is a variable bitmask (bit i for x_i, as in ``Formula.vmask``); its rows
+are the valuations of its variables in ``itertools.product(A.elements(),
+repeat=k)`` order, the lowest variable the most significant digit. A value
+vector holds a formula's value in every row and is built bottom-up, one table
+lookup per row per node. Row sets are int masks (bit r for row r), so a
+consequence check is an AND and a mask test whose lowest set bit is the first
+violating valuation. Vectors and equation masks are memoised on the algebra
+instance, keyed by frame and interned formulas, and the memo is dropped
+wholesale at ``MEMO_LIMIT`` entries. ``evaluate`` handles one valuation.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import os
+from operator import add, eq, mul
 from typing import Iterable, Sequence
 
-from .syntax import Formula, Signature, Var, variables
+from .syntax import Formula, Signature, Var, enumerate_formulas, load_signature, parse_formula
 
 
 class FiniteAlgebra:
@@ -34,6 +48,7 @@ class FiniteAlgebra:
             raise ValueError(f"tables for unknown connectives: {sorted(extra)}")
         self.tables = flat
         self._hash = hash((signature, size, tuple(sorted(flat.items()))))
+        self._memo: dict[tuple, object] = {}  # the kernel's, see value_vector
 
     def op(self, name: str, *args: int) -> int:
         index = 0
@@ -107,6 +122,69 @@ def evaluate(A: FiniteAlgebra, phi: Formula, v: dict[int, int]) -> int:
     for arg in phi.args:
         index = index * A.size + evaluate(A, arg, v)
     return A.tables[phi.name][index]
+
+
+MEMO_LIMIT = 100_000
+
+
+def _remember(A: FiniteAlgebra, key: tuple, value):
+    if len(A._memo) >= MEMO_LIMIT:
+        A._memo.clear()
+    A._memo[key] = value
+    return value
+
+
+def value_vector(A: FiniteAlgebra, phi: Formula, frame: int) -> tuple[int, ...]:
+    """phi's value in every row of the frame, which must cover phi's variables."""
+    vec = A._memo.get((frame, phi))
+    if vec is not None:
+        return vec
+    n, rows = A.size, A.size ** frame.bit_count()
+    if isinstance(phi, Var):
+        if not frame >> phi.index & 1:
+            raise ValueError(f"no binding for x{phi.index}")
+        step = n ** (frame >> phi.index + 1).bit_count()  # n ** (frame variables above x_i)
+        vec = tuple(r // step % n for r in range(rows))
+    elif phi.name not in A.tables:
+        raise ValueError(f"connective {phi.name} not interpreted in this algebra")
+    else:
+        index = itertools.repeat(0, rows)  # row-major table index, one argument at a time
+        for arg in phi.args:
+            index = map(add, map(mul, index, itertools.repeat(n)), value_vector(A, arg, frame))
+        vec = tuple(map(A.tables[phi.name].__getitem__, index))
+    return _remember(A, (frame, phi), vec)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _rows(flags: Iterable[bool]) -> int:
+    """The mask with bit r set for each set flag r."""
+    return int(bytes(flags).translate(_BINARY_DIGITS)[::-1], 2)
+
+
+def all_rows(A: FiniteAlgebra, frame: int) -> int:
+    return (1 << A.size ** frame.bit_count()) - 1
+
+
+def filter_rows(A: FiniteAlgebra, F: frozenset[int], phi: Formula, frame: int) -> int:
+    """The rows of the frame where phi takes a value in F."""
+    return _rows(map(F.__contains__, value_vector(A, phi, frame)))
+
+
+def equation_rows(A: FiniteAlgebra, lhs: Formula, rhs: Formula, frame: int) -> int:
+    """The rows of the frame where lhs and rhs agree, memoised."""
+    rows = A._memo.get((frame, lhs, rhs))
+    if rows is None:
+        rows = _rows(map(eq, value_vector(A, lhs, frame), value_vector(A, rhs, frame)))
+        _remember(A, (frame, lhs, rhs), rows)
+    return rows
+
+
+def frame_valuation(A: FiniteAlgebra, frame: int, row: int) -> dict[int, int]:
+    """The valuation in row ``row`` of the frame, variables in ascending order."""
+    vars_ = [i for i in range(frame.bit_length()) if frame >> i & 1]
+    return {i: row // A.size ** (len(vars_) - 1 - j) % A.size for j, i in enumerate(vars_)}
 
 
 def homomorphisms(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
@@ -361,18 +439,6 @@ def reduce_matrix(A: FiniteAlgebra, F: Iterable[int]) -> tuple[FiniteAlgebra, fr
     return B, frozenset(proj[a] for a in F)
 
 
-def _theorem_values(logic, A: FiniteAlgebra, num_vars: int, depth: int) -> frozenset[int]:
-    from .syntax import enumerate_formulas
-
-    values: set[int] = set()
-    for phi in enumerate_formulas(A.signature, num_vars, depth):
-        if logic.proves((), phi):
-            vars_ = sorted(variables(phi))
-            for assignment in itertools.product(A.elements(), repeat=len(vars_)):
-                values.add(evaluate(A, phi, dict(zip(vars_, assignment))))
-    return frozenset(values)
-
-
 _theorem_cache: dict[tuple, frozenset[int]] = {}
 
 
@@ -383,7 +449,12 @@ def theorem_values(logic, A: FiniteAlgebra, num_vars: int | None = None, depth: 
         num_vars = min(A.size, 3)
     key = (logic, A, num_vars, depth)
     if key not in _theorem_cache:
-        _theorem_cache[key] = _theorem_values(logic, A, num_vars, depth)
+        _theorem_cache[key] = frozenset(
+            a
+            for phi in enumerate_formulas(A.signature, num_vars, depth)
+            if logic.proves((), phi)
+            for a in value_vector(A, phi, phi.vmask)
+        )
     return _theorem_cache[key]
 
 
@@ -409,8 +480,6 @@ _spot_cache: dict[tuple, tuple[Formula, ...]] = {}
 
 
 def _spot_theorems(logic, sig: Signature) -> tuple[Formula, ...]:
-    from .syntax import parse_formula
-
     key = (logic, sig)
     if key not in _spot_cache:
         out = []
@@ -466,10 +535,8 @@ def is_filter(logic, A: FiniteAlgebra, F: Iterable[int], num_vars: int | None = 
     if not theorem_values(logic, A, num_vars, depth) <= F:
         return False
     for phi in _spot_theorems(logic, A.signature):
-        vars_ = sorted(variables(phi))
-        for assignment in itertools.product(A.elements(), repeat=len(vars_)):
-            if evaluate(A, phi, dict(zip(vars_, assignment))) not in F:
-                return False
+        if not F.issuperset(value_vector(A, phi, phi.vmask)):
+            return False
     table = A.tables[imp]
     for a in F:
         row = a * A.size
@@ -496,15 +563,10 @@ def all_filters(logic, A: FiniteAlgebra, max_size: int = 8) -> list[frozenset[in
 def load_algebra(path: str) -> FiniteAlgebra:
     """Algebra file: size and per-connective tables; the signature may be
     inline or a path relative to the algebra file."""
-    import json
-    import os
-
     with open(path) as fh:
         data = json.load(fh)
     sig_entry = data["signature"]
     if isinstance(sig_entry, str):
-        from .syntax import load_signature
-
         sig = load_signature(os.path.join(os.path.dirname(path), sig_entry))
     else:
         sig = Signature.from_json(sig_entry)

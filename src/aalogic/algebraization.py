@@ -241,15 +241,19 @@ def check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, dep
     return report
 
 
+def tau_consequence(K: Sequence[FiniteAlgebra], pair: AlgebraizingPair,
+                    gamma: Iterable[Formula], phi: Formula) -> bool:
+    """Every valuation in K equating all of tau(gamma) equates tau(phi)."""
+    premises = tuple(eq for g in gamma for eq in tau_translate(pair, g))
+    return all(equational_consequence(K, premises, eq) for eq in tau_translate(pair, phi))
+
+
 def check_interpretation(l: LogicSpec, pair: AlgebraizingPair, K: Sequence[FiniteAlgebra],
                          gamma: Iterable[Formula], phi: Formula) -> tuple[bool, bool]:
     """Both sides of the faithful-interpretation equivalence: the logic's
     consequence and the equational consequence of the translated sentence."""
     gamma = tuple(gamma)
-    left = consequence(l, gamma, phi)
-    premises = tuple(eq for g in gamma for eq in tau_translate(pair, g))
-    right = all(equational_consequence(K, premises, eq) for eq in tau_translate(pair, phi))
-    return left, right
+    return consequence(l, gamma, phi), tau_consequence(K, pair, gamma, phi)
 
 
 def check_inverse_condition(l: LogicSpec, pair: AlgebraizingPair, K: Sequence[FiniteAlgebra],
@@ -314,7 +318,7 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
         for gamma in itertools.combinations(premise_pool, size):
             prem = tuple(eq for g in gamma for eq in tau_translate(pair, g))
             for phi in conclusions:
-                if consequence(l, gamma, phi):
+                if l.proves(gamma, phi):
                     for eq in tau_translate(pair, phi):
                         qi = QuasiIdentity("iii", prem, eq)
                         if qi not in seen:

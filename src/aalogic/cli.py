@@ -25,7 +25,7 @@ from .glivenko import (
     rho_translate,
 )
 from .institutions import institution_report
-from .semantics import LogicSpec, consequence, load_logic
+from .semantics import LogicSpec, consequence, resolve_logic
 from .syntax import FormulaSyntaxError, parse_formula, print_formula
 
 GLIVENKO_SAMPLES = 2000
@@ -45,13 +45,9 @@ class RunConfig:
 
 
 def _load_logic_arg(name: str) -> LogicSpec:
-    if name == "cpc":
-        return LogicSpec.cpc()
-    if name == "ipc":
-        return LogicSpec.ipc()
     if name == "l3":
         return corpus_mod.l3_logic()
-    return load_logic(name)
+    return resolve_logic(name)
 
 
 def _load_context_arg(name: str) -> GlivenkoContext:
@@ -169,25 +165,15 @@ def cmd_glivenko(args) -> int:
 
 def cmd_check(args) -> int:
     config = RunConfig(args.vars, args.depth, args.gamma_size, args.seed)
-    if args.kind == "bp":
+    if args.kind in ("bp", "lindenbaum"):
         logic = _load_logic_arg(args.logic or "cpc")
         pair = (
             AlgebraizingPair.load(args.pair, logic.signature)
             if args.pair
             else corpus_mod.classical_pair()
         )
-        report = check_bp_conditions(logic, pair, config.vars, config.depth)
-        _emit(args, report)
-        return 0 if report.passed else 1
-
-    if args.kind == "lindenbaum":
-        logic = _load_logic_arg(args.logic or "cpc")
-        pair = (
-            AlgebraizingPair.load(args.pair, logic.signature)
-            if args.pair
-            else corpus_mod.classical_pair()
-        )
-        report = is_lindenbaum(logic, pair, config.vars, config.depth)
+        check = check_bp_conditions if args.kind == "bp" else is_lindenbaum
+        report = check(logic, pair, config.vars, config.depth)
         _emit(args, report)
         return 0 if report.passed else 1
 

@@ -8,25 +8,26 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     Congruence,
     FiniteAlgebra,
-    evaluate,
     filter_closure,
     homomorphisms,
     quotient,
+    value_vector,
 )
 from .algebraization import (
     AlgebraizingPair,
     delta_translate,
     qv_membership,
-    tau_translate,
+    tau_consequence,
 )
 from .provers import Equation
-from .semantics import LogicMorphism, LogicSpec, Matrix, consequence, matrix_satisfies
+from .semantics import LogicMorphism, LogicSpec, Matrix, consequence, matrix_satisfies, resolve_logic
 from .syntax import (
     App,
     FlexibleMorphism,
@@ -36,6 +37,7 @@ from .syntax import (
     enumerate_formulas,
     extend_morphism,
     formula_over,
+    parse_formula,
     print_formula,
     substitute,
     variables,
@@ -44,30 +46,14 @@ from .syntax import (
 def load_context(path: str) -> "GlivenkoContext":
     """Context file: source/target logic names (or spec paths), a morphism
     ("identity" or an explicit assignment) and the fixed formula."""
-    import os
-
-    from .semantics import load_logic
-
-    def resolve(entry):
-        if entry == "cpc":
-            return LogicSpec.cpc()
-        if entry == "ipc":
-            return LogicSpec.ipc()
-        return load_logic(os.path.join(os.path.dirname(path), entry))
-
     with open(path) as fh:
         data = json.load(fh)
-    source = resolve(data["source"])
-    target = resolve(data["target"])
+    source, target = (resolve_logic(data[key], os.path.dirname(path)) for key in ("source", "target"))
     if data.get("h", "identity") == "identity":
         h = FlexibleMorphism.identity(source.signature)
     else:
-        from .syntax import parse_formula
-
         assignment = {name: parse_formula(target.signature, text) for name, text in data["h"].items()}
         h = FlexibleMorphism(source.signature, target.signature, assignment)
-    from .syntax import parse_formula
-
     theta = parse_formula(source.signature, data["theta"])
     pair = None
     if source.kind in ("cpc", "ipc") and target.kind in ("cpc", "ipc"):
@@ -245,7 +231,7 @@ class AdjointData:
 
 
 def _adjoint_data(ctx: GlivenkoContext, M: FiniteAlgebra) -> AdjointData:
-    theta_hat = [evaluate(M, ctx.theta, {0: a}) for a in M.elements()]
+    theta_hat = value_vector(M, ctx.theta, 1)  # theta at x0 = a, for each a
     if ctx.theta == Var(0):
         ident = tuple(M.elements())
         return AdjointData(M, ident, ident)
@@ -320,30 +306,6 @@ def matrix_compatibility_check(ctx: GlivenkoContext, M: Matrix,
     return left == right
 
 
-def _classes_satisfy(A: FiniteAlgebra, pair: AlgebraizingPair,
-                     premises: Sequence[Formula], conclusion: Formula) -> bool:
-    """Quasi-equation satisfaction through the defining equations: every
-    valuation equating all premise translations equates the conclusion's."""
-    prem_eqs = [tau_translate(pair, p) for p in premises]
-    concl_eqs = tau_translate(pair, conclusion)
-    vars_ = sorted(
-        set().union(
-            *(variables(eq.lhs) | variables(eq.rhs) for eqs in prem_eqs for eq in eqs),
-            *(variables(eq.lhs) | variables(eq.rhs) for eq in concl_eqs),
-        )
-    ) if (prem_eqs or concl_eqs) else []
-    for assignment in itertools.product(A.elements(), repeat=len(vars_)):
-        v = dict(zip(vars_, assignment))
-        if all(
-            evaluate(A, eq.lhs, v) == evaluate(A, eq.rhs, v)
-            for eqs in prem_eqs
-            for eq in eqs
-        ):
-            if any(evaluate(A, eq.lhs, v) != evaluate(A, eq.rhs, v) for eq in concl_eqs):
-                return False
-    return True
-
-
 def lind_compatibility_check(ctx: GlivenkoContext, M: FiniteAlgebra, q,
                              algebra_override: FiniteAlgebra | None = None) -> bool:
     """Whether M satisfies the translated quasi-equation sentence exactly when
@@ -353,13 +315,10 @@ def lind_compatibility_check(ctx: GlivenkoContext, M: FiniteAlgebra, q,
         raise ValueError("context carries no algebraizing pairs")
     data = ctx.adjoint(M)
     image = algebra_override if algebra_override is not None else data.algebra
-    left = _classes_satisfy(
-        M,
-        ctx.source_pair,
-        [rho_translate(ctx, p) for p in q.premises],
-        rho_translate(ctx, q.conclusion),
+    left = tau_consequence(
+        [M], ctx.source_pair, rho_translate_all(ctx, q.premises), rho_translate(ctx, q.conclusion)
     )
-    right = _classes_satisfy(image, ctx.target_pair, list(q.premises), q.conclusion)
+    right = tau_consequence([image], ctx.target_pair, q.premises, q.conclusion)
     return left == right
 
 

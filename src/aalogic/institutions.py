@@ -5,11 +5,13 @@ translation contexts. Reports are seeded and deterministic."""
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, evaluate, is_reduced
-from .algebraization import AlgebraizingPair, delta_translate, qv_membership, tau_translate
+from .algebra import FiniteAlgebra, evaluate, is_reduced, load_algebra
+from .algebraization import AlgebraizingPair, delta_translate, qv_membership, tau_consequence, tau_translate
 from .glivenko import (
     GlivenkoContext,
     lind_compatibility_check,
@@ -22,8 +24,9 @@ from .semantics import (
     Matrix,
     matrix_satisfies,
     mod_translate,
+    resolve_logic,
 )
-from .syntax import Formula, print_formula, random_formula
+from .syntax import FlexibleMorphism, Formula, parse_formula, print_formula, random_formula
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,7 @@ def insal_satisfies(M: Matrix, s: InsALSentence, logic: LogicSpec | None = None)
 def inslal_satisfies(M: FiniteAlgebra, q: InsLALSentence, pair: AlgebraizingPair) -> bool:
     """Every valuation equating the defining equations of all premises equates
     those of the conclusion."""
-    from .glivenko import _classes_satisfy
-
-    return _classes_satisfy(M, pair, list(q.premises), q.conclusion)
+    return tau_consequence([M], pair, q.premises, q.conclusion)
 
 
 def comorphism_plus_check(M: Matrix, pair: AlgebraizingPair, phi: Formula,
@@ -144,26 +145,11 @@ def load_corpus(path: str) -> Corpus:
     """Corpus file: named logics (builtin names or logic-spec paths), pairs,
     morphisms, matrices, quasivariety members and contexts; algebra paths are
     relative to the corpus file."""
-    import json
-    import os
-
-    from .algebra import load_algebra
-    from .glivenko import GlivenkoContext
-    from .semantics import load_logic
-    from .syntax import FlexibleMorphism, parse_formula
-
     base = os.path.dirname(path)
     with open(path) as fh:
         data = json.load(fh)
 
-    logics: dict[str, LogicSpec] = {}
-    for name, entry in data.get("logics", {}).items():
-        if entry == "cpc":
-            logics[name] = LogicSpec.cpc()
-        elif entry == "ipc":
-            logics[name] = LogicSpec.ipc()
-        else:
-            logics[name] = load_logic(os.path.join(base, entry))
+    logics = {name: resolve_logic(entry, base) for name, entry in data.get("logics", {}).items()}
 
     pairs = {
         name: AlgebraizingPair.from_json(entry, logics[name].signature)
@@ -246,22 +232,20 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
     checked = 0
 
     if kind == "If":
-        pool = [
-            (mname, h, idx, M)
-            for mname, h in corpus.morphisms
-            for idx, M in enumerate(corpus.matrices.get(h.target.name, []))
-        ]
+        # one reduct model (or override) per entry, so its evaluation memo serves every sample
+        pool = []
+        for mname, h in corpus.morphisms:
+            for idx, M in enumerate(corpus.matrices.get(h.target.name, [])):
+                override = corpus.reduct_overrides.get((mname, idx))
+                model = mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
+                pool.append((mname, h, idx, M, model))
         if not pool:
             raise ValueError("corpus has no morphism/matrix pairs")
         for i in range(samples):
-            mname, h, idx, M = pool[i % len(pool)]
+            mname, h, idx, M, model = pool[i % len(pool)]
             gamma, phi = _random_sentence(rng, h.source.signature, num_vars, depth, gamma_size)
-            override = corpus.reduct_overrides.get((mname, idx))
             left = matrix_satisfies(M, tuple(h.translate(g) for g in gamma), h.translate(phi))
-            reduct_model = (
-                mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
-            )
-            right = matrix_satisfies(reduct_model, gamma, phi)
+            right = matrix_satisfies(model, gamma, phi)
             checked += 1
             if left != right:
                 violations.append({

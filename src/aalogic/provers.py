@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, evaluate
+from .algebra import FiniteAlgebra, all_rows, equation_rows
 from .syntax import App, Formula, Var, sorted_variables
 
 
@@ -189,10 +189,6 @@ def _desugar(phi: Formula) -> Formula:
 
 
 _sequent_memo: dict[tuple[frozenset, int], bool] = {}
-
-
-def clear_proof_cache():
-    _sequent_memo.clear()
 
 
 def _prove(ctx: frozenset, goal: int) -> bool:
@@ -415,13 +411,15 @@ def equational_consequence(
     """For every algebra in K and every valuation satisfying all premise
     equations, the conclusion equation holds."""
     gamma = tuple(gamma)
-    vars_ = sorted_variables(side for e in gamma + (eq,) for side in (e.lhs, e.rhs))
+    frame = eq.lhs.vmask | eq.rhs.vmask
+    for e in gamma:
+        frame |= e.lhs.vmask | e.rhs.vmask
     for A in K:
-        for assignment in itertools.product(A.elements(), repeat=len(vars_)):
-            v = dict(zip(vars_, assignment))
-            if all(evaluate(A, e.lhs, v) == evaluate(A, e.rhs, v) for e in gamma):
-                if evaluate(A, eq.lhs, v) != evaluate(A, eq.rhs, v):
-                    return False
+        ok = all_rows(A, frame)
+        for e in gamma:
+            ok &= equation_rows(A, e.lhs, e.rhs, frame)
+        if ok & ~equation_rows(A, eq.lhs, eq.rhs, frame):
+            return False
     return True
 
 

@@ -4,11 +4,13 @@ the model-translation half of the satisfaction condition."""
 from __future__ import annotations
 
 import itertools
+import json
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import provers
-from .algebra import FiniteAlgebra, evaluate
+from .algebra import FiniteAlgebra, all_rows, filter_rows, frame_valuation, load_algebra, value_vector
 from .syntax import (
     FlexibleMorphism,
     Formula,
@@ -16,7 +18,7 @@ from .syntax import (
     enumerate_formulas,
     extend_morphism,
     formula_over,
-    sorted_variables,
+    load_signature,
 )
 
 BUILTIN_SIGNATURE = Signature(
@@ -47,14 +49,17 @@ def matrix_satisfies(M: Matrix, gamma: Iterable[Formula], phi: Formula) -> bool:
 
 
 def matrix_violation(M: Matrix, gamma: Iterable[Formula], phi: Formula) -> Optional[dict[int, int]]:
+    """The first valuation in product order sending gamma into the filter and phi out."""
     gamma = tuple(gamma)
-    vars_ = sorted_variables(gamma + (phi,))
     A, F = M.algebra, M.filter
-    for assignment in itertools.product(A.elements(), repeat=len(vars_)):
-        v = dict(zip(vars_, assignment))
-        if all(evaluate(A, g, v) in F for g in gamma) and evaluate(A, phi, v) not in F:
-            return v
-    return None
+    frame = phi.vmask
+    for g in gamma:
+        frame |= g.vmask
+    ok = all_rows(A, frame)
+    for g in gamma:
+        ok &= filter_rows(A, F, g, frame)
+    bad = ok & ~filter_rows(A, F, phi, frame)
+    return frame_valuation(A, frame, (bad & -bad).bit_length() - 1) if bad else None
 
 
 class LogicSpec:
@@ -133,13 +138,9 @@ def reduct(h: FlexibleMorphism, M: FiniteAlgebra) -> FiniteAlgebra:
     carrier is unchanged."""
     if M.signature != h.target:
         raise ValueError("algebra is not over the morphism's target signature")
-    tables = {}
-    for name, arity in h.source.connectives:
-        image = h(name)
-        table = []
-        for args in itertools.product(M.elements(), repeat=arity):
-            table.append(evaluate(M, image, dict(enumerate(args))))
-        tables[name] = table
+    tables = {
+        name: value_vector(M, h(name), (1 << arity) - 1) for name, arity in h.source.connectives
+    }
     return FiniteAlgebra(h.source, M.size, tables)
 
 
@@ -226,14 +227,19 @@ def satisfaction_condition_check(h: LogicMorphism, M: Matrix, gamma: Iterable[Fo
     return left == right
 
 
+_BUILTIN_LOGICS = {"cpc": LogicSpec.cpc, "ipc": LogicSpec.ipc}
+
+
+def resolve_logic(entry: str, base: str = "") -> LogicSpec:
+    """A builtin logic ("cpc" or "ipc") or a logic-spec file, by a path relative to base."""
+    if entry in _BUILTIN_LOGICS:
+        return _BUILTIN_LOGICS[entry]()
+    return load_logic(os.path.join(base, entry))
+
+
 def load_logic(path: str) -> LogicSpec:
     """Logic spec file: a signature plus either a builtin engine name or a
     matrix family (algebra entries may be paths relative to this file)."""
-    import json
-    import os
-
-    from .algebra import load_algebra
-    from .syntax import load_signature
 
     with open(path) as fh:
         data = json.load(fh)
@@ -247,11 +253,9 @@ def load_logic(path: str) -> LogicSpec:
         sig = None
     if engine.get("kind") == "builtin":
         name = engine["name"]
-        if name == "cpc":
-            return LogicSpec.cpc(sig)
-        if name == "ipc":
-            return LogicSpec.ipc(sig)
-        raise ValueError(f"unknown builtin logic {name!r}")
+        if name not in _BUILTIN_LOGICS:
+            raise ValueError(f"unknown builtin logic {name!r}")
+        return _BUILTIN_LOGICS[name](sig)
     if engine.get("kind") == "matrix":
         if sig is None:
             raise ValueError("matrix logic spec needs a signature")

@@ -4,10 +4,16 @@ import random
 import pytest
 
 from aalogic import (
+    BUILTIN_SIGNATURE,
     Congruence,
+    Equation,
     FiniteAlgebra,
+    FlexibleMorphism,
+    Matrix,
+    Signature,
     all_filters,
     congruence_generated,
+    equational_consequence,
     evaluate,
     filter_closure,
     homomorphisms,
@@ -16,17 +22,22 @@ from aalogic import (
     leibniz_bruteforce,
     quotient,
     reduce_matrix,
+    reduct,
 )
+from aalogic import algebra
 from aalogic.algebra import (
     all_congruences,
     compatible,
     find_isomorphism,
+    frame_valuation,
     is_congruence,
     load_algebra,
     theorem_values,
     unary_polynomials,
+    value_vector,
 )
-from aalogic.syntax import enumerate_formulas, variables
+from aalogic.semantics import matrix_violation
+from aalogic.syntax import enumerate_formulas, random_formula, sorted_variables, variables
 from aalogic import corpus
 
 
@@ -269,3 +280,124 @@ class TestSerialization:
     def test_bad_table_rejected(self, sig):
         with pytest.raises(ValueError):
             FiniteAlgebra(sig, 2, {name: [0] for name, _ in sig.connectives})
+
+
+# ---------------------------------------------------------------------------
+# the valuation-space kernel against the per-valuation evaluate loop
+# ---------------------------------------------------------------------------
+
+def oracle_valuations(A, vars_):
+    """Every valuation of the variables, in itertools.product order."""
+    return [dict(zip(vars_, values)) for values in itertools.product(A.elements(), repeat=len(vars_))]
+
+
+def oracle_violation(M, gamma, phi):
+    A, F = M.algebra, M.filter
+    for v in oracle_valuations(A, sorted_variables(gamma + (phi,))):
+        if all(evaluate(A, g, v) in F for g in gamma) and evaluate(A, phi, v) not in F:
+            return v
+    return None
+
+
+def oracle_equational_consequence(K, gamma, eq):
+    vars_ = sorted_variables(side for e in gamma + (eq,) for side in (e.lhs, e.rhs))
+    for A in K:
+        for v in oracle_valuations(A, vars_):
+            if all(evaluate(A, e.lhs, v) == evaluate(A, e.rhs, v) for e in gamma):
+                if evaluate(A, eq.lhs, v) != evaluate(A, eq.rhs, v):
+                    return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def kernel_algebras():
+    return {
+        "B2": corpus.b2(),
+        "H3": corpus.h3(),
+        "B4": corpus.b4(),
+        "chain4": corpus.heyting_chain(4),
+        "L3": corpus.lukasiewicz3(),
+    }
+
+
+def draw(rng, depth=4):
+    return random_formula(rng, BUILTIN_SIGNATURE, 3, depth)
+
+
+class TestEvaluationKernel:
+    def test_vectors_match_the_evaluate_loop(self, kernel_algebras):
+        rng = random.Random(401)
+        for A in kernel_algebras.values():
+            for _ in range(150):
+                phi = draw(rng)
+                frame = phi.vmask | rng.randrange(8)  # extra variables of x0..x2 do not matter
+                vars_ = [i for i in range(3) if frame >> i & 1]
+                expected = tuple(evaluate(A, phi, v) for v in oracle_valuations(A, vars_))
+                assert value_vector(A, phi, frame) == expected
+                for row in (0, len(expected) - 1, rng.randrange(len(expected))):
+                    assert frame_valuation(A, frame, row) == oracle_valuations(A, vars_)[row]
+
+    def test_witness_is_the_first_violating_valuation(self, kernel_algebras):
+        rng = random.Random(402)
+        found = 0
+        for A in kernel_algebras.values():
+            filters = [frozenset({A.size - 1}), frozenset(range(1, A.size)), frozenset({0})]
+            for _ in range(120):
+                M = Matrix(A, rng.choice(filters))
+                gamma = tuple(draw(rng, 3) for _ in range(rng.randrange(3)))
+                phi = draw(rng, 3)
+                expected = oracle_violation(M, gamma, phi)
+                witness = matrix_violation(M, gamma, phi)
+                assert witness == expected
+                if expected is not None:
+                    found += 1
+                    assert list(witness.items()) == list(expected.items())
+        assert found > 100
+
+    def test_equational_consequence_over_one_and_two_algebras(self, kernel_algebras):
+        rng = random.Random(403)
+        algebras = list(kernel_algebras.values())
+        verdicts = set()
+        for _ in range(400):
+            A, B = rng.choice(algebras), rng.choice(algebras)
+            gamma = tuple(Equation(draw(rng, 2), draw(rng, 2)) for _ in range(rng.randrange(3)))
+            eq = Equation(draw(rng, 3), draw(rng, 3))
+            for K in ([A], [A, B]):
+                expected = oracle_equational_consequence(K, gamma, eq)
+                assert equational_consequence(K, gamma, eq) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_reduct_tables(self, kernel_algebras):
+        rng = random.Random(404)
+        for A in kernel_algebras.values():
+            for _ in range(20):
+                h = FlexibleMorphism(BUILTIN_SIGNATURE, BUILTIN_SIGNATURE, {
+                    name: random_formula(rng, BUILTIN_SIGNATURE, arity, 3)
+                    for name, arity in BUILTIN_SIGNATURE.connectives
+                })
+                R = reduct(h, A)
+                for name, arity in BUILTIN_SIGNATURE.connectives:
+                    assert R.tables[name] == tuple(
+                        evaluate(A, h(name), dict(enumerate(args)))
+                        for args in itertools.product(A.elements(), repeat=arity)
+                    )
+
+    def test_memo_is_dropped_at_its_bound(self, monkeypatch, kernel_algebras):
+        monkeypatch.setattr(algebra, "MEMO_LIMIT", 50)
+        A = FiniteAlgebra.from_json(kernel_algebras["H3"].to_json())
+        rng = random.Random(405)
+        for _ in range(100):
+            phi = draw(rng)
+            vars_ = sorted_variables((phi,))
+            assert value_vector(A, phi, phi.vmask) == tuple(
+                evaluate(A, phi, v) for v in oracle_valuations(A, vars_)
+            )
+            assert len(A._memo) <= 50
+
+    def test_errors(self, b2, F):
+        with pytest.raises(ValueError, match="no binding for x1"):
+            value_vector(b2, F("imp(x0,x1)"), 0b1)
+        neg_only = FiniteAlgebra(Signature([("neg", 1)]), 2, {"neg": [1, 0]})
+        with pytest.raises(ValueError, match="connective imp not interpreted"):
+            value_vector(neg_only, F("imp(x0,x0)"), 0b1)

@@ -18,7 +18,8 @@ from aalogic import (
 )
 from aalogic import corpus
 from aalogic.algebraization import _delta_at, delta_translate, tau_translate
-from aalogic.provers import _BOT, _FRAME_VARS, _desugar
+from aalogic.algebra import value_vector
+from aalogic.provers import _BOT, _FRAME_VARS, _desugar, _frame_bits
 from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
 from aalogic.syntax import (
     MAX_FORMULA_DEPTH,
@@ -59,6 +60,18 @@ class TestClassical:
         M = Matrix(b2, frozenset({1}))
         for phi in enumerate_formulas(sig, 2, 3):
             assert cpc_decide((), phi) == matrix_satisfies(M, (), phi)
+
+    def test_truth_bits_agree_with_the_kernel_on_b2(self, b2):
+        # _frame_bits row R sets x_j to bit j of R; the kernel's row r over the
+        # same frame x0..x3 is in product order, x0 the most significant digit
+        frame = (1 << _FRAME_VARS) - 1
+        frame_row = [
+            sum((r >> (_FRAME_VARS - 1 - j) & 1) << j for j in range(_FRAME_VARS))
+            for r in range(1 << _FRAME_VARS)
+        ]
+        for phi in enumerate_formulas(BUILTIN_SIGNATURE, 3, 3):
+            bits = _frame_bits(phi)
+            assert value_vector(b2, phi, frame) == tuple(bits >> R & 1 for R in frame_row)
 
 
 class TestIntuitionistic:

@@ -15,7 +15,7 @@ from aalogic import (
     satisfaction_condition_check,
     substitute,
 )
-from aalogic.semantics import identity_morphism, load_logic, matrix_satisfies
+from aalogic.semantics import identity_morphism, load_logic, matrix_satisfies, resolve_logic
 from aalogic.syntax import App, random_formula
 from aalogic import corpus
 
@@ -223,6 +223,12 @@ class TestLogicFiles:
     def test_lukasiewicz_file_matches_builder(self, F, l3):
         logic = load_logic("data/l3_logic.json")
         assert logic.matrices == l3.matrices
+
+    def test_resolve_logic(self, cpc, ipc):
+        assert resolve_logic("cpc") == cpc
+        assert resolve_logic("ipc") == ipc
+        assert resolve_logic("h3_logic.json", "data") == load_logic("data/h3_logic.json")
+        assert resolve_logic("data/l3_logic.json").matrices == load_logic("data/l3_logic.json").matrices
 
     def test_matrix_satisfies_witness(self, b2_matrix, F):
         assert matrix_satisfies(b2_matrix, (F("x0"),), F("x0"))
