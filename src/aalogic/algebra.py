@@ -12,8 +12,13 @@ vector holds a formula's value in every row and is built bottom-up, one table
 lookup per row per node. Row sets are int masks (bit r for row r), so a
 consequence check is an AND and a mask test whose lowest set bit is the first
 violating valuation. Vectors and equation masks are memoised on the algebra
-instance, keyed by frame and interned formulas, and the memo is dropped
-wholesale at ``MEMO_LIMIT`` entries. ``evaluate`` handles one valuation.
+instance, keyed by frame and interned formulas. The same memo holds the
+algebra's sorted unary-polynomial clone (for ``leibniz``) and its congruence
+list (for ``leibniz_bruteforce``), under one-string keys that cannot collide
+with the kernel's frame keys. This memo and the translation memos of
+``FlexibleMorphism`` and ``GlivenkoContext`` all go through ``_remember``,
+which drops a memo wholesale at ``MEMO_LIMIT`` entries.
+``evaluate`` handles one valuation.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class FiniteAlgebra:
             raise ValueError(f"tables for unknown connectives: {sorted(extra)}")
         self.tables = flat
         self._hash = hash((signature, size, tuple(sorted(flat.items()))))
-        self._memo: dict[tuple, object] = {}  # the kernel's, see value_vector
+        self._memo: dict[tuple, object] = {}  # see value_vector and leibniz
 
     def op(self, name: str, *args: int) -> int:
         index = 0
@@ -127,10 +132,11 @@ def evaluate(A: FiniteAlgebra, phi: Formula, v: dict[int, int]) -> int:
 MEMO_LIMIT = 100_000
 
 
-def _remember(A: FiniteAlgebra, key: tuple, value):
-    if len(A._memo) >= MEMO_LIMIT:
-        A._memo.clear()
-    A._memo[key] = value
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key``, first dropping the whole memo if it is full."""
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
     return value
 
 
@@ -152,7 +158,7 @@ def value_vector(A: FiniteAlgebra, phi: Formula, frame: int) -> tuple[int, ...]:
         for arg in phi.args:
             index = map(add, map(mul, index, itertools.repeat(n)), value_vector(A, arg, frame))
         vec = tuple(map(A.tables[phi.name].__getitem__, index))
-    return _remember(A, (frame, phi), vec)
+    return _remember(A._memo, (frame, phi), vec)
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -177,7 +183,7 @@ def equation_rows(A: FiniteAlgebra, lhs: Formula, rhs: Formula, frame: int) -> i
     rows = A._memo.get((frame, lhs, rhs))
     if rows is None:
         rows = _rows(map(eq, value_vector(A, lhs, frame), value_vector(A, rhs, frame)))
-        _remember(A, (frame, lhs, rhs), rows)
+        _remember(A._memo, (frame, lhs, rhs), rows)
     return rows
 
 
@@ -399,6 +405,14 @@ def unary_polynomials(A: FiniteAlgebra) -> set[tuple[int, ...]]:
     return funcs
 
 
+def _invariant(A: FiniteAlgebra, key: tuple, compute):
+    """A value that depends only on A, computed once and kept in A's memo."""
+    value = A._memo.get(key)
+    if value is None:
+        value = _remember(A._memo, key, compute(A))
+    return value
+
+
 def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
     """Largest congruence compatible with F, via the unary-polynomial
     characterization: a ~ b iff p(a) and p(b) agree on F-membership for
@@ -406,8 +420,8 @@ def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
     F = set(F)
     if any(not 0 <= a < A.size for a in F):
         raise ValueError("filter element out of range")
-    polys = unary_polynomials(A)
-    profile = {a: tuple(p[a] in F for p in sorted(polys)) for a in A.elements()}
+    polys = _invariant(A, ("unary_polynomials",), lambda A: tuple(sorted(unary_polynomials(A))))
+    profile = {a: tuple(p[a] in F for p in polys) for a in A.elements()}
     pairs = [
         (a, b)
         for a in A.elements()
@@ -420,7 +434,8 @@ def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
 def leibniz_bruteforce(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
     """Oracle: the maximum compatible congruence, by full enumeration."""
     F = set(F)
-    compat = [theta for theta in all_congruences(A) if compatible(theta, F)]
+    thetas = _invariant(A, ("all_congruences",), lambda A: tuple(all_congruences(A)))
+    compat = [theta for theta in thetas if compatible(theta, F)]
     best = max(compat, key=lambda t: sum(1 for a in range(t.size) for b in range(t.size) if t.related(a, b)))
     if not all(best.contains(theta) for theta in compat):
         raise RuntimeError("no greatest compatible congruence found; algebra encoding is broken")

@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     Congruence,
     FiniteAlgebra,
+    _remember,
     filter_closure,
     homomorphisms,
     quotient,
@@ -106,6 +107,7 @@ class GlivenkoContext:
         self.target_pair = target_pair
         self.name = name or f"{source.name}->{target.name}"
         self._adjoint_cache: dict[FiniteAlgebra, AdjointData] = {}
+        self._rho_memo: dict[Formula, Formula] = {}  # rho_translate's, per interned node
 
     @classmethod
     def identity(cls, logic: LogicSpec, pair: AlgebraizingPair | None = None) -> "GlivenkoContext":
@@ -137,10 +139,14 @@ class GlivenkoContext:
 
 
 def rho_translate(ctx: GlivenkoContext, phi_prime: Formula) -> Formula:
-    """Substitute the sentence into the context's fixed formula."""
-    if not formula_over(ctx.source.signature, phi_prime):
-        raise ValueError("formula is not over the shared signature")
-    return substitute(ctx.theta, {0: phi_prime})
+    """Substitute the sentence into the context's fixed formula, memoised on
+    the context; only formulas over the source signature are remembered."""
+    out = ctx._rho_memo.get(phi_prime)
+    if out is None:
+        if not formula_over(ctx.source.signature, phi_prime):
+            raise ValueError("formula is not over the shared signature")
+        out = _remember(ctx._rho_memo, phi_prime, substitute(ctx.theta, {0: phi_prime}))
+    return out
 
 
 def rho_translate_all(ctx: GlivenkoContext, gamma: Iterable[Formula]) -> tuple[Formula, ...]:

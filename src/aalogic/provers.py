@@ -102,12 +102,15 @@ def cpc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     """Gamma entails phi classically: every two-valued valuation making all of
     Gamma true makes phi true."""
     gamma = tuple(gamma)
-    vars_ = sorted_variables(gamma + (phi,))
-    if not vars_ or vars_[-1] < _FRAME_VARS:
+    mask = phi.vmask
+    for g in gamma:
+        mask |= g.vmask
+    if mask >> _FRAME_VARS == 0:
         ok = _FRAME_FULL
         for g in gamma:
             ok &= _frame_bits(g)
         return ok & ~_frame_bits(phi) & _FRAME_FULL == 0
+    vars_ = sorted_variables(gamma + (phi,))
     rows = 1 << len(vars_)
     full = (1 << rows) - 1
     columns = {v: _column(j, rows) for j, v in enumerate(vars_)}

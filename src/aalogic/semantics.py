@@ -45,11 +45,18 @@ class Matrix:
 def matrix_satisfies(M: Matrix, gamma: Iterable[Formula], phi: Formula) -> bool:
     """Every valuation sending all of gamma into the filter sends phi there too.
     Valuations range over the variables occurring in the query."""
-    return matrix_violation(M, gamma, phi) is None
+    return not _violating_rows(M, gamma, phi)[1]
 
 
 def matrix_violation(M: Matrix, gamma: Iterable[Formula], phi: Formula) -> Optional[dict[int, int]]:
     """The first valuation in product order sending gamma into the filter and phi out."""
+    frame, bad = _violating_rows(M, gamma, phi)
+    return frame_valuation(M.algebra, frame, (bad & -bad).bit_length() - 1) if bad else None
+
+
+def _violating_rows(M: Matrix, gamma: Iterable[Formula], phi: Formula) -> tuple[int, int]:
+    """The query's variable frame and the mask of its rows sending gamma into
+    the filter and phi out."""
     gamma = tuple(gamma)
     A, F = M.algebra, M.filter
     frame = phi.vmask
@@ -58,8 +65,7 @@ def matrix_violation(M: Matrix, gamma: Iterable[Formula], phi: Formula) -> Optio
     ok = all_rows(A, frame)
     for g in gamma:
         ok &= filter_rows(A, F, g, frame)
-    bad = ok & ~filter_rows(A, F, phi, frame)
-    return frame_valuation(A, frame, (bad & -bad).bit_length() - 1) if bad else None
+    return frame, ok & ~filter_rows(A, F, phi, frame)
 
 
 class LogicSpec:

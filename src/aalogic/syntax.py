@@ -321,6 +321,7 @@ class FlexibleMorphism:
         extra = set(self.assignment) - set(source.names)
         if extra:
             raise ValueError(f"assignment for unknown connectives: {sorted(extra)}")
+        self._memo: dict[Formula, Formula] = {}  # extend_morphism's, per interned node
 
     @classmethod
     def identity(cls, sig: Signature) -> "FlexibleMorphism":
@@ -347,11 +348,17 @@ class FlexibleMorphism:
 
 
 def extend_morphism(f: FlexibleMorphism, phi: Formula) -> Formula:
-    """The unique extension: variables are fixed, c(args) becomes f(c)[xi|args]."""
+    """The unique extension: variables are fixed, c(args) becomes f(c)[xi|args].
+    Memoised on f per interned node."""
     if isinstance(phi, Var):
         return phi
-    mapped = [extend_morphism(f, a) for a in phi.args]
-    return substitute(f(phi.name), dict(enumerate(mapped)))
+    out = f._memo.get(phi)
+    if out is None:
+        from .algebra import _remember  # algebra imports this module
+
+        mapped = [extend_morphism(f, a) for a in phi.args]
+        out = _remember(f._memo, phi, substitute(f(phi.name), dict(enumerate(mapped))))
+    return out
 
 
 def compose_morphisms(g: FlexibleMorphism, f: FlexibleMorphism) -> FlexibleMorphism:

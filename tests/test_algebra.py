@@ -36,7 +36,7 @@ from aalogic.algebra import (
     unary_polynomials,
     value_vector,
 )
-from aalogic.semantics import matrix_violation
+from aalogic.semantics import matrix_satisfies, matrix_violation
 from aalogic.syntax import enumerate_formulas, random_formula, sorted_variables, variables
 from aalogic import corpus
 
@@ -164,12 +164,35 @@ class TestLeibniz:
         with pytest.raises(ValueError):
             leibniz(h3, {7})
 
-    def test_agrees_with_oracle_on_small_corpus(self, b2, h3):
-        algebras = [b2, h3, corpus.lukasiewicz3(), corpus.heyting_chain(4)]
+    def test_agrees_with_oracle_on_small_corpus(self, monkeypatch, b2, h3):
+        # fresh copies, so that the first pass starts from an empty memo
+        algebras = [FiniteAlgebra.from_json(A.to_json())
+                    for A in (b2, h3, corpus.lukasiewicz3(), corpus.heyting_chain(4))]
+        cases = [(A, F) for A in algebras for k in range(A.size + 1)
+                 for F in itertools.combinations(range(A.size), k)]
+        expected = [leibniz_bruteforce(A, F) for A, F in cases]  # cold
+        assert [leibniz(A, F) for A, F in cases] == expected
+        assert [leibniz(A, F) for A, F in cases] == expected  # warm
+        assert [leibniz_bruteforce(A, F) for A, F in cases] == expected
+        monkeypatch.setattr(algebra, "MEMO_LIMIT", 1)
         for A in algebras:
-            for k in range(A.size + 1):
-                for F in itertools.combinations(range(A.size), k):
-                    assert leibniz(A, F) == leibniz_bruteforce(A, F)
+            A._memo.clear()
+        for (A, F), theta in zip(cases, expected):  # each call drops what the other stored
+            assert leibniz(A, F) == leibniz_bruteforce(A, F) == theta
+            assert len(A._memo) <= 1
+
+    def test_mutating_the_returned_clone_does_not_change_leibniz(self, h3):
+        A = FiniteAlgebra.from_json(h3.to_json())
+        subsets = [F for k in range(A.size + 1) for F in itertools.combinations(range(A.size), k)]
+        clone = unary_polynomials(A)
+        unary_polynomials(A).clear()  # before the memo holds the sorted clone
+        expected = [leibniz_bruteforce(A, F) for F in subsets]
+        assert [leibniz(A, F) for F in subsets] == expected
+        polys = unary_polynomials(A)  # and after
+        polys.clear()
+        polys.add((0, 1, 0))  # would split the block {1, 2} of the filter {1, 2}
+        assert [leibniz(A, F) for F in subsets] == expected
+        assert unary_polynomials(A) == clone
 
     def test_result_is_compatible_congruence(self, h3, b4):
         for A in (h3, b4):
@@ -382,6 +405,21 @@ class TestEvaluationKernel:
                         evaluate(A, h(name), dict(enumerate(args)))
                         for args in itertools.product(A.elements(), repeat=arity)
                     )
+
+    def test_satisfies_iff_no_violation(self, kernel_algebras):
+        rng = random.Random(406)
+        verdicts = set()
+        for name in ("B2", "H3", "L3"):
+            A = kernel_algebras[name]
+            filters = [frozenset({A.size - 1}), frozenset(range(1, A.size))]
+            for _ in range(200):
+                M = Matrix(A, rng.choice(filters))
+                gamma = tuple(draw(rng, 3) for _ in range(rng.randrange(3)))
+                phi = draw(rng, 3)
+                verdict = matrix_satisfies(M, gamma, phi)
+                assert verdict == (matrix_violation(M, gamma, phi) is None)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_memo_is_dropped_at_its_bound(self, monkeypatch, kernel_algebras):
         monkeypatch.setattr(algebra, "MEMO_LIMIT", 50)

@@ -148,6 +148,8 @@ class TestDeterminism:
         [
             ("check", "bp", "--logic", "cpc", "--pair", "data/cpc_pair.json", "--json"),
             ("check", "institution", "--seed", "0"),
+            ("check", "leibniz", "--algebra", "data/B2.json", "--filter", "1"),
+            ("check", "adjoint", "--algebra", "data/H3.json"),
         ],
     )
     def test_reports_do_not_depend_on_the_hash_seed(self, args):

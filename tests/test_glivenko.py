@@ -62,6 +62,15 @@ class TestRho:
         with pytest.raises(ValueError):
             rho_translate(ctx, App("box", (Var(0),)))
 
+    def test_signature_checked_on_every_call(self, F):
+        ctx = corpus.classical_context()
+        off = App("box", (Var(0),))
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                rho_translate(ctx, off)
+            assert rho_translate(ctx, F("imp(x0,x1)")) == neg(neg(F("imp(x0,x1)")))
+        assert off not in ctx._rho_memo
+
 
 class TestRegularElements:
     def test_boolean_fixed(self, b2):

@@ -16,6 +16,7 @@ from aalogic import (
     substitute,
     variables,
 )
+from aalogic import algebra, corpus
 from aalogic.provers import _BOT
 from aalogic.semantics import BUILTIN_SIGNATURE
 from aalogic.syntax import MAX_FORMULA_DEPTH, formula_depth, formula_over, random_formula
@@ -158,6 +159,26 @@ class TestMorphisms:
         gf = compose_morphisms(g, f)
         for phi in enumerate_formulas(sig2, 3, 4):
             assert extend_morphism(gf, phi) == extend_morphism(g, extend_morphism(f, phi))
+
+    def test_memoised_extension_matches_a_reference_walk(self, monkeypatch):
+        def walk(f, phi):
+            if isinstance(phi, Var):
+                return phi
+            return substitute(f(phi.name), dict(enumerate(walk(f, a) for a in phi.args)))
+
+        morphisms = [h.morphism for _, h in corpus.classical_corpus().morphisms]
+        morphisms.append(compose_morphisms(morphisms[3], morphisms[4]))
+        rng = random.Random(4215)
+        queries = [random_formula(rng, BUILTIN_SIGNATURE, 3, 4) for _ in range(200)]
+        for f in morphisms:
+            expected = [walk(f, phi) for phi in queries]
+            assert [extend_morphism(f, phi) for phi in queries] == expected  # cold
+            assert [extend_morphism(f, phi) for phi in queries] == expected  # warm
+        monkeypatch.setattr(algebra, "MEMO_LIMIT", 5)
+        for f in morphisms:
+            f._memo.clear()
+            assert [extend_morphism(f, phi) for phi in queries] == [walk(f, phi) for phi in queries]
+            assert len(f._memo) <= 5
 
     def test_extension_structurality(self, sig2, double_neg_morphism):
         rng = random.Random(4214)
