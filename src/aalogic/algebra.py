@@ -4,10 +4,14 @@ quotients, the Leibniz operator and logic filters.
 Carriers are always {0, ..., n-1}. Operation tables are stored flat in
 row-major order (first index = leftmost argument).
 
-All checks over every valuation go through one kernel, ``value_vector``. A
-frame is a variable bitmask (bit i for x_i, as in ``Formula.vmask``); its rows
-are the valuations of its variables in ``itertools.product(A.elements(),
-repeat=k)`` order, the lowest variable the most significant digit. A value
+All checks over every valuation go through one kernel, ``value_vector``:
+matrix and equational consequence, theorem values and filter checks,
+reducts along morphisms, a Glivenko context's adjoint, and the Kripke
+countermodel search, which evaluates in the Heyting algebra of each frame's
+upsets. A frame is a variable bitmask (bit i for x_i, as in
+``Formula.vmask``); its rows are the valuations of its variables in
+``itertools.product(A.elements(), repeat=k)`` order, the lowest variable the
+most significant digit. A value
 vector holds a formula's value in every row and is built bottom-up, one table
 lookup per row per node. Row sets are int masks (bit r for row r), so a
 consequence check is an AND and a mask test whose lowest set bit is the first
@@ -15,9 +19,10 @@ violating valuation. Vectors and equation masks are memoised on the algebra
 instance, keyed by frame and interned formulas. The same memo holds the
 algebra's sorted unary-polynomial clone (for ``leibniz``) and its congruence
 list (for ``leibniz_bruteforce``), under one-string keys that cannot collide
-with the kernel's frame keys. This memo and the translation memos of
-``FlexibleMorphism`` and ``GlivenkoContext`` all go through ``_remember``,
-which drops a memo wholesale at ``MEMO_LIMIT`` entries.
+with the kernel's frame keys. This memo, the translation memos of
+``FlexibleMorphism``, ``AlgebraizingPair`` and ``GlivenkoContext`` and the
+context's adjoint cache all go through ``_remember``, which drops a memo
+wholesale at ``MEMO_LIMIT`` entries.
 ``evaluate`` handles one valuation.
 """
 
@@ -413,13 +418,18 @@ def _invariant(A: FiniteAlgebra, key: tuple, compute):
     return value
 
 
+def _carrier_subset(A: FiniteAlgebra, F: Iterable[int]) -> set[int]:
+    F = set(F)
+    if any(not 0 <= a < A.size for a in F):
+        raise ValueError("filter element out of range")
+    return F
+
+
 def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
     """Largest congruence compatible with F, via the unary-polynomial
     characterization: a ~ b iff p(a) and p(b) agree on F-membership for
     every unary polynomial p."""
-    F = set(F)
-    if any(not 0 <= a < A.size for a in F):
-        raise ValueError("filter element out of range")
+    F = _carrier_subset(A, F)
     polys = _invariant(A, ("unary_polynomials",), lambda A: tuple(sorted(unary_polynomials(A))))
     profile = {a: tuple(p[a] in F for p in polys) for a in A.elements()}
     pairs = [
@@ -433,7 +443,7 @@ def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
 
 def leibniz_bruteforce(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
     """Oracle: the maximum compatible congruence, by full enumeration."""
-    F = set(F)
+    F = _carrier_subset(A, F)
     thetas = _invariant(A, ("all_congruences",), lambda A: tuple(all_congruences(A)))
     compat = [theta for theta in thetas if compatible(theta, F)]
     best = max(compat, key=lambda t: sum(1 for a in range(t.size) for b in range(t.size) if t.related(a, b)))

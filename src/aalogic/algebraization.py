@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, _remember
 from .provers import Equation, equational_consequence
 from .semantics import LogicSpec, consequence
 from .syntax import (
@@ -77,9 +77,9 @@ def tau_translate(pair: AlgebraizingPair, phi: Formula) -> tuple[Equation, ...]:
     """The defining equations instantiated at phi."""
     eqs = pair._tau_memo.get(phi)
     if eqs is None:
-        eqs = pair._tau_memo[phi] = tuple(
+        eqs = _remember(pair._tau_memo, phi, tuple(
             Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau
-        )
+        ))
     return eqs
 
 
@@ -92,7 +92,7 @@ def _delta_at(pair: AlgebraizingPair, phi: Formula, psi: Formula) -> tuple[Formu
     key = (phi, psi)
     out = pair._delta_memo.get(key)
     if out is None:
-        out = pair._delta_memo[key] = delta_translate(pair, Equation(phi, psi))
+        out = _remember(pair._delta_memo, key, delta_translate(pair, Equation(phi, psi)))
     return out
 
 

@@ -9,6 +9,7 @@ from .algebra import FiniteAlgebra
 from .algebraization import AlgebraizingPair
 from .glivenko import GlivenkoContext
 from .institutions import Corpus
+from .provers import heyting_of_upsets
 from .semantics import (
     BUILTIN_SIGNATURE,
     LogicMorphism,
@@ -32,32 +33,7 @@ def upset_algebra(n_points: int, leq_pairs: list[tuple[int, int]]) -> FiniteAlge
                 if up[k] >> i & 1 and not up[k] >> j & 1:
                     up[k] |= 1 << j
                     closed = False
-    upsets = [
-        s
-        for s in range(1 << n_points)
-        if all(up[w] & ~s == 0 for w in range(n_points) if s >> w & 1)
-    ]
-    upsets.sort(key=lambda s: (bin(s).count("1"), s))
-    index = {s: i for i, s in enumerate(upsets)}
-    full = (1 << n_points) - 1
-
-    def imp(u, v):
-        w = 0
-        for p in range(n_points):
-            if up[p] & u & ~v == 0:
-                w |= 1 << p
-        return w
-
-    tables = {"neg": [], "imp": [], "and": [], "or": [], "iff": []}
-    for u in upsets:
-        tables["neg"].append(index[imp(u, 0)])
-        for v in upsets:
-            i_uv, i_vu = imp(u, v), imp(v, u)
-            tables["imp"].append(index[i_uv])
-            tables["and"].append(index[u & v])
-            tables["or"].append(index[(u | v) & full])
-            tables["iff"].append(index[i_uv & i_vu])
-    return FiniteAlgebra(BUILTIN_SIGNATURE, len(upsets), tables)
+    return heyting_of_upsets(up, key=lambda s: (s.bit_count(), s))[0]
 
 
 def heyting_chain(n: int) -> FiniteAlgebra:

@@ -120,9 +120,10 @@ class GlivenkoContext:
         return extend_morphism(self.h, phi)
 
     def adjoint(self, M: FiniteAlgebra) -> "AdjointData":
-        if M not in self._adjoint_cache:
-            self._adjoint_cache[M] = _adjoint_data(self, M)
-        return self._adjoint_cache[M]
+        data = self._adjoint_cache.get(M)
+        if data is None:
+            data = _remember(self._adjoint_cache, M, _adjoint_data(self, M))
+        return data
 
     def __repr__(self):
         return f"GlivenkoContext({self.name}, theta={print_formula(self.theta)})"

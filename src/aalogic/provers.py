@@ -3,6 +3,13 @@
 independent refutation oracle, and equational consequence over finite
 algebra classes.
 
+The Kripke search shares no code with the sequent prover. It runs on the
+evaluation kernel (``algebra.value_vector``): the sets of worlds where a
+formula is forced on a frame are the elements of the Heyting algebra of the
+frame's upsets, built once per frame by ``heyting_of_upsets``, which also
+builds the corpus's Heyting algebras. The tests check the search model for
+model against a direct forcing interpreter.
+
 Intuitionistic provability is Dyckhoff's contraction-free sequent calculus
 G4ip, searched on integer-coded formulas. Each interned formula is coded once
 into the id of its desugared form (over imp/and/or and falsum), kept in the
@@ -17,10 +24,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, all_rows, equation_rows
-from .syntax import App, Formula, Var, sorted_variables
+from .algebra import FiniteAlgebra, all_rows, equation_rows, frame_valuation, value_vector
+from .syntax import BUILTIN_SIGNATURE, App, Formula, Var, sorted_variables
 
 
 @dataclass(frozen=True)
@@ -299,108 +307,92 @@ class KripkeModel:
     world: int                   # world where the premises hold and the goal fails
 
 
-def _preorders(n: int) -> tuple:
-    if n not in _preorder_cache:
-        _preorder_cache[n] = tuple(_enumerate_preorders(n))
-    return _preorder_cache[n]
-
-
-_preorder_cache: dict[int, tuple] = {}
-
-
 def _enumerate_preorders(n: int):
-    diagonal = 0
-    for i in range(n):
-        diagonal |= 1 << (i * n + i)
-    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in itertools.product((0, 1), repeat=len(off_diag)):
-        rel = diagonal
-        for (i, j), b in zip(off_diag, bits):
-            if b:
-                rel |= 1 << (i * n + j)
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if rel >> (i * n + j) & 1:
-                    for k in range(n):
-                        if rel >> (j * n + k) & 1 and not rel >> (i * n + k) & 1:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if not ok:
-                break
-        if ok:
-            yield tuple(
-                sum(1 << j for j in range(n) if rel >> (i * n + j) & 1) for i in range(n)
-            )
+    """Reflexive transitive relations on n worlds as successor bitmasks, in
+    the product order of their off-diagonal pairs."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        up = [1 << i for i in range(n)]
+        for (i, j), b in zip(pairs, bits):
+            up[i] |= b << j
+        if all(up[j] & ~up[i] == 0 for i in range(n) for j in range(n) if up[i] >> j & 1):
+            yield tuple(up)
 
 
-_upset_cache: dict[tuple, list[int]] = {}
+def heyting_of_upsets(up: Sequence[int], key=None) -> tuple[FiniteAlgebra, list[int]]:
+    """The Heyting algebra of the upsets of the preorder ``up`` (up[w] =
+    bitmask of the worlds above w) over the built-in signature, with its
+    elements as world bitmasks: ascending, or sorted by ``key``."""
+    n = len(up)
+    upsets = sorted(
+        (s for s in range(1 << n) if all(up[w] & ~s == 0 for w in range(n) if s >> w & 1)), key=key
+    )
+    index = {s: i for i, s in enumerate(upsets)}
+
+    def imp(u, v):
+        return sum(1 << w for w in range(n) if up[w] & u & ~v == 0)
+
+    tables = {"neg": [], "imp": [], "and": [], "or": [], "iff": []}
+    for u in upsets:
+        tables["neg"].append(index[imp(u, 0)])
+        for v in upsets:
+            i_uv, i_vu = imp(u, v), imp(v, u)
+            tables["imp"].append(index[i_uv])
+            tables["and"].append(index[u & v])
+            tables["or"].append(index[u | v])
+            tables["iff"].append(index[i_uv & i_vu])
+    return FiniteAlgebra(BUILTIN_SIGNATURE, len(upsets), tables), upsets
 
 
-def _upsets(n: int, up: tuple[int, ...]) -> list[int]:
-    if up not in _upset_cache:
-        _upset_cache[up] = [
-            s
-            for s in range(1 << n)
-            if all(up[w] & ~s == 0 for w in range(n) if s >> w & 1)
-        ]
-    return _upset_cache[up]
+_frame_cache: dict[int, tuple] = {}
 
 
-def _forces(w: int, phi: Formula, up, val, memo) -> bool:
-    key = (w, phi)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(phi, Var):
-        result = bool(val[phi.index] >> w & 1)
-    else:
-        name = phi.name
-        if name == "and":
-            result = all(_forces(w, a, up, val, memo) for a in phi.args)
-        elif name == "or":
-            result = any(_forces(w, a, up, val, memo) for a in phi.args)
-        elif name == "imp":
-            a, b = phi.args
-            result = all(
-                not _forces(u, a, up, val, memo) or _forces(u, b, up, val, memo)
-                for u in range(len(up))
-                if up[w] >> u & 1
-            )
-        elif name == "neg":
-            a = phi.args[0]
-            result = all(not _forces(u, a, up, val, memo) for u in range(len(up)) if up[w] >> u & 1)
-        elif name == "iff":
-            a, b = phi.args
-            result = _forces(w, App("imp", (a, b)), up, val, memo) and _forces(
-                w, App("imp", (b, a)), up, val, memo
-            )
-        elif name == "_bot":
-            result = False
-        else:
-            raise ValueError(f"connective {name} is not an intuitionistic connective")
-    memo[key] = result
-    return result
+def _frames(n: int) -> tuple:
+    """(up, algebra of its upsets, the upsets) for every preorder on n worlds."""
+    if n not in _frame_cache:
+        frames = []
+        for up in _enumerate_preorders(n):
+            A, upsets = heyting_of_upsets(up)
+            # the prover's falsum is the empty upset; no signature can name
+            # ``_bot``, so its table goes in after the algebra's checks
+            A.tables["_bot"] = (0,)
+            frames.append((up, A, upsets))
+        _frame_cache[n] = tuple(frames)
+    return _frame_cache[n]
+
+
+_KRIPKE_CONNECTIVES = frozenset(BUILTIN_SIGNATURE.connectives) | {("_bot", 0)}
 
 
 def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int = 4) -> Optional[KripkeModel]:
     """Search all Kripke models with at most ``max_worlds`` worlds for one
-    refuting Gamma |- phi. Returns None when no countermodel that small exists."""
+    refuting Gamma |- phi. Returns None when no countermodel that small exists.
+
+    The sets of worlds forcing a formula on a frame are the elements of the
+    Heyting algebra of its upsets, so the valuations on a frame are the rows
+    of that algebra's value vectors. Frames go by size, then in enumeration
+    order; on each, the first row where the premises' upsets meet outside the
+    conclusion's is returned, with the lowest world there."""
     gamma = tuple(gamma)
-    vars_ = sorted_variables(gamma + (phi,))
+    frame = 0
+    for f in gamma + (phi,):
+        foreign = sorted(f.conns - _KRIPKE_CONNECTIVES)
+        if foreign:
+            raise ValueError(f"connective {foreign[0][0]} is not an intuitionistic connective")
+        frame |= f.vmask
     for n in range(1, max_worlds + 1):
-        for up in _preorders(n):
-            upsets = _upsets(n, up)
-            for assignment in itertools.product(upsets, repeat=len(vars_)):
-                val = dict(zip(vars_, assignment))
-                memo: dict = {}
-                for w in range(n):
-                    if all(_forces(w, g, up, val, memo) for g in gamma) and not _forces(
-                        w, phi, up, val, memo
-                    ):
-                        return KripkeModel(n, up, val, w)
+        top = (1 << n) - 1
+        for up, A, upsets in _frames(n):
+            outside = [top ^ s for s in upsets]
+            diff = map(outside.__getitem__, value_vector(A, phi, frame))
+            for g in gamma:
+                diff = map(and_, diff, map(upsets.__getitem__, value_vector(A, g, frame)))
+            diff = tuple(diff)
+            A._memo.clear()  # a query's vectors would otherwise stay for good
+            row = next(itertools.compress(itertools.count(), diff), None)
+            if row is not None:
+                val = {i: upsets[a] for i, a in frame_valuation(A, frame, row).items()}
+                return KripkeModel(n, up, val, (diff[row] & -diff[row]).bit_length() - 1)
     return None
 
 

@@ -12,6 +12,7 @@ from typing import Iterable, Optional, Sequence
 from . import provers
 from .algebra import FiniteAlgebra, all_rows, filter_rows, frame_valuation, load_algebra, value_vector
 from .syntax import (
+    BUILTIN_SIGNATURE,
     FlexibleMorphism,
     Formula,
     Signature,
@@ -20,11 +21,6 @@ from .syntax import (
     formula_over,
     load_signature,
 )
-
-BUILTIN_SIGNATURE = Signature(
-    [("neg", 1), ("imp", 2), ("and", 2), ("or", 2), ("iff", 2)]
-)
-
 
 @dataclass(frozen=True)
 class Matrix:

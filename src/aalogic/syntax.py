@@ -178,6 +178,9 @@ class Signature:
         return cls([(c["name"], c["arity"]) for c in data["connectives"]])
 
 
+BUILTIN_SIGNATURE = Signature([("neg", 1), ("imp", 2), ("and", 2), ("or", 2), ("iff", 2)])
+
+
 def print_formula(phi: Formula) -> str:
     if isinstance(phi, Var):
         return f"x{phi.index}"

@@ -164,6 +164,11 @@ class TestLeibniz:
         with pytest.raises(ValueError):
             leibniz(h3, {7})
 
+    @pytest.mark.parametrize("F", [{7}, {-1}, {0, 3}])
+    def test_oracle_out_of_range(self, h3, F):
+        with pytest.raises(ValueError, match="filter element out of range"):
+            leibniz_bruteforce(h3, F)
+
     def test_agrees_with_oracle_on_small_corpus(self, monkeypatch, b2, h3):
         # fresh copies, so that the first pass starts from an empty memo
         algebras = [FiniteAlgebra.from_json(A.to_json())

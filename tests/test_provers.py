@@ -1,3 +1,5 @@
+import functools
+import itertools
 import os
 import random
 import subprocess
@@ -16,10 +18,10 @@ from aalogic import (
     kripke_countermodel,
     quasiidentity_holds,
 )
-from aalogic import corpus
+from aalogic import algebra, corpus, provers
 from aalogic.algebraization import _delta_at, delta_translate, tau_translate
 from aalogic.algebra import value_vector
-from aalogic.provers import _BOT, _FRAME_VARS, _desugar, _frame_bits
+from aalogic.provers import _BOT, _FRAME_VARS, KripkeModel, _desugar, _frame_bits
 from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
 from aalogic.syntax import (
     MAX_FORMULA_DEPTH,
@@ -28,6 +30,7 @@ from aalogic.syntax import (
     formula_depth,
     parse_formula,
     random_formula,
+    sorted_variables,
     substitute,
     variables,
 )
@@ -186,19 +189,25 @@ class TestKripkeOracle:
                 )
 
 
+def full_signature_queries(sig):
+    """400 seeded queries over neg/imp/and/or/iff in three variables: up to
+    two premises of depth <= 2 and a conclusion of depth <= 3."""
+    premises = enumerate_formulas(sig, 3, 2)
+    conclusions = enumerate_formulas(sig, 3, 3)
+    rng = random.Random(31)
+    for _ in range(400):
+        gamma = tuple(rng.choice(premises) for _ in range(rng.randrange(3)))
+        yield gamma, rng.choice(conclusions)
+
+
 class TestFullSignatureOracle:
     def test_prover_against_kripke_and_heyting_matrices(self, sig):
-        # seeded queries over neg/imp/and/or/iff: the sequent search and the
-        # Kripke search never both succeed, and whatever the search rejects
-        # is refuted by a small Kripke model or a Heyting corpus matrix
-        premises = enumerate_formulas(sig, 3, 2)
-        conclusions = enumerate_formulas(sig, 3, 3)
+        # the sequent search and the Kripke search never both succeed, and
+        # whatever the search rejects is refuted by a small Kripke model or a
+        # Heyting corpus matrix
         matrices = [Matrix(A, frozenset({A.size - 1})) for _, A in corpus.heyting_corpus()]
-        rng = random.Random(31)
         unprovable = 0
-        for _ in range(400):
-            gamma = tuple(rng.choice(premises) for _ in range(rng.randrange(3)))
-            phi = rng.choice(conclusions)
+        for gamma, phi in full_signature_queries(sig):
             proved = ipc_decide(gamma, phi)
             refuted = kripke_countermodel(gamma, phi, 3) is not None
             assert not (proved and refuted)
@@ -208,16 +217,166 @@ class TestFullSignatureOracle:
         assert 0 < unprovable < 400
 
 
+# ---------------------------------------------------------------------------
+# the Kripke search against a direct forcing interpreter
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def ref_preorders(n):
+    """Every relation on n worlds that contains the diagonal, kept when it is
+    transitive, as successor bitmasks."""
+    out = []
+    diagonal = 0
+    for i in range(n):
+        diagonal |= 1 << (i * n + i)
+    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in itertools.product((0, 1), repeat=len(off_diag)):
+        rel = diagonal
+        for (i, j), b in zip(off_diag, bits):
+            if b:
+                rel |= 1 << (i * n + j)
+        ok = True
+        for i in range(n):
+            for j in range(n):
+                if rel >> (i * n + j) & 1:
+                    for k in range(n):
+                        if rel >> (j * n + k) & 1 and not rel >> (i * n + k) & 1:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if not ok:
+                break
+        if ok:
+            out.append(tuple(
+                sum(1 << j for j in range(n) if rel >> (i * n + j) & 1) for i in range(n)
+            ))
+    return out
+
+
+def ref_forces(w, phi, up, val, memo):
+    key = (w, phi)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if isinstance(phi, Var):
+        result = bool(val[phi.index] >> w & 1)
+    else:
+        name = phi.name
+        if name == "and":
+            result = all(ref_forces(w, a, up, val, memo) for a in phi.args)
+        elif name == "or":
+            result = any(ref_forces(w, a, up, val, memo) for a in phi.args)
+        elif name == "imp":
+            a, b = phi.args
+            result = all(not ref_forces(u, a, up, val, memo) or ref_forces(u, b, up, val, memo)
+                         for u in range(len(up)) if up[w] >> u & 1)
+        elif name == "neg":
+            result = all(not ref_forces(u, phi.args[0], up, val, memo)
+                         for u in range(len(up)) if up[w] >> u & 1)
+        elif name == "iff":
+            a, b = phi.args
+            result = (ref_forces(w, App("imp", (a, b)), up, val, memo)
+                      and ref_forces(w, App("imp", (b, a)), up, val, memo))
+        elif name == "_bot":
+            result = False
+        else:
+            raise ValueError(f"connective {name} is not an intuitionistic connective")
+    memo[key] = result
+    return result
+
+
+def ref_countermodel(gamma, phi, max_worlds):
+    """Every model up to the bound, frame by frame, valuation by valuation
+    (each variable an upset, ascending), world by world."""
+    gamma = tuple(gamma)
+    vars_ = sorted_variables(gamma + (phi,))
+    for n in range(1, max_worlds + 1):
+        for up in ref_preorders(n):
+            upsets = [s for s in range(1 << n) if all(up[w] & ~s == 0 for w in range(n) if s >> w & 1)]
+            for assignment in itertools.product(upsets, repeat=len(vars_)):
+                val = dict(zip(vars_, assignment))
+                memo = {}
+                for w in range(n):
+                    if all(ref_forces(w, g, up, val, memo) for g in gamma) and not ref_forces(
+                        w, phi, up, val, memo
+                    ):
+                        return KripkeModel(n, up, val, w)
+    return None
+
+
+# countermodels to these need four worlds: a root under three maximal points
+FOUR_WORLD_TEXTS = [
+    "or(or(imp(x0,or(x1,x2)),imp(x1,or(x0,x2))),imp(x2,or(x0,x1)))",
+    "imp(imp(neg(x0),or(x1,x2)),or(imp(neg(x0),x1),imp(neg(x0),x2)))",
+]
+
+
+class TestKripkeSearchAgainstForcing:
+    def test_full_signature_queries_at_three_worlds(self, sig):
+        found = 0
+        for gamma, phi in full_signature_queries(sig):
+            model = kripke_countermodel(gamma, phi, 3)
+            assert model == ref_countermodel(gamma, phi, 3)
+            found += model is not None
+        assert 0 < found < 400
+
+    def test_sampled_queries_at_four_worlds(self, sig, F):
+        # the oracle takes about 1 s per provable query at four worlds, so
+        # the random part is small
+        universe = enumerate_formulas(sig, 2, 3)
+        rng = random.Random(41)
+        queries = [(tuple(rng.choice(universe) for _ in range(rng.randrange(2))), rng.choice(universe))
+                   for _ in range(10)]
+        queries += [((), F(text)) for text in FOUR_WORLD_TEXTS]
+        models = [kripke_countermodel(gamma, phi, 4) for gamma, phi in queries]
+        assert models == [ref_countermodel(gamma, phi, 4) for gamma, phi in queries]
+        assert None in models
+        assert all(model.worlds == 4 for model in models[-len(FOUR_WORLD_TEXTS):])
+
+    def test_internal_falsum_is_the_empty_upset(self, F):
+        x0 = F("x0")
+        queries = [((), _BOT), ((_BOT,), x0), ((), App("imp", (_BOT, x0))),
+                   ((x0,), App("or", (_BOT, F("neg(neg(x0))")))), ((), _desugar(F("or(x0,neg(x0))"))),
+                   ((), _desugar(F("neg(and(x0,neg(x0)))")))]
+        for gamma, phi in queries:
+            assert kripke_countermodel(gamma, phi, 3) == ref_countermodel(gamma, phi, 3)
+        assert kripke_countermodel((), _BOT) == KripkeModel(1, (1,), {}, 0)
+        assert kripke_countermodel((_BOT,), x0) is None
+
+    def test_foreign_connectives_are_rejected(self, F):
+        box = App("box", (F("x0"),))
+        for gamma, phi in [((), box), ((box,), F("x0")), ((), App("imp", (F("x0"), box)))]:
+            for search in (kripke_countermodel, ref_countermodel):
+                with pytest.raises(ValueError, match="connective box is not an intuitionistic connective"):
+                    search(gamma, phi, 2)
+        with pytest.raises(ValueError, match="connective imp is not an intuitionistic connective"):
+            kripke_countermodel((), App("imp", (F("x0"),)), 2)  # a known name at the wrong arity
+
+    def test_frame_memos_are_empty_after_a_call(self, F):
+        assert kripke_countermodel((), F("or(imp(x0,x1),imp(x1,x0))"), 3) is not None
+        assert kripke_countermodel((F("x0"),), F("neg(neg(x0))"), 3) is None
+        frames = [A for frames in provers._frame_cache.values() for _, A, _ in frames]
+        assert len(frames) >= 1 + 4 + 29  # the preorders on one, two and three worlds
+        assert not any(A._memo for A in frames)
+
+
 SEARCH_PROBE = """
 from aalogic import corpus, provers
 from aalogic.algebraization import check_bp_conditions
+from aalogic.syntax import BUILTIN_SIGNATURE, parse_formula
 report = check_bp_conditions(corpus.ipc_logic(), corpus.classical_pair(), 2, 1)
 print(len(provers._sequent_memo), report.to_json())
+parse = lambda text: parse_formula(BUILTIN_SIGNATURE, text)
+for gamma, phi in [((), "or(imp(x0,x1),imp(x1,x0))"), (("neg(neg(x0))",), "x0"),
+                   (("imp(x0,or(x1,x2))",), "or(imp(x0,x1),imp(x0,x2))")]:
+    print(provers.kripke_countermodel(map(parse, gamma), parse(phi), 3))
 """
 
 
 def test_search_does_not_depend_on_the_hash_seed():
-    # the sequent search visits the same sequents under any hash seed
+    # the sequent search visits the same sequents, and the Kripke search
+    # returns the same models, under any hash seed
     outputs = [
         subprocess.run([sys.executable, "-c", SEARCH_PROBE], capture_output=True, text=True,
                        check=True, env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
@@ -329,10 +488,14 @@ class TestNodeMemos:
                 assert _desugar(phi) == ref_desugar(phi)
 
     @pytest.mark.parametrize("make_pair", [corpus.classical_pair, corpus.perturbed_pair])
-    def test_translations_match_fresh_substitution(self, sig, make_pair):
-        pair = make_pair()
+    def test_translations_match_fresh_substitution(self, sig, make_pair, monkeypatch):
         universe = enumerate_formulas(sig, 3, 2)
-        for _ in range(2):  # the first round fills the memos, the second reads them
+        # the first round fills the memos and the second reads them; the
+        # third fills a new pair's memos under a small MEMO_LIMIT, which
+        # drops them again and again
+        first = make_pair()
+        for pair, limit in ((first, algebra.MEMO_LIMIT), (first, algebra.MEMO_LIMIT), (make_pair(), 50)):
+            monkeypatch.setattr(algebra, "MEMO_LIMIT", limit)
             for phi in universe:
                 fresh_tau = tuple(
                     Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau
@@ -342,6 +505,7 @@ class TestNodeMemos:
                     fresh_delta = tuple(substitute(d, {0: phi, 1: psi}) for d in pair.delta)
                     assert _delta_at(pair, phi, psi) == fresh_delta
                     assert delta_translate(pair, Equation(phi, psi)) == fresh_delta
+            assert len(pair._tau_memo) <= limit and len(pair._delta_memo) <= limit
 
     def test_equation_hash_is_that_of_its_sides(self, F):
         eq = Equation(F("x0"), F("imp(x0,x1)"))
