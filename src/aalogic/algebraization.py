@@ -158,12 +158,41 @@ def _interderivability_classes(l: LogicSpec, universe: Sequence[Formula]) -> lis
     return reps
 
 
+def _condition(l: LogicSpec, sequents, domain: Sequence[Formula], arity: int,
+               prefix: str = "") -> ConditionResult:
+    """One schematic condition: ``sequents(*xs)`` lists the (premises,
+    conclusion) pairs that must hold for the instance ``xs``. The generic
+    instance over x0..x(arity-1) is tried first; only when it fails are the
+    ``arity``-tuples over ``domain`` enumerated, in product order, for the
+    first witness."""
+    def holds(xs: Sequence[Formula]) -> bool:
+        return all(l.proves(prem, c) for prem, c in sequents(*xs))
+
+    if not holds(tuple(Var(i) for i in range(arity))):
+        for count, xs in enumerate(itertools.product(domain, repeat=arity), 1):
+            if not holds(xs):
+                return ConditionResult(False, count, prefix + ", ".join(map(print_formula, xs)))
+    return ConditionResult(True, len(domain) ** arity)
+
+
 def check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: int,
                         congruential: Optional[bool] = None) -> BPReport:
-    """Check the five algebraizability conditions on every formula tuple within
-    the bounds. For congruential logics the tuple conditions are checked on
-    interderivability-class representatives, which decides them for the whole
-    universe."""
+    """Decide the five algebraizability conditions of Blok and Pigozzi on the
+    formulas within the bounds: (a) |- D(x,x), (b) D(x,y) |- D(y,x),
+    (c) D(x,y), D(y,z) |- D(x,z), (d) D(x1,y1), ..., D(xn,yn) |- D(*x, *y) for
+    each connective * of arity n, and (e) x -||- D(tau(x)).
+
+    Each condition is decided first on its one generic instance over fresh
+    variables. Every logic a ``LogicSpec`` can describe (cpc, ipc and matrix
+    consequence) is structural, so when the generic instance holds, every
+    substitution instance holds, the bounded ones included. Only when it fails
+    are the bounded instances enumerated, to find the first witness; the
+    condition passes if the bounded universe has none. Instance counts and
+    witnesses are therefore those of the bounded universe: (a) and (e) range
+    over the universe, (b)-(d) over tuples of formulas. For congruential
+    logics the tuples are drawn from interderivability-class representatives,
+    which decides them for the whole universe; (d) stops after the first
+    failing connective."""
     if num_vars < 1 or depth < 1:
         raise ValueError("bounds must be >= 1")
     if congruential is None:
@@ -176,68 +205,35 @@ def check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, dep
         universe_size=len(universe),
         class_count=len(reps),
     )
+    conditions = report.conditions
 
-    def witness(*formulas: Formula) -> str:
-        return ", ".join(print_formula(f) for f in formulas)
+    conditions["a"] = _condition(l, lambda x: [((), d) for d in _delta_at(pair, x, x)], universe, 1)
+    conditions["b"] = _condition(
+        l, lambda x, y: [(_delta_at(pair, x, y), d) for d in _delta_at(pair, y, x)], reps, 2)
+    conditions["c"] = _condition(
+        l, lambda x, y, z: [(_delta_at(pair, x, y) + _delta_at(pair, y, z), d)
+                            for d in _delta_at(pair, x, z)], reps, 3)
 
-    # (a) every formula is delta-related to itself
-    result = ConditionResult(True, 0)
-    for phi in universe:
-        result.instances += 1
-        if not all(l.proves((), d) for d in _delta_at(pair, phi, phi)):
-            result.passed, result.witness = False, witness(phi)
-            break
-    report.conditions["a"] = result
+    def congruence(name: str, arity: int):
+        def sequents(*args: Formula):
+            xs, ys = args[:arity], args[arity:]
+            prem = tuple(d for p, q in zip(xs, ys) for d in _delta_at(pair, p, q))
+            return [(prem, d) for d in _delta_at(pair, App(name, xs), App(name, ys))]
+        return sequents
 
-    # (b) symmetry
-    result = ConditionResult(True, 0)
-    for phi, psi in itertools.product(reps, repeat=2):
-        result.instances += 1
-        prem = _delta_at(pair, phi, psi)
-        if not all(l.proves(prem, d) for d in _delta_at(pair, psi, phi)):
-            result.passed, result.witness = False, witness(phi, psi)
-            break
-    report.conditions["b"] = result
-
-    # (c) transitivity
-    result = ConditionResult(True, 0)
-    for phi, psi, chi in itertools.product(reps, repeat=3):
-        result.instances += 1
-        prem = _delta_at(pair, phi, psi) + _delta_at(pair, psi, chi)
-        if not all(l.proves(prem, d) for d in _delta_at(pair, phi, chi)):
-            result.passed, result.witness = False, witness(phi, psi, chi)
-            break
-    report.conditions["c"] = result
-
-    # (d) congruence, per connective
-    result = ConditionResult(True, 0)
+    cong = conditions["d"] = ConditionResult(True, 0)
     for name, arity in l.signature.connectives:
-        if not result.passed:
+        part = _condition(l, congruence(name, arity), reps, 2 * arity, f"{name}: ")
+        cong.passed, cong.witness = part.passed, part.witness
+        cong.instances += part.instances
+        if not cong.passed:
             break
-        for combo in itertools.product(reps, repeat=2 * arity):
-            result.instances += 1
-            phis, psis = combo[:arity], combo[arity:]
-            prem = tuple(
-                d for p, q in zip(phis, psis) for d in _delta_at(pair, p, q)
-            )
-            if not all(
-                l.proves(prem, d) for d in _delta_at(pair, App(name, phis), App(name, psis))
-            ):
-                result.passed = False
-                result.witness = f"{name}: " + witness(*combo)
-                break
-    report.conditions["d"] = result
 
-    # (e) every formula is interderivable with delta of its defining equations
-    result = ConditionResult(True, 0)
-    for phi in universe:
-        result.instances += 1
-        image = _delta_tau(pair, phi)
-        if not (all(l.proves((phi,), d) for d in image) and l.proves(image, phi)):
-            result.passed, result.witness = False, witness(phi)
-            break
-    report.conditions["e"] = result
+    def equivalence(x: Formula):
+        image = _delta_tau(pair, x)
+        return [((x,), d) for d in image] + [(image, x)]
 
+    conditions["e"] = _condition(l, equivalence, universe, 1)
     return report
 
 

@@ -1,3 +1,8 @@
+import itertools
+import json
+import random
+from typing import Optional
+
 import pytest
 
 from aalogic import (
@@ -18,7 +23,15 @@ from aalogic import (
     quasiidentity_holds,
     tau_translate,
 )
-from aalogic.syntax import enumerate_formulas
+from aalogic.algebraization import (
+    BPReport,
+    ConditionResult,
+    _delta_at,
+    _delta_tau,
+    _interderivability_classes,
+)
+from aalogic.semantics import BUILTIN_SIGNATURE, resolve_logic
+from aalogic.syntax import App, Formula, enumerate_formulas, print_formula
 from aalogic import corpus
 
 
@@ -113,6 +126,170 @@ class TestConditions:
         b = check_bp_conditions(cpc, split, 2, 2)
         assert {k: v.passed for k, v in a.conditions.items()} == {
             k: v.passed for k, v in b.conditions.items()
+        }
+
+
+# The instance-by-instance check as it was before the conditions were decided
+# on their generic instances, kept verbatim as the oracle of the schematic one.
+def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: int,
+                            congruential: Optional[bool] = None) -> BPReport:
+    """Check the five algebraizability conditions on every formula tuple within
+    the bounds. For congruential logics the tuple conditions are checked on
+    interderivability-class representatives, which decides them for the whole
+    universe."""
+    if num_vars < 1 or depth < 1:
+        raise ValueError("bounds must be >= 1")
+    if congruential is None:
+        congruential = l.kind in ("cpc", "ipc")
+    universe = enumerate_formulas(l.signature, num_vars, depth)
+    reps = _interderivability_classes(l, universe) if congruential else list(universe)
+    report = BPReport(
+        logic=l.name,
+        bounds={"vars": num_vars, "depth": depth, "congruential_dedup": congruential},
+        universe_size=len(universe),
+        class_count=len(reps),
+    )
+
+    def witness(*formulas: Formula) -> str:
+        return ", ".join(print_formula(f) for f in formulas)
+
+    # (a) every formula is delta-related to itself
+    result = ConditionResult(True, 0)
+    for phi in universe:
+        result.instances += 1
+        if not all(l.proves((), d) for d in _delta_at(pair, phi, phi)):
+            result.passed, result.witness = False, witness(phi)
+            break
+    report.conditions["a"] = result
+
+    # (b) symmetry
+    result = ConditionResult(True, 0)
+    for phi, psi in itertools.product(reps, repeat=2):
+        result.instances += 1
+        prem = _delta_at(pair, phi, psi)
+        if not all(l.proves(prem, d) for d in _delta_at(pair, psi, phi)):
+            result.passed, result.witness = False, witness(phi, psi)
+            break
+    report.conditions["b"] = result
+
+    # (c) transitivity
+    result = ConditionResult(True, 0)
+    for phi, psi, chi in itertools.product(reps, repeat=3):
+        result.instances += 1
+        prem = _delta_at(pair, phi, psi) + _delta_at(pair, psi, chi)
+        if not all(l.proves(prem, d) for d in _delta_at(pair, phi, chi)):
+            result.passed, result.witness = False, witness(phi, psi, chi)
+            break
+    report.conditions["c"] = result
+
+    # (d) congruence, per connective
+    result = ConditionResult(True, 0)
+    for name, arity in l.signature.connectives:
+        if not result.passed:
+            break
+        for combo in itertools.product(reps, repeat=2 * arity):
+            result.instances += 1
+            phis, psis = combo[:arity], combo[arity:]
+            prem = tuple(
+                d for p, q in zip(phis, psis) for d in _delta_at(pair, p, q)
+            )
+            if not all(
+                l.proves(prem, d) for d in _delta_at(pair, App(name, phis), App(name, psis))
+            ):
+                result.passed = False
+                result.witness = f"{name}: " + witness(*combo)
+                break
+    report.conditions["d"] = result
+
+    # (e) every formula is interderivable with delta of its defining equations
+    result = ConditionResult(True, 0)
+    for phi in universe:
+        result.instances += 1
+        image = _delta_tau(pair, phi)
+        if not (all(l.proves((phi,), d) for d in image) and l.proves(image, phi)):
+            result.passed, result.witness = False, witness(phi)
+            break
+    report.conditions["e"] = result
+
+    return report
+
+
+def _pair_from_file(path):
+    return AlgebraizingPair.load(path, BUILTIN_SIGNATURE)
+
+
+BUNDLED_LOGICS = {
+    "cpc": corpus.cpc_logic,
+    "ipc": corpus.ipc_logic,
+    "l3": corpus.l3_logic,
+    "h3": lambda: resolve_logic("data/h3_logic.json"),
+}
+BUNDLED_PAIRS = {
+    "classical": corpus.classical_pair,
+    "perturbed": corpus.perturbed_pair,
+    "cpc_pair": lambda: _pair_from_file("data/cpc_pair.json"),
+    "imp_pair": lambda: _pair_from_file("data/imp_pair.json"),
+}
+
+
+def _same_report(l, pair, num_vars, depth, congruential=None):
+    fast = check_bp_conditions(l, pair, num_vars, depth, congruential)
+    slow = ref_check_bp_conditions(l, pair, num_vars, depth, congruential)
+    assert json.dumps(fast.to_json()) == json.dumps(slow.to_json())
+    assert fast.to_text() == slow.to_text()
+    return fast
+
+
+def _mutated_pair(rng):
+    """A pair with one or two delta entries, each a random formula of depth
+    at most 2 over x0, x1, and one defining equation whose sides are random
+    formulas of depth at most 2 over x0."""
+    two = enumerate_formulas(BUILTIN_SIGNATURE, 2, 2)
+    one = enumerate_formulas(BUILTIN_SIGNATURE, 1, 2)
+    delta = [rng.choice(two) for _ in range(rng.choice((1, 2)))]
+    return AlgebraizingPair(delta, [(rng.choice(one), rng.choice(one))])
+
+
+class TestSchematicDecision:
+    @pytest.mark.parametrize("congruential", [None, False])
+    @pytest.mark.parametrize("pair_name", sorted(BUNDLED_PAIRS))
+    @pytest.mark.parametrize("logic_name", sorted(BUNDLED_LOGICS))
+    def test_bundled_reports_match_the_bounded_check(self, logic_name, pair_name, congruential):
+        l, pair = BUNDLED_LOGICS[logic_name](), BUNDLED_PAIRS[pair_name]()
+        for num_vars, depth in [(1, 1), (2, 1), (1, 2)]:
+            _same_report(l, pair, num_vars, depth, congruential)
+
+    @pytest.mark.parametrize("pair_name", sorted(BUNDLED_PAIRS))
+    def test_classical_reports_match_at_two_two(self, pair_name):
+        _same_report(corpus.cpc_logic(), BUNDLED_PAIRS[pair_name](), 2, 2)
+
+    def test_ipc_report_matches_at_two_two(self, ipc, pair):
+        _same_report(ipc, pair, 2, 2)
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_mutated_pairs_match_the_bounded_check(self, seed):
+        rng = random.Random(seed)
+        pair = _mutated_pair(rng)
+        name = ("cpc", "ipc", "l3", "h3")[seed % 4]
+        # at (2, 2) only cpc keeps the oracle within a second
+        bounds = [(1, 2), (2, 1)] + [(2, 2)] * (name == "cpc")
+        _same_report(BUNDLED_LOGICS[name](), pair, *rng.choice(bounds), rng.choice((None, False)))
+
+    def test_bounded_universe_without_counterexample_passes(self, cpc, F):
+        # implication is not symmetric, but no universe over x0 alone shows it
+        pair = _pair_from_file("data/imp_pair.json")
+        assert not cpc.proves((F("imp(x0,x1)"),), F("imp(x1,x0)"))
+        report = _same_report(cpc, pair, 1, 1)
+        assert report.passed
+        assert report.conditions["b"].instances == 1 and report.conditions["b"].witness is None
+        assert report.conditions["d"].instances == 1 + 4 * 1
+
+    def test_l3_passes_at_two_two(self, l3):
+        report = check_bp_conditions(l3, _pair_from_file("data/cpc_pair.json"), 2, 2)
+        assert report.passed
+        assert report.class_count == report.universe_size == 20
+        assert {k: c.instances for k, c in report.conditions.items()} == {
+            "a": 20, "b": 400, "c": 8000, "d": 20 ** 2 + 4 * 20 ** 4, "e": 20,
         }
 
 

@@ -134,6 +134,7 @@ class TestDeterminism:
         [
             ("glivenko", "--exhaustive", "--vars", "2", "--depth", "2", "--seed", "42", "--json"),
             ("check", "bp", "--logic", "cpc", "--json"),
+            ("check", "bp", "--logic", "cpc", "--pair", "data/imp_pair.json", "--json"),
             ("check", "leibniz", "--algebra", "data/H3.json", "--filter", "2", "--json"),
         ],
     )
@@ -147,6 +148,7 @@ class TestDeterminism:
         "args",
         [
             ("check", "bp", "--logic", "cpc", "--pair", "data/cpc_pair.json", "--json"),
+            ("check", "bp", "--logic", "l3", "--pair", "data/cpc_pair.json", "--json"),
             ("check", "institution", "--seed", "0"),
             ("check", "leibniz", "--algebra", "data/B2.json", "--filter", "1"),
             ("check", "adjoint", "--algebra", "data/H3.json"),
