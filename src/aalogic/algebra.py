@@ -15,14 +15,28 @@ most significant digit. A value
 vector holds a formula's value in every row and is built bottom-up, one table
 lookup per row per node. Row sets are int masks (bit r for row r), so a
 consequence check is an AND and a mask test whose lowest set bit is the first
-violating valuation. Vectors and equation masks are memoised on the algebra
-instance, keyed by frame and interned formulas. The same memo holds the
-algebra's sorted unary-polynomial clone (for ``leibniz``) and its congruence
-list (for ``leibniz_bruteforce``), under one-string keys that cannot collide
-with the kernel's frame keys. This memo, the translation memos of
+violating valuation.
+
+Everything that depends on one algebra alone is memoised on that algebra
+instance, in ``A._memo``:
+
+- value vectors, keyed ``(frame, phi)``, and equation masks, keyed
+  ``(frame, lhs, rhs)``, with interned formulas;
+- the sorted unary-polynomial clone (for ``leibniz``) and the congruence
+  list (for ``leibniz_bruteforce``);
+- theorem values per (logic, bounds) and spot-theorem values per logic (for
+  ``filter_closure`` and ``is_filter``);
+- law-check verdicts of ``algebraization.qv_membership`` per class.
+
+The invariants go through ``_invariant`` under keys that begin with a
+string, so they cannot collide with the kernel's frame keys. No
+module-level cache holds a caller's algebra (``provers._frame_cache`` keeps
+only the frame algebras it builds), so an algebra and its memo are freed
+with its last reference. This memo, the translation memos of
 ``FlexibleMorphism``, ``AlgebraizingPair`` and ``GlivenkoContext`` and the
 context's adjoint cache all go through ``_remember``, which drops a memo
 wholesale at ``MEMO_LIMIT`` entries.
+
 ``evaluate`` handles one valuation.
 """
 
@@ -464,23 +478,17 @@ def reduce_matrix(A: FiniteAlgebra, F: Iterable[int]) -> tuple[FiniteAlgebra, fr
     return B, frozenset(proj[a] for a in F)
 
 
-_theorem_cache: dict[tuple, frozenset[int]] = {}
-
-
 def theorem_values(logic, A: FiniteAlgebra, num_vars: int | None = None, depth: int = 2) -> frozenset[int]:
     """Values taken by bounded-depth theorems of ``logic`` in A, under every
     valuation. Bounds default to min(|A|, 3) variables at depth 2."""
     if num_vars is None:
         num_vars = min(A.size, 3)
-    key = (logic, A, num_vars, depth)
-    if key not in _theorem_cache:
-        _theorem_cache[key] = frozenset(
-            a
-            for phi in enumerate_formulas(A.signature, num_vars, depth)
-            if logic.proves((), phi)
-            for a in value_vector(A, phi, phi.vmask)
-        )
-    return _theorem_cache[key]
+    return _invariant(A, ("theorem_values", logic, num_vars, depth), lambda A: frozenset(
+        a
+        for phi in enumerate_formulas(A.signature, num_vars, depth)
+        if logic.proves((), phi)
+        for a in value_vector(A, phi, phi.vmask)
+    ))
 
 
 def _require_implicative(logic):
@@ -501,22 +509,18 @@ _SPOT_THEOREM_TEXTS = (
 )
 
 
-_spot_cache: dict[tuple, tuple[Formula, ...]] = {}
-
-
-def _spot_theorems(logic, sig: Signature) -> tuple[Formula, ...]:
-    key = (logic, sig)
-    if key not in _spot_cache:
-        out = []
-        for text in _SPOT_THEOREM_TEXTS:
-            try:
-                phi = parse_formula(sig, text)
-            except ValueError:
-                continue
-            if logic.proves((), phi):
-                out.append(phi)
-        _spot_cache[key] = tuple(out)
-    return _spot_cache[key]
+def _spot_values(logic, A: FiniteAlgebra) -> frozenset[int]:
+    """Values taken in A by the spot theorems that ``logic`` proves and A's
+    signature can express."""
+    out: set[int] = set()
+    for text in _SPOT_THEOREM_TEXTS:
+        try:
+            phi = parse_formula(A.signature, text)
+        except ValueError:
+            continue
+        if logic.proves((), phi):
+            out.update(value_vector(A, phi, phi.vmask))
+    return frozenset(out)
 
 
 def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int], num_vars: int | None = None, depth: int = 2,
@@ -528,9 +532,7 @@ def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int], num_vars: int | No
     imp = _require_implicative(logic)
     if imp not in A.tables:
         raise ValueError(f"algebra does not interpret {imp}")
-    F = set(S)
-    if any(not 0 <= a < A.size for a in F):
-        raise ValueError("element out of range")
+    F = _carrier_subset(A, S)
     F |= theorem_values(logic, A, num_vars, depth)
     table = A.tables[imp]
     changed = True
@@ -556,12 +558,11 @@ def is_filter(logic, A: FiniteAlgebra, F: Iterable[int], num_vars: int | None = 
     theorem value (plus a handful of deeper spot theorems) and is closed under
     modus ponens."""
     imp = _require_implicative(logic)
-    F = set(F)
+    F = _carrier_subset(A, F)
     if not theorem_values(logic, A, num_vars, depth) <= F:
         return False
-    for phi in _spot_theorems(logic, A.signature):
-        if not F.issuperset(value_vector(A, phi, phi.vmask)):
-            return False
+    if not _invariant(A, ("spot_values", logic), lambda A: _spot_values(logic, A)) <= F:
+        return False
     table = A.tables[imp]
     for a in F:
         row = a * A.size

@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, _remember
+from .algebra import FiniteAlgebra, _invariant, _remember
 from .provers import Equation, equational_consequence
 from .semantics import LogicSpec, consequence
 from .syntax import (
@@ -382,13 +382,17 @@ def _find_unit(A: FiniteAlgebra, opname: str) -> Optional[int]:
 
 def qv_membership(cls_name: str, A: FiniteAlgebra) -> bool:
     """Law check: bounded distributive lattice with residuated implication for
-    'heyting'; additionally excluded middle for 'boolean'."""
+    'heyting'; additionally excluded middle for 'boolean'. The verdict is
+    memoised on A per class."""
     if cls_name not in ("boolean", "heyting"):
         raise ValueError(f"unknown class {cls_name!r} (use 'boolean' or 'heyting')")
     for req in ("neg", "imp", "and", "or"):
         if req not in A.tables:
             raise ValueError(f"algebra does not interpret {req}")
+    return _invariant(A, ("qv_membership", cls_name), lambda A: _satisfies_laws(cls_name, A))
 
+
+def _satisfies_laws(cls_name: str, A: FiniteAlgebra) -> bool:
     meet = lambda a, b: A.op("and", a, b)
     join = lambda a, b: A.op("or", a, b)
     els = list(A.elements())

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -16,7 +17,9 @@ from .algebra import (
     Congruence,
     FiniteAlgebra,
     _remember,
+    all_congruences,
     filter_closure,
+    find_isomorphism,
     homomorphisms,
     quotient,
     value_vector,
@@ -58,20 +61,11 @@ def load_context(path: str) -> "GlivenkoContext":
     theta = parse_formula(source.signature, data["theta"])
     pair = None
     if source.kind in ("cpc", "ipc") and target.kind in ("cpc", "ipc"):
-        from .corpus import classical_pair
+        from .corpus import classical_pair  # corpus imports this module
 
         pair = classical_pair()
     return GlivenkoContext(source, target, h, theta, source_pair=pair, target_pair=pair,
                            name=os.path.splitext(os.path.basename(path))[0])
-
-
-_heyting_cache: dict[FiniteAlgebra, bool] = {}
-
-
-def _is_heyting(A: FiniteAlgebra) -> bool:
-    if A not in _heyting_cache:
-        _heyting_cache[A] = qv_membership("heyting", A)
-    return _heyting_cache[A]
 
 
 def _iff_value(A: FiniteAlgebra, a: int, b: int) -> int:
@@ -162,7 +156,7 @@ def regular_elements(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """The double-negation fixed points, as a Boolean algebra: meet,
     implication and negation are inherited, join(a,b) is the double negation
     of the inherited join. Also returns the embedding (new index -> element)."""
-    if not _is_heyting(H):
+    if not qv_membership("heyting", H):
         raise ValueError("not a Heyting algebra")
     regs = [a for a in H.elements() if _negneg(H, a) == a]
     index = {a: i for i, a in enumerate(regs)}
@@ -204,7 +198,7 @@ def unit_map(H: FiniteAlgebra) -> tuple[int, ...]:
 def left_adjoint_quotient(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Quotient of H by the filter generated by all a <-> not not a, with the
     quotient map. Isomorphic to the regular-element algebra."""
-    if not _is_heyting(H):
+    if not qv_membership("heyting", H):
         raise ValueError("not a Heyting algebra")
     logic = LogicSpec.ipc(H.signature)
     seeds = {_iff_value(H, a, _negneg(H, a)) for a in H.elements()}
@@ -298,7 +292,7 @@ def matrix_compatibility_check(ctx: GlivenkoContext, M: Matrix,
     """Whether the adjoint image matrix satisfies the sentence exactly when the
     original matrix satisfies the translated sentence. Overrides exist for
     fault injection."""
-    if ctx.theta != Var(0) and not _is_heyting(M.algebra):
+    if ctx.theta != Var(0) and not qv_membership("heyting", M.algebra):
         raise ValueError("matrix compatibility requires a Heyting algebra")
     gamma_prime = tuple(gamma_prime)
     data = ctx.adjoint(M.algebra)
@@ -484,8 +478,7 @@ class AdjointReport:
 def find_adjoint_report(H: FiniteAlgebra) -> AdjointReport:
     """Regular elements vs generated-filter quotient, the section law, and the
     hom-set bijection against the bundled Boolean algebras."""
-    from .algebra import find_isomorphism
-    from .corpus import boolean_corpus
+    from .corpus import boolean_corpus  # corpus imports this module
 
     B, emb = regular_elements(H)
     Q, _proj = left_adjoint_quotient(H)
@@ -556,8 +549,6 @@ def glivenko_sweep(ctx: GlivenkoContext, num_vars: int, depth: int, gamma_size: 
                    seed: int, samples: int, signature=None) -> SweepReport:
     """Exhaustive empty-premise sweep over the bounded formula universe plus
     seeded sampled premise sets; records every left/right disagreement."""
-    import random
-
     sig = signature or ctx.target.signature
     universe = enumerate_formulas(sig, num_vars, depth)
     disagreements: list[dict] = []
@@ -594,8 +585,6 @@ def glivenko_sweep(ctx: GlivenkoContext, num_vars: int, depth: int, gamma_size: 
 def generic_left_adjoint(A: FiniteAlgebra, class_name: str, bound: int = 5) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Experimental reflection into a quasivariety by congruence-lattice
     search: the least congruence whose quotient lands in the class."""
-    from .algebra import all_congruences
-
     if A.size > bound:
         raise ValueError(f"generic adjoint search is bounded to size {bound}")
     candidates = []

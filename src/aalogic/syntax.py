@@ -27,6 +27,7 @@ interpreter's recursion limit on any parsed formula.
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from typing import Iterable, Iterator
 
@@ -423,7 +424,5 @@ def random_formula(rng, sig: Signature, num_vars: int, max_depth: int) -> Formul
 
 
 def load_signature(path: str) -> Signature:
-    import json
-
     with open(path) as fh:
         return Signature.from_json(json.load(fh))

@@ -21,6 +21,7 @@ from aalogic import (
     leibniz,
     leibniz_bruteforce,
     quotient,
+    qv_membership,
     reduce_matrix,
     reduct,
 )
@@ -31,6 +32,7 @@ from aalogic.algebra import (
     find_isomorphism,
     frame_valuation,
     is_congruence,
+    is_filter,
     load_algebra,
     theorem_values,
     unary_polynomials,
@@ -283,12 +285,82 @@ class TestFilters:
         with pytest.raises(RuntimeError, match="bound exhausted"):
             filter_closure(ipc, corpus.lukasiewicz3(), ())
 
+    @pytest.mark.parametrize("bad", [-1, 2])  # 2 is the carrier size of b2
+    def test_out_of_range(self, ipc, b2, bad):
+        with pytest.raises(ValueError, match="filter element out of range"):
+            is_filter(ipc, b2, {1, bad})
+        with pytest.raises(ValueError, match="filter element out of range"):
+            filter_closure(ipc, b2, {1, bad})
+
     def test_closure_on_lukasiewicz(self, l3):
         # imp(1,0) = 1 on the Lukasiewicz chain, so detachment from 1 reaches 0
         A = corpus.lukasiewicz3()
         assert filter_closure(l3, A, ()) == {2}
         assert filter_closure(l3, A, {1}) == {0, 1, 2}
         assert all_filters(l3, A) == [frozenset({2}), frozenset({0, 1, 2})]
+
+
+def lattice_filter_of(A, a):
+    """The principal filter of a, with the order read off the meet."""
+    return frozenset(b for b in A.elements() if A.op("and", a, b) == a)
+
+
+def lattice_filters(A):
+    """Nonempty subsets closed upward and under meets, in ``all_filters`` order:
+    on a Heyting algebra these are exactly the ipc filters."""
+    return [
+        frozenset(F)
+        for k in range(1, A.size + 1)
+        for F in itertools.combinations(A.elements(), k)
+        if all(lattice_filter_of(A, a) <= set(F) and A.op("and", a, b) in F for a in F for b in F)
+    ]
+
+
+class TestAlgebraInvariants:
+    """Theorem values, filters and law-check verdicts are memoised on the
+    algebra; a cold, a warm and a starved memo must give the same answers."""
+
+    @staticmethod
+    def calls(logics, A):
+        return (
+            [lambda l=l: theorem_values(l, A) for l in logics]
+            + [lambda l=l: theorem_values(l, A, 2, 3) for l in logics]  # deep enough for excluded middle
+            + [lambda l=l: all_filters(l, A) for l in logics]
+            + [lambda c=c: qv_membership(c, A) for c in ("heyting", "boolean")]
+        )
+
+    def test_cold_warm_and_dropped_memo_agree(self, monkeypatch, cpc, ipc, l3):
+        logics = (cpc, ipc, l3)
+        heyting = corpus.heyting_corpus()
+        boolean = [A for _, A in corpus.boolean_corpus()]
+        # fresh copies, so that the first pass starts from an empty memo
+        algebras = [FiniteAlgebra.from_json(A.to_json())
+                    for A in [H for _, H in heyting] + boolean + [corpus.lukasiewicz3()]]
+        expected = [[call() for call in self.calls(logics, A)] for A in algebras]  # cold
+        assert [[call() for call in self.calls(logics, A)] for A in algebras] == expected  # warm
+        for A, values in zip(algebras, expected[: len(heyting)]):
+            top = {a for a in A.elements() if lattice_filter_of(A, a) == {a}}
+            assert values[1] == values[4] == top  # ipc theorems
+            assert (values[3] == top) == values[-1]  # cpc theorems, top only on Boolean algebras
+            assert values[7] == lattice_filters(A)  # ipc filters
+        assert expected[-1][8] == [frozenset({2}), frozenset({0, 1, 2})]  # l3 filters of L3
+        assert [e[-2:] for e in expected] == (
+            [[True, name in ("one", "two", "diamond")] for name, _ in heyting]
+            + [[True, True]] * len(boolean) + [[False, False]]
+        )
+        monkeypatch.setattr(algebra, "MEMO_LIMIT", 1)
+        for A in algebras:
+            A._memo.clear()
+        for A, values in zip(algebras, expected):  # each call drops what the last one stored
+            for call, value in zip(self.calls(logics, A), values):
+                assert call() == value
+                assert len(A._memo) <= 1
+
+    def test_memoised_verdict_keeps_the_argument_checks(self, h3):
+        A = FiniteAlgebra.from_json(h3.to_json())
+        assert qv_membership("heyting", A)
+        with pytest.raises(ValueError, match="unknown class"):
+            qv_membership("lattice", A)
 
 
 class TestSerialization:
