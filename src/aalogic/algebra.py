@@ -491,10 +491,13 @@ def theorem_values(logic, A: FiniteAlgebra, num_vars: int | None = None, depth: 
     ))
 
 
-def _require_implicative(logic):
+def _require_implicative(logic, A: FiniteAlgebra) -> str:
+    """The logic's implication connective, which A must interpret."""
     imp = getattr(logic, "implication", None)
     if imp is None:
         raise ValueError("logic is not implicative: no designated implication connective")
+    if imp not in A.tables:
+        raise ValueError(f"algebra does not interpret {imp}")
     return imp
 
 
@@ -529,9 +532,7 @@ def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int], num_vars: int | No
     under modus ponens for the logic's implication. A spot-check with a few
     deeper theorems raises (reported, not silent) when the enumeration bound
     was too small for this algebra."""
-    imp = _require_implicative(logic)
-    if imp not in A.tables:
-        raise ValueError(f"algebra does not interpret {imp}")
+    imp = _require_implicative(logic, A)
     F = _carrier_subset(A, S)
     F |= theorem_values(logic, A, num_vars, depth)
     table = A.tables[imp]
@@ -557,7 +558,7 @@ def is_filter(logic, A: FiniteAlgebra, F: Iterable[int], num_vars: int | None = 
     """Bounded l-filter check for implicative logics: contains every bounded
     theorem value (plus a handful of deeper spot theorems) and is closed under
     modus ponens."""
-    imp = _require_implicative(logic)
+    imp = _require_implicative(logic, A)
     F = _carrier_subset(A, F)
     if not theorem_values(logic, A, num_vars, depth) <= F:
         return False

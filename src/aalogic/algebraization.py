@@ -268,17 +268,11 @@ def detachment_check(l: LogicSpec, pair: AlgebraizingPair, phi: Formula, psi: Fo
     return consequence(l, (phi,) + _delta_at(pair, phi, psi), psi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuasiIdentity:
     kind: str  # "i", "ii" or "iii"
     premises: tuple[Equation, ...]
     conclusion: Equation
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.premises, self.conclusion)))
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         prem = " & ".join(map(repr, self.premises)) or "true"
@@ -291,7 +285,12 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
     reflexivity equations, the faithfulness quasi-identity, and one
     quasi-identity per bounded entailment of the logic (conclusions up to
     ``depth``, premise sets of at most ``max_premises`` formulas up to
-    ``premise_depth``, which defaults to min(depth, 2))."""
+    ``premise_depth``, which defaults to min(depth, 2)).
+
+    Each premise set is decided once against all conclusions through
+    ``LogicSpec.entailed``; the equations of each distinct set of entailed
+    conclusions are computed once. A kind-(iii) axiom is emitted once per
+    premise tuple and conclusion equation, in order of first occurrence."""
     x0, x1 = Var(0), Var(1)
     axioms: list[QuasiIdentity] = []
     for d in pair.delta:
@@ -306,20 +305,29 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
     axioms.append(QuasiIdentity("ii", premises, Equation(x0, x1)))
 
     conclusions = enumerate_formulas(l.signature, num_vars, depth)
+    images = [tau_translate(pair, phi) for phi in conclusions]
     premise_pool = enumerate_formulas(
         l.signature, num_vars, min(depth, 2) if premise_depth is None else premise_depth
     )
-    seen: set[QuasiIdentity] = set()
+    # the distinct equations of each set of entailed conclusions, in order
+    equations: dict[tuple[int, ...], tuple[Equation, ...]] = {}
+    # the kind-(iii) conclusions emitted so far under each premise tuple
+    emitted: dict[tuple[Equation, ...], tuple[Equation, ...]] = {}
     for size in range(0, max_premises + 1):
         for gamma in itertools.combinations(premise_pool, size):
             prem = tuple(eq for g in gamma for eq in tau_translate(pair, g))
-            for phi in conclusions:
-                if l.proves(gamma, phi):
-                    for eq in tau_translate(pair, phi):
-                        qi = QuasiIdentity("iii", prem, eq)
-                        if qi not in seen:
-                            seen.add(qi)
-                            axioms.append(qi)
+            hits = l.entailed(gamma, conclusions)
+            eqs = equations.get(hits)
+            if eqs is None:
+                eqs = equations[hits] = tuple(dict.fromkeys(eq for i in hits for eq in images[i]))
+            if prem in emitted:
+                # only a tau with variable-free sides gives two premise sets one tuple
+                done = set(emitted[prem])
+                eqs = tuple(eq for eq in eqs if eq not in done)
+                emitted[prem] += eqs
+            else:
+                emitted[prem] = eqs
+            axioms.extend([QuasiIdentity("iii", prem, eq) for eq in eqs])
     return axioms
 
 

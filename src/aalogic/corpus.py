@@ -164,7 +164,10 @@ def classical_corpus() -> Corpus:
     triple_neg = App("neg", (App("neg", (App("neg", (Var(0),)),)),))
     swap_and = App("and", (Var(1), Var(0)))
     inclusion = LogicMorphism(ipc, cpc, FlexibleMorphism.identity(BUILTIN_SIGNATURE))
-    chain4 = heyting_chain(4)
+    # the matrices use the Heyting algebras' own instances, so each algebra
+    # is built once per corpus and equal algebras share one memo
+    heyting = dict(heyting_corpus(5))
+    two, three, four, chain4 = heyting["two"], heyting["chain3"], heyting["diamond"], heyting["chain4"]
     return Corpus(
         logics={"ipc": ipc, "cpc": cpc},
         pairs={"ipc": pair, "cpc": pair},
@@ -177,25 +180,25 @@ def classical_corpus() -> Corpus:
         ],
         matrices={
             "cpc": [
-                Matrix(b2(), frozenset({1})),
-                Matrix(b4(), frozenset({3})),
-                Matrix(b4(), frozenset({1, 3})),
+                Matrix(two, frozenset({1})),
+                Matrix(four, frozenset({3})),
+                Matrix(four, frozenset({1, 3})),
             ],
             "ipc": [
-                Matrix(h3(), frozenset({2})),
+                Matrix(three, frozenset({2})),
                 Matrix(chain4, frozenset({3})),
-                Matrix(b2(), frozenset({1})),
+                Matrix(two, frozenset({1})),
             ],
         },
         reduced_matrices={
             "ipc": [
-                Matrix(b2(), frozenset({1})),
-                Matrix(h3(), frozenset({2})),
+                Matrix(two, frozenset({1})),
+                Matrix(three, frozenset({2})),
                 Matrix(chain4, frozenset({3})),
-                Matrix(b4(), frozenset({3})),
+                Matrix(four, frozenset({3})),
             ],
         },
-        algebras={"ipc": [A for _, A in heyting_corpus(5)]},
+        algebras={"ipc": list(heyting.values())},
         contexts=[("classical", classical_context())],
     )
 

@@ -128,6 +128,23 @@ def cpc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     return ok & ~_truth_bits(phi, columns, full) & full == 0
 
 
+def cpc_entailed(gamma: Iterable[Formula], phis: Sequence[Formula]) -> tuple[int, ...]:
+    """The indices, ascending, of the phis that Gamma entails classically.
+    When every formula fits the frame, Gamma's rows are AND-ed once and each
+    conclusion costs one subset test; otherwise each one goes through
+    ``cpc_decide``."""
+    gamma = tuple(gamma)
+    mask = 0
+    for f in itertools.chain(gamma, phis):
+        mask |= f.vmask
+    if mask >> _FRAME_VARS:
+        return tuple(i for i, phi in enumerate(phis) if cpc_decide(gamma, phi))
+    ok = _FRAME_FULL
+    for g in gamma:
+        ok &= _frame_bits(g)
+    return tuple([i for i, phi in enumerate(phis) if ok & ~_frame_bits(phi) == 0])
+
+
 # ---------------------------------------------------------------------------
 # intuitionistic provability: contraction-free sequent search
 # ---------------------------------------------------------------------------

@@ -110,6 +110,13 @@ class LogicSpec:
             return provers.ipc_decide(gamma, phi)
         return all(matrix_satisfies(M, gamma, phi) for M in self.matrices)
 
+    def entailed(self, gamma: Iterable[Formula], phis: Sequence[Formula]) -> tuple[int, ...]:
+        """The indices, ascending, of the phis that gamma entails."""
+        gamma = tuple(gamma)
+        if self.kind == "cpc":
+            return provers.cpc_entailed(gamma, phis)
+        return tuple(i for i, phi in enumerate(phis) if self.proves(gamma, phi))
+
     def interderivable(self, phi: Formula, psi: Formula) -> bool:
         return self.proves((phi,), psi) and self.proves((psi,), phi)
 

@@ -224,7 +224,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse_formula(sig: Signature, text: str) -> Formula:
-    """Parse ``formula := var | name "(" formula ("," formula)* ")"``.
+    """Parse ``formula := var | name "(" formula ("," formula)* ")" | name "(" ")"``,
+    the last form for nullary connectives.
 
     Raises FormulaSyntaxError (with byte offset) on malformed input, unknown
     connectives, arity mismatches and formulas deeper than MAX_FORMULA_DEPTH.
@@ -252,6 +253,9 @@ def parse_formula(sig: Signature, text: str) -> Formula:
         kind2, value2, off2 = advance()
         if kind2 != "(":
             raise FormulaSyntaxError(f"expected '(' after connective {value!r}", off2)
+        if sig.arity(value) == 0 and peek()[0] == ")":
+            advance()
+            return App(value, ())
         args = [parse_one()]
         while True:
             kind3, value3, off3 = advance()

@@ -292,6 +292,14 @@ class TestFilters:
         with pytest.raises(ValueError, match="filter element out of range"):
             filter_closure(ipc, b2, {1, bad})
 
+    def test_algebra_without_implication_rejected(self, ipc):
+        A = FiniteAlgebra(Signature([("neg", 1), ("and", 2)]), 2, {"neg": [1, 0], "and": [0, 0, 0, 1]})
+        for check in (is_filter, filter_closure):
+            with pytest.raises(ValueError, match="^algebra does not interpret imp$"):
+                check(ipc, A, {1})
+        with pytest.raises(ValueError, match="^algebra does not interpret imp$"):
+            all_filters(ipc, A)
+
     def test_closure_on_lukasiewicz(self, l3):
         # imp(1,0) = 1 on the Lukasiewicz chain, so detachment from 1 reaches 0
         A = corpus.lukasiewicz3()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ import pytest
 from aalogic import (
     AlgebraizingPair,
     Equation,
+    FiniteAlgebra,
     LogicSpec,
     Matrix,
     Signature,
@@ -26,12 +28,13 @@ from aalogic import (
 from aalogic.algebraization import (
     BPReport,
     ConditionResult,
+    QuasiIdentity,
     _delta_at,
     _delta_tau,
     _interderivability_classes,
 )
 from aalogic.semantics import BUILTIN_SIGNATURE, resolve_logic
-from aalogic.syntax import App, Formula, enumerate_formulas, print_formula
+from aalogic.syntax import App, Formula, enumerate_formulas, print_formula, random_formula, substitute
 from aalogic import corpus
 
 
@@ -380,6 +383,158 @@ class TestQuasivarietyAxioms:
         kind2 = next(q for q in axioms if q.kind == "ii")
         for _, A in corpus.heyting_corpus():
             assert quasiidentity_holds(A, kind2.premises, kind2.conclusion)
+
+
+# The generation loop as it was before entailment was decided per premise set,
+# kept verbatim as the oracle of the batched one.
+def ref_qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
+                  max_premises: int = 2, premise_depth: int | None = None) -> list[QuasiIdentity]:
+    x0, x1 = Var(0), Var(1)
+    axioms: list[QuasiIdentity] = []
+    for d in pair.delta:
+        refl = substitute(d, {0: x0, 1: x0})
+        for eq in tau_translate(pair, refl):
+            axioms.append(QuasiIdentity("i", (), eq))
+    premises = tuple(
+        eq
+        for d in pair.delta
+        for eq in tau_translate(pair, substitute(d, {0: x0, 1: x1}))
+    )
+    axioms.append(QuasiIdentity("ii", premises, Equation(x0, x1)))
+
+    conclusions = enumerate_formulas(l.signature, num_vars, depth)
+    premise_pool = enumerate_formulas(
+        l.signature, num_vars, min(depth, 2) if premise_depth is None else premise_depth
+    )
+    seen: set[QuasiIdentity] = set()
+    for size in range(0, max_premises + 1):
+        for gamma in itertools.combinations(premise_pool, size):
+            prem = tuple(eq for g in gamma for eq in tau_translate(pair, g))
+            for phi in conclusions:
+                if l.proves(gamma, phi):
+                    for eq in tau_translate(pair, phi):
+                        qi = QuasiIdentity("iii", prem, eq)
+                        if qi not in seen:
+                            seen.add(qi)
+                            axioms.append(qi)
+    return axioms
+
+
+def _shared_equation_pair():
+    # tau(neg(x0)) starts with the equation that ends tau(x0)
+    x0 = Var(0)
+    neg = lambda a: App("neg", (a,))
+    return AlgebraizingPair([App("iff", (x0, Var(1)))], [(x0, neg(x0)), (neg(x0), neg(neg(x0)))])
+
+
+QV_PAIRS = dict(BUNDLED_PAIRS, shared_equation=_shared_equation_pair)
+
+
+def _constant_tau_logic():
+    """A matrix logic over a signature with a nullary top, and a pair whose
+    defining equation top = top has no variable: every premise set of one
+    size translates to the same premise tuple."""
+    sig = Signature([("top", 0), ("neg", 1), ("imp", 2)])
+    A = FiniteAlgebra(sig, 2, {"top": [1], "neg": [1, 0], "imp": [1, 1, 0, 1]})
+    top = App("top", ())
+    pair = AlgebraizingPair([App("imp", (Var(0), Var(1)))], [(top, top)])
+    return LogicSpec.from_matrices(sig, [Matrix(A, frozenset({1}))], implication="imp"), pair
+
+
+# sha256 of the newline-joined reprs of qv_axioms(cpc, classical_pair, 3, 2)
+# as the per-formula loop emitted them
+CPC_AXIOMS_SHA256 = "a375f1292823b0b1d55b7e9d89ce452ac28db1968e73ed1b97483dd67a2bca43"
+
+
+class TestBatchedAxioms:
+    @pytest.mark.parametrize("pair_name", sorted(QV_PAIRS))
+    @pytest.mark.parametrize("logic_name", ["cpc", "ipc", "l3"])
+    def test_matches_the_per_formula_loop(self, logic_name, pair_name):
+        l, pair = BUNDLED_LOGICS[logic_name](), QV_PAIRS[pair_name]()
+        for max_premises in range(3):
+            assert qv_axioms(l, pair, 2, 2, max_premises) == ref_qv_axioms(l, pair, 2, 2, max_premises)
+
+    def test_shared_equation_is_emitted_once(self, cpc):
+        pair = _shared_equation_pair()
+        x0 = Var(0)
+        prem = tau_translate(pair, x0) + tau_translate(pair, App("neg", (x0,)))
+        conclusions = enumerate_formulas(BUILTIN_SIGNATURE, 2, 2)
+        # x0, neg(x0) entail every conclusion, and tau(neg(phi)) repeats an equation of tau(phi)
+        emitted = [q.conclusion for q in qv_axioms(cpc, pair, 2, 2) if q.premises == prem]
+        assert emitted == list(dict.fromkeys(eq for phi in conclusions for eq in tau_translate(pair, phi)))
+        assert len(emitted) < 2 * len(conclusions)
+
+    def test_repeated_premise_tuples_match(self):
+        l, pair = _constant_tau_logic()
+        assert enumerate_formulas(l.signature, 2, 2)[2] == App("top", ())
+        for max_premises in range(3):
+            axioms = qv_axioms(l, pair, 2, 2, max_premises)
+            assert axioms == ref_qv_axioms(l, pair, 2, 2, max_premises)
+            assert len(axioms) == len(set(axioms))
+        # a premise tuple per size, one conclusion top = top under each
+        assert [q.premises for q in axioms if q.kind == "iii"] == [
+            tau_translate(pair, App("top", ())) * size for size in range(3)
+        ]
+
+    def test_cpc_axioms_keep_their_digest(self, cpc, pair):
+        axioms = qv_axioms(cpc, pair, 3, 2)
+        assert len(axioms) == 212168
+        # printing 212,168 axioms takes seconds, so each distinct equation is
+        # printed once and the lines are joined as QuasiIdentity.__repr__ joins
+        # them; the stride sample checks that the two agree
+        printed: dict[Equation, str] = {}
+
+        def text(eq):
+            out = printed.get(eq)
+            if out is None:
+                out = printed[eq] = repr(eq)
+            return out
+
+        lines = [
+            f"[{q.kind}] {' & '.join(map(text, q.premises)) or 'true'} -> {text(q.conclusion)}"
+            for q in axioms
+        ]
+        for i in list(range(0, len(axioms), 997)) + [len(axioms) - 1]:
+            assert lines[i] == repr(axioms[i])
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CPC_AXIOMS_SHA256
+
+    def test_quasi_identities_compare_by_value(self, pair, F):
+        eq = tau_translate(pair, F("x0"))[0]
+        a, b = QuasiIdentity("iii", (eq,), eq), QuasiIdentity("iii", (eq,), eq)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != QuasiIdentity("i", (eq,), eq)
+        assert hash(a) == hash(("iii", (eq,), eq))
+
+
+def _proves_loop(l, gamma, phis):
+    return tuple(i for i, phi in enumerate(phis) if l.proves(gamma, phi))
+
+
+class TestEntailed:
+    @pytest.mark.parametrize("logic_name", ["cpc", "ipc", "l3"])
+    def test_matches_the_proves_loop(self, logic_name):
+        l = BUNDLED_LOGICS[logic_name]()
+        phis = enumerate_formulas(BUILTIN_SIGNATURE, 2, 2)
+        gammas = [()] + [(g,) for g in phis] + list(itertools.combinations(phis[:8], 2))
+        for gamma in gammas:
+            assert l.entailed(gamma, phis) == _proves_loop(l, gamma, phis)
+        assert l.entailed(phis[:2], []) == ()
+
+    def test_cpc_beyond_the_frame(self, cpc):
+        # x4 and up are outside the 16-row frame, so these take the compact path
+        rng = random.Random(9)
+        phis = [random_formula(rng, BUILTIN_SIGNATURE, 6, 3) for _ in range(60)]
+        inside = [phi for phi in phis if not phi.vmask >> 4]
+        assert inside and len(inside) < len(phis)
+        hits = 0
+        for size in range(3):
+            for _ in range(30):
+                gamma = tuple(rng.sample(inside if size == 2 else phis, size))
+                got = cpc.entailed(gamma, phis)
+                assert got == _proves_loop(cpc, gamma, phis)
+                hits += len(got)
+                assert cpc.entailed(gamma, inside) == _proves_loop(cpc, gamma, inside)
+        assert 0 < hits < 90 * len(phis)
 
 
 class TestLindenbaum:

@@ -140,6 +140,16 @@ class TestReports:
             report = institution_report(kind, c, samples=400, seed=3)
             assert report.passed and report.checked == 400
 
+    def test_equal_corpus_algebras_are_one_instance(self):
+        # equal algebras share their memos only when they are one object
+        c = corpus.classical_corpus()
+        algebras = [M.algebra for group in (c.matrices, c.reduced_matrices) for Ms in group.values() for M in Ms]
+        algebras += c.algebras["ipc"]
+        by_value = {}
+        for A in algebras:
+            assert by_value.setdefault(A, A) is A
+        assert len(by_value) == len(c.algebras["ipc"]) == 8
+
     def test_identity_only_corpus(self):
         from aalogic.institutions import Corpus
         from aalogic.semantics import identity_morphism

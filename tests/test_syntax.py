@@ -69,12 +69,30 @@ class TestParse:
         for phi in enumerate_formulas(sig, 2, 3):
             assert parse_formula(sig, print_formula(phi)) == phi
 
-    def test_nullary_has_no_concrete_syntax(self):
-        sig = Signature([("truth", 0), ("neg", 1)])
+    def test_nullary_connective_roundtrip(self):
+        sig = Signature([("truth", 0), ("neg", 1), ("imp", 2)])
         constant = App("truth", ())
         assert print_formula(constant) == "truth()"
-        with pytest.raises(FormulaSyntaxError):
-            parse_formula(sig, "truth()")
+        assert parse_formula(sig, " truth ( ) ") == constant
+        formulas = enumerate_formulas(sig, 2, 3)
+        assert constant in formulas
+        for phi in formulas:
+            assert parse_formula(sig, print_formula(phi)) == phi
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("truth", "expected '(' after connective 'truth'", 5),
+        ("truth(x0)", "arity mismatch: truth expects 0 argument(s), got 1", 0),
+        ("truth(,)", "expected a formula, found ','", 6),
+        ("truth(", "expected a formula", 6),
+        ("neg()", "expected a formula, found ')'", 4),
+        ("truth()()", "trailing input '('", 7),
+    ])
+    def test_nullary_errors(self, text, message, offset):
+        sig = Signature([("truth", 0), ("neg", 1)])
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(sig, text)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
 
 
 class TestSignature:
