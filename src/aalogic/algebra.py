@@ -43,12 +43,10 @@ wholesale at ``MEMO_LIMIT`` entries.
 from __future__ import annotations
 
 import itertools
-import json
-import os
 from operator import add, eq, mul
 from typing import Iterable, Sequence
 
-from .syntax import Formula, Signature, Var, enumerate_formulas, load_signature, parse_formula
+from .syntax import Formula, Signature, Var, enumerate_formulas, parse_formula
 
 
 class FiniteAlgebra:
@@ -526,15 +524,14 @@ def _spot_values(logic, A: FiniteAlgebra) -> frozenset[int]:
     return frozenset(out)
 
 
-def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int], num_vars: int | None = None, depth: int = 2,
-                   spot_check: bool = True) -> frozenset[int]:
+def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int]) -> frozenset[int]:
     """Least superset of S containing all bounded-theorem values and closed
     under modus ponens for the logic's implication. A spot-check with a few
     deeper theorems raises (reported, not silent) when the enumeration bound
     was too small for this algebra."""
     imp = _require_implicative(logic, A)
     F = _carrier_subset(A, S)
-    F |= theorem_values(logic, A, num_vars, depth)
+    F |= theorem_values(logic, A)
     table = A.tables[imp]
     changed = True
     while changed:
@@ -546,21 +543,21 @@ def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int], num_vars: int | No
                     F.add(b)
                     changed = True
     result = frozenset(F)
-    if spot_check and not is_filter(logic, A, result):
+    if not is_filter(logic, A, result):
         raise RuntimeError(
             "closure bound exhausted: a theorem takes a value outside the closure, or "
-            "detachment escapes it; raise num_vars/depth"
+            "detachment escapes it"
         )
     return result
 
 
-def is_filter(logic, A: FiniteAlgebra, F: Iterable[int], num_vars: int | None = None, depth: int = 2) -> bool:
+def is_filter(logic, A: FiniteAlgebra, F: Iterable[int]) -> bool:
     """Bounded l-filter check for implicative logics: contains every bounded
     theorem value (plus a handful of deeper spot theorems) and is closed under
     modus ponens."""
     imp = _require_implicative(logic, A)
     F = _carrier_subset(A, F)
-    if not theorem_values(logic, A, num_vars, depth) <= F:
+    if not theorem_values(logic, A) <= F:
         return False
     if not _invariant(A, ("spot_values", logic), lambda A: _spot_values(logic, A)) <= F:
         return False
@@ -586,15 +583,3 @@ def all_filters(logic, A: FiniteAlgebra, max_size: int = 8) -> list[frozenset[in
                 out.append(F)
     return out
 
-
-def load_algebra(path: str) -> FiniteAlgebra:
-    """Algebra file: size and per-connective tables; the signature may be
-    inline or a path relative to the algebra file."""
-    with open(path) as fh:
-        data = json.load(fh)
-    sig_entry = data["signature"]
-    if isinstance(sig_entry, str):
-        sig = load_signature(os.path.join(os.path.dirname(path), sig_entry))
-    else:
-        sig = Signature.from_json(sig_entry)
-    return FiniteAlgebra.from_json(data, sig)

@@ -5,7 +5,6 @@ and direct Boolean/Heyting law checks."""
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -67,11 +66,6 @@ class AlgebraizingPair:
         tau = [(parse_formula(sig, l), parse_formula(sig, r)) for l, r in data["tau"]]
         return cls(delta, tau)
 
-    @classmethod
-    def load(cls, path: str, sig: Signature) -> "AlgebraizingPair":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh), sig)
-
 
 def tau_translate(pair: AlgebraizingPair, phi: Formula) -> tuple[Equation, ...]:
     """The defining equations instantiated at phi."""
@@ -85,21 +79,19 @@ def tau_translate(pair: AlgebraizingPair, phi: Formula) -> tuple[Equation, ...]:
 
 def delta_translate(pair: AlgebraizingPair, eq: Equation) -> tuple[Formula, ...]:
     """The equivalence formulas instantiated at an equation's two sides."""
-    return tuple(substitute(d, {0: eq.lhs, 1: eq.rhs}) for d in pair.delta)
-
-
-def _delta_at(pair: AlgebraizingPair, phi: Formula, psi: Formula) -> tuple[Formula, ...]:
-    key = (phi, psi)
+    key = (eq.lhs, eq.rhs)
     out = pair._delta_memo.get(key)
     if out is None:
-        out = _remember(pair._delta_memo, key, delta_translate(pair, Equation(phi, psi)))
+        out = _remember(pair._delta_memo, key, tuple(
+            substitute(d, {0: eq.lhs, 1: eq.rhs}) for d in pair.delta
+        ))
     return out
 
 
 def _delta_tau(pair: AlgebraizingPair, phi: Formula) -> tuple[Formula, ...]:
     out = []
     for eq in tau_translate(pair, phi):
-        out.extend(_delta_at(pair, eq.lhs, eq.rhs))
+        out.extend(delta_translate(pair, eq))
     return tuple(out)
 
 
@@ -207,18 +199,19 @@ def check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, dep
     )
     conditions = report.conditions
 
-    conditions["a"] = _condition(l, lambda x: [((), d) for d in _delta_at(pair, x, x)], universe, 1)
-    conditions["b"] = _condition(
-        l, lambda x, y: [(_delta_at(pair, x, y), d) for d in _delta_at(pair, y, x)], reps, 2)
+    def delta(x: Formula, y: Formula) -> tuple[Formula, ...]:
+        return delta_translate(pair, Equation(x, y))
+
+    conditions["a"] = _condition(l, lambda x: [((), d) for d in delta(x, x)], universe, 1)
+    conditions["b"] = _condition(l, lambda x, y: [(delta(x, y), d) for d in delta(y, x)], reps, 2)
     conditions["c"] = _condition(
-        l, lambda x, y, z: [(_delta_at(pair, x, y) + _delta_at(pair, y, z), d)
-                            for d in _delta_at(pair, x, z)], reps, 3)
+        l, lambda x, y, z: [(delta(x, y) + delta(y, z), d) for d in delta(x, z)], reps, 3)
 
     def congruence(name: str, arity: int):
         def sequents(*args: Formula):
             xs, ys = args[:arity], args[arity:]
-            prem = tuple(d for p, q in zip(xs, ys) for d in _delta_at(pair, p, q))
-            return [(prem, d) for d in _delta_at(pair, App(name, xs), App(name, ys))]
+            prem = tuple(d for p, q in zip(xs, ys) for d in delta(p, q))
+            return [(prem, d) for d in delta(App(name, xs), App(name, ys))]
         return sequents
 
     cong = conditions["d"] = ConditionResult(True, 0)
@@ -265,7 +258,7 @@ def check_inverse_condition(l: LogicSpec, pair: AlgebraizingPair, K: Sequence[Fi
 
 def detachment_check(l: LogicSpec, pair: AlgebraizingPair, phi: Formula, psi: Formula) -> bool:
     """phi together with phi-delta-psi entails psi."""
-    return consequence(l, (phi,) + _delta_at(pair, phi, psi), psi)
+    return consequence(l, (phi,) + delta_translate(pair, Equation(phi, psi)), psi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,7 +359,7 @@ def is_lindenbaum(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: in
     for phi, psi in itertools.combinations_with_replacement(universe, 2):
         report.instances += 1
         inter = l.interderivable(phi, psi)
-        provable = all(l.proves((), d) for d in _delta_at(pair, phi, psi))
+        provable = all(l.proves((), d) for d in delta_translate(pair, Equation(phi, psi)))
         if inter != provable:
             report.passed = False
             report.witness = (

@@ -9,23 +9,12 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import corpus as corpus_mod
-from .algebra import leibniz, leibniz_bruteforce, load_algebra
-from .algebraization import (
-    AlgebraizingPair,
-    check_bp_conditions,
-    is_lindenbaum,
-)
-from .glivenko import (
-    GlivenkoContext,
-    find_adjoint_report,
-    glivenko_equivalence,
-    glivenko_sweep,
-    load_context,
-    rho_translate,
-)
+from .algebra import leibniz, leibniz_bruteforce
+from .algebraization import check_bp_conditions, is_lindenbaum
+from .corpus import classical_corpus, classical_pair, load_algebra, load_pair, resolve_context, resolve_logic
+from .glivenko import find_adjoint_report, glivenko_equivalence, glivenko_sweep, rho_translate
 from .institutions import institution_report
-from .semantics import LogicSpec, consequence, resolve_logic
+from .semantics import consequence
 from .syntax import FormulaSyntaxError, parse_formula, print_formula
 
 GLIVENKO_SAMPLES = 2000
@@ -42,22 +31,6 @@ class RunConfig:
     def __post_init__(self):
         if min(self.vars, self.depth, self.gamma_size) < 1:
             raise ValueError("all bounds must be >= 1")
-
-
-def _load_logic_arg(name: str) -> LogicSpec:
-    if name == "l3":
-        return corpus_mod.l3_logic()
-    return resolve_logic(name)
-
-
-def _load_context_arg(name: str) -> GlivenkoContext:
-    if name == "classical":
-        return corpus_mod.classical_context()
-    if name in ("identity-ipc", "identity"):
-        return corpus_mod.identity_context()
-    if name == "identity-cpc":
-        return corpus_mod.identity_context(corpus_mod.cpc_logic())
-    return load_context(name)
 
 
 def _parse_gamma(sig, text: str | None):
@@ -110,7 +83,7 @@ def _emit(args, report) -> None:
 
 
 def cmd_consequence(args) -> int:
-    logic = _load_logic_arg(args.logic)
+    logic = resolve_logic(args.logic)
     gamma = _parse_gamma(logic.signature, args.gamma)
     phi = parse_formula(logic.signature, args.phi)
     verdict = consequence(logic, gamma, phi)
@@ -127,7 +100,7 @@ def cmd_consequence(args) -> int:
 
 
 def cmd_glivenko(args) -> int:
-    ctx = _load_context_arg(args.context)
+    ctx = resolve_context(args.context)
     if args.exhaustive:
         config = RunConfig(args.vars, args.depth, args.gamma_size, args.seed)
         report = glivenko_sweep(
@@ -166,19 +139,15 @@ def cmd_glivenko(args) -> int:
 def cmd_check(args) -> int:
     config = RunConfig(args.vars, args.depth, args.gamma_size, args.seed)
     if args.kind in ("bp", "lindenbaum"):
-        logic = _load_logic_arg(args.logic or "cpc")
-        pair = (
-            AlgebraizingPair.load(args.pair, logic.signature)
-            if args.pair
-            else corpus_mod.classical_pair()
-        )
+        logic = resolve_logic(args.logic or "cpc")
+        pair = load_pair(args.pair, logic.signature) if args.pair else classical_pair()
         check = check_bp_conditions if args.kind == "bp" else is_lindenbaum
         report = check(logic, pair, config.vars, config.depth)
         _emit(args, report)
         return 0 if report.passed else 1
 
     if args.kind == "institution":
-        corpus = corpus_mod.classical_corpus()
+        corpus = classical_corpus()
         reports = [
             institution_report(kind, corpus, samples=INSTITUTION_SAMPLES, seed=config.seed,
                                num_vars=config.vars, depth=config.depth,

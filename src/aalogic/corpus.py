@@ -1,9 +1,17 @@
 """Bundled desk-scale corpus: small Heyting and Boolean algebras (as upset
 algebras of tiny posets), the three-valued Lukasiewicz matrix logic, the
 built-in logics with their standard algebraizing pair, translation contexts
-and the classical corpus used by the institution checks."""
+and the classical corpus used by the institution checks.
+
+This module is also the one reader of the JSON file formats (signature,
+algebra, logic, pair, context, corpus) and holds the two tables of bundled
+names, ``LOGICS`` and ``CONTEXTS``; ``resolve_logic`` and
+``resolve_context`` turn a name or a file path into the object."""
 
 from __future__ import annotations
+
+import json
+import os
 
 from .algebra import FiniteAlgebra
 from .algebraization import AlgebraizingPair
@@ -17,7 +25,7 @@ from .semantics import (
     Matrix,
     identity_morphism,
 )
-from .syntax import App, FlexibleMorphism, Var, parse_formula
+from .syntax import App, FlexibleMorphism, Signature, Var, parse_formula
 
 
 def upset_algebra(n_points: int, leq_pairs: list[tuple[int, int]]) -> FiniteAlgebra:
@@ -227,3 +235,130 @@ def corrupted_adjoint_algebra_corpus() -> Corpus:
     corpus = classical_corpus()
     corpus.adjoint_algebra_overrides[("classical", 1)] = heyting_chain(1)
     return corpus
+
+
+# bundled names
+
+LOGICS = {"cpc": cpc_logic, "ipc": ipc_logic, "l3": l3_logic}
+
+CONTEXTS = {
+    "classical": classical_context,
+    "identity": identity_context,
+    "identity-ipc": identity_context,
+    "identity-cpc": lambda: identity_context(cpc_logic()),
+}
+
+
+# file formats; every path inside a file is relative to that file
+
+def _read(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _signature_of(entry, base: str) -> Signature:
+    """A signature entry: inline, or a path relative to base."""
+    if isinstance(entry, str):
+        return Signature.from_json(_read(os.path.join(base, entry)))
+    return Signature.from_json(entry)
+
+
+def load_algebra(entry, base: str = "", signature: Signature | None = None) -> FiniteAlgebra:
+    """An algebra file, by a path relative to base, or an inline algebra:
+    size and per-connective tables, with a signature entry that defaults to
+    ``signature``."""
+    if isinstance(entry, str):
+        path = os.path.join(base, entry)
+        return load_algebra(_read(path), os.path.dirname(path))
+    if "signature" in entry:
+        signature = _signature_of(entry["signature"], base)
+    return FiniteAlgebra.from_json(entry, signature)
+
+
+def _matrix_of(entry, base: str, signature: Signature | None = None) -> Matrix:
+    return Matrix(load_algebra(entry["algebra"], base, signature), frozenset(entry["filter"]))
+
+
+def _morphism_of(entry, source: LogicSpec, target: LogicSpec) -> FlexibleMorphism:
+    """A morphism entry: "identity" or an assignment of target formulas."""
+    if entry == "identity":
+        return FlexibleMorphism.identity(source.signature)
+    assignment = {name: parse_formula(target.signature, text) for name, text in entry.items()}
+    return FlexibleMorphism(source.signature, target.signature, assignment)
+
+
+def _context_of(entry, source: LogicSpec, target: LogicSpec, source_pair, target_pair,
+                name: str) -> GlivenkoContext:
+    """A context entry: a morphism entry "h" (default "identity") and the
+    fixed formula "theta"."""
+    h = _morphism_of(entry.get("h", "identity"), source, target)
+    return GlivenkoContext(source, target, h, parse_formula(source.signature, entry["theta"]),
+                           source_pair=source_pair, target_pair=target_pair, name=name)
+
+
+def resolve_logic(entry: str, base: str = "") -> LogicSpec:
+    """A bundled logic by name, or a logic-spec file by a path relative to
+    base: a signature entry plus either a built-in prover engine ("cpc" or
+    "ipc") or a matrix family."""
+    if entry in LOGICS:
+        return LOGICS[entry]()
+    path = os.path.join(base, entry)
+    data = _read(path)
+    base = os.path.dirname(path)
+    engine = data.get("engine", data)
+    sig_entry = data.get("signature")
+    sig = None if sig_entry is None else _signature_of(sig_entry, base)
+    if engine.get("kind") == "builtin":
+        return LogicSpec(engine["name"], sig or BUILTIN_SIGNATURE, name=engine["name"])
+    if engine.get("kind") == "matrix":
+        if sig is None:
+            raise ValueError("matrix logic spec needs a signature")
+        matrices = [_matrix_of(m, base, sig) for m in engine["matrices"]]
+        return LogicSpec.from_matrices(sig, matrices, implication=data.get("implication"))
+    raise ValueError("logic spec file has no recognizable engine")
+
+
+def resolve_context(entry: str) -> GlivenkoContext:
+    """A bundled context by name, or a context file: source and target logic
+    entries, a morphism entry and the fixed formula. A file's context between
+    built-in engines gets the classical pair."""
+    if entry in CONTEXTS:
+        return CONTEXTS[entry]()
+    data = _read(entry)
+    source, target = (resolve_logic(data[key], os.path.dirname(entry)) for key in ("source", "target"))
+    pair = classical_pair() if {source.kind, target.kind} <= {"cpc", "ipc"} else None
+    return _context_of(data, source, target, pair, pair, os.path.splitext(os.path.basename(entry))[0])
+
+
+def load_pair(path: str, signature: Signature) -> AlgebraizingPair:
+    return AlgebraizingPair.from_json(_read(path), signature)
+
+
+def load_corpus(path: str) -> Corpus:
+    """Corpus file: named logics (bundled names or logic-spec paths), pairs,
+    morphisms, matrices, reduced matrices, quasivariety members and
+    contexts."""
+    base = os.path.dirname(path)
+    data = _read(path)
+    logics = {name: resolve_logic(entry, base) for name, entry in data.get("logics", {}).items()}
+    pairs = {
+        name: AlgebraizingPair.from_json(entry, logics[name].signature)
+        for name, entry in data.get("pairs", {}).items()
+    }
+    morphisms = []
+    for entry in data.get("morphisms", []):
+        source, target = logics[entry["source"]], logics[entry["target"]]
+        morphisms.append(
+            (entry["name"], LogicMorphism(source, target, _morphism_of(entry.get("h", "identity"), source, target)))
+        )
+    matrices = {name: [_matrix_of(m, base) for m in ms] for name, ms in data.get("matrices", {}).items()}
+    reduced = {name: [_matrix_of(m, base) for m in ms] for name, ms in data.get("reduced_matrices", {}).items()}
+    algebras = {name: [load_algebra(a, base) for a in As] for name, As in data.get("algebras", {}).items()}
+    contexts = []
+    for entry in data.get("contexts", []):
+        name = entry["name"]
+        source, target = logics[entry["source"]], logics[entry["target"]]
+        contexts.append((name, _context_of(entry, source, target, pairs.get(entry["source"]),
+                                           pairs.get(entry["target"]), name)))
+    return Corpus(logics=logics, pairs=pairs, morphisms=morphisms, matrices=matrices,
+                  reduced_matrices=reduced, algebras=algebras, contexts=contexts)

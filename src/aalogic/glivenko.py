@@ -7,8 +7,6 @@ composition."""
 from __future__ import annotations
 
 import itertools
-import json
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -31,7 +29,7 @@ from .algebraization import (
     tau_consequence,
 )
 from .provers import Equation
-from .semantics import LogicMorphism, LogicSpec, Matrix, consequence, matrix_satisfies, resolve_logic
+from .semantics import LogicMorphism, LogicSpec, Matrix, consequence, matrix_satisfies
 from .syntax import (
     App,
     FlexibleMorphism,
@@ -41,32 +39,10 @@ from .syntax import (
     enumerate_formulas,
     extend_morphism,
     formula_over,
-    parse_formula,
     print_formula,
     substitute,
     variables,
 )
-
-def load_context(path: str) -> "GlivenkoContext":
-    """Context file: source/target logic names (or spec paths), a morphism
-    ("identity" or an explicit assignment) and the fixed formula."""
-    with open(path) as fh:
-        data = json.load(fh)
-    source, target = (resolve_logic(data[key], os.path.dirname(path)) for key in ("source", "target"))
-    if data.get("h", "identity") == "identity":
-        h = FlexibleMorphism.identity(source.signature)
-    else:
-        assignment = {name: parse_formula(target.signature, text) for name, text in data["h"].items()}
-        h = FlexibleMorphism(source.signature, target.signature, assignment)
-    theta = parse_formula(source.signature, data["theta"])
-    pair = None
-    if source.kind in ("cpc", "ipc") and target.kind in ("cpc", "ipc"):
-        from .corpus import classical_pair  # corpus imports this module
-
-        pair = classical_pair()
-    return GlivenkoContext(source, target, h, theta, source_pair=pair, target_pair=pair,
-                           name=os.path.splitext(os.path.basename(path))[0])
-
 
 def _iff_value(A: FiniteAlgebra, a: int, b: int) -> int:
     if "iff" in A.tables:

@@ -5,12 +5,10 @@ translation contexts. Reports are seeded and deterministic."""
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, evaluate, is_reduced, load_algebra
+from .algebra import FiniteAlgebra, evaluate, is_reduced
 from .algebraization import AlgebraizingPair, delta_translate, qv_membership, tau_consequence, tau_translate
 from .glivenko import (
     GlivenkoContext,
@@ -24,9 +22,8 @@ from .semantics import (
     Matrix,
     matrix_satisfies,
     mod_translate,
-    resolve_logic,
 )
-from .syntax import FlexibleMorphism, Formula, parse_formula, print_formula, random_formula
+from .syntax import Formula, print_formula, random_formula
 
 
 @dataclass(frozen=True)
@@ -139,77 +136,6 @@ class InstitutionReport:
             lines.append(f"  ... and {len(self.violations) - 10} more")
         lines.append("overall: " + ("pass" if self.passed else "FAIL"))
         return "\n".join(lines)
-
-
-def load_corpus(path: str) -> Corpus:
-    """Corpus file: named logics (builtin names or logic-spec paths), pairs,
-    morphisms, matrices, quasivariety members and contexts; algebra paths are
-    relative to the corpus file."""
-    base = os.path.dirname(path)
-    with open(path) as fh:
-        data = json.load(fh)
-
-    logics = {name: resolve_logic(entry, base) for name, entry in data.get("logics", {}).items()}
-
-    pairs = {
-        name: AlgebraizingPair.from_json(entry, logics[name].signature)
-        for name, entry in data.get("pairs", {}).items()
-    }
-
-    def morphism_of(entry, source, target):
-        if entry == "identity":
-            return FlexibleMorphism.identity(source.signature)
-        assignment = {
-            name: parse_formula(target.signature, text) for name, text in entry.items()
-        }
-        return FlexibleMorphism(source.signature, target.signature, assignment)
-
-    morphisms = []
-    for entry in data.get("morphisms", []):
-        source, target = logics[entry["source"]], logics[entry["target"]]
-        morphisms.append(
-            (entry["name"], LogicMorphism(source, target, morphism_of(entry.get("h", "identity"), source, target)))
-        )
-
-    def matrix_of(entry):
-        return Matrix(load_algebra(os.path.join(base, entry["algebra"])), frozenset(entry["filter"]))
-
-    matrices = {
-        name: [matrix_of(e) for e in entries]
-        for name, entries in data.get("matrices", {}).items()
-    }
-    reduced = {
-        name: [matrix_of(e) for e in entries]
-        for name, entries in data.get("reduced_matrices", {}).items()
-    }
-    algebras = {
-        name: [load_algebra(os.path.join(base, e)) for e in entries]
-        for name, entries in data.get("algebras", {}).items()
-    }
-
-    contexts = []
-    for entry in data.get("contexts", []):
-        source, target = logics[entry["source"]], logics[entry["target"]]
-        contexts.append((
-            entry["name"],
-            GlivenkoContext(
-                source, target, morphism_of(entry.get("h", "identity"), source, target),
-                parse_formula(source.signature, entry["theta"]),
-                source_pair=pairs.get(entry["source"]),
-                target_pair=pairs.get(entry["target"]),
-                name=entry["name"],
-            ),
-        ))
-
-    return Corpus(
-        logics=logics,
-        pairs=pairs,
-        morphisms=morphisms,
-        matrices=matrices,
-        reduced_matrices=reduced,
-        algebras=algebras,
-        contexts=contexts,
-    )
 
 
 def _random_sentence(rng, sig, num_vars, depth, gamma_size):

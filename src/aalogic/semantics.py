@@ -4,13 +4,11 @@ the model-translation half of the satisfaction condition."""
 from __future__ import annotations
 
 import itertools
-import json
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import provers
-from .algebra import FiniteAlgebra, all_rows, filter_rows, frame_valuation, load_algebra, value_vector
+from .algebra import FiniteAlgebra, all_rows, filter_rows, frame_valuation, value_vector
 from .syntax import (
     BUILTIN_SIGNATURE,
     FlexibleMorphism,
@@ -19,7 +17,6 @@ from .syntax import (
     enumerate_formulas,
     extend_morphism,
     formula_over,
-    load_signature,
 )
 
 @dataclass(frozen=True)
@@ -235,46 +232,3 @@ def satisfaction_condition_check(h: LogicMorphism, M: Matrix, gamma: Iterable[Fo
     right = matrix_satisfies(mod_translate(h, M, check=False), gamma, phi)
     return left == right
 
-
-_BUILTIN_LOGICS = {"cpc": LogicSpec.cpc, "ipc": LogicSpec.ipc}
-
-
-def resolve_logic(entry: str, base: str = "") -> LogicSpec:
-    """A builtin logic ("cpc" or "ipc") or a logic-spec file, by a path relative to base."""
-    if entry in _BUILTIN_LOGICS:
-        return _BUILTIN_LOGICS[entry]()
-    return load_logic(os.path.join(base, entry))
-
-
-def load_logic(path: str) -> LogicSpec:
-    """Logic spec file: a signature plus either a builtin engine name or a
-    matrix family (algebra entries may be paths relative to this file)."""
-
-    with open(path) as fh:
-        data = json.load(fh)
-    engine = data.get("engine", data)
-    sig_entry = data.get("signature")
-    if isinstance(sig_entry, str):
-        sig = load_signature(os.path.join(os.path.dirname(path), sig_entry))
-    elif sig_entry is not None:
-        sig = Signature.from_json(sig_entry)
-    else:
-        sig = None
-    if engine.get("kind") == "builtin":
-        name = engine["name"]
-        if name not in _BUILTIN_LOGICS:
-            raise ValueError(f"unknown builtin logic {name!r}")
-        return _BUILTIN_LOGICS[name](sig)
-    if engine.get("kind") == "matrix":
-        if sig is None:
-            raise ValueError("matrix logic spec needs a signature")
-        matrices = []
-        for entry in engine["matrices"]:
-            alg = entry["algebra"]
-            if isinstance(alg, str):
-                A = load_algebra(os.path.join(os.path.dirname(path), alg))
-            else:
-                A = FiniteAlgebra.from_json(alg, sig if "signature" not in alg else None)
-            matrices.append(Matrix(A, frozenset(entry["filter"])))
-        return LogicSpec.from_matrices(sig, matrices, implication=data.get("implication"))
-    raise ValueError("logic spec file has no recognizable engine")

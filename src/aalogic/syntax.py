@@ -27,7 +27,6 @@ interpreter's recursion limit on any parsed formula.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from typing import Iterable, Iterator
 
@@ -426,7 +425,3 @@ def random_formula(rng, sig: Signature, num_vars: int, max_depth: int) -> Formul
     name, arity = sig.connectives[rng.randrange(len(sig.connectives))]
     return App(name, tuple(random_formula(rng, sig, num_vars, max_depth - 1) for _ in range(arity)))
 
-
-def load_signature(path: str) -> Signature:
-    with open(path) as fh:
-        return Signature.from_json(json.load(fh))

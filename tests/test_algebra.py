@@ -33,11 +33,11 @@ from aalogic.algebra import (
     frame_valuation,
     is_congruence,
     is_filter,
-    load_algebra,
     theorem_values,
     unary_polynomials,
     value_vector,
 )
+from aalogic.corpus import load_algebra
 from aalogic.semantics import matrix_satisfies, matrix_violation
 from aalogic.syntax import enumerate_formulas, random_formula, sorted_variables, variables
 from aalogic import corpus

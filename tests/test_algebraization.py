@@ -29,11 +29,11 @@ from aalogic.algebraization import (
     BPReport,
     ConditionResult,
     QuasiIdentity,
-    _delta_at,
     _delta_tau,
     _interderivability_classes,
 )
-from aalogic.semantics import BUILTIN_SIGNATURE, resolve_logic
+from aalogic.corpus import load_pair, resolve_logic
+from aalogic.semantics import BUILTIN_SIGNATURE
 from aalogic.syntax import App, Formula, enumerate_formulas, print_formula, random_formula, substitute
 from aalogic import corpus
 
@@ -70,9 +70,7 @@ class TestTranslations:
             AlgebraizingPair([F("iff(x0,x1)")], [(F("x1"), F("x0"))])
 
     def test_pair_file_roundtrip(self, pair):
-        from aalogic.semantics import BUILTIN_SIGNATURE
-
-        loaded = AlgebraizingPair.load("data/cpc_pair.json", BUILTIN_SIGNATURE)
+        loaded = load_pair("data/cpc_pair.json", BUILTIN_SIGNATURE)
         assert loaded == pair
 
 
@@ -160,7 +158,7 @@ def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int,
     result = ConditionResult(True, 0)
     for phi in universe:
         result.instances += 1
-        if not all(l.proves((), d) for d in _delta_at(pair, phi, phi)):
+        if not all(l.proves((), d) for d in delta_translate(pair, Equation(phi, phi))):
             result.passed, result.witness = False, witness(phi)
             break
     report.conditions["a"] = result
@@ -169,8 +167,8 @@ def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int,
     result = ConditionResult(True, 0)
     for phi, psi in itertools.product(reps, repeat=2):
         result.instances += 1
-        prem = _delta_at(pair, phi, psi)
-        if not all(l.proves(prem, d) for d in _delta_at(pair, psi, phi)):
+        prem = delta_translate(pair, Equation(phi, psi))
+        if not all(l.proves(prem, d) for d in delta_translate(pair, Equation(psi, phi))):
             result.passed, result.witness = False, witness(phi, psi)
             break
     report.conditions["b"] = result
@@ -179,8 +177,8 @@ def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int,
     result = ConditionResult(True, 0)
     for phi, psi, chi in itertools.product(reps, repeat=3):
         result.instances += 1
-        prem = _delta_at(pair, phi, psi) + _delta_at(pair, psi, chi)
-        if not all(l.proves(prem, d) for d in _delta_at(pair, phi, chi)):
+        prem = delta_translate(pair, Equation(phi, psi)) + delta_translate(pair, Equation(psi, chi))
+        if not all(l.proves(prem, d) for d in delta_translate(pair, Equation(phi, chi))):
             result.passed, result.witness = False, witness(phi, psi, chi)
             break
     report.conditions["c"] = result
@@ -194,10 +192,10 @@ def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int,
             result.instances += 1
             phis, psis = combo[:arity], combo[arity:]
             prem = tuple(
-                d for p, q in zip(phis, psis) for d in _delta_at(pair, p, q)
+                d for p, q in zip(phis, psis) for d in delta_translate(pair, Equation(p, q))
             )
             if not all(
-                l.proves(prem, d) for d in _delta_at(pair, App(name, phis), App(name, psis))
+                l.proves(prem, d) for d in delta_translate(pair, Equation(App(name, phis), App(name, psis)))
             ):
                 result.passed = False
                 result.witness = f"{name}: " + witness(*combo)
@@ -218,7 +216,7 @@ def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int,
 
 
 def _pair_from_file(path):
-    return AlgebraizingPair.load(path, BUILTIN_SIGNATURE)
+    return load_pair(path, BUILTIN_SIGNATURE)
 
 
 BUNDLED_LOGICS = {

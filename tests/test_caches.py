@@ -15,10 +15,11 @@ from aalogic.glivenko import find_adjoint_report, left_adjoint_quotient, regular
 
 # The process-wide containers the package keeps on purpose: the prover's
 # integer node tables, its sequent memo and its Kripke frame algebras, and
-# the builtin logics. The formula intern pools are class attributes.
+# the bundled-name tables, which hold builders, not built objects. The
+# formula intern pools are class attributes.
 MODULE_CONTAINERS = {
     "provers": {"_TAGS", "_NAMES", "_tag", "_left", "_right", "_ids", "_sequent_memo", "_frame_cache"},
-    "semantics": {"_BUILTIN_LOGICS"},
+    "corpus": {"LOGICS", "CONTEXTS"},
 }
 
 

@@ -22,7 +22,8 @@ from aalogic import (
     validate_context,
 )
 from aalogic.algebra import find_isomorphism
-from aalogic.glivenko import density_check, generic_left_adjoint, load_context
+from aalogic.corpus import resolve_context
+from aalogic.glivenko import density_check, generic_left_adjoint
 from aalogic import corpus
 
 
@@ -311,7 +312,7 @@ class TestValidation:
         assert all(phi is not None for phi in found.values())
 
     def test_context_file(self, ctx, F):
-        loaded = load_context("data/classical_context.json")
+        loaded = resolve_context("data/classical_context.json")
         assert loaded.theta == ctx.theta
         assert loaded.source.name == "ipc" and loaded.target.name == "cpc"
         assert glivenko_equivalence(loaded, (), F("or(x0,neg(x0))")) == (True, True)

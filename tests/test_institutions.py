@@ -194,9 +194,7 @@ class TestReports:
             institution_report("bogus", corpus.classical_corpus())
 
     def test_corpus_file(self):
-        from aalogic.institutions import load_corpus
-
-        c = load_corpus("data/classical_corpus.json")
+        c = corpus.load_corpus("data/classical_corpus.json")
         assert set(c.logics) == {"ipc", "cpc"}
         assert [name for name, _ in c.contexts] == ["classical"]
         for kind in ("If", "InsAL", "InsLAL"):

@@ -19,7 +19,7 @@ from aalogic import (
     quasiidentity_holds,
 )
 from aalogic import algebra, corpus, provers
-from aalogic.algebraization import _delta_at, delta_translate, tau_translate
+from aalogic.algebraization import delta_translate, tau_translate
 from aalogic.algebra import value_vector
 from aalogic.provers import _BOT, _FRAME_VARS, KripkeModel, _desugar, _frame_bits
 from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
@@ -505,7 +505,6 @@ class TestNodeMemos:
                 assert tau_translate(pair, phi) == fresh_tau
                 for psi in universe:
                     fresh_delta = tuple(substitute(d, {0: phi, 1: psi}) for d in pair.delta)
-                    assert _delta_at(pair, phi, psi) == fresh_delta
                     assert delta_translate(pair, Equation(phi, psi)) == fresh_delta
             assert len(pair._tau_memo) <= limit and len(pair._delta_memo) <= limit
 
