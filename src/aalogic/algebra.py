@@ -210,23 +210,23 @@ def frame_valuation(A: FiniteAlgebra, frame: int, row: int) -> dict[int, int]:
     return {i: row // A.size ** (len(vars_) - 1 - j) % A.size for j, i in enumerate(vars_)}
 
 
+def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, f: Sequence[int]) -> bool:
+    """Whether f(c(a..)) = c(f(a)..) for every connective c of A's signature,
+    which B must interpret; f maps A's elements to B's."""
+    for name, arity in A.signature.connectives:
+        index = [0]  # B's table index of (f(a1), .., f(ak)), rows in A's table order
+        for _ in range(arity):
+            index = [i * B.size + f[a] for i in index for a in A.elements()]
+        if list(map(f.__getitem__, A.tables[name])) != list(map(B.tables[name].__getitem__, index)):
+            return False
+    return True
+
+
 def homomorphisms(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All maps h with h(c(a..)) = c(h(a)..), in lexicographic table order."""
     if A.signature != B.signature:
         raise ValueError("signature mismatch")
-    out = []
-    arg_spaces = {
-        name: list(itertools.product(A.elements(), repeat=arity))
-        for name, arity in A.signature.connectives
-    }
-    for h in itertools.product(B.elements(), repeat=A.size):
-        if all(
-            h[A.op(name, *args)] == B.op(name, *(h[a] for a in args))
-            for name, _ in A.signature.connectives
-            for args in arg_spaces[name]
-        ):
-            out.append(h)
-    return out
+    return [h for h in itertools.product(B.elements(), repeat=A.size) if is_homomorphism(A, B, h)]
 
 
 def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra) -> tuple[int, ...] | None:

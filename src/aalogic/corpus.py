@@ -256,6 +256,13 @@ def _read(path: str):
         return json.load(fh)
 
 
+def _read_named(what: str, entry: str, names, path: str):
+    """The file at path, which an entry that is not a bundled name must be."""
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"unknown {what} {entry!r}: not a bundled name ({', '.join(names)}) and not a file")
+    return _read(path)
+
+
 def _signature_of(entry, base: str) -> Signature:
     """A signature entry: inline, or a path relative to base."""
     if isinstance(entry, str):
@@ -303,7 +310,7 @@ def resolve_logic(entry: str, base: str = "") -> LogicSpec:
     if entry in LOGICS:
         return LOGICS[entry]()
     path = os.path.join(base, entry)
-    data = _read(path)
+    data = _read_named("logic", entry, LOGICS, path)
     base = os.path.dirname(path)
     engine = data.get("engine", data)
     sig_entry = data.get("signature")
@@ -324,7 +331,7 @@ def resolve_context(entry: str) -> GlivenkoContext:
     built-in engines gets the classical pair."""
     if entry in CONTEXTS:
         return CONTEXTS[entry]()
-    data = _read(entry)
+    data = _read_named("context", entry, CONTEXTS, entry)
     source, target = (resolve_logic(data[key], os.path.dirname(entry)) for key in ("source", "target"))
     pair = classical_pair() if {source.kind, target.kind} <= {"cpc", "ipc"} else None
     return _context_of(data, source, target, pair, pair, os.path.splitext(os.path.basename(entry))[0])

@@ -19,6 +19,7 @@ from .algebra import (
     filter_closure,
     find_isomorphism,
     homomorphisms,
+    is_homomorphism,
     quotient,
     value_vector,
 )
@@ -160,26 +161,23 @@ def unit_map(H: FiniteAlgebra) -> tuple[int, ...]:
     B, emb = regular_elements(H)
     index = {a: i for i, a in enumerate(emb)}
     unit = tuple(index[_negneg(H, a)] for a in H.elements())
-    for name, arity in H.signature.connectives:
-        for args in itertools.product(H.elements(), repeat=arity):
-            if unit[H.op(name, *args)] != B.op(name, *(unit[a] for a in args)):
-                raise ValueError(
-                    f"double negation is not a homomorphism at {name}{args}; encoding is broken"
-                )
+    if not is_homomorphism(H, B, unit):
+        raise ValueError("double negation is not a homomorphism; encoding is broken")
     if set(unit) != set(range(B.size)):
         raise ValueError("unit map is not surjective; encoding is broken")
     return unit
 
 
 def left_adjoint_quotient(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
-    """Quotient of H by the filter generated by all a <-> not not a, with the
-    quotient map. Isomorphic to the regular-element algebra."""
+    """The double-negation context's adjoint at H: the quotient of H by the
+    filter generated by all a <-> not not a, with the quotient map.
+    Isomorphic to the regular-element algebra."""
+    from .corpus import classical_context  # corpus imports this module
+
     if not qv_membership("heyting", H):
         raise ValueError("not a Heyting algebra")
-    logic = LogicSpec.ipc(H.signature)
-    seeds = {_iff_value(H, a, _negneg(H, a)) for a in H.elements()}
-    F = filter_closure(logic, H, seeds)
-    return _filter_quotient(H, F)
+    data = classical_context().adjoint(H)
+    return data.algebra, data.unit
 
 
 def _filter_quotient(H: FiniteAlgebra, F: frozenset[int]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -261,37 +259,33 @@ def glivenko_equivalence(ctx: GlivenkoContext, gamma_prime: Iterable[Formula],
     return left, right
 
 
-def matrix_compatibility_check(ctx: GlivenkoContext, M: Matrix,
-                               gamma_prime: Iterable[Formula], phi_prime: Formula,
-                               filter_override: frozenset[int] | None = None,
-                               algebra_override: FiniteAlgebra | None = None) -> bool:
-    """Whether the adjoint image matrix satisfies the sentence exactly when the
-    original matrix satisfies the translated sentence. Overrides exist for
-    fault injection."""
+def adjoint_image(ctx: GlivenkoContext, M: Matrix) -> Matrix:
+    """The adjoint image matrix: the adjoint's value algebra of M's algebra,
+    with the unit's image of M's filter. Unless theta is x0, M's algebra must
+    be Heyting."""
     if ctx.theta != Var(0) and not qv_membership("heyting", M.algebra):
         raise ValueError("matrix compatibility requires a Heyting algebra")
-    gamma_prime = tuple(gamma_prime)
     data = ctx.adjoint(M.algebra)
-    image_algebra = algebra_override if algebra_override is not None else data.algebra
-    image_filter = (
-        filter_override
-        if filter_override is not None
-        else frozenset(data.unit[a] for a in M.filter)
-    )
-    left = matrix_satisfies(Matrix(image_algebra, image_filter), gamma_prime, phi_prime)
+    return Matrix(data.algebra, frozenset(data.unit[a] for a in M.filter))
+
+
+def matrix_compatibility_check(ctx: GlivenkoContext, M: Matrix,
+                               gamma_prime: Iterable[Formula], phi_prime: Formula) -> bool:
+    """Whether the adjoint image matrix satisfies the sentence exactly when the
+    original matrix satisfies the translated sentence."""
+    gamma_prime = tuple(gamma_prime)
+    left = matrix_satisfies(adjoint_image(ctx, M), gamma_prime, phi_prime)
     right = matrix_satisfies(M, rho_translate_all(ctx, gamma_prime), rho_translate(ctx, phi_prime))
     return left == right
 
 
-def lind_compatibility_check(ctx: GlivenkoContext, M: FiniteAlgebra, q,
-                             algebra_override: FiniteAlgebra | None = None) -> bool:
+def lind_compatibility_check(ctx: GlivenkoContext, M: FiniteAlgebra, q) -> bool:
     """Whether M satisfies the translated quasi-equation sentence exactly when
     the adjoint image satisfies the original one. ``q`` must expose .premises
     and .conclusion formulas over the shared signature."""
     if ctx.source_pair is None or ctx.target_pair is None:
         raise ValueError("context carries no algebraizing pairs")
-    data = ctx.adjoint(M)
-    image = algebra_override if algebra_override is not None else data.algebra
+    image = ctx.adjoint(M).algebra
     left = tau_consequence(
         [M], ctx.source_pair, rho_translate_all(ctx, q.premises), rho_translate(ctx, q.conclusion)
     )

@@ -7,14 +7,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .algebra import FiniteAlgebra, evaluate, is_reduced
 from .algebraization import AlgebraizingPair, delta_translate, qv_membership, tau_consequence, tau_translate
-from .glivenko import (
-    GlivenkoContext,
-    lind_compatibility_check,
-    matrix_compatibility_check,
-)
+from .glivenko import GlivenkoContext, adjoint_image, rho_translate
 from .provers import Equation
 from .semantics import (
     LogicMorphism,
@@ -85,9 +82,11 @@ def comorphism_plus_check(M: Matrix, pair: AlgebraizingPair, phi: Formula,
 @dataclass
 class Corpus:
     """Explicit finite data standing in for the proper classes the theory
-    quantifies over. The override tables are for fault injection: they replace
-    derived data (a reduct table, an image filter, an adjoint value algebra)
-    with tampered copies."""
+    quantifies over. The override tables are for fault injection: keyed by
+    (morphism or context name, model index), they replace derived data (a
+    reduct algebra, an image filter, an adjoint value algebra) with tampered
+    copies, once per pool entry of ``institution_report``, where that entry's
+    beta(M) is built."""
 
     logics: dict[str, LogicSpec] = field(default_factory=dict)
     pairs: dict[str, AlgebraizingPair] = field(default_factory=dict)
@@ -146,94 +145,92 @@ def _random_sentence(rng, sig, num_vars, depth, gamma_size):
     return gamma, phi
 
 
-def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: int = 0,
-                       num_vars: int = 2, depth: int = 2, gamma_size: int = 2) -> InstitutionReport:
-    """Run the satisfaction-condition suite named by ``kind`` over the corpus
-    with seeded random sentences; every violation is reported with a witness."""
-    if kind not in ("If", "InsAL", "InsLAL"):
-        raise ValueError(f"unknown institution kind {kind!r}")
-    rng = random.Random(seed)
-    config = {"seed": seed, "vars": num_vars, "depth": depth, "gamma_size": gamma_size}
-    violations: list[dict] = []
-    checked = 0
+def _reduced_image(corpus: Corpus, key, ctx: GlivenkoContext, M: Matrix):
+    """InsAL's beta(M): the adjoint image matrix, or the overrides' parts."""
+    image = adjoint_image(ctx, M)
+    return partial(matrix_satisfies, Matrix(
+        corpus.adjoint_algebra_overrides.get(key, image.algebra),
+        corpus.adjoint_filter_overrides.get(key, image.filter),
+    ))
 
+
+def _quasi_equation_image(corpus: Corpus, key, ctx: GlivenkoContext, A: FiniteAlgebra):
+    """InsLAL's beta(A): the adjoint's value algebra, or its override."""
+    if ctx.source_pair is None or ctx.target_pair is None:
+        raise ValueError("context carries no algebraizing pairs")
+    image = corpus.adjoint_algebra_overrides.get(key, ctx.adjoint(A).algebra)
+    return partial(tau_consequence, [image], ctx.target_pair)
+
+
+def _pool(kind: str, corpus: Corpus) -> list[tuple]:
+    """The suite's entries, in the order the samples visit them. An entry is
+    (labels, signature, model, translate, image) for one model M: labels
+    open its violations, sentences are drawn over the signature,
+    model(gamma, phi) decides M |= gamma |- phi, translate is the sentence
+    translation Phi, and image() builds beta(M), with the corpus's override
+    applied, and returns its relation of the same shape. The If reducts are
+    built here and the InsAL and InsLAL images on an entry's first sample,
+    where the per-kind loops built them, so every error is raised at the
+    same point."""
     if kind == "If":
-        # one reduct model (or override) per entry, so its evaluation memo serves every sample
         pool = []
         for mname, h in corpus.morphisms:
             for idx, M in enumerate(corpus.matrices.get(h.target.name, [])):
                 override = corpus.reduct_overrides.get((mname, idx))
-                model = mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
-                pool.append((mname, h, idx, M, model))
-        if not pool:
-            raise ValueError("corpus has no morphism/matrix pairs")
-        for i in range(samples):
-            mname, h, idx, M, model = pool[i % len(pool)]
-            gamma, phi = _random_sentence(rng, h.source.signature, num_vars, depth, gamma_size)
-            left = matrix_satisfies(M, tuple(h.translate(g) for g in gamma), h.translate(phi))
-            right = matrix_satisfies(model, gamma, phi)
-            checked += 1
-            if left != right:
-                violations.append({
-                    "kind": "If",
-                    "morphism": mname,
-                    "matrix": idx,
-                    "gamma": [print_formula(g) for g in gamma],
-                    "phi": print_formula(phi),
-                    "model_side": left,
-                    "translated_side": right,
-                })
-
+                reduct = mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
+                pool.append(({"kind": kind, "morphism": mname, "matrix": idx}, h.source.signature,
+                             partial(matrix_satisfies, M), h.translate, partial(partial, matrix_satisfies, reduct)))
+        what = "morphism/matrix"
     elif kind == "InsAL":
         pool = [
-            (cname, ctx, idx, M)
+            ({"kind": kind, "context": cname, "matrix": idx}, ctx.target.signature,
+             partial(matrix_satisfies, M), partial(rho_translate, ctx),
+             partial(_reduced_image, corpus, (cname, idx), ctx, M))
             for cname, ctx in corpus.contexts
             for idx, M in enumerate(corpus.reduced_matrices.get(ctx.source.name, []))
         ]
-        if not pool:
-            raise ValueError("corpus has no context/matrix pairs")
-        for i in range(samples):
-            cname, ctx, idx, M = pool[i % len(pool)]
-            gamma, phi = _random_sentence(rng, ctx.target.signature, num_vars, depth, gamma_size)
-            agree = matrix_compatibility_check(
-                ctx, M, gamma, phi,
-                filter_override=corpus.adjoint_filter_overrides.get((cname, idx)),
-                algebra_override=corpus.adjoint_algebra_overrides.get((cname, idx)),
-            )
-            checked += 1
-            if not agree:
-                violations.append({
-                    "kind": "InsAL",
-                    "context": cname,
-                    "matrix": idx,
-                    "gamma": [print_formula(g) for g in gamma],
-                    "phi": print_formula(phi),
-                })
-
+        what = "context/matrix"
     else:
         pool = [
-            (cname, ctx, idx, A)
+            ({"kind": kind, "context": cname, "algebra": idx}, ctx.target.signature,
+             partial(tau_consequence, [A], ctx.source_pair), partial(rho_translate, ctx),
+             partial(_quasi_equation_image, corpus, (cname, idx), ctx, A))
             for cname, ctx in corpus.contexts
             for idx, A in enumerate(corpus.algebras.get(ctx.source.name, []))
         ]
-        if not pool:
-            raise ValueError("corpus has no context/algebra pairs")
-        for i in range(samples):
-            cname, ctx, idx, A = pool[i % len(pool)]
-            gamma, phi = _random_sentence(rng, ctx.target.signature, num_vars, depth, gamma_size)
-            q = InsLALSentence(gamma, phi)
-            agree = lind_compatibility_check(
-                ctx, A, q,
-                algebra_override=corpus.adjoint_algebra_overrides.get((cname, idx)),
-            )
-            checked += 1
-            if not agree:
-                violations.append({
-                    "kind": "InsLAL",
-                    "context": cname,
-                    "algebra": idx,
-                    "premises": [print_formula(g) for g in gamma],
-                    "conclusion": print_formula(phi),
-                })
+        what = "context/algebra"
+    if not pool:
+        raise ValueError(f"corpus has no {what} pairs")
+    return pool
 
-    return InstitutionReport(kind, samples, checked, violations, config)
+
+def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: int = 0,
+                       num_vars: int = 2, depth: int = 2, gamma_size: int = 2) -> InstitutionReport:
+    """Run the satisfaction-condition suite named by ``kind`` over the corpus
+    with seeded random sentences: sample i checks M |= Phi(gamma) |- Phi(phi)
+    against beta(M) |= gamma |- phi on pool entry i mod the pool size, and
+    every disagreement is reported with its sentence as the witness."""
+    witness_keys = {
+        "If": ("gamma", "phi", "model_side", "translated_side"),
+        "InsAL": ("gamma", "phi"),
+        "InsLAL": ("premises", "conclusion"),
+    }
+    if kind not in witness_keys:
+        raise ValueError(f"unknown institution kind {kind!r}")
+    rng = random.Random(seed)
+    config = {"seed": seed, "vars": num_vars, "depth": depth, "gamma_size": gamma_size}
+    violations: list[dict] = []
+    pool = _pool(kind, corpus)
+    images = [None] * len(pool)
+    for i in range(samples):
+        j = i % len(pool)
+        labels, signature, model, translate, build_image = pool[j]
+        gamma, phi = _random_sentence(rng, signature, num_vars, depth, gamma_size)
+        if images[j] is None:
+            images[j] = build_image()
+        translated = model(tuple(map(translate, gamma)), translate(phi))
+        image = images[j](gamma, phi)
+        if translated != image:
+            sides = ([print_formula(g) for g in gamma], print_formula(phi), translated, image)
+            violations.append({**labels, **dict(zip(witness_keys[kind], sides))})
+    return InstitutionReport(kind, samples, max(samples, 0), violations, config)

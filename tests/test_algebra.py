@@ -97,6 +97,38 @@ class TestHomomorphisms:
                 assert h[evaluate(h3, phi, v)] == evaluate(b2, phi, pushed)
 
 
+def brute_is_homomorphism(A, B, f):
+    return all(
+        f[A.op(name, *args)] == B.op(name, *(f[a] for a in args))
+        for name, arity in A.signature.connectives
+        for args in itertools.product(A.elements(), repeat=arity)
+    )
+
+
+class TestIsHomomorphism:
+    def test_matches_the_definition_on_every_map(self):
+        small = [A for _, A in corpus.heyting_corpus(4) + corpus.boolean_corpus()] + [corpus.lukasiewicz3()]
+        for A in small:
+            for B in small:
+                if B.size ** A.size > 256:
+                    continue
+                for f in itertools.product(B.elements(), repeat=A.size):
+                    assert algebra.is_homomorphism(A, B, f) == brute_is_homomorphism(A, B, f)
+
+    def test_tampered_unit(self):
+        from aalogic.glivenko import regular_elements, unit_map
+
+        for _, H in corpus.heyting_corpus():
+            B, _ = regular_elements(H)
+            unit = unit_map(H)
+            assert algebra.is_homomorphism(H, B, unit)
+            for a in H.elements():
+                for b in B.elements():
+                    tampered = unit[:a] + (b,) + unit[a + 1:]
+                    assert algebra.is_homomorphism(H, B, tampered) == brute_is_homomorphism(H, B, tampered)
+                    assert algebra.is_homomorphism(H, B, tampered) == (b == unit[a])
+
+
 class TestCongruences:
     def test_empty_generates_identity(self, h3):
         assert congruence_generated(h3, []).is_identity()

@@ -2,10 +2,11 @@
 compares stdout, stderr and the exit code byte for byte with
 ``tests/golden/<case>.txt``.
 
-To regenerate the goldens from the current code (only when a report is meant
-to change), run from the repository root:
+To regenerate goldens from the current code (only when a report is meant to
+change), run from the repository root, naming the cases to rewrite, or none
+to rewrite them all:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]
 """
 
 import contextlib
@@ -89,8 +90,11 @@ def test_every_golden_has_a_case():
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN / f"{name}.txt").write_text(run_case(argv))
-    sys.exit(0)
+    for name in names:
+        (GOLDEN / f"{name}.txt").write_text(run_case(CASES[name]))

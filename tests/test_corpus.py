@@ -59,6 +59,17 @@ class TestNames:
         with pytest.raises(FileNotFoundError):
             resolve_context("nosuch")
 
+    def test_unknown_name_lists_the_bundled_names(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=r"^unknown logic 'nosuch': not a bundled name \(cpc, ipc, l3\)"):
+            resolve_logic("nosuch")
+        with pytest.raises(FileNotFoundError, match=r"^unknown context 'nosuch': not a bundled name "
+                                                    r"\(classical, identity, identity-ipc, identity-cpc\)"):
+            resolve_context("nosuch")
+        # a name inside a file is reported as written there
+        path = write(tmp_path / "ctx.json", {"source": "ipc", "target": "l4", "theta": "x0"})
+        with pytest.raises(FileNotFoundError, match=r"^unknown logic 'l4'"):
+            resolve_context(path)
+
 
 class TestContextFiles:
     def test_l3_context_file(self, tmp_path, F):

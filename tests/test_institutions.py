@@ -1,20 +1,33 @@
 import itertools
+import random
 
 import pytest
 
 from aalogic import (
+    BUILTIN_SIGNATURE,
     AlgebraizingPair,
+    FiniteAlgebra,
+    FlexibleMorphism,
+    GlivenkoContext,
     InsALSentence,
     InsLALSentence,
+    LogicSpec,
     Matrix,
+    Signature,
+    Var,
     class_equal,
     comorphism_plus_check,
     insal_satisfies,
     inslal_satisfies,
     institution_report,
     reduce_matrix,
+    reduct,
 )
-from aalogic.syntax import enumerate_formulas
+from aalogic.algebraization import qv_membership, tau_consequence
+from aalogic.glivenko import adjoint_image, rho_translate, rho_translate_all
+from aalogic.institutions import Corpus, InstitutionReport, _random_sentence
+from aalogic.semantics import matrix_satisfies, mod_translate
+from aalogic.syntax import enumerate_formulas, print_formula
 from aalogic import corpus
 
 
@@ -205,3 +218,289 @@ class TestReports:
         r = institution_report("If", c, samples=60, seed=0)
         assert "overall: pass" in r.to_text()
         assert r.to_json()["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# the per-kind sampling loops, kept as the oracle of the one pool loop
+# ---------------------------------------------------------------------------
+
+def ref_matrix_compatibility_check(ctx: GlivenkoContext, M: Matrix,
+                                   gamma_prime, phi_prime,
+                                   filter_override: frozenset[int] | None = None,
+                                   algebra_override: FiniteAlgebra | None = None) -> bool:
+    if ctx.theta != Var(0) and not qv_membership("heyting", M.algebra):
+        raise ValueError("matrix compatibility requires a Heyting algebra")
+    gamma_prime = tuple(gamma_prime)
+    data = ctx.adjoint(M.algebra)
+    image_algebra = algebra_override if algebra_override is not None else data.algebra
+    image_filter = (
+        filter_override
+        if filter_override is not None
+        else frozenset(data.unit[a] for a in M.filter)
+    )
+    left = matrix_satisfies(Matrix(image_algebra, image_filter), gamma_prime, phi_prime)
+    right = matrix_satisfies(M, rho_translate_all(ctx, gamma_prime), rho_translate(ctx, phi_prime))
+    return left == right
+
+
+def ref_lind_compatibility_check(ctx: GlivenkoContext, M: FiniteAlgebra, q,
+                                 algebra_override: FiniteAlgebra | None = None) -> bool:
+    if ctx.source_pair is None or ctx.target_pair is None:
+        raise ValueError("context carries no algebraizing pairs")
+    data = ctx.adjoint(M)
+    image = algebra_override if algebra_override is not None else data.algebra
+    left = tau_consequence(
+        [M], ctx.source_pair, rho_translate_all(ctx, q.premises), rho_translate(ctx, q.conclusion)
+    )
+    right = tau_consequence([image], ctx.target_pair, q.premises, q.conclusion)
+    return left == right
+
+
+def ref_institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: int = 0,
+                           num_vars: int = 2, depth: int = 2, gamma_size: int = 2) -> InstitutionReport:
+    """Run the satisfaction-condition suite named by ``kind`` over the corpus
+    with seeded random sentences; every violation is reported with a witness."""
+    if kind not in ("If", "InsAL", "InsLAL"):
+        raise ValueError(f"unknown institution kind {kind!r}")
+    rng = random.Random(seed)
+    config = {"seed": seed, "vars": num_vars, "depth": depth, "gamma_size": gamma_size}
+    violations: list[dict] = []
+    checked = 0
+
+    if kind == "If":
+        # one reduct model (or override) per entry, so its evaluation memo serves every sample
+        pool = []
+        for mname, h in corpus.morphisms:
+            for idx, M in enumerate(corpus.matrices.get(h.target.name, [])):
+                override = corpus.reduct_overrides.get((mname, idx))
+                model = mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
+                pool.append((mname, h, idx, M, model))
+        if not pool:
+            raise ValueError("corpus has no morphism/matrix pairs")
+        for i in range(samples):
+            mname, h, idx, M, model = pool[i % len(pool)]
+            gamma, phi = _random_sentence(rng, h.source.signature, num_vars, depth, gamma_size)
+            left = matrix_satisfies(M, tuple(h.translate(g) for g in gamma), h.translate(phi))
+            right = matrix_satisfies(model, gamma, phi)
+            checked += 1
+            if left != right:
+                violations.append({
+                    "kind": "If",
+                    "morphism": mname,
+                    "matrix": idx,
+                    "gamma": [print_formula(g) for g in gamma],
+                    "phi": print_formula(phi),
+                    "model_side": left,
+                    "translated_side": right,
+                })
+
+    elif kind == "InsAL":
+        pool = [
+            (cname, ctx, idx, M)
+            for cname, ctx in corpus.contexts
+            for idx, M in enumerate(corpus.reduced_matrices.get(ctx.source.name, []))
+        ]
+        if not pool:
+            raise ValueError("corpus has no context/matrix pairs")
+        for i in range(samples):
+            cname, ctx, idx, M = pool[i % len(pool)]
+            gamma, phi = _random_sentence(rng, ctx.target.signature, num_vars, depth, gamma_size)
+            agree = ref_matrix_compatibility_check(
+                ctx, M, gamma, phi,
+                filter_override=corpus.adjoint_filter_overrides.get((cname, idx)),
+                algebra_override=corpus.adjoint_algebra_overrides.get((cname, idx)),
+            )
+            checked += 1
+            if not agree:
+                violations.append({
+                    "kind": "InsAL",
+                    "context": cname,
+                    "matrix": idx,
+                    "gamma": [print_formula(g) for g in gamma],
+                    "phi": print_formula(phi),
+                })
+
+    else:
+        pool = [
+            (cname, ctx, idx, A)
+            for cname, ctx in corpus.contexts
+            for idx, A in enumerate(corpus.algebras.get(ctx.source.name, []))
+        ]
+        if not pool:
+            raise ValueError("corpus has no context/algebra pairs")
+        for i in range(samples):
+            cname, ctx, idx, A = pool[i % len(pool)]
+            gamma, phi = _random_sentence(rng, ctx.target.signature, num_vars, depth, gamma_size)
+            q = InsLALSentence(gamma, phi)
+            agree = ref_lind_compatibility_check(
+                ctx, A, q,
+                algebra_override=corpus.adjoint_algebra_overrides.get((cname, idx)),
+            )
+            checked += 1
+            if not agree:
+                violations.append({
+                    "kind": "InsLAL",
+                    "context": cname,
+                    "algebra": idx,
+                    "premises": [print_formula(g) for g in gamma],
+                    "conclusion": print_formula(phi),
+                })
+
+    return InstitutionReport(kind, samples, checked, violations, config)
+
+
+def outcome(report_fn, kind, c, **kw):
+    """The report's JSON and text, or the type and message of what it raised."""
+    try:
+        report = report_fn(kind, c, **kw)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report.to_json(), report.to_text()
+
+
+def assert_same_as_reference(make_corpus, kind, **kw):
+    """Both loops on separately built copies of one corpus, so no memo is shared."""
+    new = outcome(institution_report, kind, make_corpus(), **kw)
+    assert new == outcome(ref_institution_report, kind, make_corpus(), **kw)
+    return new
+
+
+# the benchmark's suites: (kind, samples) on the clean corpus and on the faults
+CLEAN_SUITES = (("If", 1000), ("InsAL", 1000), ("InsLAL", 1000))
+FAULT_SUITES = (("If", 3000), ("InsAL", 500), ("InsLAL", 500))
+CORRUPTED = {
+    "If": corpus.corrupted_reduct_corpus,
+    "InsAL": corpus.corrupted_adjoint_filter_corpus,
+    "InsLAL": corpus.corrupted_adjoint_algebra_corpus,
+}
+
+
+def tamper_algebra(rng, A):
+    """A copy of A with one table cell changed."""
+    name, _ = rng.choice(A.signature.connectives)
+    tables = {n: list(t) for n, t in A.tables.items()}
+    cell = rng.randrange(len(tables[name]))
+    # a one-element algebra has no other value to write
+    tables[name][cell] = rng.choice([v for v in A.elements() if v != tables[name][cell]] or [0])
+    return FiniteAlgebra(A.signature, A.size, tables)
+
+
+def tamper_filter(rng, A, F):
+    """F with one element of A added or removed."""
+    return frozenset(F) ^ {rng.randrange(A.size)}
+
+
+def tampered_corpus(seed):
+    """The classical corpus with one table cell or one filter element changed:
+    in a model, or in a fault override of a derived reduct, image filter or
+    image algebra."""
+    rng = random.Random(seed)
+    c = corpus.classical_corpus()
+    ctx = c.contexts[0][1]
+    where = rng.choice(["matrices", "reduced_matrices", "algebras", "reduct", "image_filter", "image_algebra"])
+    if where in ("matrices", "reduced_matrices"):
+        Ms = getattr(c, where)[rng.choice(sorted(getattr(c, where)))]
+        idx = rng.randrange(len(Ms))
+        A, F = Ms[idx].algebra, Ms[idx].filter
+        if rng.random() < 0.5:
+            Ms[idx] = Matrix(tamper_algebra(rng, A), F)
+        else:
+            Ms[idx] = Matrix(A, tamper_filter(rng, A, F))
+    elif where == "algebras":
+        As = c.algebras["ipc"]
+        idx = rng.randrange(len(As))
+        As[idx] = tamper_algebra(rng, As[idx])
+    elif where == "reduct":
+        mname, h = rng.choice(c.morphisms)
+        idx = rng.randrange(len(c.matrices[h.target.name]))
+        c.reduct_overrides[(mname, idx)] = tamper_algebra(rng, reduct(h.morphism, c.matrices[h.target.name][idx].algebra))
+    else:
+        idx = rng.randrange(len(c.reduced_matrices["ipc"]))
+        image = adjoint_image(ctx, c.reduced_matrices["ipc"][idx])
+        if where == "image_filter":
+            c.adjoint_filter_overrides[("classical", idx)] = tamper_filter(rng, image.algebra, image.filter)
+        else:
+            c.adjoint_algebra_overrides[("classical", idx)] = tamper_algebra(rng, image.algebra)
+    return c
+
+
+def with_non_heyting_reduced_matrix():
+    c = corpus.classical_corpus()
+    c.reduced_matrices["ipc"].append(Matrix(corpus.lukasiewicz3(), frozenset({2})))
+    return c
+
+
+def with_context_without_pairs():
+    c = corpus.classical_corpus()
+    ctx = c.contexts[0][1]
+    c.contexts.append(("bare", GlivenkoContext(ctx.source, ctx.target, ctx.h, ctx.theta, name="bare")))
+    return c
+
+
+def with_matrix_off_the_signature():
+    c = corpus.classical_corpus()
+    c.matrices["cpc"].append(Matrix(FiniteAlgebra(Signature([("neg", 1)]), 2, {"neg": [1, 0]}), {1}))
+    return c
+
+
+class TestPoolLoopAgainstReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_suites(self, seed):
+        for kind, samples in CLEAN_SUITES:
+            report, _ = assert_same_as_reference(corpus.classical_corpus, kind, samples=samples, seed=seed)
+            assert report["passed"] and report["checked"] == samples
+            # every kind on every corrupted corpus; InsAL on the collapsed
+            # image algebra raises (its image filter is out of range)
+            for make_corpus in CORRUPTED.values():
+                assert_same_as_reference(make_corpus, kind, samples=samples, seed=seed)
+        for kind, samples in FAULT_SUITES:
+            report, _ = assert_same_as_reference(CORRUPTED[kind], kind, samples=samples, seed=seed)
+            assert report["violations"]
+
+    def test_tampered_corpora(self):
+        # If meets a tampered reduct cell rarely, hence its larger sample
+        samples = {"If": 1500, "InsAL": 300, "InsLAL": 300}
+        shows = dict.fromkeys(samples, 0)
+        for seed in range(24):
+            for kind, n in samples.items():
+                result = assert_same_as_reference(lambda: tampered_corpus(seed), kind, samples=n, seed=seed)
+                shows[kind] += not isinstance(result[0], dict) or not result[0]["passed"]
+        # the tampering is seen by every kind: a violation or an error
+        assert all(shows.values()), shows
+
+    @pytest.mark.parametrize("make_corpus, kind, first_bad, message", [
+        # the bad entry is the pool's last: reduced matrix 4, or context "bare"
+        # after the eight algebras of "classical"
+        (with_non_heyting_reduced_matrix, "InsAL", 4, "matrix compatibility requires a Heyting algebra"),
+        (with_context_without_pairs, "InsLAL", 8, "context carries no algebraizing pairs"),
+        # a reduct is built with the pool, so it raises before any sample
+        (with_matrix_off_the_signature, "If", 0, "algebra is not over the morphism's target signature"),
+    ])
+    def test_error_corpora(self, make_corpus, kind, first_bad, message):
+        for samples in sorted({-3, 0, first_bad, first_bad + 1, 200}):
+            result = assert_same_as_reference(make_corpus, kind, samples=samples, seed=5)
+            if samples > first_bad or first_bad == 0:
+                assert result == (ValueError, message)
+            else:
+                assert result[0]["passed"]
+
+    def test_translated_side_raises_first(self, sig2):
+        # the one deliberate difference: a sentence that makes both sides
+        # raise reports the translated side's error, as If and InsLAL did,
+        # where the InsAL loop evaluated the image side first
+        h = FlexibleMorphism(sig2, BUILTIN_SIGNATURE, {"neg": Var(0), "imp": Var(1)})
+        ctx = GlivenkoContext(LogicSpec.ipc(sig2), LogicSpec.cpc(), h, Var(0), name="wide")
+        A = FiniteAlgebra(sig2, 2, {"neg": [1, 0], "imp": [1, 1, 0, 1]})
+        c = Corpus(contexts=[("wide", ctx)], reduced_matrices={"ipc": [Matrix(A, {1})]})
+        assert outcome(institution_report, "InsAL", c, samples=50) == (
+            ValueError, "formula is not over the shared signature")
+        assert outcome(ref_institution_report, "InsAL", c, samples=50) == (
+            ValueError, "connective or not interpreted in this algebra")
+
+    def test_empty_pools(self):
+        for kind in ("If", "InsAL", "InsLAL"):
+            result = assert_same_as_reference(Corpus, kind, samples=10)
+            assert result[0] is ValueError and result[1].startswith("corpus has no")
+
+    def test_unknown_kind(self):
+        assert assert_same_as_reference(corpus.classical_corpus, "bogus")[0] is ValueError
