@@ -6,16 +6,16 @@ row-major order (first index = leftmost argument).
 
 All checks over every valuation go through one kernel, ``value_vector``:
 matrix and equational consequence, theorem values and filter checks,
-reducts along morphisms, a Glivenko context's adjoint, and the Kripke
-countermodel search, which evaluates in the Heyting algebra of each frame's
-upsets. A frame is a variable bitmask (bit i for x_i, as in
-``Formula.vmask``); its rows are the valuations of its variables in
-``itertools.product(A.elements(), repeat=k)`` order, the lowest variable the
-most significant digit. A value
-vector holds a formula's value in every row and is built bottom-up, one table
-lookup per row per node. Row sets are int masks (bit r for row r), so a
-consequence check is an AND and a mask test whose lowest set bit is the first
-violating valuation.
+Boolean and Heyting membership (each defining identity is an equational
+consequence), reducts along morphisms, a Glivenko context's adjoint and the
+regular elements, and the Kripke countermodel search, which evaluates in the
+Heyting algebra of each frame's upsets. A frame is a variable bitmask (bit i
+for x_i, as in ``Formula.vmask``); its rows are the valuations of its
+variables in ``itertools.product(A.elements(), repeat=k)`` order, the lowest
+variable the most significant digit. A value vector holds a formula's value
+in every row and is built bottom-up, one table lookup per row per node. Row
+sets are int masks (bit r for row r), so a consequence check is an AND and a
+mask test whose lowest set bit is the first violating valuation.
 
 Everything that depends on one algebra alone is memoised on that algebra
 instance, in ``A._memo``:
@@ -26,7 +26,7 @@ instance, in ``A._memo``:
   list (for ``leibniz_bruteforce``);
 - theorem values per (logic, bounds) and spot-theorem values per logic (for
   ``filter_closure`` and ``is_filter``);
-- law-check verdicts of ``algebraization.qv_membership`` per class.
+- membership verdicts of ``algebraization.qv_membership`` per class.
 
 The invariants go through ``_invariant`` under keys that begin with a
 string, so they cannot collide with the kernel's frame keys. No

@@ -1,6 +1,6 @@
 """Algebraizing pairs: the equation/formula translations, condition checks
 for algebraizability, quasivariety axiom generation, the Lindenbaum property
-and direct Boolean/Heyting law checks."""
+and Boolean/Heyting membership by the classes' defining identities."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from .algebra import FiniteAlgebra, _invariant, _remember
 from .provers import Equation, equational_consequence
 from .semantics import LogicSpec, consequence
 from .syntax import (
+    BUILTIN_SIGNATURE,
     App,
     Formula,
     Signature,
@@ -371,67 +372,56 @@ def is_lindenbaum(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: in
 
 
 # ---------------------------------------------------------------------------
-# direct Boolean / Heyting law checks
+# Boolean / Heyting membership by the classes' defining identities
 # ---------------------------------------------------------------------------
 
-def _find_unit(A: FiniteAlgebra, opname: str) -> Optional[int]:
-    for u in A.elements():
-        if all(A.op(opname, a, u) == a and A.op(opname, u, a) == a for a in A.elements()):
-            return u
-    return None
+def _identities(*texts: str) -> tuple[Equation, ...]:
+    return tuple(
+        Equation(*(parse_formula(BUILTIN_SIGNATURE, side) for side in text.split(" = ")))
+        for text in texts
+    )
+
+
+HEYTING_IDENTITIES = _identities(
+    "and(x0,x1) = and(x1,x0)",
+    "or(x0,x1) = or(x1,x0)",
+    "and(x0,and(x1,x2)) = and(and(x0,x1),x2)",
+    "or(x0,or(x1,x2)) = or(or(x0,x1),x2)",
+    "and(x0,or(x0,x1)) = x0",
+    "or(x0,and(x0,x1)) = x0",
+    "imp(x0,x0) = imp(x1,x1)",
+    "and(x0,imp(x1,x1)) = x0",
+    "or(x0,neg(imp(x1,x1))) = x0",
+    "and(x0,imp(x0,x1)) = and(x0,x1)",
+    "and(x1,imp(x0,x1)) = x1",
+    "imp(x0,and(x1,x2)) = and(imp(x0,x1),imp(x0,x2))",
+    "neg(x0) = imp(x0,neg(imp(x1,x1)))",
+)
+IFF_IDENTITY, = _identities("iff(x0,x1) = and(imp(x0,x1),imp(x1,x0))")
+EXCLUDED_MIDDLE, = _identities("or(x0,neg(x0)) = imp(x0,x0)")
 
 
 def qv_membership(cls_name: str, A: FiniteAlgebra) -> bool:
-    """Law check: bounded distributive lattice with residuated implication for
-    'heyting'; additionally excluded middle for 'boolean'. The verdict is
-    memoised on A per class."""
+    """Whether A satisfies the defining identities of the class, each decided
+    as an equational consequence on the evaluation kernel; the verdict is
+    memoised on A per class.
+
+    Heyting algebras form a variety (Burris and Sankappanavar, *A Course in
+    Universal Algebra*, ch. II), and ``HEYTING_IDENTITIES`` is its standard
+    basis: and/or make a lattice (commutativity, associativity, absorption;
+    idempotence follows); x -> x is one constant, the top, which is the unit
+    of meet; the negation of the top is the bottom, the unit of join; the
+    three implication identities make x -> y the relative pseudo-complement
+    of x and y, which forces distributivity; and negation is implication into
+    the bottom. When A interprets iff, it must be the meet of both
+    implications. Boolean algebras are the Heyting algebras with excluded
+    middle."""
     if cls_name not in ("boolean", "heyting"):
         raise ValueError(f"unknown class {cls_name!r} (use 'boolean' or 'heyting')")
     for req in ("neg", "imp", "and", "or"):
         if req not in A.tables:
             raise ValueError(f"algebra does not interpret {req}")
-    return _invariant(A, ("qv_membership", cls_name), lambda A: _satisfies_laws(cls_name, A))
-
-
-def _satisfies_laws(cls_name: str, A: FiniteAlgebra) -> bool:
-    meet = lambda a, b: A.op("and", a, b)
-    join = lambda a, b: A.op("or", a, b)
-    els = list(A.elements())
-
-    for a in els:
-        if meet(a, a) != a or join(a, a) != a:
-            return False
-        for b in els:
-            if meet(a, b) != meet(b, a) or join(a, b) != join(b, a):
-                return False
-            if meet(a, join(a, b)) != a or join(a, meet(a, b)) != a:
-                return False
-            for c in els:
-                if meet(a, meet(b, c)) != meet(meet(a, b), c):
-                    return False
-                if join(a, join(b, c)) != join(join(a, b), c):
-                    return False
-                if meet(a, join(b, c)) != join(meet(a, b), meet(a, c)):
-                    return False
-    top = _find_unit(A, "and")
-    bottom = _find_unit(A, "or")
-    if top is None or bottom is None:
-        return False
-
-    leq = lambda a, b: meet(a, b) == a
-    for a in els:
-        for b in els:
-            for c in els:
-                if leq(meet(a, b), c) != leq(a, A.op("imp", b, c)):
-                    return False
-    for a in els:
-        if A.op("neg", a) != A.op("imp", a, bottom):
-            return False
-    if "iff" in A.tables:
-        for a in els:
-            for b in els:
-                if A.op("iff", a, b) != meet(A.op("imp", a, b), A.op("imp", b, a)):
-                    return False
-    if cls_name == "boolean":
-        return all(join(a, A.op("neg", a)) == top for a in els)
-    return True
+    laws = HEYTING_IDENTITIES + (IFF_IDENTITY,) * ("iff" in A.tables)
+    laws += (EXCLUDED_MIDDLE,) * (cls_name == "boolean")
+    return _invariant(A, ("qv_membership", cls_name),
+                      lambda A: all(equational_consequence([A], (), law) for law in laws))

@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair")
     p.add_argument("--algebra")
     p.add_argument("--filter", default="")
-    p.add_argument("--context", default="classical")
     p.add_argument("--vars", type=int, default=2)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--gamma-size", type=int, default=2)

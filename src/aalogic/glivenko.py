@@ -17,6 +17,7 @@ from .algebra import (
     _remember,
     all_congruences,
     filter_closure,
+    filter_rows,
     find_isomorphism,
     homomorphisms,
     is_homomorphism,
@@ -45,14 +46,16 @@ from .syntax import (
     variables,
 )
 
-def _iff_value(A: FiniteAlgebra, a: int, b: int) -> int:
+_NEGNEG = App("neg", (App("neg", (Var(0),)),))
+
+
+def _iff(A: FiniteAlgebra, phi: Formula, psi: Formula) -> Formula:
+    """phi <-> psi: iff when A interprets it, else the meet of both implications.
+    The two agree on Heyting algebras, but an adjoint over a matrix source
+    may see an algebra (say L3 with a changed iff cell) where they differ."""
     if "iff" in A.tables:
-        return A.op("iff", a, b)
-    return A.op("and", A.op("imp", a, b), A.op("imp", b, a))
-
-
-def _negneg(A: FiniteAlgebra, a: int) -> int:
-    return A.op("neg", A.op("neg", a))
+        return App("iff", (phi, psi))
+    return App("and", (App("imp", (phi, psi)), App("imp", (psi, phi))))
 
 
 class GlivenkoContext:
@@ -135,7 +138,8 @@ def regular_elements(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     of the inherited join. Also returns the embedding (new index -> element)."""
     if not qv_membership("heyting", H):
         raise ValueError("not a Heyting algebra")
-    regs = [a for a in H.elements() if _negneg(H, a) == a]
+    negneg = value_vector(H, _NEGNEG, 1)
+    regs = [a for a in H.elements() if negneg[a] == a]
     index = {a: i for i, a in enumerate(regs)}
     size = len(regs)
     tables: dict[str, list[int]] = {}
@@ -144,7 +148,7 @@ def regular_elements(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
         for args in itertools.product(regs, repeat=arity):
             value = H.op(name, *args)
             if name == "or":
-                value = _negneg(H, value)
+                value = negneg[value]
             if value not in index:
                 raise ValueError(f"operation {name} does not preserve the regular elements")
             table.append(index[value])
@@ -160,7 +164,7 @@ def unit_map(H: FiniteAlgebra) -> tuple[int, ...]:
     algebra (indices of that algebra)."""
     B, emb = regular_elements(H)
     index = {a: i for i, a in enumerate(emb)}
-    unit = tuple(index[_negneg(H, a)] for a in H.elements())
+    unit = tuple(index[b] for b in value_vector(H, _NEGNEG, 1))
     if not is_homomorphism(H, B, unit):
         raise ValueError("double negation is not a homomorphism; encoding is broken")
     if set(unit) != set(range(B.size)):
@@ -174,24 +178,18 @@ def left_adjoint_quotient(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, .
     Isomorphic to the regular-element algebra."""
     from .corpus import classical_context  # corpus imports this module
 
-    if not qv_membership("heyting", H):
-        raise ValueError("not a Heyting algebra")
     data = classical_context().adjoint(H)
     return data.algebra, data.unit
 
 
 def _filter_quotient(H: FiniteAlgebra, F: frozenset[int]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
-    pairs = [
-        (a, b)
-        for a in H.elements()
-        for b in range(a + 1, H.size)
-        if _iff_value(H, a, b) in F
-    ]
-    theta = Congruence.from_pairs(H.size, pairs)
-    for a in H.elements():
-        for b in H.elements():
-            if theta.related(a, b) != (_iff_value(H, a, b) in F):
-                raise ValueError("filter does not induce a congruence; algebra is not Heyting enough")
+    """The quotient by {(a, b) : a <-> b in F}, read off the rows (a, b) of
+    the frame x0, x1."""
+    rows = filter_rows(H, F, _iff(H, Var(0), Var(1)), 0b11)
+    pairs = [divmod(r, H.size) for r in range(H.size ** 2)]
+    theta = Congruence.from_pairs(H.size, [p for r, p in enumerate(pairs) if rows >> r & 1])
+    if any(theta.related(a, b) != bool(rows >> r & 1) for r, (a, b) in enumerate(pairs)):
+        raise ValueError("filter does not induce a congruence; algebra is not Heyting enough")
     return quotient(H, theta)
 
 
@@ -206,12 +204,16 @@ class AdjointData:
 
 
 def _adjoint_data(ctx: GlivenkoContext, M: FiniteAlgebra) -> AdjointData:
+    """The quotient of M by the source-logic filter generated by the values of
+    x0 <-> theta. Unless theta is x0, a built-in (cpc or ipc) source needs M
+    Heyting: its theorems close no filter on other algebras."""
     theta_hat = value_vector(M, ctx.theta, 1)  # theta at x0 = a, for each a
     if ctx.theta == Var(0):
         ident = tuple(M.elements())
         return AdjointData(M, ident, ident)
-    seeds = {_iff_value(M, a, theta_hat[a]) for a in M.elements()}
-    F = filter_closure(ctx.source, M, seeds)
+    if ctx.source.kind in ("cpc", "ipc") and not qv_membership("heyting", M):
+        raise ValueError("the adjoint requires a Heyting algebra")
+    F = filter_closure(ctx.source, M, value_vector(M, _iff(M, Var(0), ctx.theta), 1))
     Q, proj = _filter_quotient(M, F)
     section = [None] * Q.size
     for a in M.elements():

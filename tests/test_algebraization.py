@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -26,6 +27,7 @@ from aalogic import (
     tau_translate,
 )
 from aalogic.algebraization import (
+    HEYTING_IDENTITIES,
     BPReport,
     ConditionResult,
     QuasiIdentity,
@@ -584,3 +586,161 @@ class TestQvMembership:
     def test_unknown_class(self, b2):
         with pytest.raises(ValueError):
             qv_membership("modal", b2)
+
+
+# ---------------------------------------------------------------------------
+# membership against the direct law loops it replaced
+# ---------------------------------------------------------------------------
+
+def ref_find_unit(A: FiniteAlgebra, opname: str) -> Optional[int]:
+    for u in A.elements():
+        if all(A.op(opname, a, u) == a and A.op(opname, u, a) == a for a in A.elements()):
+            return u
+    return None
+
+
+def ref_satisfies_laws(cls_name: str, A: FiniteAlgebra) -> bool:
+    meet = lambda a, b: A.op("and", a, b)
+    join = lambda a, b: A.op("or", a, b)
+    els = list(A.elements())
+
+    for a in els:
+        if meet(a, a) != a or join(a, a) != a:
+            return False
+        for b in els:
+            if meet(a, b) != meet(b, a) or join(a, b) != join(b, a):
+                return False
+            if meet(a, join(a, b)) != a or join(a, meet(a, b)) != a:
+                return False
+            for c in els:
+                if meet(a, meet(b, c)) != meet(meet(a, b), c):
+                    return False
+                if join(a, join(b, c)) != join(join(a, b), c):
+                    return False
+                if meet(a, join(b, c)) != join(meet(a, b), meet(a, c)):
+                    return False
+    top = ref_find_unit(A, "and")
+    bottom = ref_find_unit(A, "or")
+    if top is None or bottom is None:
+        return False
+
+    leq = lambda a, b: meet(a, b) == a
+    for a in els:
+        for b in els:
+            for c in els:
+                if leq(meet(a, b), c) != leq(a, A.op("imp", b, c)):
+                    return False
+    for a in els:
+        if A.op("neg", a) != A.op("imp", a, bottom):
+            return False
+    if "iff" in A.tables:
+        for a in els:
+            for b in els:
+                if A.op("iff", a, b) != meet(A.op("imp", a, b), A.op("imp", b, a)):
+                    return False
+    if cls_name == "boolean":
+        return all(join(a, A.op("neg", a)) == top for a in els)
+    return True
+
+
+SIG4 = Signature([("neg", 1), ("imp", 2), ("and", 2), ("or", 2)])
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _verdicts(algebras) -> dict[str, int]:
+    """Assert the identities and the law loops agree on each algebra for both
+    classes; the number of members of each class."""
+    members = {"heyting": 0, "boolean": 0}
+    for A in algebras:
+        for cls_name in members:
+            verdict = qv_membership(cls_name, A)
+            assert verdict == ref_satisfies_laws(cls_name, A), (cls_name, A.size, A.tables)
+            members[cls_name] += verdict
+    return members
+
+
+def _random_algebra(rng, sig, size):
+    return FiniteAlgebra(sig, size, {
+        name: [rng.randrange(size) for _ in range(size ** arity)] for name, arity in sig.connectives
+    })
+
+
+def _order(n, covers):
+    """The order on 0..n-1 generated by the pairs (a, b), a below b."""
+    leq = [[a == b or (a, b) in covers for b in range(n)] for a in range(n)]
+    for k, a, b in itertools.product(range(n), repeat=3):
+        leq[a][b] = leq[a][b] or (leq[a][k] and leq[k][b])
+    return leq
+
+
+def _lattice(leq, rng):
+    """The lattice of the order ``leq`` over the builtin signature, with
+    random tables for neg, imp and iff."""
+    n = len(leq)
+
+    pairs = list(itertools.product(range(n), repeat=2))
+    lower = [[c for c in range(n) if leq[c][a] and leq[c][b]] for a, b in pairs]
+    upper = [[c for c in range(n) if leq[a][c] and leq[b][c]] for a, b in pairs]
+    tables = {
+        "and": [next(c for c in cs if all(leq[d][c] for d in cs)) for cs in lower],
+        "or": [next(c for c in cs if all(leq[c][d] for d in cs)) for cs in upper],
+    }
+    for name, arity in BUILTIN_SIGNATURE.connectives:
+        tables.setdefault(name, [rng.randrange(n) for _ in range(n ** arity)])
+    return FiniteAlgebra(BUILTIN_SIGNATURE, n, tables)
+
+
+def _tamperings(A):
+    """Every algebra that differs from A in one table cell."""
+    for name in A.tables:
+        for cell, old in enumerate(A.tables[name]):
+            for value in A.elements():
+                if value != old:
+                    tables = {n: list(t) for n, t in A.tables.items()}
+                    tables[name][cell] = value
+                    yield FiniteAlgebra(A.signature, A.size, tables)
+
+
+class TestMembershipAgainstLawLoops:
+    def test_corpus_and_files(self):
+        c = corpus.classical_corpus()
+        algebras = [A for _, A in corpus.heyting_corpus() + corpus.boolean_corpus()]
+        algebras += [corpus.lukasiewicz3()] + [A for As in c.algebras.values() for A in As]
+        algebras += [M.algebra for Ms in (*c.matrices.values(), *c.reduced_matrices.values()) for M in Ms]
+        algebras += [corpus.load_algebra(str(DATA / f"{name}.json")) for name in ("B2", "B4", "H3", "L3", "chain4")]
+        members = _verdicts(algebras)
+        assert members["heyting"] > members["boolean"] > 0
+
+    def test_single_cell_tamperings(self):
+        for _, A in corpus.heyting_corpus(4) + corpus.boolean_corpus(4):
+            # every change of one cell leaves both classes
+            assert _verdicts(_tamperings(A)) == {"heyting": 0, "boolean": 0}
+
+    @pytest.mark.parametrize("sig", [BUILTIN_SIGNATURE, SIG4], ids=["builtin", "sig4"])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_random_algebras(self, sig, size):
+        rng = random.Random(1000 * size + len(sig.connectives))
+        # 3,000 seeded draws; each distinct algebra is checked once
+        members = _verdicts(dict.fromkeys(_random_algebra(rng, sig, size) for _ in range(3000)))
+        if size == 1:  # one algebra per signature: the trivial one, in both classes
+            assert members == {"heyting": 1, "boolean": 1}
+
+    def test_every_two_element_algebra(self):
+        members = _verdicts(
+            FiniteAlgebra(SIG4, 2, {"neg": neg, "imp": imp, "and": meet, "or": join})
+            for neg in itertools.product(range(2), repeat=2)
+            for imp, meet, join in itertools.product(itertools.product(range(2), repeat=4), repeat=3)
+        )
+        # the two-element Boolean algebra, once for each order
+        assert members == {"heyting": 2, "boolean": 2}
+
+    @pytest.mark.parametrize("covers", [
+        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],  # M3
+        [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],          # N5
+    ], ids=["M3", "N5"])
+    def test_non_distributive_lattices(self, covers):
+        rng = random.Random(len(covers))
+        algebras = [_lattice(_order(5, covers), rng) for _ in range(300)]
+        # and/or make a lattice, which is not distributive
+        assert all(quasiidentity_holds(algebras[0], (), law) for law in HEYTING_IDENTITIES[:6])
+        assert _verdicts(algebras) == {"heyting": 0, "boolean": 0}

@@ -127,6 +127,11 @@ class TestCheck:
         out = run("check", "bogus")
         assert out.returncode == 2
 
+    def test_context_is_not_a_check_flag(self):
+        out = run("check", "institution", "--context", "identity")
+        assert out.returncode == 2
+        assert "unrecognized arguments" in out.stderr
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ CASES = {
     "bp_l3_pair": ["check", "bp", "--logic", "l3", "--pair", "data/cpc_pair.json"],
     "lindenbaum_ipc": ["check", "lindenbaum", "--logic", "ipc"],
     "adjoint_h3": ["check", "adjoint", "--algebra", "data/H3.json"],
+    "adjoint_chain4": ["check", "adjoint", "--algebra", "data/chain4.json"],
     "leibniz_b2": ["check", "leibniz", "--algebra", "data/B2.json", "--filter", "1"],
     "institution_seed0": ["check", "institution", "--seed", "0"],
     # JSON variants
@@ -65,6 +66,7 @@ CASES = {
     "error_parse": ["consequence", "--logic", "cpc", "--phi", "or(x0,"],
     "error_glivenko_needs_phi": ["glivenko"],
     "error_adjoint_needs_algebra": ["check", "adjoint"],
+    "error_adjoint_not_heyting": ["check", "adjoint", "--algebra", "data/L3.json"],
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +22,10 @@ from aalogic import (
     unit_map,
     validate_context,
 )
-from aalogic.algebra import find_isomorphism
-from aalogic.corpus import resolve_context
-from aalogic.glivenko import density_check, generic_left_adjoint
+from aalogic.algebra import Congruence, FiniteAlgebra, filter_closure, find_isomorphism, quotient, value_vector
+from aalogic.corpus import load_algebra, resolve_context
+from aalogic.glivenko import AdjointData, density_check, generic_left_adjoint
+from aalogic.syntax import BUILTIN_SIGNATURE, FlexibleMorphism
 from aalogic import corpus
 
 
@@ -132,6 +134,17 @@ class TestLeftAdjointQuotient:
             Q, _ = left_adjoint_quotient(H)
             assert find_isomorphism(Q, B) is not None
 
+    def test_rejects_non_heyting(self):
+        with pytest.raises(ValueError, match="^the adjoint requires a Heyting algebra$"):
+            left_adjoint_quotient(corpus.lukasiewicz3())
+
+    @pytest.mark.parametrize("make_context", [corpus.classical_context, corpus.cpc_negneg_context],
+                             ids=["ipc-source", "cpc-source"])
+    def test_builtin_source_rejects_non_heyting(self, make_context):
+        # checked before the filter closure, which would exhaust its bound on L3
+        with pytest.raises(ValueError, match="^the adjoint requires a Heyting algebra$"):
+            make_context().adjoint(corpus.lukasiewicz3())
+
     def test_generic_search_agrees(self, heyting_algebras):
         for _, H in heyting_algebras:
             if H.size > 5:
@@ -235,6 +248,139 @@ class TestLindCompatibility:
             assert lind_compatibility_check(ctx, h3, InsLALSentence((), phi))
         for gamma, phi in itertools.islice(itertools.product(universe, universe), 0, 400, 7):
             assert lind_compatibility_check(ctx, h3, InsLALSentence((gamma,), phi))
+
+    def test_rejects_non_heyting(self, ctx, F):
+        # the adjoint's domain is checked, not left to the filter closure
+        q = InsLALSentence((), F("x0"))
+        with pytest.raises(ValueError, match="^the adjoint requires a Heyting algebra$"):
+            lind_compatibility_check(ctx, corpus.lukasiewicz3(), q)
+
+    def test_identity_context_takes_any_algebra(self, F):
+        L3 = corpus.lukasiewicz3()
+        q = InsLALSentence((), F("or(x0,neg(x0))"))
+        assert lind_compatibility_check(corpus.identity_context(), L3, q)
+        data = corpus.identity_context().adjoint(L3)
+        assert data.algebra is L3 and data.unit == data.section == (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the adjoint computed element by element, as before it ran on value vectors
+# ---------------------------------------------------------------------------
+
+def ref_iff_value(A, a, b):
+    if "iff" in A.tables:
+        return A.op("iff", a, b)
+    return A.op("and", A.op("imp", a, b), A.op("imp", b, a))
+
+
+def ref_negneg(A, a):
+    return A.op("neg", A.op("neg", a))
+
+
+def ref_filter_quotient(H, F):
+    pairs = [
+        (a, b)
+        for a in H.elements()
+        for b in range(a + 1, H.size)
+        if ref_iff_value(H, a, b) in F
+    ]
+    theta = Congruence.from_pairs(H.size, pairs)
+    for a in H.elements():
+        for b in H.elements():
+            if theta.related(a, b) != (ref_iff_value(H, a, b) in F):
+                raise ValueError("filter does not induce a congruence; algebra is not Heyting enough")
+    return quotient(H, theta)
+
+
+def ref_adjoint_data(ctx, M):
+    theta_hat = value_vector(M, ctx.theta, 1)  # theta at x0 = a, for each a
+    if ctx.theta == Var(0):
+        ident = tuple(M.elements())
+        return AdjointData(M, ident, ident)
+    seeds = {ref_iff_value(M, a, theta_hat[a]) for a in M.elements()}
+    F = filter_closure(ctx.source, M, seeds)
+    Q, proj = ref_filter_quotient(M, F)
+    section = [None] * Q.size
+    for a in M.elements():
+        expected = theta_hat[a]
+        j = proj[a]
+        if section[j] is None:
+            section[j] = expected
+        elif section[j] != expected:
+            raise ValueError("theta does not induce a well-defined section on the quotient")
+    for j, s in enumerate(section):
+        if proj[s] != j:
+            raise ValueError("theta does not induce a section of the unit")
+    return AdjointData(Q, proj, tuple(section))
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _l3_negneg_context():
+    l3 = corpus.l3_logic()
+    return GlivenkoContext(l3, l3, FlexibleMorphism.identity(BUILTIN_SIGNATURE),
+                           App("neg", (App("neg", (Var(0),)),)), name="l3-negneg")
+
+
+def _iff_tamperings(A):
+    """A, then every algebra with one cell of A's iff table changed."""
+    out = [A]
+    for i, old in enumerate(A.tables["iff"]):
+        for v in A.elements():
+            if v != old:
+                tables = {name: list(t) for name, t in A.tables.items()}
+                tables["iff"][i] = v
+                out.append(FiniteAlgebra(A.signature, A.size, tables))
+    return out
+
+
+def _outcome(adjoint, M):
+    try:
+        return adjoint(M)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+def _adjoint_domains():
+    """Fresh copies of the corpus Heyting algebras and the bundled algebra files."""
+    files = [load_algebra(str(DATA / f"{name}.json")) for name in ("B2", "H3", "B4", "chain4")]
+    return [A for _, A in corpus.heyting_corpus()] + files
+
+
+class TestAdjointAgainstReference:
+    @pytest.mark.parametrize("make_context", [
+        corpus.classical_context,
+        corpus.cpc_negneg_context,
+        lambda: compose_contexts(corpus.cpc_negneg_context(), corpus.classical_context()),
+    ], ids=["classical", "cpc-negneg", "composite"])
+    def test_adjoint_data(self, make_context):
+        # separately built algebras and contexts, so no memo is shared
+        ctx, ref_ctx = make_context(), make_context()
+        for A, B in zip(_adjoint_domains(), _adjoint_domains(), strict=True):
+            assert ctx.adjoint(A) == ref_adjoint_data(ref_ctx, B)
+
+    def test_matrix_source(self):
+        # no Heyting check, and <-> read from the algebra's own iff table
+        ctx, ref_ctx = _l3_negneg_context(), _l3_negneg_context()
+        outcomes = [
+            (_outcome(ctx.adjoint, A), _outcome(lambda M: ref_adjoint_data(ref_ctx, M), B))
+            for A, B in zip(_iff_tamperings(corpus.lukasiewicz3()),
+                            _iff_tamperings(corpus.lukasiewicz3()), strict=True)
+        ]
+        assert all(mine == ref for mine, ref in outcomes)
+        # L3 itself, an l3 model though not Heyting: the identity quotient
+        assert outcomes[0][0] == AdjointData(corpus.lukasiewicz3(), (0, 1, 2), (0, 1, 2))
+        kinds = [ref if isinstance(ref, tuple) else ref.algebra.size for _, ref in outcomes]
+        assert len(kinds) == 19 and kinds.count(3) == 7
+        assert kinds.count((ValueError, "filter does not induce a congruence; algebra is not Heyting enough")) == 6
+        assert kinds.count((ValueError, "theta does not induce a well-defined section on the quotient")) == 6
+
+    def test_regular_elements_and_unit(self):
+        for A, B in zip(_adjoint_domains(), _adjoint_domains(), strict=True):
+            _, emb = regular_elements(A)
+            assert emb == tuple(a for a in B.elements() if ref_negneg(B, a) == a)
+            assert unit_map(A) == tuple(emb.index(ref_negneg(B, a)) for a in B.elements())
 
 
 def _adjoint_equal(c1, c2, algebras):

@@ -430,6 +430,12 @@ def with_non_heyting_reduced_matrix():
     return c
 
 
+def with_non_heyting_algebra():
+    c = corpus.classical_corpus()
+    c.algebras["ipc"].append(corpus.lukasiewicz3())
+    return c
+
+
 def with_context_without_pairs():
     c = corpus.classical_corpus()
     ctx = c.contexts[0][1]
@@ -473,6 +479,8 @@ class TestPoolLoopAgainstReference:
         # after the eight algebras of "classical"
         (with_non_heyting_reduced_matrix, "InsAL", 4, "matrix compatibility requires a Heyting algebra"),
         (with_context_without_pairs, "InsLAL", 8, "context carries no algebraizing pairs"),
+        # the ninth algebra, L3, has no double-negation adjoint
+        (with_non_heyting_algebra, "InsLAL", 8, "the adjoint requires a Heyting algebra"),
         # a reduct is built with the pool, so it raises before any sample
         (with_matrix_off_the_signature, "If", 0, "algebra is not over the morphism's target signature"),
     ])
