@@ -22,6 +22,7 @@ from .algebraization import (
     check_bp_conditions,
     check_interpretation,
     check_inverse_condition,
+    class_equal,
     delta_translate,
     detachment_check,
     is_lindenbaum,
@@ -47,7 +48,6 @@ from .institutions import (
     Corpus,
     InsALSentence,
     InsLALSentence,
-    class_equal,
     comorphism_plus_check,
     insal_satisfies,
     inslal_satisfies,

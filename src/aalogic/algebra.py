@@ -9,21 +9,24 @@ matrix and equational consequence, theorem values and filter checks,
 Boolean and Heyting membership (each defining identity is an equational
 consequence), reducts along morphisms, a Glivenko context's adjoint and the
 regular elements, and the Kripke countermodel search, which evaluates in the
-Heyting algebra of each frame's upsets. A frame is a variable bitmask (bit i
-for x_i, as in ``Formula.vmask``); its rows are the valuations of its
-variables in ``itertools.product(A.elements(), repeat=k)`` order, the lowest
-variable the most significant digit. A value vector holds a formula's value
-in every row and is built bottom-up, one table lookup per row per node. Row
-sets are int masks (bit r for row r), so a consequence check is an AND and a
-mask test whose lowest set bit is the first violating valuation.
+Heyting algebra of each frame's upsets (on one world it also decides the
+classical queries that mention a variable beyond x3). A frame is a variable
+bitmask (bit i for x_i, as in ``Formula.vmask``); its rows are the
+valuations of its variables in ``itertools.product(A.elements(), repeat=k)``
+order, the lowest variable the most significant digit. A value vector holds
+a formula's value in every row and is built bottom-up, one table lookup per
+row per node. Row sets are int masks (bit r for row r), so a consequence
+check is an AND and a mask test whose lowest set bit is the first violating
+valuation.
 
 Everything that depends on one algebra alone is memoised on that algebra
 instance, in ``A._memo``:
 
 - value vectors, keyed ``(frame, phi)``, and equation masks, keyed
   ``(frame, lhs, rhs)``, with interned formulas;
-- the sorted unary-polynomial clone (for ``leibniz``) and the congruence
-  list (for ``leibniz_bruteforce``);
+- the sorted unary-polynomial clone, read through ``_polynomials`` by
+  ``leibniz`` and ``congruence_generated``, and the congruence list (for
+  ``leibniz_bruteforce``, which must not share the clone);
 - theorem values per (logic, bounds) and spot-theorem values per logic (for
   ``filter_closure`` and ``is_filter``);
 - membership verdicts of ``algebraization.qv_membership`` per class.
@@ -318,31 +321,15 @@ def is_congruence(A: FiniteAlgebra, theta: Congruence) -> bool:
 
 
 def congruence_generated(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing ``pairs``: equivalence closure plus closure
-    under one-step translations c(.., a, ..) ~ c(.., b, ..) until fixpoint."""
+    """Least congruence containing ``pairs``. By Mal'cev's lemma (Burris and
+    Sankappanavar, *A Course in Universal Algebra*, ch. II) it is the
+    equivalence closure of (p(a), p(b)) for every pair (a, b) and every unary
+    polynomial p of A."""
     pairs = list(pairs)
     for a, b in pairs:
         if not (0 <= a < A.size and 0 <= b < A.size):
             raise ValueError(f"element out of range: {(a, b)}")
-    theta = Congruence.from_pairs(A.size, pairs)
-    while True:
-        new_pairs: list[tuple[int, int]] = []
-        for name, arity in A.signature.connectives:
-            if arity == 0:
-                continue
-            for args in itertools.product(A.elements(), repeat=arity):
-                value = A.op(name, *args)
-                for pos in range(arity):
-                    a = args[pos]
-                    for b in range(A.size):
-                        if b != a and theta.related(a, b):
-                            other = args[:pos] + (b,) + args[pos + 1 :]
-                            w = A.op(name, *other)
-                            if not theta.related(value, w):
-                                new_pairs.append((value, w))
-        if not new_pairs:
-            return theta
-        theta = Congruence.from_pairs(A.size, list(zip(theta.rep, range(A.size))) + new_pairs)
+    return Congruence.from_pairs(A.size, [(p[a], p[b]) for p in _polynomials(A) for a, b in pairs])
 
 
 def all_congruences(A: FiniteAlgebra) -> list[Congruence]:
@@ -430,6 +417,11 @@ def _invariant(A: FiniteAlgebra, key: tuple, compute):
     return value
 
 
+def _polynomials(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """A's unary-polynomial clone, sorted and kept in A's memo."""
+    return _invariant(A, ("unary_polynomials",), lambda A: tuple(sorted(unary_polynomials(A))))
+
+
 def _carrier_subset(A: FiniteAlgebra, F: Iterable[int]) -> set[int]:
     F = set(F)
     if any(not 0 <= a < A.size for a in F):
@@ -442,7 +434,7 @@ def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
     characterization: a ~ b iff p(a) and p(b) agree on F-membership for
     every unary polynomial p."""
     F = _carrier_subset(A, F)
-    polys = _invariant(A, ("unary_polynomials",), lambda A: tuple(sorted(unary_polynomials(A))))
+    polys = _polynomials(A)
     profile = {a: tuple(p[a] in F for p in polys) for a in A.elements()}
     pairs = [
         (a, b)

@@ -5,7 +5,7 @@ and Boolean/Heyting membership by the classes' defining identities."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, _invariant, _remember
@@ -55,12 +55,6 @@ class AlgebraizingPair:
         ts = ",".join(f"({print_formula(l)},{print_formula(r)})" for l, r in self.tau)
         return f"AlgebraizingPair(delta=[{ds}], tau=[{ts}])"
 
-    def to_json(self) -> dict:
-        return {
-            "delta": [print_formula(d) for d in self.delta],
-            "tau": [[print_formula(l), print_formula(r)] for l, r in self.tau],
-        }
-
     @classmethod
     def from_json(cls, data: dict, sig: Signature) -> "AlgebraizingPair":
         delta = [parse_formula(sig, t) for t in data["delta"]]
@@ -87,6 +81,11 @@ def delta_translate(pair: AlgebraizingPair, eq: Equation) -> tuple[Formula, ...]
             substitute(d, {0: eq.lhs, 1: eq.rhs}) for d in pair.delta
         ))
     return out
+
+
+def class_equal(l: LogicSpec, pair: AlgebraizingPair, phi: Formula, psi: Formula) -> bool:
+    """Same formula class: the equivalence formulas at (phi, psi) are theorems."""
+    return all(l.proves((), d) for d in delta_translate(pair, Equation(phi, psi)))
 
 
 def _delta_tau(pair: AlgebraizingPair, phi: Formula) -> tuple[Formula, ...]:
@@ -334,13 +333,7 @@ class LindReport:
     witness: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "logic": self.logic,
-            "bounds": self.bounds,
-            "passed": self.passed,
-            "instances": self.instances,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -360,7 +353,7 @@ def is_lindenbaum(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: in
     for phi, psi in itertools.combinations_with_replacement(universe, 2):
         report.instances += 1
         inter = l.interderivable(phi, psi)
-        provable = all(l.proves((), d) for d in delta_translate(pair, Equation(phi, psi)))
+        provable = class_equal(l, pair, phi, psi)
         if inter != provable:
             report.passed = False
             report.witness = (

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -26,11 +26,10 @@ from .algebra import (
 )
 from .algebraization import (
     AlgebraizingPair,
-    delta_translate,
+    class_equal,
     qv_membership,
     tau_consequence,
 )
-from .provers import Equation
 from .semantics import LogicMorphism, LogicSpec, Matrix, consequence, matrix_satisfies
 from .syntax import (
     App,
@@ -101,16 +100,6 @@ class GlivenkoContext:
 
     def __repr__(self):
         return f"GlivenkoContext({self.name}, theta={print_formula(self.theta)})"
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.name,
-            "target": self.target.name,
-            "h": "identity" if self.h == FlexibleMorphism.identity(self.source.signature) else {
-                name: print_formula(f) for name, f in self.h.assignment.items()
-            },
-            "theta": print_formula(self.theta),
-        }
 
 
 def rho_translate(ctx: GlivenkoContext, phi_prime: Formula) -> Formula:
@@ -329,15 +318,7 @@ class ContextReport:
         return self.section_equation and self.consequence_preserved and self.pair_preserved is not False
 
     def to_json(self) -> dict:
-        return {
-            "context": self.context,
-            "bounds": self.bounds,
-            "section_equation": self.section_equation,
-            "pair_preserved": self.pair_preserved,
-            "consequence_preserved": self.consequence_preserved,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [f"context {self.context} (bounded checks, bounds={self.bounds})"]
@@ -359,8 +340,7 @@ def validate_context(ctx: GlivenkoContext, num_vars: int = 2, depth: int = 2,
     report = ContextReport(ctx.name, {"vars": num_vars, "depth": depth, "limit": limit}, True, None, True)
     if ctx.target_pair is not None:
         image = ctx.translate_formula(ctx.theta)
-        section_eq = delta_translate(ctx.target_pair, Equation(Var(0), image))
-        report.section_equation = all(ctx.target.proves((), d) for d in section_eq)
+        report.section_equation = class_equal(ctx.target, ctx.target_pair, Var(0), image)
         if not report.section_equation:
             report.witness = f"x0 not equivalent to {print_formula(image)} in {ctx.target.name}"
     if ctx.source_pair is not None and ctx.target_pair is not None:
@@ -397,8 +377,7 @@ def density_check(ctx: GlivenkoContext, depth: int = 3, limit: int = 4000) -> di
             if count > limit:
                 break
             image = ctx.translate_formula(phi)
-            eqs = delta_translate(ctx.target_pair, Equation(goal, image))
-            if all(ctx.target.proves((), d) for d in eqs):
+            if class_equal(ctx.target, ctx.target_pair, goal, image):
                 found = phi
                 break
         out[name] = found

@@ -6,13 +6,12 @@ translation contexts. Reports are seeded and deterministic."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .algebra import FiniteAlgebra, evaluate, is_reduced
-from .algebraization import AlgebraizingPair, delta_translate, qv_membership, tau_consequence, tau_translate
+from .algebraization import AlgebraizingPair, qv_membership, tau_consequence, tau_translate
 from .glivenko import GlivenkoContext, adjoint_image, rho_translate
-from .provers import Equation
 from .semantics import (
     LogicMorphism,
     LogicSpec,
@@ -38,11 +37,6 @@ class InsLALSentence:
 
     premises: tuple[Formula, ...]
     conclusion: Formula
-
-
-def class_equal(l: LogicSpec, pair: AlgebraizingPair, phi: Formula, psi: Formula) -> bool:
-    """Same formula class: the equivalence formulas at (phi, psi) are theorems."""
-    return all(l.proves((), d) for d in delta_translate(pair, Equation(phi, psi)))
 
 
 def insal_satisfies(M: Matrix, s: InsALSentence, logic: LogicSpec | None = None) -> bool:
@@ -113,14 +107,7 @@ class InstitutionReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": self.samples,
-            "checked": self.checked,
-            "violations": self.violations,
-            "config": self.config,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [

@@ -3,6 +3,12 @@
 independent refutation oracle, and equational consequence over finite
 algebra classes.
 
+Classical consequence over x0..x3 is a bit-parallel truth table over one
+fixed frame of 16 rows, memoised on each node. A query that mentions a
+variable beyond x3 is decided on the evaluation kernel, as the search for a
+one-world Kripke countermodel: that frame's upset algebra is the two-element
+Boolean algebra.
+
 The Kripke search shares no code with the sequent prover. It runs on the
 evaluation kernel (``algebra.value_vector``): the sets of worlds where a
 formula is forced on a frame are the elements of the Heyting algebra of the
@@ -28,7 +34,7 @@ from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, all_rows, equation_rows, frame_valuation, value_vector
-from .syntax import BUILTIN_SIGNATURE, App, Formula, Var, sorted_variables
+from .syntax import BUILTIN_SIGNATURE, App, Formula, Var
 
 
 @dataclass(frozen=True)
@@ -56,35 +62,21 @@ BOOLEAN_CONNECTIVES = ("neg", "imp", "and", "or", "iff")
 
 # Truth tables of queries over x0..x3 are computed over one fixed frame of
 # 2**4 rows and memoised on each node (``Formula._bits``); a query that
-# mentions a variable outside the frame gets a compact table of its own.
+# mentions a variable outside the frame is decided on the kernel instead.
 _FRAME_VARS = 4
-
-
-def _column(j: int, rows: int) -> int:
-    """Bitmask of the rows (valuations) where variable number j is true."""
-    mask = 0
-    for row in range(rows):
-        if (row >> j) & 1:
-            mask |= 1 << row
-    return mask
-
-
 _FRAME_FULL = (1 << (1 << _FRAME_VARS)) - 1
-_FRAME_COLUMNS = tuple(_column(j, 1 << _FRAME_VARS) for j in range(_FRAME_VARS))
+# row R sets x_j to bit j of R
+_FRAME_COLUMNS = tuple(
+    sum(1 << row for row in range(1 << _FRAME_VARS) if row >> j & 1) for j in range(_FRAME_VARS)
+)
+_CLASSICAL_CONNECTIVES = frozenset(BUILTIN_SIGNATURE.connectives)
 
 
-def _connective_bits(name: str, args: list[int], full: int) -> int:
-    if name == "neg":
-        return full ^ args[0]
-    if name == "imp":
-        return (full ^ args[0]) | args[1]
-    if name == "and":
-        return args[0] & args[1]
-    if name == "or":
-        return args[0] | args[1]
-    if name == "iff":
-        return full ^ (args[0] ^ args[1])
-    raise ValueError(f"connective {name} is not a classical connective")
+def _require_connectives(formulas: Iterable[Formula], allowed: frozenset, logic: str) -> None:
+    for f in formulas:
+        foreign = sorted(f.conns - allowed)
+        if foreign:
+            raise ValueError(f"connective {foreign[0][0]} is not {logic} connective")
 
 
 def _frame_bits(phi: Formula) -> int:
@@ -94,51 +86,44 @@ def _frame_bits(phi: Formula) -> int:
         if isinstance(phi, Var):
             bits = _FRAME_COLUMNS[phi.index]
         else:
-            bits = _connective_bits(phi.name, [_frame_bits(a) for a in phi.args], _FRAME_FULL)
+            args = [_frame_bits(a) for a in phi.args]
+            name = phi.name
+            if name == "neg":
+                bits = _FRAME_FULL ^ args[0]
+            elif name == "imp":
+                bits = (_FRAME_FULL ^ args[0]) | args[1]
+            elif name == "and":
+                bits = args[0] & args[1]
+            elif name == "or":
+                bits = args[0] | args[1]
+            elif name == "iff":
+                bits = _FRAME_FULL ^ (args[0] ^ args[1])
+            else:
+                raise ValueError(f"connective {name} is not a classical connective")
         phi._bits = bits
     return bits
-
-
-def _truth_bits(phi: Formula, columns: dict[int, int], full: int) -> int:
-    """Bitmask of rows (valuations) where phi is true."""
-    if isinstance(phi, Var):
-        return columns[phi.index]
-    return _connective_bits(phi.name, [_truth_bits(a, columns, full) for a in phi.args], full)
 
 
 def cpc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     """Gamma entails phi classically: every two-valued valuation making all of
     Gamma true makes phi true."""
-    gamma = tuple(gamma)
-    mask = phi.vmask
-    for g in gamma:
-        mask |= g.vmask
-    if mask >> _FRAME_VARS == 0:
-        ok = _FRAME_FULL
-        for g in gamma:
-            ok &= _frame_bits(g)
-        return ok & ~_frame_bits(phi) & _FRAME_FULL == 0
-    vars_ = sorted_variables(gamma + (phi,))
-    rows = 1 << len(vars_)
-    full = (1 << rows) - 1
-    columns = {v: _column(j, rows) for j, v in enumerate(vars_)}
-    ok = full
-    for g in gamma:
-        ok &= _truth_bits(g, columns, full)
-    return ok & ~_truth_bits(phi, columns, full) & full == 0
+    return cpc_entailed(gamma, (phi,)) == (0,)
 
 
 def cpc_entailed(gamma: Iterable[Formula], phis: Sequence[Formula]) -> tuple[int, ...]:
     """The indices, ascending, of the phis that Gamma entails classically.
     When every formula fits the frame, Gamma's rows are AND-ed once and each
-    conclusion costs one subset test; otherwise each one goes through
-    ``cpc_decide``."""
+    conclusion costs one subset test. Otherwise each conclusion is decided on
+    the kernel: the upset algebra of a one-world Kripke frame is the
+    two-element Boolean algebra, so Gamma entails phi classically exactly
+    when no one-world model refutes it."""
     gamma = tuple(gamma)
     mask = 0
     for f in itertools.chain(gamma, phis):
         mask |= f.vmask
     if mask >> _FRAME_VARS:
-        return tuple(i for i, phi in enumerate(phis) if cpc_decide(gamma, phi))
+        _require_connectives(itertools.chain(gamma, phis), _CLASSICAL_CONNECTIVES, "a classical")
+        return tuple(i for i, phi in enumerate(phis) if kripke_countermodel(gamma, phi, 1) is None)
     ok = _FRAME_FULL
     for g in gamma:
         ok &= _frame_bits(g)
@@ -378,7 +363,7 @@ def _frames(n: int) -> tuple:
     return _frame_cache[n]
 
 
-_KRIPKE_CONNECTIVES = frozenset(BUILTIN_SIGNATURE.connectives) | {("_bot", 0)}
+_KRIPKE_CONNECTIVES = _CLASSICAL_CONNECTIVES | {("_bot", 0)}
 
 
 def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int = 4) -> Optional[KripkeModel]:
@@ -391,11 +376,9 @@ def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int 
     order; on each, the first row where the premises' upsets meet outside the
     conclusion's is returned, with the lowest world there."""
     gamma = tuple(gamma)
+    _require_connectives(gamma + (phi,), _KRIPKE_CONNECTIVES, "an intuitionistic")
     frame = 0
     for f in gamma + (phi,):
-        foreign = sorted(f.conns - _KRIPKE_CONNECTIVES)
-        if foreign:
-            raise ValueError(f"connective {foreign[0][0]} is not an intuitionistic connective")
         frame |= f.vmask
     for n in range(1, max_worlds + 1):
         top = (1 << n) - 1

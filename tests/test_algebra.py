@@ -556,3 +556,66 @@ class TestEvaluationKernel:
         neg_only = FiniteAlgebra(Signature([("neg", 1)]), 2, {"neg": [1, 0]})
         with pytest.raises(ValueError, match="connective imp not interpreted"):
             value_vector(neg_only, F("imp(x0,x0)"), 0b1)
+
+
+# ---------------------------------------------------------------------------
+# generated congruences against the brute-force congruence list
+# ---------------------------------------------------------------------------
+
+GENERATOR_SIGNATURES = [
+    Signature([("c", 0), ("u", 1), ("b", 2)]),
+    Signature([("b", 2)]),
+    Signature([("u", 1), ("v", 1)]),
+    Signature([("c", 0), ("u", 1)]),
+    Signature([("c", 0)]),
+]
+
+
+def random_algebra(rng, signature, size):
+    return FiniteAlgebra(signature, size, {
+        name: [rng.randrange(size) for _ in range(size ** arity)] for name, arity in signature.connectives
+    })
+
+
+def assert_least_congruence_holding(A, congs, pairs):
+    gen = congruence_generated(A, pairs)
+    assert gen in congs
+    assert all(gen.related(a, b) for a, b in pairs)
+    for theta in congs:
+        if all(theta.related(a, b) for a, b in pairs):
+            assert theta.contains(gen)
+
+
+class TestCongruenceGeneratedAgainstAllCongruences:
+    """``congruence_generated`` reads the unary-polynomial clone; the oracle
+    is ``all_congruences``, which checks every partition operation by
+    operation and shares no code with the clone."""
+
+    def generating_sets(self, rng, A):
+        singles = [[(a, b)] for a in A.elements() for b in range(a, A.size)]
+        pairs = [(a, b) for a in A.elements() for b in A.elements()]
+        return [[]] + singles + [rng.sample(pairs, min(len(pairs), rng.randrange(1, 4))) for _ in range(3)]
+
+    def test_bundled_algebras(self):
+        rng = random.Random(41)
+        algebras = [A for _, A in corpus.heyting_corpus()] + [corpus.lukasiewicz3()]
+        for A in algebras:
+            congs = all_congruences(A)
+            for pairs in self.generating_sets(rng, A):
+                assert_least_congruence_holding(A, congs, pairs)
+
+    def test_random_algebras(self):
+        rng = random.Random(43)
+        for i in range(300):
+            A = random_algebra(rng, GENERATOR_SIGNATURES[i % len(GENERATOR_SIGNATURES)], rng.randint(1, 4))
+            congs = all_congruences(A)
+            for pairs in self.generating_sets(rng, A):
+                assert_least_congruence_holding(A, congs, pairs)
+
+    def test_the_clone_is_memoised_and_shared_with_leibniz(self, h3):
+        A = FiniteAlgebra.from_json(h3.to_json())
+        congruence_generated(A, [(1, 2)])
+        polys = A._memo[("unary_polynomials",)]
+        assert polys == tuple(sorted(unary_polynomials(A)))
+        leibniz(A, {2})
+        assert A._memo[("unary_polynomials",)] is polys

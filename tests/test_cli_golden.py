@@ -45,6 +45,8 @@ CASES = {
     "bp_ipc_json": ["check", "bp", "--logic", "ipc", "--json"],
     "adjoint_b4_json": ["check", "adjoint", "--algebra", "data/B4.json", "--json"],
     "leibniz_chain4_json": ["check", "leibniz", "--algebra", "data/chain4.json", "--filter", "2,3", "--json"],
+    "lindenbaum_ipc_json": ["check", "lindenbaum", "--logic", "ipc", "--json"],
+    "institution_seed0_json": ["check", "institution", "--seed", "0", "--json"],
     # logics by name and by file
     "consequence_l3_lem": ["consequence", "--logic", "l3", "--phi", "or(x0,neg(x0))", "--json"],
     "lindenbaum_l3": ["check", "lindenbaum", "--logic", "l3"],

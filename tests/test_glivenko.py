@@ -453,6 +453,17 @@ class TestValidation:
         assert not report.section_equation
         assert not report.passed
 
+    def test_classical_context_report_json(self, ctx):
+        assert list(validate_context(ctx).to_json().items()) == [
+            ("context", "classical"),
+            ("bounds", {"vars": 2, "depth": 2, "limit": 400}),
+            ("section_equation", True),
+            ("pair_preserved", True),
+            ("consequence_preserved", True),
+            ("witness", None),
+            ("passed", True),
+        ]
+
     def test_density(self, ctx):
         found = density_check(ctx, depth=2)
         assert all(phi is not None for phi in found.values())

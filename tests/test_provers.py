@@ -455,6 +455,32 @@ def ref_desugar(phi):
     return App(phi.name, tuple(args))
 
 
+def ref_truth(phi, v):
+    if isinstance(phi, Var):
+        return v[phi.index]
+    args = [ref_truth(a, v) for a in phi.args]
+    if phi.name == "neg":
+        return not args[0]
+    if phi.name == "imp":
+        return not args[0] or args[1]
+    if phi.name == "and":
+        return args[0] and args[1]
+    if phi.name == "or":
+        return args[0] or args[1]
+    if phi.name == "iff":
+        return args[0] == args[1]
+    raise ValueError(phi.name)
+
+
+def truth_table_entails(gamma, phi):
+    vars_ = sorted(set().union(*map(variables, gamma + (phi,))))
+    for bits in itertools.product((False, True), repeat=len(vars_)):
+        v = dict(zip(vars_, bits))
+        if all(ref_truth(g, v) for g in gamma) and not ref_truth(phi, v):
+            return False
+    return True
+
+
 class TestNodeMemos:
     def test_cpc_agrees_with_b2_inside_the_frame(self, sig, b2):
         M = Matrix(b2, frozenset({1}))
@@ -481,6 +507,37 @@ class TestNodeMemos:
             outside += max(used) >= _FRAME_VARS
             assert cpc_decide(gamma, phi) == matrix_satisfies(M, gamma, phi)
         assert 0 < outside < 400
+
+    def test_cpc_agrees_with_truth_tables_outside_the_frame(self, sig):
+        # beyond x0..x{_FRAME_VARS - 1} cpc runs on the kernel, as does
+        # matrix_satisfies, so the oracle here is a truth table of its own
+        # (conclusions inside and beyond the frame share one cpc_entailed call)
+        rng = random.Random(19)
+        outside = 0
+        for _ in range(400):
+            gamma = tuple(random_formula(rng, sig, rng.choice((4, 10)), 3) for _ in range(rng.randrange(3)))
+            phis = [random_formula(rng, sig, rng.choice((4, 10)), 4) for _ in range(3)]
+            expected = tuple(i for i, phi in enumerate(phis) if truth_table_entails(gamma, phi))
+            assert provers.cpc_entailed(gamma, phis) == expected
+            for i, phi in enumerate(phis):
+                outside += max(variables(phi).union(*map(variables, gamma))) >= _FRAME_VARS
+                assert cpc_decide(gamma, phi) == (i in expected)
+        assert 200 < outside < 1000
+        x9 = Var(9)
+        assert cpc_decide((), App("or", (x9, App("neg", (x9,)))))
+        assert cpc_decide((App("imp", (Var(0), x9)), Var(0)), x9)
+        assert not cpc_decide((App("imp", (Var(0), x9)),), x9)
+
+    @pytest.mark.parametrize("var", [0, _FRAME_VARS])
+    def test_foreign_connectives_are_not_classical(self, F, var):
+        # the same message inside the frame and beyond it
+        x = Var(var)
+        box = App("box", (x,))
+        queries = [((), box, "box"), ((box,), x, "box"), ((x,), App("imp", (x, box)), "box"),
+                   ((), _BOT, "_bot"), ((_BOT,), x, "_bot")]
+        for gamma, phi, name in queries:
+            with pytest.raises(ValueError, match=f"connective {name} is not a classical connective"):
+                cpc_decide(gamma, phi)
 
     def test_desugar_matches_reference(self, sig):
         rng = random.Random(23)
