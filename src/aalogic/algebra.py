@@ -504,16 +504,18 @@ _SPOT_THEOREM_TEXTS = (
 
 def _spot_values(logic, A: FiniteAlgebra) -> frozenset[int]:
     """Values taken in A by the spot theorems that ``logic`` proves and A's
-    signature can express."""
-    out: set[int] = set()
-    for text in _SPOT_THEOREM_TEXTS:
-        try:
-            phi = parse_formula(A.signature, text)
-        except ValueError:
-            continue
-        if logic.proves((), phi):
-            out.update(value_vector(A, phi, phi.vmask))
-    return frozenset(out)
+    signature can express, kept in A's memo."""
+    def compute(A: FiniteAlgebra) -> frozenset[int]:
+        out: set[int] = set()
+        for text in _SPOT_THEOREM_TEXTS:
+            try:
+                phi = parse_formula(A.signature, text)
+            except ValueError:
+                continue
+            if logic.proves((), phi):
+                out.update(value_vector(A, phi, phi.vmask))
+        return frozenset(out)
+    return _invariant(A, ("spot_values", logic), compute)
 
 
 def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int]) -> frozenset[int]:
@@ -534,8 +536,10 @@ def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int]) -> frozenset[int]:
                 if b not in F and table[row + b] in F:
                     F.add(b)
                     changed = True
+    # theorem values and detachment hold by construction; only the deeper
+    # spot theorems can fall outside the closure
     result = frozenset(F)
-    if not is_filter(logic, A, result):
+    if not _spot_values(logic, A) <= result:
         raise RuntimeError(
             "closure bound exhausted: a theorem takes a value outside the closure, or "
             "detachment escapes it"
@@ -551,7 +555,7 @@ def is_filter(logic, A: FiniteAlgebra, F: Iterable[int]) -> bool:
     F = _carrier_subset(A, F)
     if not theorem_values(logic, A) <= F:
         return False
-    if not _invariant(A, ("spot_values", logic), lambda A: _spot_values(logic, A)) <= F:
+    if not _spot_values(logic, A) <= F:
         return False
     table = A.tables[imp]
     for a in F:

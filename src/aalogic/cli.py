@@ -1,13 +1,14 @@
-"""Command-line front end. Every report embeds its bounds and seed; a fixed
-RunConfig yields byte-identical output. Exit codes: 0 all-pass, 1 check
-failure, 2 usage or parse error."""
+"""Command-line front end. Each command and each ``check`` kind is a
+subcommand that declares only the flags it reads, and a bound below 1 is a
+usage error. Every report embeds its bounds and seed, so the same arguments
+yield byte-identical output. Exit codes: 0 all-pass, 1 check failure, 2
+usage or parse error."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import leibniz, leibniz_bruteforce
 from .algebraization import check_bp_conditions, is_lindenbaum
@@ -21,16 +22,15 @@ GLIVENKO_SAMPLES = 2000
 INSTITUTION_SAMPLES = 1200
 
 
-@dataclass
-class RunConfig:
-    vars: int = 2
-    depth: int = 2
-    gamma_size: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.vars, self.depth, self.gamma_size) < 1:
-            raise ValueError("all bounds must be >= 1")
+def _bound(text: str) -> int:
+    """Type of the bound flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_gamma(sig, text: str | None):
@@ -40,45 +40,57 @@ def _parse_gamma(sig, text: str | None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--vars", type=_bound, default=2)
+    bounds.add_argument("--depth", type=_bound, default=2)
+    sample = argparse.ArgumentParser(add_help=False)
+    sample.add_argument("--gamma-size", type=_bound, default=2)
+    sample.add_argument("--seed", type=int, default=0)
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--algebra", required=True)
+    logic_pair = argparse.ArgumentParser(add_help=False)
+    logic_pair.add_argument("--logic", default="cpc")
+    logic_pair.add_argument("--pair")
+
     parser = argparse.ArgumentParser(prog="aalogic")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("consequence", help="decide gamma |- phi in a logic")
+    p = sub.add_parser("consequence", parents=[json_flag], help="decide gamma |- phi in a logic")
     p.add_argument("--logic", required=True)
     p.add_argument("--gamma", default="")
     p.add_argument("--phi", required=True)
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_consequence)
 
-    p = sub.add_parser("glivenko", help="translation equivalence, single instance or sweep")
+    p = sub.add_parser("glivenko", parents=[bounds, sample, json_flag],
+                       help="translation equivalence, single instance or sweep")
     p.add_argument("--context", default="classical")
     p.add_argument("--gamma", default="")
-    p.add_argument("--phi")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--vars", type=int, default=2)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--gamma-size", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--phi")
+    mode.add_argument("--exhaustive", action="store_true")
+    p.set_defaults(run=cmd_glivenko)
 
     p = sub.add_parser("check", help="run a named check suite")
-    p.add_argument("kind", choices=["bp", "lindenbaum", "institution", "adjoint", "leibniz"])
-    p.add_argument("--logic")
-    p.add_argument("--pair")
-    p.add_argument("--algebra")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, suite in (("bp", check_bp_conditions), ("lindenbaum", is_lindenbaum)):
+        p = kinds.add_parser(kind, parents=[logic_pair, bounds, json_flag])
+        p.set_defaults(run=check_pair, suite=suite)
+    kinds.add_parser("institution", parents=[bounds, sample, json_flag]).set_defaults(run=check_institution)
+    kinds.add_parser("adjoint", parents=[algebra, json_flag]).set_defaults(run=check_adjoint)
+    p = kinds.add_parser("leibniz", parents=[algebra, json_flag])
     p.add_argument("--filter", default="")
-    p.add_argument("--vars", type=int, default=2)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--gamma-size", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(run=check_leibniz)
     return parser
 
 
-def _emit(args, report) -> None:
+def _emit(args, report) -> int:
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.to_text())
+    return 0 if report.passed else 1
 
 
 def cmd_consequence(args) -> int:
@@ -101,16 +113,9 @@ def cmd_consequence(args) -> int:
 def cmd_glivenko(args) -> int:
     ctx = resolve_context(args.context)
     if args.exhaustive:
-        config = RunConfig(args.vars, args.depth, args.gamma_size, args.seed)
-        report = glivenko_sweep(
-            ctx, config.vars, config.depth, config.gamma_size, config.seed,
-            samples=GLIVENKO_SAMPLES,
-        )
-        _emit(args, report)
-        return 0 if report.passed else 1
-    if not args.phi:
-        print("either --phi or --exhaustive is required", file=sys.stderr)
-        return 2
+        return _emit(args, glivenko_sweep(
+            ctx, args.vars, args.depth, args.gamma_size, args.seed, samples=GLIVENKO_SAMPLES,
+        ))
     sig = ctx.target.signature
     gamma = _parse_gamma(sig, args.gamma)
     phi = parse_formula(sig, args.phi)
@@ -135,76 +140,58 @@ def cmd_glivenko(args) -> int:
     return 0 if left == right else 1
 
 
-def cmd_check(args) -> int:
-    config = RunConfig(args.vars, args.depth, args.gamma_size, args.seed)
-    if args.kind in ("bp", "lindenbaum"):
-        logic = resolve_logic(args.logic or "cpc")
-        pair = load_pair(args.pair, logic.signature) if args.pair else classical_pair()
-        check = check_bp_conditions if args.kind == "bp" else is_lindenbaum
-        report = check(logic, pair, config.vars, config.depth)
-        _emit(args, report)
-        return 0 if report.passed else 1
+def check_pair(args) -> int:
+    """``check bp`` and ``check lindenbaum``: ``args.suite`` on a logic and its pair."""
+    logic = resolve_logic(args.logic)
+    pair = load_pair(args.pair, logic.signature) if args.pair else classical_pair()
+    return _emit(args, args.suite(logic, pair, args.vars, args.depth))
 
-    if args.kind == "institution":
-        corpus = classical_corpus()
-        reports = [
-            institution_report(kind, corpus, samples=INSTITUTION_SAMPLES, seed=config.seed,
-                               num_vars=config.vars, depth=config.depth,
-                               gamma_size=config.gamma_size)
-            for kind in ("If", "InsAL", "InsLAL")
-        ]
-        if args.json:
-            print(json.dumps([r.to_json() for r in reports], indent=2))
-        else:
-            for r in reports:
-                print(r.to_text())
-        return 0 if all(r.passed for r in reports) else 1
 
-    if args.kind == "adjoint":
-        if not args.algebra:
-            print("check adjoint requires --algebra", file=sys.stderr)
-            return 2
-        A = load_algebra(args.algebra)
-        report = find_adjoint_report(A)
-        _emit(args, report)
-        return 0 if report.passed else 1
+def check_institution(args) -> int:
+    corpus = classical_corpus()
+    reports = [
+        institution_report(kind, corpus, samples=INSTITUTION_SAMPLES, seed=args.seed,
+                           num_vars=args.vars, depth=args.depth, gamma_size=args.gamma_size)
+        for kind in ("If", "InsAL", "InsLAL")
+    ]
+    if args.json:
+        print(json.dumps([r.to_json() for r in reports], indent=2))
+    else:
+        for r in reports:
+            print(r.to_text())
+    return 0 if all(r.passed for r in reports) else 1
 
-    if args.kind == "leibniz":
-        if not args.algebra:
-            print("check leibniz requires --algebra", file=sys.stderr)
-            return 2
-        A = load_algebra(args.algebra)
-        F = frozenset(int(part) for part in args.filter.split(",") if part.strip() != "")
-        theta = leibniz(A, F)
-        oracle = leibniz_bruteforce(A, F)
-        payload = {
-            "algebra_size": A.size,
-            "filter": sorted(F),
-            "leibniz_blocks": theta.blocks(),
-            "oracle_blocks": oracle.blocks(),
-            "is_identity": theta.is_identity(),
-            "oracle_agrees": theta == oracle,
-        }
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            blocks = "|".join(",".join(map(str, b)) for b in theta.blocks())
-            print(f"leibniz congruence: {blocks}")
-            print(f"identity: {str(theta.is_identity()).lower()}; oracle agrees: {str(theta == oracle).lower()}")
-        return 0 if theta == oracle else 1
 
-    return 2
+def check_adjoint(args) -> int:
+    return _emit(args, find_adjoint_report(load_algebra(args.algebra)))
+
+
+def check_leibniz(args) -> int:
+    A = load_algebra(args.algebra)
+    F = frozenset(int(part) for part in args.filter.split(",") if part.strip() != "")
+    theta = leibniz(A, F)
+    oracle = leibniz_bruteforce(A, F)
+    payload = {
+        "algebra_size": A.size,
+        "filter": sorted(F),
+        "leibniz_blocks": theta.blocks(),
+        "oracle_blocks": oracle.blocks(),
+        "is_identity": theta.is_identity(),
+        "oracle_agrees": theta == oracle,
+    }
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        blocks = "|".join(",".join(map(str, b)) for b in theta.blocks())
+        print(f"leibniz congruence: {blocks}")
+        print(f"identity: {str(theta.is_identity()).lower()}; oracle agrees: {str(theta == oracle).lower()}")
+    return 0 if theta == oracle else 1
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "consequence":
-            return cmd_consequence(args)
-        if args.command == "glivenko":
-            return cmd_glivenko(args)
-        return cmd_check(args)
+        return args.run(args)
     except (FormulaSyntaxError, ValueError, OSError, KeyError, RuntimeError) as exc:
         # RuntimeError covers RecursionError from a search too deep to finish
         print(f"error: {exc}", file=sys.stderr)

@@ -317,6 +317,13 @@ class TestFilters:
         with pytest.raises(RuntimeError, match="bound exhausted"):
             filter_closure(ipc, corpus.lukasiewicz3(), ())
 
+    def test_closure_missing_a_spot_theorem_value_is_reported(self, ipc, h3, monkeypatch):
+        # with no bounded theorem values the closure of nothing is empty, so
+        # the spot theorems' value (the top) falls outside it
+        monkeypatch.setattr(algebra, "theorem_values", lambda logic, A: frozenset())
+        with pytest.raises(RuntimeError, match="closure bound exhausted"):
+            filter_closure(ipc, h3, ())
+
     @pytest.mark.parametrize("bad", [-1, 2])  # 2 is the carrier size of b2
     def test_out_of_range(self, ipc, b2, bad):
         with pytest.raises(ValueError, match="filter element out of range"):

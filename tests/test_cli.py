@@ -133,6 +133,41 @@ class TestCheck:
         assert "unrecognized arguments" in out.stderr
 
 
+class TestFlagsBelongToTheirCommand:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "adjoint", "--algebra", "data/H3.json", "--seed", "5"),
+            ("check", "institution", "--logic", "l3"),
+            ("check", "bp", "--algebra", "data/L3.json"),
+            ("check", "lindenbaum", "--filter", "1"),
+            ("check", "leibniz", "--algebra", "data/B2.json", "--filter", "1", "--depth", "3"),
+        ],
+    )
+    def test_flag_the_kind_does_not_read_is_a_usage_error(self, args):
+        out = run(*args)
+        assert out.returncode == 2
+        assert "unrecognized arguments" in out.stderr
+
+    def test_phi_and_exhaustive_exclude_each_other(self):
+        out = run("glivenko", "--phi", "x0", "--exhaustive")
+        assert out.returncode == 2
+        assert "not allowed with argument" in out.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "bp", "--vars", "0"),
+            ("check", "institution", "--gamma-size", "0"),
+            ("glivenko", "--exhaustive", "--depth", "0"),
+        ],
+    )
+    def test_bound_below_one_is_a_usage_error(self, args):
+        out = run(*args)
+        assert out.returncode == 2
+        assert ">= 1" in out.stderr
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",

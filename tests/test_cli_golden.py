@@ -12,12 +12,14 @@ to rewrite them all:
 import contextlib
 import io
 import os
+import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from aalogic.cli import main
+from aalogic.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -74,7 +76,8 @@ CASES = {
 
 def run_case(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps usage lines to COLUMNS; pin it so goldens do not depend on the terminal
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -91,6 +94,21 @@ def test_cli_report_matches_golden(case, monkeypatch):
 
 def test_every_golden_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+def readme_commands():
+    """The argv of every ``aalogic ...`` line in README's CLI code block."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("aalogic ")]
+
+
+def test_readme_commands_parse_and_have_goldens():
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)
+        assert argv in CASES.values(), argv
 
 
 if __name__ == "__main__":
