@@ -33,6 +33,14 @@ def _bound(text: str) -> int:
     return value
 
 
+def _elements(text: str) -> frozenset[int]:
+    """Type of ``--filter``: comma-separated element indices."""
+    try:
+        return frozenset(int(part) for part in text.split(",") if part.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _parse_gamma(sig, text: str | None):
     if not text:
         return ()
@@ -80,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     kinds.add_parser("institution", parents=[bounds, sample, json_flag]).set_defaults(run=check_institution)
     kinds.add_parser("adjoint", parents=[algebra, json_flag]).set_defaults(run=check_adjoint)
     p = kinds.add_parser("leibniz", parents=[algebra, json_flag])
-    p.add_argument("--filter", default="")
+    p.add_argument("--filter", type=_elements, default=frozenset())
     p.set_defaults(run=check_leibniz)
     return parser
 
@@ -111,6 +119,8 @@ def cmd_consequence(args) -> int:
 
 
 def cmd_glivenko(args) -> int:
+    if args.exhaustive and args.gamma:
+        raise ValueError("argument --gamma: not allowed with argument --exhaustive")
     ctx = resolve_context(args.context)
     if args.exhaustive:
         return _emit(args, glivenko_sweep(
@@ -168,7 +178,7 @@ def check_adjoint(args) -> int:
 
 def check_leibniz(args) -> int:
     A = load_algebra(args.algebra)
-    F = frozenset(int(part) for part in args.filter.split(",") if part.strip() != "")
+    F = args.filter
     theta = leibniz(A, F)
     oracle = leibniz_bruteforce(A, F)
     payload = {

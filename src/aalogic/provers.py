@@ -24,6 +24,14 @@ hash-consed at the integer level, and a sequent is a ``(frozenset[int], int)``
 pair. Ids are assigned in order of first use and the non-invertible rules are
 tried in ascending id order, so the search, its verdicts and the size of
 ``_sequent_memo`` do not depend on ``PYTHONHASHSEED``.
+
+``ipc_decide`` refutes before it proves. Every intuitionistic consequence is
+a classical one, so a query over x0..x3 that the truth table refutes is
+answered no without a sequent search. A search that spends its step budget,
+or overflows the recursion limit, hands the query to the Kripke search over
+at most three worlds, which answers no when it finds a model. Only the
+sequent search answers yes, so the Glivenko check stays non-circular: that
+cpc |- phi implies ipc |- neg neg phi is still proved by G4ip.
 """
 
 from __future__ import annotations
@@ -160,6 +168,7 @@ def _node(tag: int, left: int, right: int) -> int:
 
 
 _BOT = App("_bot", ())
+_BOT_CONNECTIVE = ("_bot", 0)
 _FALSE = _BOT._desugared = _node(_FALSUM, 0, 0)
 
 
@@ -203,12 +212,32 @@ def _desugar(phi: Formula) -> Formula:
 
 _sequent_memo: dict[tuple[frozenset, int], bool] = {}
 
+# ipc_decide lets G4ip take this many _prove_inner steps on a query over
+# x0..x3 before it looks for a Kripke countermodel with up to
+# _FALLBACK_WORLDS worlds. On 40 seeds of the consequence benchmark's stream,
+# 1 of 53,275 ipc calls spent the budget (a Kripke model refuted it), and a
+# provable query took up to 1,915 steps: a smaller budget would run a
+# fruitless Kripke search before proving such queries.
+_STEP_BUDGET = 2000
+_FALLBACK_WORLDS = 3
+# Steps left before the budget is spent. Outside a bounded search it is 0,
+# so it counts down through the negatives and never reaches 0 again.
+_steps_left = 0
+
+
+class _BudgetSpent(Exception):
+    pass
+
 
 def _prove(ctx: frozenset, goal: int) -> bool:
     key = (ctx, goal)
     cached = _sequent_memo.get(key)
     if cached is not None:
         return cached
+    global _steps_left
+    _steps_left -= 1
+    if not _steps_left:
+        raise _BudgetSpent
     if len(_sequent_memo) > 4_000_000:
         _sequent_memo.clear()
     result = _prove_inner(ctx, goal)
@@ -293,8 +322,35 @@ def _prove_inner(ctx: frozenset, goal: int) -> bool:
 
 def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     """Gamma entails phi intuitionistically, decided by terminating
-    contraction-free sequent search with Gamma as the antecedent."""
-    return _prove(frozenset(map(_code, gamma)), _code(phi))
+    contraction-free sequent search with Gamma as the antecedent.
+
+    Refute first: every intuitionistic consequence is a classical one, so on
+    a query over x0..x3 a classical refutation answers no. A search that
+    spends ``_STEP_BUDGET`` steps, or overflows the recursion limit, on such a
+    query then asks for a Kripke countermodel with up to ``_FALLBACK_WORLDS``
+    worlds; when there is none, the search goes on unbounded with its memo,
+    or the ``RecursionError`` propagates. Only the sequent search answers yes."""
+    global _steps_left
+    gamma = tuple(gamma)
+    ctx = frozenset(map(_code, gamma))
+    goal = _code(phi)
+    query = gamma + (phi,)
+    if any(f.vmask >> _FRAME_VARS for f in query):
+        return _prove(ctx, goal)
+    # the frame has no row for the prover's internal falsum
+    if not any(_BOT_CONNECTIVE in f.conns for f in query) and not cpc_decide(gamma, phi):
+        return False
+    _steps_left = _STEP_BUDGET
+    try:
+        return _prove(ctx, goal)
+    except (_BudgetSpent, RecursionError) as exc:
+        if kripke_countermodel(gamma, phi, _FALLBACK_WORLDS) is not None:
+            return False
+        if isinstance(exc, RecursionError):
+            raise
+    finally:
+        _steps_left = 0
+    return _prove(ctx, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +419,7 @@ def _frames(n: int) -> tuple:
     return _frame_cache[n]
 
 
-_KRIPKE_CONNECTIVES = _CLASSICAL_CONNECTIVES | {("_bot", 0)}
+_KRIPKE_CONNECTIVES = _CLASSICAL_CONNECTIVES | {_BOT_CONNECTIVE}
 
 
 def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int = 4) -> Optional[KripkeModel]:

@@ -12,6 +12,14 @@ def run(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
+def iff_chain(leaves):
+    """The left-nested iff chain over alternating x0/x1 with this many leaves."""
+    text = "x0"
+    for k in range(1, leaves):
+        text = f"iff({text},x{k % 2})"
+    return text
+
+
 class TestConsequence:
     def test_classical_tautology(self):
         out = run("consequence", "--logic", "cpc", "--phi", "or(x0,neg(x0))")
@@ -55,15 +63,21 @@ class TestConsequence:
         assert "Traceback" not in out.stderr
 
     def test_search_too_deep_is_an_error_not_a_traceback(self):
-        # an iff chain over alternating x0/x1 parses, but the sequent search
-        # on it recurses past the interpreter's limit
-        text = "x0"
-        for k in range(1, 200):
-            text = f"iff({text},x{k % 2})"
-        out = run("consequence", "--logic", "ipc", "--phi", text)
+        # the double negation of a classically valid iff chain parses and is
+        # provable, so no Kripke model refutes it, but the sequent search on
+        # it recurses past the interpreter's limit
+        out = run("consequence", "--logic", "ipc", "--phi", f"neg(neg({iff_chain(196)}))")
         assert out.returncode == 2
         assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("leaves", [16, 200])
+    def test_iff_chain_is_refuted(self, leaves):
+        # classically valid (the length is a multiple of 4) but refuted by a
+        # two-world Kripke model; the sequent search alone takes seconds at
+        # 16 leaves and overflows the recursion limit at 200
+        out = run("consequence", "--logic", "ipc", "--phi", iff_chain(leaves))
+        assert out.returncode == 0 and out.stdout.strip() == "false"
 
     def test_formula_at_the_depth_limit_decides(self):
         out = run("consequence", "--logic", "ipc", "--phi", "neg(" * 199 + "x0" + ")" * 199)
@@ -153,6 +167,18 @@ class TestFlagsBelongToTheirCommand:
         out = run("glivenko", "--phi", "x0", "--exhaustive")
         assert out.returncode == 2
         assert "not allowed with argument" in out.stderr
+
+    def test_gamma_is_not_read_by_the_sweep(self):
+        out = run("glivenko", "--exhaustive", "--vars", "1", "--depth", "1", "--gamma", "nonsense((")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "argument --gamma: not allowed with argument --exhaustive" in out.stderr
+
+    def test_filter_that_is_not_integers_is_a_usage_error(self):
+        out = run("check", "leibniz", "--algebra", "data/B2.json", "--filter", "a")
+        assert out.returncode == 2
+        assert "argument --filter" in out.stderr and "'a'" in out.stderr
+        assert "invalid literal" not in out.stderr
 
     @pytest.mark.parametrize(
         "args",

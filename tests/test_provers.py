@@ -21,7 +21,7 @@ from aalogic import (
 from aalogic import algebra, corpus, provers
 from aalogic.algebraization import delta_translate, tau_translate
 from aalogic.algebra import value_vector
-from aalogic.provers import _BOT, _FRAME_VARS, KripkeModel, _desugar, _frame_bits
+from aalogic.provers import _BOT, _FRAME_VARS, KripkeModel, _code, _desugar, _frame_bits, _prove
 from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
 from aalogic.syntax import (
     MAX_FORMULA_DEPTH,
@@ -34,6 +34,16 @@ from aalogic.syntax import (
     substitute,
     variables,
 )
+
+
+def g4ip(gamma, phi):
+    """Bare sequent search on the coded query: no classical pre-check and no
+    Kripke fallback, so the oracles below check it on its own."""
+    return _prove(frozenset(map(_code, gamma)), _code(phi))
+
+
+def nn(phi):
+    return App("neg", (App("neg", (phi,)),))
 
 
 class TestClassical:
@@ -154,11 +164,13 @@ class TestKripkeOracle:
             proved = ipc_decide((), phi)
             refuted = kripke_countermodel((), phi, max_worlds=3) is not None
             assert not (proved and refuted)
+            assert not (g4ip((), phi) and refuted)
 
     def test_complete_on_small_universe(self, sig2):
         # at three worlds the refuter decides everything this small
         for phi in enumerate_formulas(sig2, 2, 3):
             assert ipc_decide((), phi) != (kripke_countermodel((), phi, max_worlds=3) is not None)
+            assert g4ip((), phi) != (kripke_countermodel((), phi, max_worlds=3) is not None)
 
     def test_premises(self, F):
         assert kripke_countermodel((F("x0"),), F("x0")) is None
@@ -176,11 +188,13 @@ class TestKripkeOracle:
             proved = ipc_decide(gamma, phi)
             refuted = kripke_countermodel(gamma, phi, max_worlds=3) is not None
             assert proved != refuted
+            assert g4ip(gamma, phi) != refuted
 
     def test_heyting_matrices_refute_too(self, sig, h3, chain4):
         # a second refutation route: anything the sequent search rejects over
         # this small universe has a finite Heyting matrix countermodel
         for phi in enumerate_formulas(sig, 2, 2):
+            assert g4ip((), phi) == ipc_decide((), phi)
             if not ipc_decide((), phi):
                 assert not matrix_satisfies(
                     Matrix(h3, frozenset({2})), (), phi
@@ -211,6 +225,10 @@ class TestFullSignatureOracle:
             proved = ipc_decide(gamma, phi)
             refuted = kripke_countermodel(gamma, phi, 3) is not None
             assert not (proved and refuted)
+            bare = g4ip(gamma, phi)
+            assert not (bare and refuted)
+            if not bare:
+                assert refuted or any(not matrix_satisfies(M, gamma, phi) for M in matrices)
             if not proved:
                 unprovable += 1
                 assert refuted or any(not matrix_satisfies(M, gamma, phi) for M in matrices)
@@ -393,11 +411,105 @@ class TestGlivenkoProperty:
         for phi in enumerate_formulas(sig2, 2, 4):
             nn_phi = App("neg", (App("neg", (phi,)),))
             assert cpc_decide((), phi) == ipc_decide((), nn_phi)
+            assert cpc_decide((), phi) == g4ip((), nn_phi)
 
     def test_full_signature_small(self, sig):
         for phi in enumerate_formulas(sig, 2, 2):
             nn_phi = App("neg", (App("neg", (phi,)),))
             assert cpc_decide((), phi) == ipc_decide((), nn_phi)
+            assert cpc_decide((), phi) == g4ip((), nn_phi)
+
+
+def bench_shaped_queries(sig, seed, count):
+    """Seeded queries shaped like the consequence benchmark's stream: up to
+    two premises and a conclusion over x0..x2 of depth <= 4; a third of them
+    double-negated throughout, as the Glivenko queries reach the prover."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        gamma = tuple(random_formula(rng, sig, 3, 4) for _ in range(rng.randrange(3)))
+        phi = random_formula(rng, sig, 3, 4)
+        if rng.randrange(3) == 0:
+            gamma, phi = tuple(map(nn, gamma)), nn(phi)
+        yield gamma, phi
+
+
+def iff_chain(leaves):
+    """The left-nested iff chain over alternating x0/x1 with this many leaves;
+    classically valid exactly when ``leaves`` is a multiple of 4."""
+    phi = Var(0)
+    for k in range(1, leaves):
+        phi = App("iff", (phi, Var(k % 2)))
+    return phi
+
+
+class TestRefuteFirst:
+    """ipc_decide refutes classically, and after its step budget by a small
+    Kripke model, before it finishes the sequent search; its verdicts are
+    those of the bare search."""
+
+    @pytest.mark.parametrize("budget", [provers._STEP_BUDGET, 1, 3])
+    def test_agrees_with_bare_sequent_search(self, sig, monkeypatch, budget):
+        # a small budget sends nearly every classically valid query through
+        # the Kripke fallback and on into the unbounded search
+        monkeypatch.setattr(provers, "_STEP_BUDGET", budget)
+        queries = list(full_signature_queries(sig)) + list(bench_shaped_queries(sig, 1501, 600))
+        verdicts = [ipc_decide(gamma, phi) for gamma, phi in queries]
+        assert verdicts == [g4ip(gamma, phi) for gamma, phi in queries]
+        assert 0 < sum(verdicts) < len(queries)
+
+    def test_classical_refutation_skips_the_sequent_search(self, F):
+        memo = len(provers._sequent_memo)
+        assert not ipc_decide((F("imp(x3,x2)"),), F("and(x2,imp(x1,x3))"))
+        assert len(provers._sequent_memo) == memo
+
+    def test_foreign_connective_is_not_intuitionistic(self, F):
+        # the query is coded before the classical pre-check, whose message
+        # would name a classical connective
+        box = App("box", (F("x0"),))
+        for gamma, phi in [((), box), ((box,), F("x1")), ((F("x0"),), App("and", (F("x1"), box)))]:
+            with pytest.raises(ValueError, match="connective box is not an intuitionistic connective"):
+                ipc_decide(gamma, phi)
+
+    def test_internal_falsum_decides_as_before(self, F, monkeypatch):
+        # the truth-table frame has no row for _bot, so such queries skip
+        # the classical pre-check
+        monkeypatch.setattr(provers, "cpc_decide", None)
+        x0 = F("x0")
+        queries = [((), _BOT), ((_BOT,), x0), ((), App("imp", (_BOT, x0))),
+                   ((x0,), App("or", (_BOT, F("neg(neg(x0))")))),
+                   ((), _desugar(F("or(x0,neg(x0))"))), ((), _desugar(F("neg(and(x0,neg(x0)))"))),
+                   ((_desugar(F("neg(neg(x0))")),), x0)]
+        verdicts = [ipc_decide(gamma, phi) for gamma, phi in queries]
+        assert verdicts == [False, True, True, True, False, True, False]
+        assert verdicts == [g4ip(gamma, phi) for gamma, phi in queries]
+
+    def test_variables_beyond_the_frame_skip_the_refuters(self, F, monkeypatch):
+        monkeypatch.setattr(provers, "cpc_decide", None)
+        monkeypatch.setattr(provers, "kripke_countermodel", None)
+        queries = [((), F("or(x4,neg(x4))")), ((), F("imp(x7,x7)")),
+                   ((F("x0"), F("imp(x0,x5)")), F("x5")), ((F("neg(neg(x6))"),), F("x6")),
+                   ((), nn(F("or(x4,neg(x4))")))]
+        verdicts = [ipc_decide(gamma, phi) for gamma, phi in queries]
+        assert verdicts == [False, True, True, False, True]
+        assert verdicts == [g4ip(gamma, phi) for gamma, phi in queries]
+
+    @pytest.mark.parametrize("leaves", [8, 12, 16, 200])
+    def test_iff_chain_is_refuted(self, leaves):
+        # G4ip alone takes 174,429 steps at 16 leaves and overflows the
+        # recursion limit at 200; a two-world model refutes every length
+        phi = iff_chain(leaves)
+        assert cpc_decide((), phi) == (leaves % 4 == 0)
+        assert not ipc_decide((), phi)
+
+    def test_overflow_without_a_countermodel_propagates(self):
+        # provable, so no Kripke model refutes it, and too deep to prove
+        phi = nn(iff_chain(196))
+        assert kripke_countermodel((), phi, provers._FALLBACK_WORLDS) is None
+        with pytest.raises(RecursionError):
+            ipc_decide((), phi)
+        # no budget is left behind for the bare search, which needs 4,180
+        # steps on the 12-leaf chain
+        assert not g4ip((), iff_chain(12))
 
 
 class TestEquational:
