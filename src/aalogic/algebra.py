@@ -213,10 +213,11 @@ def frame_valuation(A: FiniteAlgebra, frame: int, row: int) -> dict[int, int]:
     return {i: row // A.size ** (len(vars_) - 1 - j) % A.size for j, i in enumerate(vars_)}
 
 
-def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, f: Sequence[int]) -> bool:
-    """Whether f(c(a..)) = c(f(a)..) for every connective c of A's signature,
-    which B must interpret; f maps A's elements to B's."""
-    for name, arity in A.signature.connectives:
+def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, f: Sequence[int],
+                    signature: Signature | None = None) -> bool:
+    """Whether f(c(a..)) = c(f(a)..) for every connective c of the signature,
+    A's by default, which A and B must interpret; f maps A's elements to B's."""
+    for name, arity in (signature or A.signature).connectives:
         index = [0]  # B's table index of (f(a1), .., f(ak)), rows in A's table order
         for _ in range(arity):
             index = [i * B.size + f[a] for i in index for a in A.elements()]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import MappingProxyType
 
 from .algebra import leibniz, leibniz_bruteforce
 from .algebraization import check_bp_conditions, is_lindenbaum
@@ -20,6 +21,7 @@ from .syntax import FormulaSyntaxError, parse_formula, print_formula
 
 GLIVENKO_SAMPLES = 2000
 INSTITUTION_SAMPLES = 1200
+SAMPLING_DEFAULTS = MappingProxyType({"vars": 2, "depth": 2, "gamma_size": 2, "seed": 0})
 
 
 def _bound(text: str) -> int:
@@ -47,15 +49,23 @@ def _parse_gamma(sig, text: str | None):
     return tuple(parse_formula(sig, part.strip()) for part in text.split(";") if part.strip())
 
 
+def _sampling_parents(defaults) -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The parents declaring the bound flags and the sampling flags."""
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--vars", type=_bound, default=defaults["vars"])
+    bounds.add_argument("--depth", type=_bound, default=defaults["depth"])
+    sample = argparse.ArgumentParser(add_help=False)
+    sample.add_argument("--gamma-size", type=_bound, default=defaults["gamma_size"])
+    sample.add_argument("--seed", type=int, default=defaults["seed"])
+    return bounds, sample
+
+
 def build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true")
-    bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--vars", type=_bound, default=2)
-    bounds.add_argument("--depth", type=_bound, default=2)
-    sample = argparse.ArgumentParser(add_help=False)
-    sample.add_argument("--gamma-size", type=_bound, default=2)
-    sample.add_argument("--seed", type=int, default=0)
+    bounds, sample = _sampling_parents(SAMPLING_DEFAULTS)
+    # glivenko's are None unless given, so --phi can refuse them
+    sweep_bounds, sweep_sample = _sampling_parents(dict.fromkeys(SAMPLING_DEFAULTS))
     algebra = argparse.ArgumentParser(add_help=False)
     algebra.add_argument("--algebra", required=True)
     logic_pair = argparse.ArgumentParser(add_help=False)
@@ -71,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.set_defaults(run=cmd_consequence)
 
-    p = sub.add_parser("glivenko", parents=[bounds, sample, json_flag],
+    p = sub.add_parser("glivenko", parents=[sweep_bounds, sweep_sample, json_flag],
                        help="translation equivalence, single instance or sweep")
     p.add_argument("--context", default="classical")
     p.add_argument("--gamma", default="")
@@ -121,10 +131,14 @@ def cmd_consequence(args) -> int:
 def cmd_glivenko(args) -> int:
     if args.exhaustive and args.gamma:
         raise ValueError("argument --gamma: not allowed with argument --exhaustive")
+    given = {dest: getattr(args, dest) for dest in SAMPLING_DEFAULTS if getattr(args, dest) is not None}
+    if args.phi is not None and given:
+        raise ValueError(f"argument --{next(iter(given)).replace('_', '-')}: not allowed with argument --phi")
     ctx = resolve_context(args.context)
     if args.exhaustive:
+        sweep = {**SAMPLING_DEFAULTS, **given}
         return _emit(args, glivenko_sweep(
-            ctx, args.vars, args.depth, args.gamma_size, args.seed, samples=GLIVENKO_SAMPLES,
+            ctx, sweep["vars"], sweep["depth"], sweep["gamma_size"], sweep["seed"], samples=GLIVENKO_SAMPLES,
         ))
     sig = ctx.target.signature
     gamma = _parse_gamma(sig, args.gamma)

@@ -9,7 +9,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-from .algebra import FiniteAlgebra, evaluate, is_reduced
+from .algebra import FiniteAlgebra, evaluate, is_homomorphism, is_reduced, value_vector
 from .algebraization import AlgebraizingPair, qv_membership, tau_consequence, tau_translate
 from .glivenko import GlivenkoContext, adjoint_image, rho_translate
 from .semantics import (
@@ -80,7 +80,9 @@ class Corpus:
     (morphism or context name, model index), they replace derived data (a
     reduct algebra, an image filter, an adjoint value algebra) with tampered
     copies, once per pool entry of ``institution_report``, where that entry's
-    beta(M) is built."""
+    beta(M) is built. The entry's certificate reads beta(M) with the override
+    applied, so a tampered entry fails its certificate unless the tampering
+    keeps the paper's lemma true, and only failed entries are evaluated."""
 
     logics: dict[str, LogicSpec] = field(default_factory=dict)
     pairs: dict[str, AlgebraizingPair] = field(default_factory=dict)
@@ -132,21 +134,71 @@ def _random_sentence(rng, sig, num_vars, depth, gamma_size):
     return gamma, phi
 
 
+def _certified(certificate) -> bool:
+    """Run a certificate; one that cannot be built (say, an adjoint or a
+    reduct refusing an overridden entry's algebra) has failed."""
+    try:
+        return certificate()
+    except ValueError:
+        return False
+
+
+def _unit_certificate(ctx: GlivenkoContext, A: FiniteAlgebra, designated: frozenset,
+                      image: FiniteAlgebra, image_designated: frozenset) -> bool:
+    """The paper's lemma for a context: the adjoint's unit u is a surjective
+    homomorphism from A onto the image over the target signature, and
+    theta^A(a) is designated in A exactly when u(a) is designated in the
+    image. Then for every sentence and valuation v into A, theta(phi) is
+    designated at v exactly when phi is designated at u.v, and the u.v are
+    every valuation into the image."""
+    sig = ctx.target.signature
+    unit = ctx.adjoint(A).unit
+    theta = value_vector(A, ctx.theta, 1)
+    return (
+        A.signature.extends(sig) and image.signature.extends(sig)
+        and set(unit) == set(image.elements())
+        and is_homomorphism(A, image, unit, sig)
+        and all((theta[a] in designated) == (unit[a] in image_designated) for a in A.elements())
+    )
+
+
+def _tau_holds(pair: AlgebraizingPair, A: FiniteAlgebra) -> frozenset[int]:
+    """The elements at which every defining equation of the pair holds; the
+    equations are in x0 alone."""
+    sides = [(value_vector(A, lhs, 1), value_vector(A, rhs, 1)) for lhs, rhs in pair.tau]
+    return frozenset(a for a in A.elements() if all(l[a] == r[a] for l, r in sides))
+
+
+def _reduct_image(h: LogicMorphism, M: Matrix, image: Matrix):
+    """If's beta(M), built with the pool, and its certificate: beta(M) is M's
+    reduct along h with M's filter, so h(phi) takes in M the value phi takes
+    in beta(M) at every valuation."""
+    return partial(matrix_satisfies, image), _certified(lambda: image == mod_translate(h, M, check=False))
+
+
 def _reduced_image(corpus: Corpus, key, ctx: GlivenkoContext, M: Matrix):
-    """InsAL's beta(M): the adjoint image matrix, or the overrides' parts."""
+    """InsAL's beta(M): the adjoint image matrix, or the overrides' parts,
+    and its certificate, with M's filter and beta(M)'s as the designated
+    sets."""
     image = adjoint_image(ctx, M)
-    return partial(matrix_satisfies, Matrix(
+    beta = Matrix(
         corpus.adjoint_algebra_overrides.get(key, image.algebra),
         corpus.adjoint_filter_overrides.get(key, image.filter),
-    ))
+    )
+    return partial(matrix_satisfies, beta), _certified(
+        lambda: _unit_certificate(ctx, M.algebra, M.filter, beta.algebra, beta.filter))
 
 
 def _quasi_equation_image(corpus: Corpus, key, ctx: GlivenkoContext, A: FiniteAlgebra):
-    """InsLAL's beta(A): the adjoint's value algebra, or its override."""
+    """InsLAL's beta(A): the adjoint's value algebra, or its override, and its
+    certificate, with the elements where the source's and the target's
+    defining equations hold as the designated sets."""
     if ctx.source_pair is None or ctx.target_pair is None:
         raise ValueError("context carries no algebraizing pairs")
     image = corpus.adjoint_algebra_overrides.get(key, ctx.adjoint(A).algebra)
-    return partial(tau_consequence, [image], ctx.target_pair)
+    return partial(tau_consequence, [image], ctx.target_pair), _certified(
+        lambda: _unit_certificate(ctx, A, _tau_holds(ctx.source_pair, A),
+                                  image, _tau_holds(ctx.target_pair, image)))
 
 
 def _pool(kind: str, corpus: Corpus) -> list[tuple]:
@@ -155,10 +207,18 @@ def _pool(kind: str, corpus: Corpus) -> list[tuple]:
     open its violations, sentences are drawn over the signature,
     model(gamma, phi) decides M |= gamma |- phi, translate is the sentence
     translation Phi, and image() builds beta(M), with the corpus's override
-    applied, and returns its relation of the same shape. The If reducts are
-    built here and the InsAL and InsLAL images on an entry's first sample,
-    where the per-kind loops built them, so every error is raised at the
-    same point."""
+    applied, and returns its relation of the same shape and whether beta(M)
+    is certified. The certificate reads that built beta(M):
+    - If: beta(M) equals M's reduct along the morphism, with M's filter;
+    - InsAL: the adjoint's unit is a surjective homomorphism from M onto
+      beta(M)'s algebra over the target signature, and theta^M(a) is in M's
+      filter exactly when u(a) is in beta(M)'s;
+    - InsLAL: the same homomorphism, and the source's defining equations
+      hold at theta^A(a) exactly when the target's hold at u(a).
+    A certified entry satisfies the condition at every sentence. The If
+    reducts are built here and the InsAL and InsLAL images on an entry's
+    first sample, where the per-kind loops built them, so every error is
+    raised at the same point."""
     if kind == "If":
         pool = []
         for mname, h in corpus.morphisms:
@@ -166,7 +226,7 @@ def _pool(kind: str, corpus: Corpus) -> list[tuple]:
                 override = corpus.reduct_overrides.get((mname, idx))
                 reduct = mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
                 pool.append(({"kind": kind, "morphism": mname, "matrix": idx}, h.source.signature,
-                             partial(matrix_satisfies, M), h.translate, partial(partial, matrix_satisfies, reduct)))
+                             partial(matrix_satisfies, M), h.translate, partial(_reduct_image, h, M, reduct)))
         what = "morphism/matrix"
     elif kind == "InsAL":
         pool = [
@@ -196,7 +256,11 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
     """Run the satisfaction-condition suite named by ``kind`` over the corpus
     with seeded random sentences: sample i checks M |= Phi(gamma) |- Phi(phi)
     against beta(M) |= gamma |- phi on pool entry i mod the pool size, and
-    every disagreement is reported with its sentence as the witness."""
+    every disagreement is reported with its sentence as the witness. Every
+    sentence is drawn and translated, but the two sides are evaluated only
+    on entries whose certificate (see ``_pool``) failed: a certified entry
+    agrees at every sentence, so the report is the one full evaluation
+    would give."""
     witness_keys = {
         "If": ("gamma", "phi", "model_side", "translated_side"),
         "InsAL": ("gamma", "phi"),
@@ -215,8 +279,12 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
         gamma, phi = _random_sentence(rng, signature, num_vars, depth, gamma_size)
         if images[j] is None:
             images[j] = build_image()
-        translated = model(tuple(map(translate, gamma)), translate(phi))
-        image = images[j](gamma, phi)
+        image_satisfies, certified = images[j]
+        translated_sentence = tuple(map(translate, gamma)), translate(phi)
+        if certified:
+            continue
+        translated = model(*translated_sentence)
+        image = image_satisfies(gamma, phi)
         if translated != image:
             sides = ([print_formula(g) for g in gamma], print_formula(phi), translated, image)
             violations.append({**labels, **dict(zip(witness_keys[kind], sides))})

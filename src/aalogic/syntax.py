@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from typing import Iterable, Iterator
 
 
@@ -94,6 +95,9 @@ class App(Formula):
         key = (name, args)
         node = cls._pool.get(key)
         if node is None:
+            # an interned name, not the caller's string (a parser's substring)
+            name = sys.intern(name)
+            key = (name, args)
             node = object.__new__(cls)
             node.name = name
             node.args = args

@@ -174,6 +174,13 @@ class TestFlagsBelongToTheirCommand:
         assert out.stdout == ""
         assert "argument --gamma: not allowed with argument --exhaustive" in out.stderr
 
+    @pytest.mark.parametrize("flag, value", [("--vars", "2"), ("--depth", "2"), ("--gamma-size", "2"), ("--seed", "0")])
+    def test_sweep_flags_are_not_read_by_the_single_instance(self, flag, value):
+        out = run("glivenko", "--phi", "x0", flag, value)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert f"argument {flag}: not allowed with argument --phi" in out.stderr
+
     def test_filter_that_is_not_integers_is_a_usage_error(self):
         out = run("check", "leibniz", "--algebra", "data/B2.json", "--filter", "a")
         assert out.returncode == 2

@@ -25,7 +25,7 @@ from aalogic import (
 )
 from aalogic.algebraization import qv_membership, tau_consequence
 from aalogic.glivenko import adjoint_image, rho_translate, rho_translate_all
-from aalogic.institutions import Corpus, InstitutionReport, _random_sentence
+from aalogic.institutions import Corpus, InstitutionReport, _pool, _random_sentence
 from aalogic.semantics import matrix_satisfies, mod_translate
 from aalogic.syntax import enumerate_formulas, print_formula
 from aalogic import corpus
@@ -483,6 +483,9 @@ class TestPoolLoopAgainstReference:
         (with_non_heyting_algebra, "InsLAL", 8, "the adjoint requires a Heyting algebra"),
         # a reduct is built with the pool, so it raises before any sample
         (with_matrix_off_the_signature, "If", 0, "algebra is not over the morphism's target signature"),
+        # the collapsed image algebra of classical/1 keeps the unit's image of
+        # the filter, which is out of its range; raised where beta(M) is built
+        (corpus.corrupted_adjoint_algebra_corpus, "InsAL", 1, "filter element out of range"),
     ])
     def test_error_corpora(self, make_corpus, kind, first_bad, message):
         for samples in sorted({-3, 0, first_bad, first_bad + 1, 200}):
@@ -512,3 +515,84 @@ class TestPoolLoopAgainstReference:
 
     def test_unknown_kind(self):
         assert assert_same_as_reference(corpus.classical_corpus, "bogus")[0] is ValueError
+
+
+# ---------------------------------------------------------------------------
+# the per-entry certificates that decide which entries are evaluated
+# ---------------------------------------------------------------------------
+
+def certificates(kind, c):
+    """Each pool entry's labels, evaluation sides and certificate; beta(M)
+    and its certificate are None where building beta(M) raises."""
+    out = []
+    for labels, signature, model, translate, build_image in _pool(kind, c):
+        try:
+            image_satisfies, certified = build_image()
+        except ValueError:
+            image_satisfies = certified = None
+        out.append((labels, signature, model, translate, image_satisfies, certified))
+    return out
+
+
+def failed_certificates(kind, c):
+    return [labels for labels, *_, certified in certificates(kind, c) if not certified]
+
+
+def disagreements(signature, model, translate, image_satisfies):
+    """Every sentence over x0, x1 of depth at most 2 with at most one
+    premise, decided on both sides by direct evaluation, with no sampling."""
+    universe = enumerate_formulas(signature, 2, 2)
+    return [
+        (gamma, phi)
+        for phi in universe
+        for gamma in [()] + [(g,) for g in universe]
+        if model(tuple(map(translate, gamma)), translate(phi)) != image_satisfies(gamma, phi)
+    ]
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("kind", ["If", "InsAL", "InsLAL"])
+    def test_clean_entries_are_certified_and_agree_on_every_sentence(self, kind):
+        entries = certificates(kind, corpus.classical_corpus())
+        assert len(entries) == {"If": 15, "InsAL": 4, "InsLAL": 8}[kind]
+        for labels, signature, model, translate, image_satisfies, certified in entries:
+            assert certified is True, labels
+            assert disagreements(signature, model, translate, image_satisfies) == [], labels
+
+    def test_certificates_fail_exactly_on_the_tampered_entries(self):
+        assert failed_certificates("If", corpus.corrupted_reduct_corpus()) == [
+            {"kind": "If", "morphism": "inclusion", "matrix": 0}]
+        assert failed_certificates("InsAL", corpus.corrupted_adjoint_filter_corpus()) == [
+            {"kind": "InsAL", "context": "classical", "matrix": 1}]
+        assert failed_certificates("InsLAL", corpus.corrupted_adjoint_algebra_corpus()) == [
+            {"kind": "InsLAL", "context": "classical", "algebra": 1}]
+
+    def test_every_violating_entry_has_a_failed_certificate(self):
+        samples = {"If": 1500, "InsAL": 300, "InsLAL": 300}
+        caught = 0
+        for seed in range(24):
+            for kind, n in samples.items():
+                try:
+                    report = ref_institution_report(kind, tampered_corpus(seed), samples=n, seed=seed)
+                except ValueError:
+                    continue
+                failed = failed_certificates(kind, tampered_corpus(seed))
+                for v in report.violations:
+                    assert any(labels.items() <= v.items() for labels in failed), (seed, v)
+                caught += bool(report.violations)
+        assert caught
+
+    def test_certified_tampered_entries_agree_on_every_sentence(self):
+        # a tampered model or override that is still certified satisfies the
+        # condition at every sentence; entries equal to the clean corpus's
+        # are covered by the test on the clean corpus
+        checked = 0
+        for seed in range(24):
+            for kind in ("If", "InsAL", "InsLAL"):
+                clean = certificates(kind, corpus.classical_corpus())
+                for entry, clean_entry in zip(certificates(kind, tampered_corpus(seed)), clean):
+                    labels, signature, model, translate, image_satisfies, certified = entry
+                    if certified and (model.args, image_satisfies.args) != (clean_entry[2].args, clean_entry[4].args):
+                        assert disagreements(signature, model, translate, image_satisfies) == [], (seed, labels)
+                        checked += 1
+        assert checked

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -312,6 +313,15 @@ class TestNodeMetadata:
     def test_equal_connective_sets_are_shared(self):
         sample = metadata_sample()
         assert len({id(phi.conns) for phi in sample}) == len({phi.conns for phi in sample})
+
+    def test_parsed_connective_names_are_interned(self):
+        # built at run time, so neither string is interned yet, and the
+        # parser's name is a third object: a substring of the text
+        name = "".join(["fresh", "_", "connective"])
+        canonical = sys.intern(name)
+        phi = parse_formula(Signature([(name, 1)]), "".join([name, "(x0)"]))
+        assert phi.name is canonical
+        assert parse_formula(Signature([(name, 1)]), name + "(x0)") is phi
 
 
 # ---------------------------------------------------------------------------
