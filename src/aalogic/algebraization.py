@@ -261,11 +261,28 @@ def detachment_check(l: LogicSpec, pair: AlgebraizingPair, phi: Formula, psi: Fo
     return consequence(l, (phi,) + delta_translate(pair, Equation(phi, psi)), psi)
 
 
-@dataclass(frozen=True, slots=True)
 class QuasiIdentity:
-    kind: str  # "i", "ii" or "iii"
-    premises: tuple[Equation, ...]
-    conclusion: Equation
+    """The quasi-identity ``premises -> conclusion`` of kind "i", "ii" or
+    "iii". It compares and hashes by value, like the tuple of its fields but
+    unequal to it. It is immutable by convention, as formula nodes are: its
+    fields are plain slots, since ``qv_axioms`` builds hundreds of thousands
+    of them and a frozen dataclass pays an ``object.__setattr__`` per field."""
+
+    __slots__ = ("kind", "premises", "conclusion")
+
+    def __init__(self, kind: str, premises: tuple[Equation, ...], conclusion: Equation):
+        self.kind = kind
+        self.premises = premises
+        self.conclusion = conclusion
+
+    def __eq__(self, other):
+        if not isinstance(other, QuasiIdentity):
+            return NotImplemented
+        return (self.kind, self.premises, self.conclusion) == (
+            other.kind, other.premises, other.conclusion)
+
+    def __hash__(self):
+        return hash((self.kind, self.premises, self.conclusion))
 
     def __repr__(self):
         prem = " & ".join(map(repr, self.premises)) or "true"
@@ -280,10 +297,15 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
     ``depth``, premise sets of at most ``max_premises`` formulas up to
     ``premise_depth``, which defaults to min(depth, 2)).
 
-    Each premise set is decided once against all conclusions through
-    ``LogicSpec.entailed``; the equations of each distinct set of entailed
-    conclusions are computed once. A kind-(iii) axiom is emitted once per
-    premise tuple and conclusion equation, in order of first occurrence."""
+    The conclusions are grouped once by ``LogicSpec.entailment_key``, in order
+    of first occurrence; the members of a group are entailed by the same
+    premise sets. Each premise set is decided once through
+    ``LogicSpec.entailed``, against one representative per group: for cpc at
+    most 16 truth tables over x0..x3, for ipc and matrix logics every
+    conclusion. The equations of each distinct set of entailed groups are
+    computed once, from its members in ascending conclusion order. A
+    kind-(iii) axiom is emitted once per premise tuple and conclusion
+    equation, in order of first occurrence."""
     x0, x1 = Var(0), Var(1)
     axioms: list[QuasiIdentity] = []
     for d in pair.delta:
@@ -299,20 +321,26 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
 
     conclusions = enumerate_formulas(l.signature, num_vars, depth)
     images = [tau_translate(pair, phi) for phi in conclusions]
+    groups: dict[object, list[int]] = {}
+    for i, phi in enumerate(conclusions):
+        groups.setdefault(l.entailment_key(phi), []).append(i)
+    members = list(groups.values())
+    representatives = [conclusions[m[0]] for m in members]
     premise_pool = enumerate_formulas(
         l.signature, num_vars, min(depth, 2) if premise_depth is None else premise_depth
     )
-    # the distinct equations of each set of entailed conclusions, in order
+    # the distinct equations of each set of entailed groups, in order
     equations: dict[tuple[int, ...], tuple[Equation, ...]] = {}
     # the kind-(iii) conclusions emitted so far under each premise tuple
     emitted: dict[tuple[Equation, ...], tuple[Equation, ...]] = {}
     for size in range(0, max_premises + 1):
         for gamma in itertools.combinations(premise_pool, size):
             prem = tuple(eq for g in gamma for eq in tau_translate(pair, g))
-            hits = l.entailed(gamma, conclusions)
+            hits = l.entailed(gamma, representatives)
             eqs = equations.get(hits)
             if eqs is None:
-                eqs = equations[hits] = tuple(dict.fromkeys(eq for i in hits for eq in images[i]))
+                entailed = sorted(i for g in hits for i in members[g])
+                eqs = equations[hits] = tuple(dict.fromkeys(eq for i in entailed for eq in images[i]))
             if prem in emitted:
                 # only a tau with variable-free sides gives two premise sets one tuple
                 done = set(emitted[prem])

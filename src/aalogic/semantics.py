@@ -114,6 +114,16 @@ class LogicSpec:
             return provers.cpc_entailed(gamma, phis)
         return tuple(i for i, phi in enumerate(phis) if self.proves(gamma, phi))
 
+    def entailment_key(self, phi: Formula):
+        """A key such that formulas with equal keys are entailed by exactly the
+        same premise sets. For cpc it is phi's truth table over the x0..x3
+        frame when phi fits that frame, since classically equivalent formulas
+        have the same consequences; otherwise, and for every other kind, it
+        is phi itself."""
+        if self.kind == "cpc" and not phi.vmask >> provers._FRAME_VARS:
+            return provers._frame_bits(phi)
+        return phi
+
     def interderivable(self, phi: Formula, psi: Formula) -> bool:
         return self.proves((phi,), psi) and self.proves((psi,), phi)
 

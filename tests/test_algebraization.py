@@ -504,6 +504,29 @@ class TestBatchedAxioms:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != QuasiIdentity("i", (eq,), eq)
         assert hash(a) == hash(("iii", (eq,), eq))
+        # by value, but never equal to the plain tuple of its fields
+        fields = ("iii", (eq,), eq)
+        assert a != fields and fields != a and a != object()
+        assert a.__eq__(fields) is NotImplemented
+        assert {a: 1}[b] == 1 and b in {a} and fields not in {a}
+
+    def test_cpc_decides_one_representative_per_truth_table(self, cpc, ipc, pair, monkeypatch):
+        sizes: list[int] = []
+        entailed = LogicSpec.entailed
+
+        def spy(self, gamma, phis):
+            sizes.append(len(phis))
+            return entailed(self, gamma, phis)
+
+        monkeypatch.setattr(LogicSpec, "entailed", spy)
+        assert len(qv_axioms(cpc, pair, 3, 2)) == 212168
+        # 1 + 20 + 190 premise sets over the 20 formulas up to depth 2
+        assert len(sizes) == 211 and max(sizes) <= 16
+        # ipc is not decided by truth tables: every conclusion is asked for
+        sizes.clear()
+        qv_axioms(ipc, pair, 2, 2)
+        assert len(sizes) == 211
+        assert set(sizes) == {len(enumerate_formulas(ipc.signature, 2, 2))}
 
 
 def _proves_loop(l, gamma, phis):
@@ -535,6 +558,43 @@ class TestEntailed:
                 hits += len(got)
                 assert cpc.entailed(gamma, inside) == _proves_loop(cpc, gamma, inside)
         assert 0 < hits < 90 * len(phis)
+
+
+class TestEntailmentKey:
+    def test_cpc_keys_are_the_truth_tables_over_two_variables(self, cpc):
+        phis = enumerate_formulas(BUILTIN_SIGNATURE, 2, 3)
+        assert len(phis) == 1622
+        assert len({cpc.entailment_key(phi) for phi in phis}) == 16
+
+    def test_cpc_groups_share_their_verdicts(self, cpc):
+        rng = random.Random(17)
+        beyond = [phi for phi in (random_formula(rng, BUILTIN_SIGNATURE, 6, 3) for _ in range(80))
+                  if phi.vmask >> 4]
+        assert beyond
+        for phi in beyond:
+            assert cpc.entailment_key(phi) is phi
+        phis = list(enumerate_formulas(BUILTIN_SIGNATURE, 2, 3)) + beyond
+        groups: dict[object, list[int]] = {}
+        for i, phi in enumerate(phis):
+            groups.setdefault(cpc.entailment_key(phi), []).append(i)
+        assert len(groups) == 16 + len(set(beyond))
+        premise_pool = phis[:40] + beyond[:10]
+        split = 0
+        for size in (0, 1, 1, 2, 2, 2, 3, 3):
+            gamma = tuple(rng.sample(premise_pool, size))
+            hits = set(cpc.entailed(gamma, phis))
+            verdicts = [{i in hits for i in members} for members in groups.values()]
+            assert all(len(v) == 1 for v in verdicts)
+            split += {True} in verdicts and {False} in verdicts
+        assert split
+
+    @pytest.mark.parametrize("logic_name", ["ipc", "l3"])
+    def test_other_kinds_key_each_formula_to_itself(self, logic_name):
+        l = BUNDLED_LOGICS[logic_name]()
+        rng = random.Random(5)
+        phis = list(enumerate_formulas(BUILTIN_SIGNATURE, 2, 2))
+        phis += [random_formula(rng, BUILTIN_SIGNATURE, 6, 3) for _ in range(20)]
+        assert all(l.entailment_key(phi) is phi for phi in phis)
 
 
 class TestLindenbaum:
