@@ -19,9 +19,10 @@ A node also has two memo slots that start empty and are filled at most once:
 ``provers.ipc_decide`` codes the node rewritten over imp/and/or and falsum
 (ids are handed out in order of first use within the process).
 
-Parsing rejects formulas nested deeper than MAX_FORMULA_DEPTH, so that the
-recursive parser, printer, substitution and evaluation stay well within the
-interpreter's recursion limit on any parsed formula.
+The parser keeps an explicit stack, but it rejects formulas nested deeper
+than MAX_FORMULA_DEPTH, so that the recursive printer, substitution and
+evaluation stay well within the interpreter's recursion limit on any parsed
+formula. It rejects variable indices above MAX_VARIABLE_INDEX as well.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _VAR_RE = re.compile(r"x[0-9]+\Z")
 
 MAX_FORMULA_DEPTH = 200
+# Bit i of a node's vmask stands for x_i, so a variable costs index / 8 bytes
+# in every node above it, and frame walks (algebra.frame_valuation) step
+# through every bit below the highest variable. Every formula in the
+# repository uses indices below 100; 9,999 keeps a mask within 1.25 kB.
+MAX_VARIABLE_INDEX = 9999
+_INDEX_DIGITS = len(str(MAX_VARIABLE_INDEX))
 
 
 class FormulaSyntaxError(ValueError):
@@ -191,39 +198,9 @@ def print_formula(phi: Formula) -> str:
     return "%s(%s)" % (phi.name, ",".join(print_formula(a) for a in phi.args))
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([a-z][a-z0-9_]*)|([(),])|(\S))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, offset). Counts open parentheses on the way,
-    so that a formula nested deeper than MAX_FORMULA_DEPTH is rejected before
-    the recursive parser sees it: a name or variable inside n open
-    parentheses is a node at depth n + 1."""
-    tokens = []
-    pos = 0
-    nesting = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        word, punct, bad = m.groups()
-        start = m.start(1) if word else m.start(2) if punct else m.start(3)
-        if bad:
-            raise FormulaSyntaxError(f"unexpected character {bad!r}", start)
-        if word:
-            if nesting >= MAX_FORMULA_DEPTH:
-                raise FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", start)
-            kind = "var" if _VAR_RE.match(word) else "name"
-            tokens.append((kind, word, start))
-        else:
-            if punct == "(":
-                nesting += 1
-            elif punct == ")":
-                nesting -= 1
-            tokens.append((punct, punct, start))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+# groups: 1 a variable (2 its index without leading zeros), 3 a name,
+# 4 "(", 5 ",", 6 ")", 7 any other character
+_TOKEN_RE = re.compile(r"\s*(?:(x0*([0-9]+))(?![a-z0-9_])|([a-z][a-z0-9_]*)|(\()|(,)|(\))|(\S))")
 
 
 def parse_formula(sig: Signature, text: str) -> Formula:
@@ -231,54 +208,82 @@ def parse_formula(sig: Signature, text: str) -> Formula:
     the last form for nullary connectives.
 
     Raises FormulaSyntaxError (with byte offset) on malformed input, unknown
-    connectives, arity mismatches and formulas deeper than MAX_FORMULA_DEPTH.
+    connectives, arity mismatches, variable indices above MAX_VARIABLE_INDEX
+    and formulas deeper than MAX_FORMULA_DEPTH. Lexical errors (a bad
+    character, an index above the bound, a name or variable inside
+    MAX_FORMULA_DEPTH open parentheses) come first: the first of them in the
+    text is raised even after a grammar error, which is raised only when the
+    text has none. One pass over the tokens, with an explicit stack.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_one() -> Formula:
-        kind, value, off = advance()
-        if kind == "var":
-            return Var(int(value[1:]))
-        if kind != "name":
-            raise FormulaSyntaxError(f"expected a formula, found {value!r}" if value else "expected a formula", off)
-        if value not in sig:
-            raise FormulaSyntaxError(f"unknown connective {value!r}", off)
-        kind2, value2, off2 = advance()
-        if kind2 != "(":
-            raise FormulaSyntaxError(f"expected '(' after connective {value!r}", off2)
-        if sig.arity(value) == 0 and peek()[0] == ")":
-            advance()
-            return App(value, ())
-        args = [parse_one()]
-        while True:
-            kind3, value3, off3 = advance()
-            if kind3 == ",":
-                args.append(parse_one())
-            elif kind3 == ")":
-                break
+    arity = sig._arity
+    stack = []  # open applications, innermost last: (name, offset, args)
+    node = None  # the formula just completed, if any
+    name = None  # a connective still waiting for its "("
+    error = None  # the first grammar error
+    nesting = 0  # open parentheses minus closed ones
+    # ending the scan before trailing whitespace saves a failed search per position
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        kind = m.lastindex
+        if kind <= 3:
+            # a name or variable inside n open parentheses is a node at depth n + 1
+            if nesting >= MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", m.start(kind))
+            if kind == 1:
+                digits = m.group(2)
+                if len(digits) > _INDEX_DIGITS or (index := int(digits)) > MAX_VARIABLE_INDEX:
+                    raise FormulaSyntaxError(f"variable index above {MAX_VARIABLE_INDEX}", m.start(1))
+        elif kind == 4:
+            nesting += 1
+        elif kind == 6:
+            nesting -= 1
+        elif kind == 7:
+            raise FormulaSyntaxError(f"unexpected character {m.group(7)!r}", m.start(7))
+        if error is not None:
+            continue
+        if node is not None:
+            if kind == 5 and stack:
+                stack[-1][2].append(node)
+                node = None
+            elif kind == 6 and stack:
+                op, op_off, args = stack.pop()
+                args.append(node)
+                if len(args) == arity[op]:
+                    node = App(op, args)
+                else:
+                    error = FormulaSyntaxError(
+                        f"arity mismatch: {op} expects {arity[op]} argument(s), got {len(args)}", op_off
+                    )
+            elif stack:
+                error = FormulaSyntaxError(f"expected ',' or ')', found {m.group(kind)!r}", m.start(kind))
             else:
-                raise FormulaSyntaxError(f"expected ',' or ')', found {value3!r}" if value3 else "unexpected end of input", off3)
-        if len(args) != sig.arity(value):
-            raise FormulaSyntaxError(
-                f"arity mismatch: {value} expects {sig.arity(value)} argument(s), got {len(args)}", off
-            )
-        return App(value, args)
-
-    phi = parse_one()
-    kind, value, off = peek()
-    if kind != "end":
-        raise FormulaSyntaxError(f"trailing input {value!r}", off)
-    return phi
+                error = FormulaSyntaxError(f"trailing input {m.group(kind)!r}", m.start(kind))
+        elif name is not None:
+            if kind == 4:
+                stack.append((name, name_off, []))
+                name = None
+            else:
+                error = FormulaSyntaxError(f"expected '(' after connective {name!r}", m.start(kind))
+        elif kind == 1:
+            node = Var(index)
+        elif kind == 3:
+            name, name_off = m.group(3), m.start(3)
+            if name not in arity:
+                error = FormulaSyntaxError(f"unknown connective {name!r}", name_off)
+        elif kind == 6 and stack and not stack[-1][2] and arity[stack[-1][0]] == 0:
+            node = App(stack.pop()[0], ())
+        else:
+            error = FormulaSyntaxError(f"expected a formula, found {m.group(kind)!r}", m.start(kind))
+    if error is None:
+        if node is not None and not stack:
+            return node
+        end = len(text)
+        if node is not None:
+            error = FormulaSyntaxError("unexpected end of input", end)
+        elif name is not None:
+            error = FormulaSyntaxError(f"expected '(' after connective {name!r}", end)
+        else:
+            error = FormulaSyntaxError("expected a formula", end)
+    raise error
 
 
 def sorted_variables(formulas: Iterable[Formula]) -> list[int]:

@@ -62,6 +62,12 @@ class TestConsequence:
         assert "nested deeper than" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("index", ["10000", "99999999999999999999"])
+    def test_variable_index_above_the_bound_is_a_parse_error(self, index):
+        out = run("consequence", "--logic", "cpc", "--phi", f"imp(x{index},x0)")
+        assert out.returncode == 2
+        assert out.stderr == "error: variable index above 9999 (at offset 4)\n"
+
     def test_search_too_deep_is_an_error_not_a_traceback(self):
         # the double negation of a classically valid iff chain parses and is
         # provable, so no Kripke model refutes it, but the sequent search on

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -20,7 +21,15 @@ from aalogic import (
 from aalogic import algebra, corpus
 from aalogic.provers import _BOT
 from aalogic.semantics import BUILTIN_SIGNATURE
-from aalogic.syntax import MAX_FORMULA_DEPTH, formula_depth, formula_over, random_formula
+from aalogic.syntax import (
+    _VAR_RE,
+    MAX_FORMULA_DEPTH,
+    MAX_VARIABLE_INDEX,
+    Formula,
+    formula_depth,
+    formula_over,
+    random_formula,
+)
 
 
 def neg(a):
@@ -355,3 +364,207 @@ class TestDepthLimit:
             parse_formula(sig, nested_neg(3000))
         with pytest.raises(FormulaSyntaxError):
             parse_formula(sig, "neg(" * 3000)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser against the tokenizer and recursive parser it replaced
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"\s*(?:([a-z][a-z0-9_]*)|([(),])|(\S))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, value, offset). Counts open parentheses on the way,
+    so that a formula nested deeper than MAX_FORMULA_DEPTH is rejected before
+    the recursive parser sees it: a name or variable inside n open
+    parentheses is a node at depth n + 1."""
+    tokens = []
+    pos = 0
+    nesting = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            break
+        word, punct, bad = m.groups()
+        start = m.start(1) if word else m.start(2) if punct else m.start(3)
+        if bad:
+            raise FormulaSyntaxError(f"unexpected character {bad!r}", start)
+        if word:
+            if nesting >= MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", start)
+            kind = "var" if _VAR_RE.match(word) else "name"
+            tokens.append((kind, word, start))
+        else:
+            if punct == "(":
+                nesting += 1
+            elif punct == ")":
+                nesting -= 1
+            tokens.append((punct, punct, start))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def ref_parse_formula(sig: Signature, text: str) -> Formula:
+    """Parse ``formula := var | name "(" formula ("," formula)* ")" | name "(" ")"``,
+    the last form for nullary connectives.
+
+    Raises FormulaSyntaxError (with byte offset) on malformed input, unknown
+    connectives, arity mismatches and formulas deeper than MAX_FORMULA_DEPTH.
+    """
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def advance():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_one() -> Formula:
+        kind, value, off = advance()
+        if kind == "var":
+            return Var(int(value[1:]))
+        if kind != "name":
+            raise FormulaSyntaxError(f"expected a formula, found {value!r}" if value else "expected a formula", off)
+        if value not in sig:
+            raise FormulaSyntaxError(f"unknown connective {value!r}", off)
+        kind2, value2, off2 = advance()
+        if kind2 != "(":
+            raise FormulaSyntaxError(f"expected '(' after connective {value!r}", off2)
+        if sig.arity(value) == 0 and peek()[0] == ")":
+            advance()
+            return App(value, ())
+        args = [parse_one()]
+        while True:
+            kind3, value3, off3 = advance()
+            if kind3 == ",":
+                args.append(parse_one())
+            elif kind3 == ")":
+                break
+            else:
+                raise FormulaSyntaxError(f"expected ',' or ')', found {value3!r}" if value3 else "unexpected end of input", off3)
+        if len(args) != sig.arity(value):
+            raise FormulaSyntaxError(
+                f"arity mismatch: {value} expects {sig.arity(value)} argument(s), got {len(args)}", off
+            )
+        return App(value, args)
+
+    phi = parse_one()
+    kind, value, off = peek()
+    if kind != "end":
+        raise FormulaSyntaxError(f"trailing input {value!r}", off)
+    return phi
+
+
+ODD_ARITIES = Signature([("top", 0), ("neg", 1), ("imp", 2), ("ite", 3)])
+# characters a one-character mutation inserts or writes over: the grammar's,
+# names and digits that make other tokens, whitespace and two bad characters
+MUTATION_CHARS = "x0123456789aeginopt_(),  \t\n$X"
+
+
+def outcome(parse, sig, text):
+    try:
+        return parse(sig, text)
+    except FormulaSyntaxError as err:
+        return type(err), str(err), err.offset
+
+
+def mutations(rng, text, count):
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "insert":
+            yield text[:i] + rng.choice(MUTATION_CHARS) + text[i:]
+        elif edit == "delete":
+            yield text[:i] + text[i + 1:]
+        else:
+            yield text[:i] + rng.choice(MUTATION_CHARS) + text[i + 1:]
+
+
+def differential_texts():
+    """500 printed random formulas, 20 one-character mutations of each
+    (10,000 in all), then the edge cases."""
+    rng = random.Random(1807)
+    printed = [
+        print_formula(random_formula(rng, sig, 4, 5))
+        for sig in (BUILTIN_SIGNATURE, ODD_ARITIES)
+        for _ in range(250)
+    ]
+    texts = list(printed)
+    for text in printed:
+        texts.extend(mutations(rng, text, 20))
+    deep_ite = "ite(x0,x1," * (MAX_FORMULA_DEPTH - 1) + "x2" + ")" * (MAX_FORMULA_DEPTH - 1)
+    texts += [
+        nested_neg(MAX_FORMULA_DEPTH),
+        nested_neg(MAX_FORMULA_DEPTH + 1),
+        deep_ite,
+        "ite(x0,x1," + deep_ite + ")",
+        "neg(" * (MAX_FORMULA_DEPTH + 1),
+        "top()", "top( )", "top(\t\n)", " top ( ) ", "neg (x0)", "top", "top(", "top(x0)", "top(,)", "top()()",
+        "ite(x0,x1)", "ite(x0,x1,x2,x3)", "ite(top(),neg(x0),imp(x1,top()))",
+        "imp(\tx0,\nneg(x1)\n)", "\n\timp(x0,x1)\t\n", "imp(x0,\n", "  ",
+        "", "x", "x0a", "x007", "x00", "x0_", "xx0", "x0x1", "x0 x1", "neg x0", "neg(x0", "neg(x0,",
+        "x0)" + "(" * 300 + "x0", "x0)" + "(" * 300, "foo(x0 $", "foo(x0", "neg(x0)$", "$", ")", ",",
+    ]
+    return texts
+
+
+class TestParserAgainstReference:
+    def test_mutations_and_edge_cases_agree(self):
+        texts = differential_texts()
+        for sig in (BUILTIN_SIGNATURE, ODD_ARITIES):
+            for text in texts:
+                got = outcome(parse_formula, sig, text)
+                want = outcome(ref_parse_formula, sig, text)
+                if isinstance(want, tuple):
+                    assert got == want, (sig, text)
+                else:
+                    assert got is want, (sig, text)
+
+    def test_both_outcomes_are_exercised(self):
+        # the texts parse often enough and reach every error of the grammar
+        kinds = (
+            "expected a formula (", "expected a formula, found", "expected '(' after connective",
+            "expected ',' or ')', found", "unexpected end of input", "trailing input",
+            "unknown connective", "arity mismatch", "unexpected character", "formula nested deeper than",
+        )
+        reached = set()
+        parsed = 0
+        for text in differential_texts():
+            result = outcome(ref_parse_formula, ODD_ARITIES, text)
+            if isinstance(result, tuple):
+                reached.update(k for k in kinds if result[1].startswith(k))
+            else:
+                parsed += 1
+        assert parsed > 1000
+        assert reached == set(kinds)
+
+    def test_a_lexical_error_wins_over_an_earlier_grammar_error(self, sig):
+        for text, message in [
+            ("x0)" + "(" * 300 + "x0", "formula nested deeper than 200 (at offset 303)"),
+            ("foo(x0 $", "unexpected character '$' (at offset 7)"),
+            ("x0 x1 x100000", f"variable index above {MAX_VARIABLE_INDEX} (at offset 6)"),
+        ]:
+            with pytest.raises(FormulaSyntaxError) as err:
+                parse_formula(sig, text)
+            assert str(err.value) == message
+
+
+class TestVariableIndexBound:
+    def test_bound_is_accepted(self, sig):
+        assert parse_formula(sig, f"x{MAX_VARIABLE_INDEX}") is Var(MAX_VARIABLE_INDEX)
+
+    @pytest.mark.parametrize("digits", [str(MAX_VARIABLE_INDEX + 1), "9" * 20, "1" * 5000])
+    def test_above_the_bound_is_rejected_at_the_variable(self, sig, digits):
+        text = f"imp(x0,x{digits})"
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(sig, text)
+        assert str(err.value) == f"variable index above {MAX_VARIABLE_INDEX} (at offset 7)"
+
+    def test_leading_zeros_do_not_count(self, sig):
+        assert parse_formula(sig, "x" + "0" * 5000 + "7") is Var(7)
+        assert parse_formula(sig, f"x000{MAX_VARIABLE_INDEX}") is Var(MAX_VARIABLE_INDEX)
