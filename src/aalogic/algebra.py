@@ -469,14 +469,12 @@ def reduce_matrix(A: FiniteAlgebra, F: Iterable[int]) -> tuple[FiniteAlgebra, fr
     return B, frozenset(proj[a] for a in F)
 
 
-def theorem_values(logic, A: FiniteAlgebra, num_vars: int | None = None, depth: int = 2) -> frozenset[int]:
-    """Values taken by bounded-depth theorems of ``logic`` in A, under every
-    valuation. Bounds default to min(|A|, 3) variables at depth 2."""
-    if num_vars is None:
-        num_vars = min(A.size, 3)
-    return _invariant(A, ("theorem_values", logic, num_vars, depth), lambda A: frozenset(
+def theorem_values(logic, A: FiniteAlgebra) -> frozenset[int]:
+    """Values taken in A, under every valuation, by the theorems of ``logic``
+    over min(|A|, 3) variables up to depth 2."""
+    return _invariant(A, ("theorem_values", logic), lambda A: frozenset(
         a
-        for phi in enumerate_formulas(A.signature, num_vars, depth)
+        for phi in enumerate_formulas(A.signature, min(A.size, 3), 2)
         if logic.proves((), phi)
         for a in value_vector(A, phi, phi.vmask)
     ))

@@ -167,8 +167,7 @@ def _condition(l: LogicSpec, sequents, domain: Sequence[Formula], arity: int,
     return ConditionResult(True, len(domain) ** arity)
 
 
-def check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: int,
-                        congruential: Optional[bool] = None) -> BPReport:
+def check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: int) -> BPReport:
     """Decide the five algebraizability conditions of Blok and Pigozzi on the
     formulas within the bounds: (a) |- D(x,x), (b) D(x,y) |- D(y,x),
     (c) D(x,y), D(y,z) |- D(x,z), (d) D(x1,y1), ..., D(xn,yn) |- D(*x, *y) for
@@ -181,14 +180,14 @@ def check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, dep
     are the bounded instances enumerated, to find the first witness; the
     condition passes if the bounded universe has none. Instance counts and
     witnesses are therefore those of the bounded universe: (a) and (e) range
-    over the universe, (b)-(d) over tuples of formulas. For congruential
-    logics the tuples are drawn from interderivability-class representatives,
-    which decides them for the whole universe; (d) stops after the first
-    failing connective."""
+    over the universe, (b)-(d) over tuples of formulas. For the congruential
+    logics cpc and ipc the tuples are drawn from interderivability-class
+    representatives, which decides them for the whole universe; for matrix
+    logics from the whole universe. (d) stops after the first failing
+    connective."""
     if num_vars < 1 or depth < 1:
         raise ValueError("bounds must be >= 1")
-    if congruential is None:
-        congruential = l.kind in ("cpc", "ipc")
+    congruential = l.kind in ("cpc", "ipc")
     universe = enumerate_formulas(l.signature, num_vars, depth)
     reps = _interderivability_classes(l, universe) if congruential else list(universe)
     report = BPReport(
@@ -290,12 +289,12 @@ class QuasiIdentity:
 
 
 def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
-              max_premises: int = 2, premise_depth: int | None = None) -> list[QuasiIdentity]:
+              max_premises: int = 2) -> list[QuasiIdentity]:
     """The three kinds of quasi-identities presenting the quasivariety: the
     reflexivity equations, the faithfulness quasi-identity, and one
     quasi-identity per bounded entailment of the logic (conclusions up to
-    ``depth``, premise sets of at most ``max_premises`` formulas up to
-    ``premise_depth``, which defaults to min(depth, 2)).
+    ``depth``, premise sets of at most ``max_premises`` formulas up to depth
+    min(depth, 2)).
 
     The conclusions are grouped once by ``LogicSpec.entailment_key``, in order
     of first occurrence; the members of a group are entailed by the same
@@ -326,9 +325,7 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
         groups.setdefault(l.entailment_key(phi), []).append(i)
     members = list(groups.values())
     representatives = [conclusions[m[0]] for m in members]
-    premise_pool = enumerate_formulas(
-        l.signature, num_vars, min(depth, 2) if premise_depth is None else premise_depth
-    )
+    premise_pool = enumerate_formulas(l.signature, num_vars, min(depth, 2))
     # the distinct equations of each set of entailed groups, in order
     equations: dict[tuple[int, ...], tuple[Equation, ...]] = {}
     # the kind-(iii) conclusions emitted so far under each premise tuple

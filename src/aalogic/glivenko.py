@@ -218,8 +218,7 @@ def _adjoint_data(ctx: GlivenkoContext, M: FiniteAlgebra) -> AdjointData:
     return AdjointData(Q, proj, tuple(section))
 
 
-def section_check(ctx: GlivenkoContext, H: FiniteAlgebra,
-                  corpus: Sequence[FiniteAlgebra] = ()) -> bool:
+def section_check(H: FiniteAlgebra, corpus: Sequence[FiniteAlgebra] = ()) -> bool:
     """The inclusion of regular elements is a section of the unit, and the
     section squares with every homomorphism into a corpus algebra."""
     B, emb = regular_elements(H)
@@ -252,10 +251,8 @@ def glivenko_equivalence(ctx: GlivenkoContext, gamma_prime: Iterable[Formula],
 
 def adjoint_image(ctx: GlivenkoContext, M: Matrix) -> Matrix:
     """The adjoint image matrix: the adjoint's value algebra of M's algebra,
-    with the unit's image of M's filter. Unless theta is x0, M's algebra must
-    be Heyting."""
-    if ctx.theta != Var(0) and not qv_membership("heyting", M.algebra):
-        raise ValueError("matrix compatibility requires a Heyting algebra")
+    with the unit's image of M's filter. Raises ``ValueError`` where
+    ``ctx.adjoint`` refuses M's algebra."""
     data = ctx.adjoint(M.algebra)
     return Matrix(data.algebra, frozenset(data.unit[a] for a in M.filter))
 

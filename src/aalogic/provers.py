@@ -19,7 +19,9 @@ model against a direct forcing interpreter.
 Intuitionistic provability is Dyckhoff's contraction-free sequent calculus
 G4ip, searched on integer-coded formulas. Each interned formula is coded once
 into the id of its desugared form (over imp/and/or and falsum), kept in the
-node's ``_desugared`` slot; the implications the left rules build are
+node's ``_desugared`` slot. Falsum is the private id ``_FALSE``, which no
+formula names, so both provers and the Kripke search accept exactly the
+built-in connectives; the implications the left rules build are
 hash-consed at the integer level, and a sequent is a ``(frozenset[int], int)``
 pair. Ids are assigned in order of first use and the non-invertible rules are
 tried in ascending id order, so the search, its verdicts and the size of
@@ -42,7 +44,7 @@ from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, all_rows, equation_rows, frame_valuation, value_vector
-from .syntax import BUILTIN_SIGNATURE, App, Formula, Var
+from .syntax import BUILTIN_SIGNATURE, Formula, Var
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ _FRAME_FULL = (1 << (1 << _FRAME_VARS)) - 1
 _FRAME_COLUMNS = tuple(
     sum(1 << row for row in range(1 << _FRAME_VARS) if row >> j & 1) for j in range(_FRAME_VARS)
 )
-_CLASSICAL_CONNECTIVES = frozenset(BUILTIN_SIGNATURE.connectives)
+_CONNECTIVES = frozenset(BUILTIN_SIGNATURE.connectives)
 
 
 def _require_connectives(formulas: Iterable[Formula], allowed: frozenset, logic: str) -> None:
@@ -130,7 +132,7 @@ def cpc_entailed(gamma: Iterable[Formula], phis: Sequence[Formula]) -> tuple[int
     for f in itertools.chain(gamma, phis):
         mask |= f.vmask
     if mask >> _FRAME_VARS:
-        _require_connectives(itertools.chain(gamma, phis), _CLASSICAL_CONNECTIVES, "a classical")
+        _require_connectives(itertools.chain(gamma, phis), _CONNECTIVES, "a classical")
         return tuple(i for i, phi in enumerate(phis) if kripke_countermodel(gamma, phi, 1) is None)
     ok = _FRAME_FULL
     for g in gamma:
@@ -148,7 +150,6 @@ def cpc_entailed(gamma: Iterable[Formula], phis: Sequence[Formula]) -> tuple[int
 # rules build are found, not re-created.
 _ATOM, _FALSUM, _AND, _OR, _IMP = range(5)
 _TAGS = {"and": _AND, "or": _OR, "imp": _IMP}
-_NAMES = {tag: name for name, tag in _TAGS.items()}
 
 _tag: list[int] = []
 _left: list[int] = []
@@ -167,9 +168,7 @@ def _node(tag: int, left: int, right: int) -> int:
     return i
 
 
-_BOT = App("_bot", ())
-_BOT_CONNECTIVE = ("_bot", 0)
-_FALSE = _BOT._desugared = _node(_FALSUM, 0, 0)
+_FALSE = _node(_FALSUM, 0, 0)
 
 
 def _code(phi: Formula) -> int:
@@ -192,22 +191,6 @@ def _code(phi: Formula) -> int:
                 raise ValueError(f"connective {name} is not an intuitionistic connective")
         phi._desugared = i
     return i
-
-
-def _formula(i: int) -> Formula:
-    """The formula with id i, over imp/and/or and the internal falsum."""
-    tag = _tag[i]
-    if tag == _ATOM:
-        return Var(_left[i])
-    if tag == _FALSUM:
-        return _BOT
-    return App(_NAMES[tag], (_formula(_left[i]), _formula(_right[i])))
-
-
-def _desugar(phi: Formula) -> Formula:
-    """Rewrite neg/iff in terms of imp/and and an internal falsum: the
-    formula behind phi's prover id."""
-    return _formula(_code(phi))
 
 
 _sequent_memo: dict[tuple[frozenset, int], bool] = {}
@@ -334,11 +317,9 @@ def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     gamma = tuple(gamma)
     ctx = frozenset(map(_code, gamma))
     goal = _code(phi)
-    query = gamma + (phi,)
-    if any(f.vmask >> _FRAME_VARS for f in query):
+    if any(f.vmask >> _FRAME_VARS for f in gamma + (phi,)):
         return _prove(ctx, goal)
-    # the frame has no row for the prover's internal falsum
-    if not any(_BOT_CONNECTIVE in f.conns for f in query) and not cpc_decide(gamma, phi):
+    if not cpc_decide(gamma, phi):
         return False
     _steps_left = _STEP_BUDGET
     try:
@@ -408,18 +389,8 @@ _frame_cache: dict[int, tuple] = {}
 def _frames(n: int) -> tuple:
     """(up, algebra of its upsets, the upsets) for every preorder on n worlds."""
     if n not in _frame_cache:
-        frames = []
-        for up in _enumerate_preorders(n):
-            A, upsets = heyting_of_upsets(up)
-            # the prover's falsum is the empty upset; no signature can name
-            # ``_bot``, so its table goes in after the algebra's checks
-            A.tables["_bot"] = (0,)
-            frames.append((up, A, upsets))
-        _frame_cache[n] = tuple(frames)
+        _frame_cache[n] = tuple((up, *heyting_of_upsets(up)) for up in _enumerate_preorders(n))
     return _frame_cache[n]
-
-
-_KRIPKE_CONNECTIVES = _CLASSICAL_CONNECTIVES | {_BOT_CONNECTIVE}
 
 
 def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int = 4) -> Optional[KripkeModel]:
@@ -432,7 +403,7 @@ def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int 
     order; on each, the first row where the premises' upsets meet outside the
     conclusion's is returned, with the lowest world there."""
     gamma = tuple(gamma)
-    _require_connectives(gamma + (phi,), _KRIPKE_CONNECTIVES, "an intuitionistic")
+    _require_connectives(gamma + (phi,), _CONNECTIVES, "an intuitionistic")
     frame = 0
     for f in gamma + (phi,):
         frame |= f.vmask

@@ -176,13 +176,12 @@ class LogicMorphism:
     def translate(self, phi: Formula) -> Formula:
         return extend_morphism(self.morphism, phi)
 
-    def preserves_consequence(self, num_vars: int = 2, depth: int = 2, gamma_size: int = 1,
+    def preserves_consequence(self, num_vars: int = 2, depth: int = 2,
                               limit: int = 2000) -> Optional[tuple]:
-        """Bounded check; returns a violating (gamma, phi) or None."""
+        """Bounded check over the formulas within the bounds and premise sets
+        of at most one of them; returns a violating (gamma, phi) or None."""
         universe = enumerate_formulas(self.source.signature, num_vars, depth)
-        gammas: list[tuple] = [()]
-        for size in range(1, gamma_size + 1):
-            gammas.extend(itertools.combinations(universe, size))
+        gammas = [()] + [(g,) for g in universe]
         count = 0
         for phi in universe:
             for gamma in gammas:

@@ -19,10 +19,11 @@ A node also has two memo slots that start empty and are filled at most once:
 ``provers.ipc_decide`` codes the node rewritten over imp/and/or and falsum
 (ids are handed out in order of first use within the process).
 
-The parser keeps an explicit stack, but it rejects formulas nested deeper
-than MAX_FORMULA_DEPTH, so that the recursive printer, substitution and
-evaluation stay well within the interpreter's recursion limit on any parsed
-formula. It rejects variable indices above MAX_VARIABLE_INDEX as well.
+The parser and the printer keep explicit stacks. The parser still rejects
+formulas nested deeper than MAX_FORMULA_DEPTH, so that the recursive
+substitution and evaluation stay well within the interpreter's recursion
+limit on any parsed formula. It rejects variable indices above
+MAX_VARIABLE_INDEX as well.
 """
 
 from __future__ import annotations
@@ -193,9 +194,26 @@ BUILTIN_SIGNATURE = Signature([("neg", 1), ("imp", 2), ("and", 2), ("or", 2), ("
 
 
 def print_formula(phi: Formula) -> str:
-    if isinstance(phi, Var):
-        return f"x{phi.index}"
-    return "%s(%s)" % (phi.name, ",".join(print_formula(a) for a in phi.args))
+    """The text ``parse_formula`` reads back as phi. It keeps an explicit
+    stack of the nodes and punctuation still to print, so any depth prints."""
+    out = []
+    stack: list = [phi]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(f"x{item.index}")
+        else:
+            out.append(item.name + "(")
+            stack.append(")")
+            args = item.args
+            for i in range(len(args) - 1, 0, -1):
+                stack.append(args[i])
+                stack.append(",")
+            if args:
+                stack.append(args[0])
+    return "".join(out)
 
 
 # groups: 1 a variable (2 its index without leading zeros), 3 a name,

@@ -371,7 +371,6 @@ class TestAlgebraInvariants:
     def calls(logics, A):
         return (
             [lambda l=l: theorem_values(l, A) for l in logics]
-            + [lambda l=l: theorem_values(l, A, 2, 3) for l in logics]  # deep enough for excluded middle
             + [lambda l=l: all_filters(l, A) for l in logics]
             + [lambda c=c: qv_membership(c, A) for c in ("heyting", "boolean")]
         )
@@ -387,10 +386,9 @@ class TestAlgebraInvariants:
         assert [[call() for call in self.calls(logics, A)] for A in algebras] == expected  # warm
         for A, values in zip(algebras, expected[: len(heyting)]):
             top = {a for a in A.elements() if lattice_filter_of(A, a) == {a}}
-            assert values[1] == values[4] == top  # ipc theorems
-            assert (values[3] == top) == values[-1]  # cpc theorems, top only on Boolean algebras
-            assert values[7] == lattice_filters(A)  # ipc filters
-        assert expected[-1][8] == [frozenset({2}), frozenset({0, 1, 2})]  # l3 filters of L3
+            assert values[0] == values[1] == top  # cpc and ipc theorems up to depth 2
+            assert values[4] == lattice_filters(A)  # ipc filters
+        assert expected[-1][5] == [frozenset({2}), frozenset({0, 1, 2})]  # l3 filters of L3
         assert [e[-2:] for e in expected] == (
             [[True, name in ("one", "two", "diamond")] for name, _ in heyting]
             + [[True, True]] * len(boolean) + [[False, False]]

@@ -102,7 +102,7 @@ class TestConditions:
             sig, [Matrix(FiniteAlgebra(sig, 2, neg_table), frozenset({1}))]
         )
         degenerate = AlgebraizingPair([Var(0)], [(Var(0), Var(0))])
-        report = check_bp_conditions(logic, degenerate, 1, 2, congruential=False)
+        report = check_bp_conditions(logic, degenerate, 1, 2)
         assert not report.conditions["a"].passed
 
     def test_bounds_validated(self, cpc, pair):
@@ -116,8 +116,8 @@ class TestConditions:
             implication="imp",
         )
         stronger = LogicSpec.from_matrices(sig, [Matrix(b2, frozenset({1}))], implication="imp")
-        weak_report = check_bp_conditions(weaker, pair, 1, 2, congruential=False)
-        strong_report = check_bp_conditions(stronger, pair, 1, 2, congruential=False)
+        weak_report = check_bp_conditions(weaker, pair, 1, 2)
+        strong_report = check_bp_conditions(stronger, pair, 1, 2)
         assert weak_report.passed
         assert strong_report.passed
 
@@ -134,16 +134,14 @@ class TestConditions:
 
 # The instance-by-instance check as it was before the conditions were decided
 # on their generic instances, kept verbatim as the oracle of the schematic one.
-def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: int,
-                            congruential: Optional[bool] = None) -> BPReport:
+def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: int) -> BPReport:
     """Check the five algebraizability conditions on every formula tuple within
     the bounds. For congruential logics the tuple conditions are checked on
     interderivability-class representatives, which decides them for the whole
     universe."""
     if num_vars < 1 or depth < 1:
         raise ValueError("bounds must be >= 1")
-    if congruential is None:
-        congruential = l.kind in ("cpc", "ipc")
+    congruential = l.kind in ("cpc", "ipc")
     universe = enumerate_formulas(l.signature, num_vars, depth)
     reps = _interderivability_classes(l, universe) if congruential else list(universe)
     report = BPReport(
@@ -235,9 +233,9 @@ BUNDLED_PAIRS = {
 }
 
 
-def _same_report(l, pair, num_vars, depth, congruential=None):
-    fast = check_bp_conditions(l, pair, num_vars, depth, congruential)
-    slow = ref_check_bp_conditions(l, pair, num_vars, depth, congruential)
+def _same_report(l, pair, num_vars, depth):
+    fast = check_bp_conditions(l, pair, num_vars, depth)
+    slow = ref_check_bp_conditions(l, pair, num_vars, depth)
     assert json.dumps(fast.to_json()) == json.dumps(slow.to_json())
     assert fast.to_text() == slow.to_text()
     return fast
@@ -254,13 +252,12 @@ def _mutated_pair(rng):
 
 
 class TestSchematicDecision:
-    @pytest.mark.parametrize("congruential", [None, False])
     @pytest.mark.parametrize("pair_name", sorted(BUNDLED_PAIRS))
     @pytest.mark.parametrize("logic_name", sorted(BUNDLED_LOGICS))
-    def test_bundled_reports_match_the_bounded_check(self, logic_name, pair_name, congruential):
+    def test_bundled_reports_match_the_bounded_check(self, logic_name, pair_name):
         l, pair = BUNDLED_LOGICS[logic_name](), BUNDLED_PAIRS[pair_name]()
         for num_vars, depth in [(1, 1), (2, 1), (1, 2)]:
-            _same_report(l, pair, num_vars, depth, congruential)
+            _same_report(l, pair, num_vars, depth)
 
     @pytest.mark.parametrize("pair_name", sorted(BUNDLED_PAIRS))
     def test_classical_reports_match_at_two_two(self, pair_name):
@@ -276,7 +273,7 @@ class TestSchematicDecision:
         name = ("cpc", "ipc", "l3", "h3")[seed % 4]
         # at (2, 2) only cpc keeps the oracle within a second
         bounds = [(1, 2), (2, 1)] + [(2, 2)] * (name == "cpc")
-        _same_report(BUNDLED_LOGICS[name](), pair, *rng.choice(bounds), rng.choice((None, False)))
+        _same_report(BUNDLED_LOGICS[name](), pair, *rng.choice(bounds))
 
     def test_bounded_universe_without_counterexample_passes(self, cpc, F):
         # implication is not symmetric, but no universe over x0 alone shows it
@@ -388,7 +385,7 @@ class TestQuasivarietyAxioms:
 # The generation loop as it was before entailment was decided per premise set,
 # kept verbatim as the oracle of the batched one.
 def ref_qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
-                  max_premises: int = 2, premise_depth: int | None = None) -> list[QuasiIdentity]:
+                  max_premises: int = 2) -> list[QuasiIdentity]:
     x0, x1 = Var(0), Var(1)
     axioms: list[QuasiIdentity] = []
     for d in pair.delta:
@@ -403,9 +400,7 @@ def ref_qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: in
     axioms.append(QuasiIdentity("ii", premises, Equation(x0, x1)))
 
     conclusions = enumerate_formulas(l.signature, num_vars, depth)
-    premise_pool = enumerate_formulas(
-        l.signature, num_vars, min(depth, 2) if premise_depth is None else premise_depth
-    )
+    premise_pool = enumerate_formulas(l.signature, num_vars, min(depth, 2))
     seen: set[QuasiIdentity] = set()
     for size in range(0, max_premises + 1):
         for gamma in itertools.combinations(premise_pool, size):

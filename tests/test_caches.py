@@ -18,7 +18,7 @@ from aalogic.glivenko import find_adjoint_report, left_adjoint_quotient, regular
 # the bundled-name tables, which hold builders, not built objects. The
 # formula intern pools are class attributes.
 MODULE_CONTAINERS = {
-    "provers": {"_TAGS", "_NAMES", "_tag", "_left", "_right", "_ids", "_sequent_memo", "_frame_cache"},
+    "provers": {"_TAGS", "_tag", "_left", "_right", "_ids", "_sequent_memo", "_frame_cache"},
     "corpus": {"LOGICS", "CONTEXTS"},
 }
 

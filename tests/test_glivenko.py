@@ -176,7 +176,7 @@ class TestAdjunction:
     def test_section(self, heyting_algebras, ctx):
         small = [H for _, H in heyting_algebras if H.size <= 4]
         for H in small:
-            assert section_check(ctx, H, small)
+            assert section_check(H, small)
 
 
 class TestEquivalence:

@@ -229,7 +229,7 @@ def ref_matrix_compatibility_check(ctx: GlivenkoContext, M: Matrix,
                                    filter_override: frozenset[int] | None = None,
                                    algebra_override: FiniteAlgebra | None = None) -> bool:
     if ctx.theta != Var(0) and not qv_membership("heyting", M.algebra):
-        raise ValueError("matrix compatibility requires a Heyting algebra")
+        raise ValueError("the adjoint requires a Heyting algebra")
     gamma_prime = tuple(gamma_prime)
     data = ctx.adjoint(M.algebra)
     image_algebra = algebra_override if algebra_override is not None else data.algebra
@@ -477,7 +477,7 @@ class TestPoolLoopAgainstReference:
     @pytest.mark.parametrize("make_corpus, kind, first_bad, message", [
         # the bad entry is the pool's last: reduced matrix 4, or context "bare"
         # after the eight algebras of "classical"
-        (with_non_heyting_reduced_matrix, "InsAL", 4, "matrix compatibility requires a Heyting algebra"),
+        (with_non_heyting_reduced_matrix, "InsAL", 4, "the adjoint requires a Heyting algebra"),
         (with_context_without_pairs, "InsLAL", 8, "context carries no algebraizing pairs"),
         # the ninth algebra, L3, has no double-negation adjoint
         (with_non_heyting_algebra, "InsLAL", 8, "the adjoint requires a Heyting algebra"),

@@ -20,8 +20,8 @@ from aalogic import (
 )
 from aalogic import algebra, corpus, provers
 from aalogic.algebraization import delta_translate, tau_translate
-from aalogic.algebra import value_vector
-from aalogic.provers import _BOT, _FRAME_VARS, KripkeModel, _code, _desugar, _frame_bits, _prove
+from aalogic.algebra import FiniteAlgebra, value_vector
+from aalogic.provers import _FRAME_VARS, KripkeModel, _code, _frame_bits, _frames, _prove, heyting_of_upsets
 from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
 from aalogic.syntax import (
     MAX_FORMULA_DEPTH,
@@ -44,6 +44,11 @@ def g4ip(gamma, phi):
 
 def nn(phi):
     return App("neg", (App("neg", (phi,)),))
+
+
+# the prover's falsum is an id that no formula names; a formula node named
+# ``_bot`` is foreign to every procedure here
+BOT = App("_bot", ())
 
 
 class TestClassical:
@@ -296,8 +301,6 @@ def ref_forces(w, phi, up, val, memo):
             a, b = phi.args
             result = (ref_forces(w, App("imp", (a, b)), up, val, memo)
                       and ref_forces(w, App("imp", (b, a)), up, val, memo))
-        elif name == "_bot":
-            result = False
         else:
             raise ValueError(f"connective {name} is not an intuitionistic connective")
     memo[key] = result
@@ -352,21 +355,13 @@ class TestKripkeSearchAgainstForcing:
         assert None in models
         assert all(model.worlds == 4 for model in models[-len(FOUR_WORLD_TEXTS):])
 
-    def test_internal_falsum_is_the_empty_upset(self, F):
-        x0 = F("x0")
-        queries = [((), _BOT), ((_BOT,), x0), ((), App("imp", (_BOT, x0))),
-                   ((x0,), App("or", (_BOT, F("neg(neg(x0))")))), ((), _desugar(F("or(x0,neg(x0))"))),
-                   ((), _desugar(F("neg(and(x0,neg(x0)))")))]
-        for gamma, phi in queries:
-            assert kripke_countermodel(gamma, phi, 3) == ref_countermodel(gamma, phi, 3)
-        assert kripke_countermodel((), _BOT) == KripkeModel(1, (1,), {}, 0)
-        assert kripke_countermodel((_BOT,), x0) is None
-
     def test_foreign_connectives_are_rejected(self, F):
         box = App("box", (F("x0"),))
-        for gamma, phi in [((), box), ((box,), F("x0")), ((), App("imp", (F("x0"), box)))]:
+        queries = [((), box, "box"), ((box,), F("x0"), "box"), ((), App("imp", (F("x0"), box)), "box"),
+                   ((), BOT, "_bot"), ((BOT,), F("x0"), "_bot"), ((), App("imp", (BOT, F("x0"))), "_bot")]
+        for gamma, phi, name in queries:
             for search in (kripke_countermodel, ref_countermodel):
-                with pytest.raises(ValueError, match="connective box is not an intuitionistic connective"):
+                with pytest.raises(ValueError, match=f"connective {name} is not an intuitionistic connective"):
                     search(gamma, phi, 2)
         with pytest.raises(ValueError, match="connective imp is not an intuitionistic connective"):
             kripke_countermodel((), App("imp", (F("x0"),)), 2)  # a known name at the wrong arity
@@ -377,6 +372,13 @@ class TestKripkeSearchAgainstForcing:
         frames = [A for frames in provers._frame_cache.values() for _, A, _ in frames]
         assert len(frames) >= 1 + 4 + 29  # the preorders on one, two and three worlds
         assert not any(A._memo for A in frames)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_frame_algebras_are_plain_upset_algebras(self, n):
+        for up, A, upsets in _frames(n):
+            B, fresh_upsets = heyting_of_upsets(up)
+            assert A == B and hash(A) == hash(B) and upsets == fresh_upsets
+            assert FiniteAlgebra.from_json(A.to_json()) == A
 
 
 SEARCH_PROBE = """
@@ -466,22 +468,11 @@ class TestRefuteFirst:
         # the query is coded before the classical pre-check, whose message
         # would name a classical connective
         box = App("box", (F("x0"),))
-        for gamma, phi in [((), box), ((box,), F("x1")), ((F("x0"),), App("and", (F("x1"), box)))]:
-            with pytest.raises(ValueError, match="connective box is not an intuitionistic connective"):
+        queries = [((), box, "box"), ((box,), F("x1"), "box"), ((F("x0"),), App("and", (F("x1"), box)), "box"),
+                   ((), BOT, "_bot"), ((BOT,), F("x0"), "_bot"), ((F("x0"),), App("or", (BOT, F("x1"))), "_bot")]
+        for gamma, phi, name in queries:
+            with pytest.raises(ValueError, match=f"connective {name} is not an intuitionistic connective"):
                 ipc_decide(gamma, phi)
-
-    def test_internal_falsum_decides_as_before(self, F, monkeypatch):
-        # the truth-table frame has no row for _bot, so such queries skip
-        # the classical pre-check
-        monkeypatch.setattr(provers, "cpc_decide", None)
-        x0 = F("x0")
-        queries = [((), _BOT), ((_BOT,), x0), ((), App("imp", (_BOT, x0))),
-                   ((x0,), App("or", (_BOT, F("neg(neg(x0))")))),
-                   ((), _desugar(F("or(x0,neg(x0))"))), ((), _desugar(F("neg(and(x0,neg(x0)))"))),
-                   ((_desugar(F("neg(neg(x0))")),), x0)]
-        verdicts = [ipc_decide(gamma, phi) for gamma, phi in queries]
-        assert verdicts == [False, True, True, True, False, True, False]
-        assert verdicts == [g4ip(gamma, phi) for gamma, phi in queries]
 
     def test_variables_beyond_the_frame_skip_the_refuters(self, F, monkeypatch):
         monkeypatch.setattr(provers, "cpc_decide", None)
@@ -556,15 +547,29 @@ class TestLukasiewiczLogic:
 # ---------------------------------------------------------------------------
 
 def ref_desugar(phi):
+    """phi over imp/and/or, with neg a as imp(a, BOT) and iff(a, b) as
+    and(imp(a, b), imp(b, a))."""
     if isinstance(phi, Var):
         return phi
     args = [ref_desugar(a) for a in phi.args]
     if phi.name == "neg":
-        return App("imp", (args[0], _BOT))
+        return App("imp", (args[0], BOT))
     if phi.name == "iff":
         a, b = args
         return App("and", (App("imp", (a, b)), App("imp", (b, a))))
     return App(phi.name, tuple(args))
+
+
+def decode(i):
+    """The formula behind prover id i, read off the prover's node tables,
+    with BOT for falsum."""
+    tag = provers._tag[i]
+    if tag == provers._ATOM:
+        return Var(provers._left[i])
+    if tag == provers._FALSUM:
+        return BOT
+    name = {provers._AND: "and", provers._OR: "or", provers._IMP: "imp"}[tag]
+    return App(name, (decode(provers._left[i]), decode(provers._right[i])))
 
 
 def ref_truth(phi, v):
@@ -646,7 +651,7 @@ class TestNodeMemos:
         x = Var(var)
         box = App("box", (x,))
         queries = [((), box, "box"), ((box,), x, "box"), ((x,), App("imp", (x, box)), "box"),
-                   ((), _BOT, "_bot"), ((_BOT,), x, "_bot")]
+                   ((), BOT, "_bot"), ((BOT,), x, "_bot")]
         for gamma, phi, name in queries:
             with pytest.raises(ValueError, match=f"connective {name} is not a classical connective"):
                 cpc_decide(gamma, phi)
@@ -656,7 +661,7 @@ class TestNodeMemos:
         sample = enumerate_formulas(sig, 2, 3) + [random_formula(rng, sig, 10, 5) for _ in range(200)]
         for _ in range(2):  # the first round fills the memo, the second reads it
             for phi in sample:
-                assert _desugar(phi) == ref_desugar(phi)
+                assert decode(_code(phi)) == ref_desugar(phi)
 
     @pytest.mark.parametrize("make_pair", [corpus.classical_pair, corpus.perturbed_pair])
     def test_translations_match_fresh_substitution(self, sig, make_pair, monkeypatch):

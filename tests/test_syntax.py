@@ -19,7 +19,6 @@ from aalogic import (
     variables,
 )
 from aalogic import algebra, corpus
-from aalogic.provers import _BOT
 from aalogic.semantics import BUILTIN_SIGNATURE
 from aalogic.syntax import (
     _VAR_RE,
@@ -38,6 +37,10 @@ def neg(a):
 
 def imp(a, b):
     return App("imp", (a, b))
+
+
+# a nullary connective that no signature below declares
+BOT = App("_bot", ())
 
 
 class TestParse:
@@ -103,6 +106,29 @@ class TestParse:
             parse_formula(sig, text)
         assert str(err.value) == f"{message} (at offset {offset})"
         assert err.value.offset == offset
+
+
+def ref_print_formula(phi):
+    """The recursive printer that the explicit-stack one replaced."""
+    if isinstance(phi, Var):
+        return f"x{phi.index}"
+    return "%s(%s)" % (phi.name, ",".join(ref_print_formula(a) for a in phi.args))
+
+
+class TestPrinter:
+    def test_matches_the_recursive_printer(self):
+        rng = random.Random(1901)
+        for sig in (BUILTIN_SIGNATURE, ODD_ARITIES):
+            sample = enumerate_formulas(sig, 2, 2) + [random_formula(rng, sig, 12, 7) for _ in range(500)]
+            for phi in sample:
+                assert print_formula(phi) == repr(phi) == ref_print_formula(phi)
+
+    def test_a_chain_deeper_than_the_recursion_limit_prints(self):
+        phi = Var(3)
+        for _ in range(4999):
+            phi = neg(phi)
+        assert formula_depth(phi) == 5000 > sys.getrecursionlimit()
+        assert print_formula(phi) == "neg(" * 4999 + "x3" + ")" * 4999
 
 
 class TestSignature:
@@ -280,8 +306,8 @@ def metadata_sample():
     formulas = list(enumerate_formulas(BUILTIN_SIGNATURE, 3, 3))
     rng = random.Random(8111)
     formulas += [random_formula(rng, BUILTIN_SIGNATURE, 10, 6) for _ in range(400)]
-    # the internal falsum of the intuitionistic prover, alone and nested
-    formulas += [_BOT, imp(Var(9), _BOT), neg(imp(_BOT, Var(4)))]
+    # a nullary connective outside every signature, alone and nested
+    formulas += [BOT, imp(Var(9), BOT), neg(imp(BOT, Var(4)))]
     return formulas
 
 
@@ -308,10 +334,10 @@ class TestNodeMetadata:
             for sig in SUB_SIGNATURES:
                 assert formula_over(sig, phi) == ref_over(sig, phi), (sig, phi)
 
-    def test_internal_falsum(self):
-        assert variables(_BOT) == frozenset()
-        assert formula_depth(_BOT) == 1
-        assert not any(formula_over(sig, _BOT) for sig in SUB_SIGNATURES)
+    def test_nullary_node_outside_every_signature(self):
+        assert variables(BOT) == frozenset()
+        assert formula_depth(BOT) == 1
+        assert not any(formula_over(sig, BOT) for sig in SUB_SIGNATURES)
 
     def test_nullary_connective(self):
         truth = App("truth", ())
