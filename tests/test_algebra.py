@@ -311,6 +311,18 @@ class TestFilters:
         assert theorem_values(ipc, h3) == {2}
         assert theorem_values(ipc, chain4) == {3}
 
+    def test_deeper_cpc_theorems_are_top_only_on_boolean_algebras(self, cpc):
+        # theorem_values stops at depth 2; at depth 3 the classical theorems
+        # over x0, x1 separate the Boolean algebras of the Heyting corpus
+        theorems = [phi for phi in enumerate_formulas(BUILTIN_SIGNATURE, 2, 3) if cpc.proves((), phi)]
+        verdicts = []
+        for name, A in corpus.heyting_corpus():
+            values = {a for phi in theorems for a in value_vector(A, phi, phi.vmask)}
+            assert theorem_values(cpc, A) == {A.size - 1} <= values
+            verdicts.append((name, values == {A.size - 1}))
+        assert verdicts == [(name, qv_membership("boolean", A)) for name, A in corpus.heyting_corpus()]
+        assert [name for name, boolean in verdicts if boolean] == ["one", "two", "diamond"]
+
     def test_bound_exhaustion_reported(self, ipc):
         # intuitionistic theorems take undesignated values on the Lukasiewicz
         # chain beyond the enumeration bound; the closure must say so

@@ -134,14 +134,16 @@ class TestConditions:
 
 # The instance-by-instance check as it was before the conditions were decided
 # on their generic instances, kept verbatim as the oracle of the schematic one.
-def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: int) -> BPReport:
+def ref_check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, depth: int,
+                            congruential: Optional[bool] = None) -> BPReport:
     """Check the five algebraizability conditions on every formula tuple within
     the bounds. For congruential logics the tuple conditions are checked on
     interderivability-class representatives, which decides them for the whole
-    universe."""
+    universe; ``congruential=False`` checks them on the whole universe."""
     if num_vars < 1 or depth < 1:
         raise ValueError("bounds must be >= 1")
-    congruential = l.kind in ("cpc", "ipc")
+    if congruential is None:
+        congruential = l.kind in ("cpc", "ipc")
     universe = enumerate_formulas(l.signature, num_vars, depth)
     reps = _interderivability_classes(l, universe) if congruential else list(universe)
     report = BPReport(
@@ -258,6 +260,22 @@ class TestSchematicDecision:
         l, pair = BUNDLED_LOGICS[logic_name](), BUNDLED_PAIRS[pair_name]()
         for num_vars, depth in [(1, 1), (2, 1), (1, 2)]:
             _same_report(l, pair, num_vars, depth)
+
+    @pytest.mark.parametrize("pair_name", sorted(BUNDLED_PAIRS))
+    @pytest.mark.parametrize("logic_name", ["cpc", "ipc"])
+    def test_class_representatives_decide_the_whole_universe(self, logic_name, pair_name):
+        # cpc and ipc check the tuple conditions on class representatives
+        # only; each verdict must be the one every tuple of the universe gives
+        l, pair = BUNDLED_LOGICS[logic_name](), BUNDLED_PAIRS[pair_name]()
+        for num_vars, depth in [(1, 1), (2, 1), (1, 2)]:
+            deduplicated = check_bp_conditions(l, pair, num_vars, depth)
+            whole = ref_check_bp_conditions(l, pair, num_vars, depth, congruential=False)
+            assert deduplicated.bounds["congruential_dedup"] and not whole.bounds["congruential_dedup"]
+            assert deduplicated.universe_size == whole.universe_size == whole.class_count
+            assert {k: c.passed for k, c in deduplicated.conditions.items()} == {
+                k: c.passed for k, c in whole.conditions.items()
+            }
+        assert deduplicated.class_count < deduplicated.universe_size  # at (1, 2): 3 classes of 6
 
     @pytest.mark.parametrize("pair_name", sorted(BUNDLED_PAIRS))
     def test_classical_reports_match_at_two_two(self, pair_name):

@@ -24,7 +24,7 @@ from aalogic import (
 )
 from aalogic.algebra import Congruence, FiniteAlgebra, filter_closure, find_isomorphism, quotient, value_vector
 from aalogic.corpus import load_algebra, resolve_context
-from aalogic.glivenko import AdjointData, density_check, generic_left_adjoint
+from aalogic.glivenko import AdjointData, adjoint_image, density_check, generic_left_adjoint
 from aalogic.syntax import BUILTIN_SIGNATURE, FlexibleMorphism
 from aalogic import corpus
 
@@ -215,8 +215,18 @@ class TestMatrixCompatibility:
 
     def test_rejects_non_heyting(self, ctx, F):
         M = Matrix(corpus.lukasiewicz3(), frozenset({2}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the adjoint requires a Heyting algebra$"):
             matrix_compatibility_check(ctx, M, (), F("x0"))
+
+    @pytest.mark.parametrize("make_context", [corpus.classical_context, corpus.cpc_negneg_context],
+                             ids=["ipc-source", "cpc-source"])
+    def test_adjoint_image_has_the_adjoint_domain(self, make_context):
+        # the adjoint's own Heyting check is the only one on this path, and
+        # the identity theta takes any algebra
+        M = Matrix(corpus.lukasiewicz3(), frozenset({2}))
+        with pytest.raises(ValueError, match="^the adjoint requires a Heyting algebra$"):
+            adjoint_image(make_context(), M)
+        assert adjoint_image(corpus.identity_context(), M) == M
 
     def test_exhaustive_small(self, ctx, sig, h3, chain4):
         from aalogic.syntax import enumerate_formulas
