@@ -249,7 +249,7 @@ class Congruence:
 
     def __init__(self, size: int, rep: Sequence[int]):
         rep = tuple(rep)
-        if len(rep) != size or any(rep[r] != r for r in rep) or any(not 0 <= r <= i for i, r in enumerate(rep)):
+        if len(rep) != size or any(not 0 <= r <= i for i, r in enumerate(rep)) or any(rep[r] != r for r in rep):
             raise ValueError("not a least-representative map")
         self.size = size
         self.rep = rep

@@ -17,15 +17,16 @@ builds the corpus's Heyting algebras. The tests check the search model for
 model against a direct forcing interpreter.
 
 Intuitionistic provability is Dyckhoff's contraction-free sequent calculus
-G4ip, searched on integer-coded formulas. Each interned formula is coded once
-into the id of its desugared form (over imp/and/or and falsum), kept in the
-node's ``_desugared`` slot. Falsum is the private id ``_FALSE``, which no
-formula names, so both provers and the Kripke search accept exactly the
-built-in connectives; the implications the left rules build are
-hash-consed at the integer level, and a sequent is a ``(frozenset[int], int)``
-pair. Ids are assigned in order of first use and the non-invertible rules are
-tried in ascending id order, so the search, its verdicts and the size of
-``_sequent_memo`` do not depend on ``PYTHONHASHSEED``.
+G4ip, searched on integer-coded formulas. Each query gets its own search
+(``_Search``), which codes the query's formulas into the ids of their
+desugared forms (over imp/and/or and falsum), hash-conses the implications
+the left rules build, and memoises the sequents it visits, each a
+``(frozenset[int], int)`` pair; nothing of it outlives the query. Falsum is
+the private id ``_FALSE``, which no formula names, so both provers and the
+Kripke search accept exactly the built-in connectives. Ids are assigned in
+order of first use within the query and the non-invertible rules are tried
+in ascending id order, so the sequents a query visits, and its verdict,
+depend neither on ``PYTHONHASHSEED`` nor on the queries before it.
 
 ``ipc_decide`` refutes before it proves. Every intuitionistic consequence is
 a classical one, so a query over x0..x3 that the truth table refutes is
@@ -144,163 +145,154 @@ def cpc_entailed(gamma: Iterable[Formula], phis: Sequence[Formula]) -> tuple[int
 # intuitionistic provability: contraction-free sequent search
 # ---------------------------------------------------------------------------
 
-# Node i of the desugared language has the constructor _tag[i] and the
-# children _left[i], _right[i] (an atom keeps its variable index in _left);
-# _ids hash-conses (tag, left, right) to its id, so the implications the left
-# rules build are found, not re-created.
 _ATOM, _FALSUM, _AND, _OR, _IMP = range(5)
 _TAGS = {"and": _AND, "or": _OR, "imp": _IMP}
+_FALSE = 0
 
-_tag: list[int] = []
-_left: list[int] = []
-_right: list[int] = []
-_ids: dict[tuple[int, int, int], int] = {}
-
-
-def _node(tag: int, left: int, right: int) -> int:
-    key = (tag, left, right)
-    i = _ids.get(key)
-    if i is None:
-        i = _ids[key] = len(_tag)
-        _tag.append(tag)
-        _left.append(left)
-        _right.append(right)
-    return i
-
-
-_FALSE = _node(_FALSUM, 0, 0)
-
-
-def _code(phi: Formula) -> int:
-    """The id of phi with neg a read as imp(a, falsum) and iff(a, b) as
-    and(imp(a, b), imp(b, a)), memoised on the node."""
-    i = phi._desugared
-    if i is None:
-        if isinstance(phi, Var):
-            i = _node(_ATOM, phi.index, 0)
-        else:
-            name = phi.name
-            if name == "neg":
-                i = _node(_IMP, _code(phi.args[0]), _FALSE)
-            elif name == "iff":
-                a, b = map(_code, phi.args)
-                i = _node(_AND, _node(_IMP, a, b), _node(_IMP, b, a))
-            elif name in _TAGS:
-                i = _node(_TAGS[name], *map(_code, phi.args))
-            else:
-                raise ValueError(f"connective {name} is not an intuitionistic connective")
-        phi._desugared = i
-    return i
-
-
-_sequent_memo: dict[tuple[frozenset, int], bool] = {}
-
-# ipc_decide lets G4ip take this many _prove_inner steps on a query over
+# ipc_decide lets G4ip take this many steps (memo misses) on a query over
 # x0..x3 before it looks for a Kripke countermodel with up to
 # _FALLBACK_WORLDS worlds. On 40 seeds of the consequence benchmark's stream,
 # 1 of 53,275 ipc calls spent the budget (a Kripke model refuted it), and a
-# provable query took up to 1,915 steps: a smaller budget would run a
+# provable query took up to 1,917 steps: a smaller budget would run a
 # fruitless Kripke search before proving such queries.
 _STEP_BUDGET = 2000
 _FALLBACK_WORLDS = 3
-# Steps left before the budget is spent. Outside a bounded search it is 0,
-# so it counts down through the negatives and never reaches 0 again.
-_steps_left = 0
 
 
 class _BudgetSpent(Exception):
     pass
 
 
-def _prove(ctx: frozenset, goal: int) -> bool:
-    key = (ctx, goal)
-    cached = _sequent_memo.get(key)
-    if cached is not None:
-        return cached
-    global _steps_left
-    _steps_left -= 1
-    if not _steps_left:
-        raise _BudgetSpent
-    if len(_sequent_memo) > 4_000_000:
-        _sequent_memo.clear()
-    result = _prove_inner(ctx, goal)
-    _sequent_memo[key] = result
-    return result
+class _Search:
+    """The G4ip search of one query. Node i of its desugared language has the
+    constructor tag[i] and the children left[i], right[i] (an atom keeps its
+    variable index in left); ids hash-conses (tag, left, right) to its id, so
+    the implications the left rules build are found, not re-created. codes
+    maps each formula coded so far to its id, memo each sequent searched so
+    far to its verdict, and steps counts down to a spent budget (from 0 it
+    counts through the negatives and never reaches 0 again)."""
 
+    __slots__ = ("tag", "left", "right", "ids", "codes", "memo", "steps")
 
-def _prove_inner(ctx: frozenset, goal: int) -> bool:
-    tag, left, right = _tag, _left, _right
-    if goal in ctx:
-        return True
-    work = list(ctx)
-    while tag[goal] == _IMP:
-        work.append(left[goal])
-        goal = right[goal]
-    # invertible left rules, one pass over a worklist: every formula put on
-    # it follows from the sequent's antecedent, and the antecedent is
-    # rebuilt as ``out`` from the formulas no invertible rule rewrites
-    out = set()
-    waiting: dict[int, list[int]] = {}  # atom -> imp(atom, B) still in out
-    ors = []
-    nested = []  # imp(imp(C, D), B)
-    while work:
-        phi = work.pop()
-        if phi == goal:
+    def __init__(self):
+        self.tag, self.left, self.right = [_FALSUM], [0], [0]
+        self.ids = {(_FALSUM, 0, 0): _FALSE}
+        self.codes = {}
+        self.memo = {}
+        self.steps = 0
+
+    def node(self, tag: int, left: int, right: int) -> int:
+        key = (tag, left, right)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.tag)
+            self.tag.append(tag)
+            self.left.append(left)
+            self.right.append(right)
+        return i
+
+    def code(self, phi: Formula) -> int:
+        """The id of phi with neg a read as imp(a, falsum) and iff(a, b) as
+        and(imp(a, b), imp(b, a))."""
+        i = self.codes.get(phi)
+        if i is None:
+            node, code = self.node, self.code
+            if isinstance(phi, Var):
+                i = node(_ATOM, phi.index, 0)
+            elif phi.name == "neg":
+                i = node(_IMP, code(phi.args[0]), _FALSE)
+            elif phi.name == "iff":
+                a, b = map(code, phi.args)
+                i = node(_AND, node(_IMP, a, b), node(_IMP, b, a))
+            else:
+                i = node(_TAGS[phi.name], *map(code, phi.args))
+            self.codes[phi] = i
+        return i
+
+    def prove(self, ctx: frozenset, goal: int) -> bool:
+        key = (ctx, goal)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        self.steps -= 1
+        if not self.steps:
+            raise _BudgetSpent
+        result = self.memo[key] = self._step(ctx, goal)
+        return result
+
+    def _step(self, ctx: frozenset, goal: int) -> bool:
+        tag, left, right, node, prove = self.tag, self.left, self.right, self.node, self.prove
+        if goal in ctx:
             return True
-        if phi in out:
-            continue
-        t = tag[phi]
-        if t == _ATOM:
-            out.add(phi)
-            for imp in waiting.pop(phi, ()):
-                out.discard(imp)
-                work.append(right[imp])
-        elif t == _IMP:
-            a = left[phi]
-            ta = tag[a]
-            if ta == _ATOM:
-                if a in out:
-                    work.append(right[phi])
-                else:
-                    out.add(phi)
-                    waiting.setdefault(a, []).append(phi)
-            elif ta == _IMP:
+        work = list(ctx)
+        while tag[goal] == _IMP:
+            work.append(left[goal])
+            goal = right[goal]
+        # invertible left rules, one pass over a worklist: every formula put on
+        # it follows from the sequent's antecedent, and the antecedent is
+        # rebuilt as ``out`` from the formulas no invertible rule rewrites
+        out = set()
+        waiting: dict[int, list[int]] = {}  # atom -> imp(atom, B) still in out
+        ors = []
+        nested = []  # imp(imp(C, D), B)
+        while work:
+            phi = work.pop()
+            if phi == goal:
+                return True
+            if phi in out:
+                continue
+            t = tag[phi]
+            if t == _ATOM:
                 out.add(phi)
-                nested.append(phi)
-            elif ta == _AND:
-                work.append(_node(_IMP, left[a], _node(_IMP, right[a], right[phi])))
-            elif ta == _OR:
-                work.append(_node(_IMP, left[a], right[phi]))
-                work.append(_node(_IMP, right[a], right[phi]))
-            # imp(falsum, B) holds anyway and is dropped
-        elif t == _AND:
-            work.append(left[phi])
-            work.append(right[phi])
-        elif t == _OR:
-            out.add(phi)
-            ors.append(phi)
-        else:
-            return True  # falsum
-    frozen = frozenset(out)
-    t = tag[goal]
-    if t == _AND:
-        return _prove(frozen, left[goal]) and _prove(frozen, right[goal])
-    if ors:
-        phi = min(ors)
-        rest = frozen - {phi}
-        return _prove(rest | {left[phi]}, goal) and _prove(rest | {right[phi]}, goal)
-    # branching: disjunction on the right, then nested implications on the
-    # left in ascending id order
-    if t == _OR and (_prove(frozen, left[goal]) or _prove(frozen, right[goal])):
-        return True
-    nested.sort()
-    for phi in nested:
-        a = left[phi]
-        b = right[phi]
-        rest = frozen - {phi}
-        if _prove(rest | {_node(_IMP, right[a], b)}, a) and _prove(rest | {b}, goal):
+                for imp in waiting.pop(phi, ()):
+                    out.discard(imp)
+                    work.append(right[imp])
+            elif t == _IMP:
+                a = left[phi]
+                ta = tag[a]
+                if ta == _ATOM:
+                    if a in out:
+                        work.append(right[phi])
+                    else:
+                        out.add(phi)
+                        waiting.setdefault(a, []).append(phi)
+                elif ta == _IMP:
+                    out.add(phi)
+                    nested.append(phi)
+                elif ta == _AND:
+                    work.append(node(_IMP, left[a], node(_IMP, right[a], right[phi])))
+                elif ta == _OR:
+                    work.append(node(_IMP, left[a], right[phi]))
+                    work.append(node(_IMP, right[a], right[phi]))
+                # imp(falsum, B) holds anyway and is dropped
+            elif t == _AND:
+                work.append(left[phi])
+                work.append(right[phi])
+            elif t == _OR:
+                out.add(phi)
+                ors.append(phi)
+            else:
+                return True  # falsum
+        frozen = frozenset(out)
+        t = tag[goal]
+        if t == _AND:
+            return prove(frozen, left[goal]) and prove(frozen, right[goal])
+        if ors:
+            phi = min(ors)
+            rest = frozen - {phi}
+            return prove(rest | {left[phi]}, goal) and prove(rest | {right[phi]}, goal)
+        # branching: disjunction on the right, then nested implications on the
+        # left in ascending id order
+        if t == _OR and (prove(frozen, left[goal]) or prove(frozen, right[goal])):
             return True
-    return False
+        nested.sort()
+        for phi in nested:
+            a = left[phi]
+            b = right[phi]
+            rest = frozen - {phi}
+            if prove(rest | {node(_IMP, right[a], b)}, a) and prove(rest | {b}, goal):
+                return True
+        return False
 
 
 def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
@@ -313,25 +305,27 @@ def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     query then asks for a Kripke countermodel with up to ``_FALLBACK_WORLDS``
     worlds; when there is none, the search goes on unbounded with its memo,
     or the ``RecursionError`` propagates. Only the sequent search answers yes."""
-    global _steps_left
     gamma = tuple(gamma)
-    ctx = frozenset(map(_code, gamma))
-    goal = _code(phi)
-    if any(f.vmask >> _FRAME_VARS for f in gamma + (phi,)):
-        return _prove(ctx, goal)
-    if not cpc_decide(gamma, phi):
+    query = gamma + (phi,)
+    _require_connectives(query, _CONNECTIVES, "an intuitionistic")
+    inside = not any(f.vmask >> _FRAME_VARS for f in query)
+    if inside and not cpc_decide(gamma, phi):
         return False
-    _steps_left = _STEP_BUDGET
+    search = _Search()
+    ctx = frozenset(map(search.code, gamma))
+    goal = search.code(phi)
+    if not inside:
+        return search.prove(ctx, goal)
+    search.steps = _STEP_BUDGET
     try:
-        return _prove(ctx, goal)
+        return search.prove(ctx, goal)
     except (_BudgetSpent, RecursionError) as exc:
         if kripke_countermodel(gamma, phi, _FALLBACK_WORLDS) is not None:
             return False
         if isinstance(exc, RecursionError):
             raise
-    finally:
-        _steps_left = 0
-    return _prove(ctx, goal)
+    search.steps = 0
+    return search.prove(ctx, goal)
 
 
 # ---------------------------------------------------------------------------

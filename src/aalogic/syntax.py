@@ -13,11 +13,9 @@ never changed afterwards:
   occurring in it. Equal sets are one shared object, and a variable's set is
   empty.
 
-A node also has two memo slots that start empty and are filled at most once:
+A node also has one memo slot that starts empty and is filled at most once:
 ``_bits``, the classical truth table over a fixed variable frame
-(``provers.cpc_decide``), and ``_desugared``, the integer id under which
-``provers.ipc_decide`` codes the node rewritten over imp/and/or and falsum
-(ids are handed out in order of first use within the process).
+(``provers.cpc_decide``).
 
 The parser and the printer keep explicit stacks. The parser still rejects
 formulas nested deeper than MAX_FORMULA_DEPTH, so that the recursive
@@ -55,7 +53,7 @@ class FormulaSyntaxError(ValueError):
 
 
 class Formula:
-    __slots__ = ("_hash", "vmask", "depth", "conns", "_bits", "_desugared")
+    __slots__ = ("_hash", "vmask", "depth", "conns", "_bits")
 
     def __hash__(self):
         return self._hash
@@ -82,7 +80,7 @@ class Var(Formula):
             node.vmask = 1 << index
             node.depth = 1
             node.conns = _NO_CONNECTIVES
-            node._bits = node._desugared = None
+            node._bits = None
             cls._pool[index] = node
         return node
 
@@ -124,7 +122,7 @@ class App(Formula):
             node.vmask = mask
             node.depth = depth + 1
             node.conns = cls._conn_sets.setdefault(conns, conns)
-            node._bits = node._desugared = None
+            node._bits = None
             cls._pool[key] = node
         return node
 

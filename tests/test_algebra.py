@@ -145,6 +145,12 @@ class TestCongruences:
         with pytest.raises(ValueError):
             congruence_generated(h3, [(0, 5)])
 
+    @pytest.mark.parametrize("rep", [(0, 5), (0, -1), (1, 1), (0, 0, 1), (0,)])
+    def test_not_a_least_representative_map(self, rep):
+        # an index outside the map is refused before it is read
+        with pytest.raises(ValueError, match="not a least-representative map"):
+            Congruence(2, rep)
+
     def test_generated_is_least(self, h3, b4, chain4):
         # the generated congruence is contained in every congruence holding the pairs
         for A in (h3, b4, chain4):

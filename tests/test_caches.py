@@ -14,11 +14,12 @@ from aalogic.algebraization import qv_membership
 from aalogic.glivenko import find_adjoint_report, left_adjoint_quotient, regular_elements
 
 # The process-wide containers the package keeps on purpose: the prover's
-# integer node tables, its sequent memo and its Kripke frame algebras, and
-# the bundled-name tables, which hold builders, not built objects. The
-# formula intern pools are class attributes.
+# connective-to-tag table and its Kripke frame algebras (each sequent search
+# keeps its tables and memo to itself), and the bundled-name tables, which
+# hold builders, not built objects. The formula intern pools are class
+# attributes.
 MODULE_CONTAINERS = {
-    "provers": {"_TAGS", "_tag", "_left", "_right", "_ids", "_sequent_memo", "_frame_cache"},
+    "provers": {"_TAGS", "_frame_cache"},
     "corpus": {"LOGICS", "CONTEXTS"},
 }
 

@@ -21,7 +21,7 @@ from aalogic import (
 from aalogic import algebra, corpus, provers
 from aalogic.algebraization import delta_translate, tau_translate
 from aalogic.algebra import FiniteAlgebra, value_vector
-from aalogic.provers import _FRAME_VARS, KripkeModel, _code, _frame_bits, _frames, _prove, heyting_of_upsets
+from aalogic.provers import _FRAME_VARS, KripkeModel, _frame_bits, _frames, heyting_of_upsets
 from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
 from aalogic.syntax import (
     MAX_FORMULA_DEPTH,
@@ -37,9 +37,21 @@ from aalogic.syntax import (
 
 
 def g4ip(gamma, phi):
-    """Bare sequent search on the coded query: no classical pre-check and no
-    Kripke fallback, so the oracles below check it on its own."""
-    return _prove(frozenset(map(_code, gamma)), _code(phi))
+    """Bare sequent search on the coded query, after ipc_decide's connective
+    check: no classical pre-check and no Kripke fallback, so the oracles below
+    check it on its own."""
+    gamma = tuple(gamma)
+    provers._require_connectives(gamma + (phi,), provers._CONNECTIVES, "an intuitionistic")
+    search = provers._Search()
+    return search.prove(frozenset(map(search.code, gamma)), search.code(phi))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every sequent search ipc_decide builds while the test runs."""
+    built, search = [], provers._Search
+    monkeypatch.setattr(provers, "_Search", lambda: built.append(search()) or built[-1])
+    return built
 
 
 def nn(phi):
@@ -391,9 +403,12 @@ SEARCH_PROBE = """
 from aalogic import corpus, provers
 from aalogic.algebraization import check_bp_conditions, is_lindenbaum
 from aalogic.syntax import BUILTIN_SIGNATURE, parse_formula
+searches, search = [], provers._Search
+provers._Search = lambda: searches.append(search()) or searches[-1]
 ipc, pair = corpus.ipc_logic(), corpus.classical_pair()
 reports = [check_bp_conditions(ipc, pair, 2, 1).to_json(), is_lindenbaum(ipc, pair, 2, 2).to_json()]
-print(len(provers._sequent_memo), reports)
+print(sum(len(s.memo) for s in searches), reports)
+print([[(sorted(ctx), goal, verdict) for (ctx, goal), verdict in s.memo.items()] for s in searches])
 parse = lambda text: parse_formula(BUILTIN_SIGNATURE, text)
 for gamma, phi in [((), "or(imp(x0,x1),imp(x1,x0))"), (("neg(neg(x0))",), "x0"),
                    (("imp(x0,or(x1,x2))",), "or(imp(x0,x1),imp(x0,x2))")]:
@@ -411,7 +426,30 @@ def test_search_does_not_depend_on_the_hash_seed():
     ]
     assert outputs[0] == outputs[1]
     # the bounded Lindenbaum sweep keeps the probe inside the sequent search
-    assert int(outputs[0].split()[0]) >= 191
+    assert int(outputs[0].split()[0]) >= 397
+
+
+FRESH_PROBE = """
+import sys
+from aalogic import ipc_decide, provers
+from aalogic.syntax import BUILTIN_SIGNATURE, parse_formula
+searches, search = [], provers._Search
+provers._Search = lambda: searches.append(search()) or searches[-1]
+assert ipc_decide((), parse_formula(BUILTIN_SIGNATURE, sys.argv[1]))
+print(len(searches[-1].memo))
+"""
+
+
+def test_earlier_queries_leave_a_search_unchanged(sig, searches):
+    # each query searches from empty tables and an empty memo, so it visits
+    # as many sequents in a fresh process as after 600 other queries
+    phi = nn(iff_chain(12))
+    fresh = subprocess.run([sys.executable, "-c", FRESH_PROBE, repr(phi)], capture_output=True,
+                           text=True, check=True).stdout
+    for gamma, psi in bench_shaped_queries(sig, 1501, 600):
+        ipc_decide(gamma, psi)
+    assert ipc_decide((), phi)
+    assert len(searches[-1].memo) == int(fresh) > 100
 
 
 class TestGlivenkoProperty:
@@ -465,21 +503,22 @@ class TestRefuteFirst:
         assert verdicts == [g4ip(gamma, phi) for gamma, phi in queries]
         assert 0 < sum(verdicts) < len(queries)
 
-    def test_classical_refutation_skips_the_sequent_search(self, F):
-        memo = len(provers._sequent_memo)
+    def test_classical_refutation_skips_the_sequent_search(self, F, searches):
         assert not ipc_decide((F("imp(x3,x2)"),), F("and(x2,imp(x1,x3))"))
-        assert len(provers._sequent_memo) == memo
+        assert searches == []
+        assert ipc_decide((F("imp(x3,x2)"), F("x3")), F("x2"))
+        assert len(searches) == 1
 
     def test_foreign_connective_is_not_intuitionistic(self, F):
-        # the query is coded before the classical pre-check, whose message
-        # would name a classical connective
+        # the connectives are checked before the classical pre-check, whose
+        # message would name a classical connective
         box = App("box", (F("x0"),))
         for gamma, phi in [((), box), ((box,), F("x1")), ((F("x0"),), App("and", (F("x1"), box)))]:
             with pytest.raises(ValueError, match="connective box is not an intuitionistic connective"):
                 ipc_decide(gamma, phi)
 
     def test_internal_falsum_node_is_foreign(self, F, monkeypatch):
-        # refused while coding the query, before the classical pre-check,
+        # refused by the connective check, before the classical pre-check,
         # which would name it a foreign classical connective
         monkeypatch.setattr(provers, "cpc_decide", None)
         for gamma, phi in [((), BOT), ((BOT,), F("x0")), ((), App("imp", (BOT, F("x0")))),
@@ -574,16 +613,16 @@ def ref_desugar(phi):
     return App(phi.name, tuple(args))
 
 
-def decode(i):
-    """The formula behind prover id i, read off the prover's node tables,
-    with BOT for falsum."""
-    tag = provers._tag[i]
+def decode(search, i):
+    """The formula behind id i, read off the search's node tables, with BOT
+    for falsum."""
+    tag = search.tag[i]
     if tag == provers._ATOM:
-        return Var(provers._left[i])
+        return Var(search.left[i])
     if tag == provers._FALSUM:
         return BOT
     name = {provers._AND: "and", provers._OR: "or", provers._IMP: "imp"}[tag]
-    return App(name, (decode(provers._left[i]), decode(provers._right[i])))
+    return App(name, (decode(search, search.left[i]), decode(search, search.right[i])))
 
 
 def ref_truth(phi, v):
@@ -673,9 +712,10 @@ class TestNodeMemos:
     def test_desugar_matches_reference(self, sig):
         rng = random.Random(23)
         sample = enumerate_formulas(sig, 2, 3) + [random_formula(rng, sig, 10, 5) for _ in range(200)]
-        for _ in range(2):  # the first round fills the memo, the second reads it
+        search = provers._Search()
+        for _ in range(2):  # the first round fills the codes, the second reads them
             for phi in sample:
-                assert decode(_code(phi)) == ref_desugar(phi)
+                assert decode(search, search.code(phi)) == ref_desugar(phi)
 
     @pytest.mark.parametrize("make_pair", [corpus.classical_pair, corpus.perturbed_pair])
     def test_translations_match_fresh_substitution(self, sig, make_pair, monkeypatch):
