@@ -35,10 +35,11 @@ The invariants go through ``_invariant`` under keys that begin with a
 string, so they cannot collide with the kernel's frame keys. No
 module-level cache holds a caller's algebra (``provers._frame_cache`` keeps
 only the frame algebras it builds), so an algebra and its memo are freed
-with its last reference. This memo, the translation memos of
-``FlexibleMorphism``, ``AlgebraizingPair`` and ``GlivenkoContext`` and the
-context's adjoint cache all go through ``_remember``, which drops a memo
-wholesale at ``MEMO_LIMIT`` entries.
+with its last reference. This memo and a Glivenko context's adjoint cache
+go through ``_remember``, which drops a memo wholesale at ``MEMO_LIMIT``
+entries. The syntactic translations (a morphism's extension, a pair's tau
+and Delta, a context's theta[phi']) keep no memo: each is a substitution
+that builds interned nodes afresh on every call.
 
 ``evaluate`` handles one valuation.
 """
@@ -273,10 +274,6 @@ class Congruence:
     @classmethod
     def identity(cls, size: int) -> "Congruence":
         return cls(size, range(size))
-
-    @classmethod
-    def from_blocks(cls, size: int, blocks: Iterable[Iterable[int]]) -> "Congruence":
-        return cls.from_pairs(size, [(block[0], b) for block in map(list, blocks) for b in block])
 
     def related(self, a: int, b: int) -> bool:
         return self.rep[a] == self.rep[b]

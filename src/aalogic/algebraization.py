@@ -8,7 +8,7 @@ import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, _invariant, _remember
+from .algebra import FiniteAlgebra, _invariant
 from .provers import Equation, equational_consequence
 from .semantics import LogicSpec, consequence
 from .syntax import (
@@ -40,9 +40,6 @@ class AlgebraizingPair:
         for l, r in self.tau:
             if not variables(l) <= {0} or not variables(r) <= {0}:
                 raise ValueError("defining equations must use only x0")
-        # translations memoised per interned formula
-        self._tau_memo: dict[Formula, tuple[Equation, ...]] = {}
-        self._delta_memo: dict[tuple[Formula, Formula], tuple[Formula, ...]] = {}
 
     def __eq__(self, other):
         return isinstance(other, AlgebraizingPair) and (self.delta, self.tau) == (other.delta, other.tau)
@@ -64,23 +61,12 @@ class AlgebraizingPair:
 
 def tau_translate(pair: AlgebraizingPair, phi: Formula) -> tuple[Equation, ...]:
     """The defining equations instantiated at phi."""
-    eqs = pair._tau_memo.get(phi)
-    if eqs is None:
-        eqs = _remember(pair._tau_memo, phi, tuple(
-            Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau
-        ))
-    return eqs
+    return tuple(Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau)
 
 
 def delta_translate(pair: AlgebraizingPair, eq: Equation) -> tuple[Formula, ...]:
     """The equivalence formulas instantiated at an equation's two sides."""
-    key = (eq.lhs, eq.rhs)
-    out = pair._delta_memo.get(key)
-    if out is None:
-        out = _remember(pair._delta_memo, key, tuple(
-            substitute(d, {0: eq.lhs, 1: eq.rhs}) for d in pair.delta
-        ))
-    return out
+    return tuple(substitute(d, {0: eq.lhs, 1: eq.rhs}) for d in pair.delta)
 
 
 def class_equal(l: LogicSpec, pair: AlgebraizingPair, phi: Formula, psi: Formula) -> bool:

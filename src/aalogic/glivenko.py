@@ -80,7 +80,6 @@ class GlivenkoContext:
         self.target_pair = target_pair
         self.name = name or f"{source.name}->{target.name}"
         self._adjoint_cache: dict[FiniteAlgebra, AdjointData] = {}
-        self._rho_memo: dict[Formula, Formula] = {}  # rho_translate's, per interned node
 
     @classmethod
     def identity(cls, logic: LogicSpec, pair: AlgebraizingPair | None = None) -> "GlivenkoContext":
@@ -103,14 +102,12 @@ class GlivenkoContext:
 
 
 def rho_translate(ctx: GlivenkoContext, phi_prime: Formula) -> Formula:
-    """Substitute the sentence into the context's fixed formula, memoised on
-    the context; only formulas over the source signature are remembered."""
-    out = ctx._rho_memo.get(phi_prime)
-    if out is None:
-        if not formula_over(ctx.source.signature, phi_prime):
-            raise ValueError("formula is not over the shared signature")
-        out = _remember(ctx._rho_memo, phi_prime, substitute(ctx.theta, {0: phi_prime}))
-    return out
+    """Substitute the sentence into the context's fixed formula, which must
+    be a formula over the source signature. Nothing is kept on the context:
+    the result is an interned node, built afresh on every call."""
+    if not formula_over(ctx.source.signature, phi_prime):
+        raise ValueError("formula is not over the shared signature")
+    return substitute(ctx.theta, {0: phi_prime})
 
 
 def rho_translate_all(ctx: GlivenkoContext, gamma: Iterable[Formula]) -> tuple[Formula, ...]:
@@ -356,29 +353,6 @@ def validate_context(ctx: GlivenkoContext, num_vars: int = 2, depth: int = 2,
         gamma, phi = violation
         report.witness = f"consequence not preserved at {[print_formula(g) for g in gamma]} |- {print_formula(phi)}"
     return report
-
-
-def density_check(ctx: GlivenkoContext, depth: int = 3, limit: int = 4000) -> dict[str, Optional[Formula]]:
-    """Bounded search: for each target connective, a source formula whose
-    translation is target-equivalent to it. Incomplete by nature; a None value
-    means nothing was found within the bounds, not that nothing exists."""
-    if ctx.target_pair is None:
-        raise ValueError("density check needs the target's equivalence formulas")
-    out: dict[str, Optional[Formula]] = {}
-    for name, arity in ctx.target.signature.connectives:
-        goal = App(name, tuple(Var(i) for i in range(arity)))
-        found = None
-        count = 0
-        for phi in enumerate_formulas(ctx.source.signature, max(arity, 1), depth):
-            count += 1
-            if count > limit:
-                break
-            image = ctx.translate_formula(phi)
-            if class_equal(ctx.target, ctx.target_pair, goal, image):
-                found = phi
-                break
-        out[name] = found
-    return out
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Finite-sample satisfaction-condition checkers for the three institution
 flavours: plain matrix semantics over flexible morphisms, reduced-matrix
 semantics over translation contexts, and quasi-equation semantics over
-translation contexts. Reports are seeded and deterministic."""
+translation contexts. Reports are seeded and deterministic. Every sample
+draws its sentence, but only entries whose certificate failed translate
+and evaluate it; a certified entry satisfies the condition at every
+sentence, and its translation cannot raise."""
 
 from __future__ import annotations
 
@@ -150,12 +153,16 @@ def _unit_certificate(ctx: GlivenkoContext, A: FiniteAlgebra, designated: frozen
     theta^A(a) is designated in A exactly when u(a) is designated in the
     image. Then for every sentence and valuation v into A, theta(phi) is
     designated at v exactly when phi is designated at u.v, and the u.v are
-    every valuation into the image."""
+    every valuation into the image. The lemma also needs theta(phi) to be a
+    source sentence for every target sentence phi, so the source signature
+    must extend the target's; where it does not, a translation may raise,
+    and the entry is evaluated in full."""
     sig = ctx.target.signature
     unit = ctx.adjoint(A).unit
     theta = value_vector(A, ctx.theta, 1)
     return (
-        A.signature.extends(sig) and image.signature.extends(sig)
+        ctx.source.signature.extends(sig)
+        and A.signature.extends(sig) and image.signature.extends(sig)
         and set(unit) == set(image.elements())
         and is_homomorphism(A, image, unit, sig)
         and all((theta[a] in designated) == (unit[a] in image_designated) for a in A.elements())
@@ -215,10 +222,12 @@ def _pool(kind: str, corpus: Corpus) -> list[tuple]:
       filter exactly when u(a) is in beta(M)'s;
     - InsLAL: the same homomorphism, and the source's defining equations
       hold at theta^A(a) exactly when the target's hold at u(a).
-    A certified entry satisfies the condition at every sentence. The If
-    reducts are built here and the InsAL and InsLAL images on an entry's
-    first sample, where the per-kind loops built them, so every error is
-    raised at the same point."""
+    A certified entry satisfies the condition at every sentence, and its
+    translation cannot raise: If's morphism has an image for every source
+    connective, and the InsAL and InsLAL certificates require the source
+    signature to extend the target's. The If reducts are built here and the
+    InsAL and InsLAL images on an entry's first sample, where the per-kind
+    loops built them, so every error is raised at the same point."""
     if kind == "If":
         pool = []
         for mname, h in corpus.morphisms:
@@ -257,10 +266,11 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
     with seeded random sentences: sample i checks M |= Phi(gamma) |- Phi(phi)
     against beta(M) |= gamma |- phi on pool entry i mod the pool size, and
     every disagreement is reported with its sentence as the witness. Every
-    sentence is drawn and translated, but the two sides are evaluated only
-    on entries whose certificate (see ``_pool``) failed: a certified entry
-    agrees at every sentence, so the report is the one full evaluation
-    would give."""
+    sentence is drawn, so the samples stay in step, but it is translated
+    and the two sides are evaluated only on entries whose certificate (see
+    ``_pool``) failed: a certified entry agrees at every sentence and its
+    translation cannot raise, so the report, errors included, is the one
+    full evaluation would give."""
     witness_keys = {
         "If": ("gamma", "phi", "model_side", "translated_side"),
         "InsAL": ("gamma", "phi"),
@@ -280,10 +290,9 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
         if images[j] is None:
             images[j] = build_image()
         image_satisfies, certified = images[j]
-        translated_sentence = tuple(map(translate, gamma)), translate(phi)
         if certified:
             continue
-        translated = model(*translated_sentence)
+        translated = model(tuple(map(translate, gamma)), translate(phi))
         image = image_satisfies(gamma, phi)
         if translated != image:
             sides = ([print_formula(g) for g in gamma], print_formula(phi), translated, image)

@@ -319,11 +319,6 @@ def variables(phi: Formula) -> frozenset[int]:
     return frozenset(sorted_variables((phi,)))
 
 
-def formula_depth(phi: Formula) -> int:
-    """Nodes on the longest root-to-leaf path; a variable has depth 1."""
-    return phi.depth
-
-
 def formula_over(sig: Signature, phi: Formula) -> bool:
     return phi.conns <= sig._conn_set
 
@@ -332,7 +327,7 @@ def substitute(phi: Formula, sigma: dict[int, Formula]) -> Formula:
     """Simultaneous substitution; unmapped variables stay fixed."""
     if isinstance(phi, Var):
         return sigma.get(phi.index, phi)
-    return App(phi.name, tuple(substitute(a, sigma) for a in phi.args))
+    return App(phi.name, [substitute(a, sigma) for a in phi.args])
 
 
 class FlexibleMorphism:
@@ -353,7 +348,6 @@ class FlexibleMorphism:
         extra = set(self.assignment) - set(source.names)
         if extra:
             raise ValueError(f"assignment for unknown connectives: {sorted(extra)}")
-        self._memo: dict[Formula, Formula] = {}  # extend_morphism's, per interned node
 
     @classmethod
     def identity(cls, sig: Signature) -> "FlexibleMorphism":
@@ -381,16 +375,11 @@ class FlexibleMorphism:
 
 def extend_morphism(f: FlexibleMorphism, phi: Formula) -> Formula:
     """The unique extension: variables are fixed, c(args) becomes f(c)[xi|args].
-    Memoised on f per interned node."""
+    Nothing is kept on f: a shared subterm is translated at each occurrence,
+    and the result is an interned node."""
     if isinstance(phi, Var):
         return phi
-    out = f._memo.get(phi)
-    if out is None:
-        from .algebra import _remember  # algebra imports this module
-
-        mapped = [extend_morphism(f, a) for a in phi.args]
-        out = _remember(f._memo, phi, substitute(f(phi.name), dict(enumerate(mapped))))
-    return out
+    return substitute(f(phi.name), dict(enumerate([extend_morphism(f, a) for a in phi.args])))
 
 
 def compose_morphisms(g: FlexibleMorphism, f: FlexibleMorphism) -> FlexibleMorphism:

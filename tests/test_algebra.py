@@ -167,17 +167,17 @@ class TestCongruences:
         assert Q == h3 and proj == (0, 1, 2)
 
     def test_quotient_h3_is_b2(self, h3, b2):
-        Q, proj = quotient(h3, Congruence.from_blocks(3, [[0], [1, 2]]))
+        Q, proj = quotient(h3, Congruence(3, (0, 1, 1)))
         assert find_isomorphism(Q, b2) is not None
         assert proj == (0, 1, 1)
 
     def test_quotient_total(self, h3):
-        Q, _ = quotient(h3, Congruence.from_blocks(3, [[0, 1, 2]]))
+        Q, _ = quotient(h3, Congruence(3, (0, 0, 0)))
         assert Q.size == 1
 
     def test_quotient_rejects_incompatible(self, h3):
         with pytest.raises(ValueError):
-            quotient(h3, Congruence.from_blocks(3, [[0, 1], [2]]))
+            quotient(h3, Congruence.from_pairs(3, [(0, 1)]))
 
     def test_quotient_identifies_exactly_generated_pairs(self, h3, b4):
         for A in (h3, b4):

@@ -5,13 +5,16 @@ process-wide cache unnoticed."""
 import gc
 import importlib
 import pkgutil
+import random
 import weakref
 
 import aalogic
-from aalogic import FiniteAlgebra, corpus
+from aalogic import BUILTIN_SIGNATURE, FiniteAlgebra, corpus
 from aalogic.algebra import all_filters, filter_closure, is_filter, theorem_values
-from aalogic.algebraization import qv_membership
-from aalogic.glivenko import find_adjoint_report, left_adjoint_quotient, regular_elements
+from aalogic.algebraization import delta_translate, qv_membership, tau_translate
+from aalogic.glivenko import find_adjoint_report, left_adjoint_quotient, regular_elements, rho_translate
+from aalogic.provers import Equation
+from aalogic.syntax import extend_morphism, random_formula
 
 # The process-wide containers the package keeps on purpose: the prover's
 # connective-to-tag table and its Kripke frame algebras (each sequent search
@@ -52,3 +55,30 @@ def test_module_level_containers_are_the_allowlist():
         if names:
             found[module.__name__.removeprefix("aalogic.")] = names
     assert found == MODULE_CONTAINERS
+
+
+def test_translations_keep_nothing_on_their_objects():
+    ctx = corpus.classical_context()
+    pair = corpus.classical_pair()
+    morphism = dict(corpus.classical_corpus().morphisms)["cpc-triple-neg"].morphism
+    objects = (ctx, pair, morphism)
+
+    def sizes():
+        return [
+            {name: len(value) for name, value in vars(obj).items() if isinstance(value, (dict, list, set))}
+            for obj in objects
+        ]
+
+    before = sizes()
+    rng = random.Random(2000)
+    formulas = set()
+    while len(formulas) < 2000:
+        formulas.add(random_formula(rng, BUILTIN_SIGNATURE, 3, 5))
+    previous = next(iter(formulas))
+    for phi in formulas:
+        rho_translate(ctx, phi)
+        tau_translate(pair, phi)
+        delta_translate(pair, Equation(previous, phi))
+        extend_morphism(morphism, phi)
+        previous = phi
+    assert sizes() == before

@@ -1,0 +1,44 @@
+"""Every name a package module imports is used in that module, so a removal
+leaves no import behind. The package's ``__init__`` re-exports what it
+imports, and ``from __future__`` imports are directives, not names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import aalogic
+
+MODULES = sorted(p for p in Path(aalogic.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with the line that binds it."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name read anywhere in the module, annotations included (the
+    modules use ``from __future__ import annotations``, so none is quoted)."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert unused == {}, f"{path.name}: imported but unused (name: line)"
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("from .algebra import FiniteAlgebra, _remember\nx: FiniteAlgebra\n")
+    assert {name for name in imported_names(tree) if name not in used_names(tree)} == {"_remember"}

@@ -508,6 +508,27 @@ class TestPoolLoopAgainstReference:
         assert outcome(ref_institution_report, "InsAL", c, samples=50) == (
             ValueError, "connective or not interpreted in this algebra")
 
+    def test_narrow_source_is_evaluated_in_full(self, sig2, F):
+        # entries over the built-in signature, in a context whose source is
+        # ipc over {neg, imp}: the unit is a surjective homomorphism onto each
+        # image, but a target sentence with and/or/iff is no source sentence,
+        # so the certificate fails and the translation raises as in full
+        # evaluation, at the same sample (the fifth at seed 18)
+        def narrow_corpus():
+            clean = corpus.classical_corpus()
+            h = FlexibleMorphism(sig2, BUILTIN_SIGNATURE, {"neg": F("neg(x0)"), "imp": F("imp(x0,x1)")})
+            ctx = GlivenkoContext(LogicSpec.ipc(sig2), LogicSpec.cpc(), h, F("neg(neg(x0))"),
+                                  source_pair=corpus.classical_pair(), target_pair=corpus.classical_pair(),
+                                  name="narrow")
+            return Corpus(contexts=[("narrow", ctx)], reduced_matrices=clean.reduced_matrices,
+                          algebras=clean.algebras)
+
+        for kind in ("InsAL", "InsLAL"):
+            assert not any(certified for *_, certified in certificates(kind, narrow_corpus()))
+            results = [assert_same_as_reference(narrow_corpus, kind, samples=n, seed=18) for n in range(8)]
+            assert all(report["passed"] for report, _ in results[:5])
+            assert results[5:] == [(ValueError, "formula is not over the shared signature")] * 3
+
     def test_empty_pools(self):
         for kind in ("If", "InsAL", "InsLAL"):
             result = assert_same_as_reference(Corpus, kind, samples=10)

@@ -18,7 +18,7 @@ from aalogic import (
     kripke_countermodel,
     quasiidentity_holds,
 )
-from aalogic import algebra, corpus, provers
+from aalogic import corpus, provers
 from aalogic.algebraization import delta_translate, tau_translate
 from aalogic.algebra import FiniteAlgebra, value_vector
 from aalogic.provers import _FRAME_VARS, KripkeModel, _frame_bits, _frames, heyting_of_upsets
@@ -27,7 +27,6 @@ from aalogic.syntax import (
     MAX_FORMULA_DEPTH,
     App,
     enumerate_formulas,
-    formula_depth,
     parse_formula,
     random_formula,
     sorted_variables,
@@ -718,23 +717,17 @@ class TestNodeMemos:
                 assert decode(search, search.code(phi)) == ref_desugar(phi)
 
     @pytest.mark.parametrize("make_pair", [corpus.classical_pair, corpus.perturbed_pair])
-    def test_translations_match_fresh_substitution(self, sig, make_pair, monkeypatch):
+    def test_translations_match_fresh_substitution(self, sig, make_pair):
         universe = enumerate_formulas(sig, 3, 2)
-        # the first round fills the memos and the second reads them; the
-        # third fills a new pair's memos under a small MEMO_LIMIT, which
-        # drops them again and again
-        first = make_pair()
-        for pair, limit in ((first, algebra.MEMO_LIMIT), (first, algebra.MEMO_LIMIT), (make_pair(), 50)):
-            monkeypatch.setattr(algebra, "MEMO_LIMIT", limit)
-            for phi in universe:
-                fresh_tau = tuple(
-                    Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau
-                )
-                assert tau_translate(pair, phi) == fresh_tau
-                for psi in universe:
-                    fresh_delta = tuple(substitute(d, {0: phi, 1: psi}) for d in pair.delta)
-                    assert delta_translate(pair, Equation(phi, psi)) == fresh_delta
-            assert len(pair._tau_memo) <= limit and len(pair._delta_memo) <= limit
+        pair = make_pair()
+        for phi in universe:
+            fresh_tau = tuple(
+                Equation(substitute(l, {0: phi}), substitute(r, {0: phi})) for l, r in pair.tau
+            )
+            assert tau_translate(pair, phi) == fresh_tau
+            for psi in universe:
+                fresh_delta = tuple(substitute(d, {0: phi, 1: psi}) for d in pair.delta)
+                assert delta_translate(pair, Equation(phi, psi)) == fresh_delta
 
     def test_equation_hash_is_that_of_its_sides(self, F):
         eq = Equation(F("x0"), F("imp(x0,x1)"))
@@ -768,7 +761,7 @@ def nested_text(name, side, depth):
 @pytest.mark.parametrize("name,side", DEEP_SHAPES)
 def test_depth_limit_formulas_decide(name, side, cpc, ipc, b2):
     phi = parse_formula(BUILTIN_SIGNATURE, nested_text(name, side, MAX_FORMULA_DEPTH))
-    assert formula_depth(phi) == MAX_FORMULA_DEPTH
+    assert phi.depth == MAX_FORMULA_DEPTH
     classical = consequence(cpc, (), phi)
     intuitionistic = consequence(ipc, (), phi)
     model = kripke_countermodel((), phi, 2)

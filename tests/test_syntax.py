@@ -18,14 +18,13 @@ from aalogic import (
     substitute,
     variables,
 )
-from aalogic import algebra, corpus
+from aalogic import corpus
 from aalogic.semantics import BUILTIN_SIGNATURE
 from aalogic.syntax import (
     _VAR_RE,
     MAX_FORMULA_DEPTH,
     MAX_VARIABLE_INDEX,
     Formula,
-    formula_depth,
     formula_over,
     random_formula,
 )
@@ -127,7 +126,7 @@ class TestPrinter:
         phi = Var(3)
         for _ in range(4999):
             phi = neg(phi)
-        assert formula_depth(phi) == 5000 > sys.getrecursionlimit()
+        assert phi.depth == 5000 > sys.getrecursionlimit()
         assert print_formula(phi) == "neg(" * 4999 + "x3" + ")" * 4999
 
 
@@ -214,7 +213,7 @@ class TestMorphisms:
         for phi in enumerate_formulas(sig2, 3, 4):
             assert extend_morphism(gf, phi) == extend_morphism(g, extend_morphism(f, phi))
 
-    def test_memoised_extension_matches_a_reference_walk(self, monkeypatch):
+    def test_extension_matches_a_reference_walk(self):
         def walk(f, phi):
             if isinstance(phi, Var):
                 return phi
@@ -225,14 +224,7 @@ class TestMorphisms:
         rng = random.Random(4215)
         queries = [random_formula(rng, BUILTIN_SIGNATURE, 3, 4) for _ in range(200)]
         for f in morphisms:
-            expected = [walk(f, phi) for phi in queries]
-            assert [extend_morphism(f, phi) for phi in queries] == expected  # cold
-            assert [extend_morphism(f, phi) for phi in queries] == expected  # warm
-        monkeypatch.setattr(algebra, "MEMO_LIMIT", 5)
-        for f in morphisms:
-            f._memo.clear()
             assert [extend_morphism(f, phi) for phi in queries] == [walk(f, phi) for phi in queries]
-            assert len(f._memo) <= 5
 
     def test_extension_structurality(self, sig2, double_neg_morphism):
         rng = random.Random(4214)
@@ -250,9 +242,9 @@ class TestMorphisms:
 
 class TestEnumeration:
     def test_depth_convention(self):
-        assert formula_depth(Var(0)) == 1
-        assert formula_depth(neg(Var(0))) == 2
-        assert formula_depth(imp(neg(Var(0)), Var(1))) == 3
+        assert Var(0).depth == 1
+        assert neg(Var(0)).depth == 2
+        assert imp(neg(Var(0)), Var(1)).depth == 3
 
     def test_counts_small(self, sig2):
         assert len(enumerate_formulas(sig2, 2, 1)) == 2
@@ -261,7 +253,7 @@ class TestEnumeration:
 
     def test_within_bounds(self, sig):
         for phi in enumerate_formulas(sig, 2, 3):
-            assert formula_depth(phi) <= 3
+            assert phi.depth <= 3
             assert variables(phi) <= {0, 1}
 
     def test_no_duplicates(self, sig):
@@ -272,7 +264,7 @@ class TestEnumeration:
         rng = random.Random(99)
         for _ in range(200):
             phi = random_formula(rng, sig, 2, 3)
-            assert formula_depth(phi) <= 3
+            assert phi.depth <= 3
             assert variables(phi) <= {0, 1}
 
 
@@ -327,7 +319,7 @@ class TestNodeMetadata:
         assert max(max(variables(phi), default=0) for phi in sample) == 9
         for phi in sample:
             assert variables(phi) == frozenset(ref_variables(phi))
-            assert formula_depth(phi) == ref_depth(phi)
+            assert phi.depth == ref_depth(phi)
 
     def test_formula_over_matches_reference(self):
         for phi in metadata_sample():
@@ -336,12 +328,12 @@ class TestNodeMetadata:
 
     def test_nullary_node_outside_every_signature(self):
         assert variables(BOT) == frozenset()
-        assert formula_depth(BOT) == 1
+        assert BOT.depth == 1
         assert not any(formula_over(sig, BOT) for sig in SUB_SIGNATURES)
 
     def test_nullary_connective(self):
         truth = App("truth", ())
-        assert formula_depth(truth) == 1 and variables(truth) == frozenset()
+        assert truth.depth == 1 and variables(truth) == frozenset()
         assert formula_over(Signature([("truth", 0)]), truth)
         assert not formula_over(Signature([("truth", 1)]), truth)
 
@@ -369,7 +361,7 @@ def nested_neg(depth):
 
 class TestDepthLimit:
     def test_limit_is_accepted(self, sig):
-        assert formula_depth(parse_formula(sig, nested_neg(MAX_FORMULA_DEPTH))) == MAX_FORMULA_DEPTH
+        assert parse_formula(sig, nested_neg(MAX_FORMULA_DEPTH)).depth == MAX_FORMULA_DEPTH
 
     def test_one_deeper_is_rejected_at_the_offending_token(self, sig):
         with pytest.raises(FormulaSyntaxError) as err:
