@@ -23,7 +23,7 @@ Everything that depends on one algebra alone is memoised on that algebra
 instance, in ``A._memo``:
 
 - value vectors, keyed ``(frame, phi)``, and equation masks, keyed
-  ``(frame, lhs, rhs)``, with interned formulas;
+  ``(frame, lhs, rhs)``, whose formulas hash and compare by identity;
 - the sorted unary-polynomial clone, read through ``_polynomials`` by
   ``leibniz`` and ``congruence_generated``, and the congruence list (for
   ``leibniz_bruteforce``, which must not share the clone);

@@ -53,13 +53,6 @@ class Equation:
     lhs: Formula
     rhs: Formula
 
-    def __post_init__(self):
-        # the hash the dataclass would compute, taken once from the interned sides
-        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"{self.lhs!r} == {self.rhs!r}"
 

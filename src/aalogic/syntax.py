@@ -1,8 +1,13 @@
 """Signatures, formulas, parsing/printing, substitution and flexible morphisms.
 
 Formulas are immutable trees over a fixed enumerable variable set x0, x1, ...
-Nodes are interned, so structural equality usually resolves by identity, but
-``==`` stays structural for nodes built outside the factories.
+Nodes are interned: ``Var(i)`` and ``App(name, args)`` return the one live
+node of that structure, and no other path builds a node (copying or
+unpickling one raises ``TypeError``). So equality and hash of nodes are
+those of ``object``, by identity, and a set of nodes iterates in an order
+that follows node addresses: output must never depend on it. The pools are
+strong and never emptied; a node built after a drop would be a second object
+for a structure that a live node already has, and would compare unequal.
 
 Every interned node carries metadata computed once, when it is created, and
 never changed afterwards:
@@ -53,10 +58,7 @@ class FormulaSyntaxError(ValueError):
 
 
 class Formula:
-    __slots__ = ("_hash", "vmask", "depth", "conns", "_bits")
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("vmask", "depth", "conns", "_bits")
 
     def __repr__(self):
         return print_formula(self)
@@ -76,18 +78,12 @@ class Var(Formula):
                 raise ValueError(f"variable index must be nonnegative: {index}")
             node = object.__new__(cls)
             node.index = index
-            node._hash = hash((1, index))
             node.vmask = 1 << index
             node.depth = 1
             node.conns = _NO_CONNECTIVES
             node._bits = None
             cls._pool[index] = node
         return node
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Var) and other.index == self.index)
-
-    __hash__ = Formula.__hash__
 
 
 class App(Formula):
@@ -107,7 +103,6 @@ class App(Formula):
             node = object.__new__(cls)
             node.name = name
             node.args = args
-            node._hash = hash(key)
             mask = depth = 0
             conns = args[0].conns if args else _NO_CONNECTIVES
             for a in args:
@@ -125,18 +120,6 @@ class App(Formula):
             node._bits = None
             cls._pool[key] = node
         return node
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, App)
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.args == other.args
-        )
-
-    __hash__ = Formula.__hash__
 
 
 class Signature:
@@ -420,13 +403,13 @@ def enumerate_formulas(sig: Signature, num_vars: int, max_depth: int) -> list[Fo
 def _tuples_with_max(pool: list[Formula], deepest: list[Formula], arity: int) -> Iterator[tuple[Formula, ...]]:
     # tuples over pool with at least one component in the deepest layer,
     # enumerated in plain product order over the pool
-    deepest_set = set(map(id, deepest))
+    deepest_set = set(deepest)
     if arity == 1:
         for a in deepest:
             yield (a,)
         return
     for args in itertools.product(pool, repeat=arity):
-        if any(id(a) in deepest_set for a in args):
+        if any(a in deepest_set for a in args):
             yield args
 
 

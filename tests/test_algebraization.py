@@ -459,6 +459,21 @@ def _constant_tau_logic():
 CPC_AXIOMS_SHA256 = "a375f1292823b0b1d55b7e9d89ce452ac28db1968e73ed1b97483dd67a2bca43"
 
 
+def axiom_lines(axioms):
+    """The repr of each quasi-identity. Printing 212,168 axioms takes seconds,
+    so each distinct equation is printed once and the lines are joined as
+    QuasiIdentity.__repr__ joins them."""
+    printed: dict[Equation, str] = {}
+
+    def text(eq):
+        out = printed.get(eq)
+        if out is None:
+            out = printed[eq] = repr(eq)
+        return out
+
+    return [f"[{q.kind}] {' & '.join(map(text, q.premises)) or 'true'} -> {text(q.conclusion)}" for q in axioms]
+
+
 class TestBatchedAxioms:
     @pytest.mark.parametrize("pair_name", sorted(QV_PAIRS))
     @pytest.mark.parametrize("logic_name", ["cpc", "ipc", "l3"])
@@ -492,21 +507,8 @@ class TestBatchedAxioms:
     def test_cpc_axioms_keep_their_digest(self, cpc, pair):
         axioms = qv_axioms(cpc, pair, 3, 2)
         assert len(axioms) == 212168
-        # printing 212,168 axioms takes seconds, so each distinct equation is
-        # printed once and the lines are joined as QuasiIdentity.__repr__ joins
-        # them; the stride sample checks that the two agree
-        printed: dict[Equation, str] = {}
-
-        def text(eq):
-            out = printed.get(eq)
-            if out is None:
-                out = printed[eq] = repr(eq)
-            return out
-
-        lines = [
-            f"[{q.kind}] {' & '.join(map(text, q.premises)) or 'true'} -> {text(q.conclusion)}"
-            for q in axioms
-        ]
+        lines = axiom_lines(axioms)
+        # the stride sample checks that axiom_lines agrees with QuasiIdentity.__repr__
         for i in list(range(0, len(axioms), 997)) + [len(axioms) - 1]:
             assert lines[i] == repr(axioms[i])
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CPC_AXIOMS_SHA256

@@ -19,12 +19,29 @@ from aalogic.syntax import extend_morphism, random_formula
 # The process-wide containers the package keeps on purpose: the prover's
 # connective-to-tag table and its Kripke frame algebras (each sequent search
 # keeps its tables and memo to itself), and the bundled-name tables, which
-# hold builders, not built objects. The formula intern pools are class
-# attributes.
+# hold builders, not built objects.
 MODULE_CONTAINERS = {
     "provers": {"_TAGS", "_frame_cache"},
     "corpus": {"LOGICS", "CONTEXTS"},
 }
+# The class-level containers: the formula intern pools and the shared
+# connective sets of App nodes. These and MODULE_CONTAINERS name every
+# process-wide table that holds formulas.
+CLASS_CONTAINERS = {
+    "syntax.Var": {"_pool"},
+    "syntax.App": {"_pool", "_conn_sets"},
+}
+
+
+def package_modules():
+    return [aalogic] + [importlib.import_module(f"aalogic.{m.name}") for m in pkgutil.iter_modules(aalogic.__path__)]
+
+
+def containers(namespace) -> set[str]:
+    return {
+        name for name, value in vars(namespace).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
 
 
 def test_no_algebra_outlives_its_last_user(ipc):
@@ -45,16 +62,23 @@ def test_no_algebra_outlives_its_last_user(ipc):
 
 
 def test_module_level_containers_are_the_allowlist():
-    modules = [aalogic] + [importlib.import_module(f"aalogic.{m.name}") for m in pkgutil.iter_modules(aalogic.__path__)]
     found = {}
-    for module in modules:
-        names = {
-            name for name, value in vars(module).items()
-            if not name.startswith("__") and isinstance(value, (dict, list, set))
-        }
+    for module in package_modules():
+        names = containers(module)
         if names:
             found[module.__name__.removeprefix("aalogic.")] = names
     assert found == MODULE_CONTAINERS
+
+
+def test_class_level_containers_are_the_allowlist():
+    found = {}
+    for module in package_modules():
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                names = containers(cls)
+                if names:
+                    found[f"{module.__name__.removeprefix('aalogic.')}.{cls.__qualname__}"] = names
+    assert found == CLASS_CONTAINERS
 
 
 def test_translations_keep_nothing_on_their_objects():

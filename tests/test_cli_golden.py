@@ -11,13 +11,16 @@ to rewrite them all:
 
 import contextlib
 import io
+import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from test_algebraization import CPC_AXIOMS_SHA256
 
 from aalogic.cli import build_parser, main
 
@@ -90,6 +93,42 @@ def test_cli_report_matches_golden(case, monkeypatch):
     monkeypatch.chdir(ROOT)
     expected = (GOLDEN / f"{case}.txt").read_text()
     assert run_case(CASES[case]) == expected
+
+
+# Formulas hash by identity, so a set of them iterates in an order that
+# follows node addresses. The probe first shuffles the free memory blocks of a node's size and
+# builds seeded random formulas among them, so every node built afterwards
+# sits at another address, in another relative order, than in a plain run.
+ADDRESS_PROBE = """
+import hashlib, json, random, sys
+sys.path.insert(0, sys.argv[1])
+from aalogic import BUILTIN_SIGNATURE, corpus, qv_axioms
+from aalogic.syntax import random_formula
+from test_algebraization import axiom_lines
+from test_cli_golden import CASES, run_case
+rng = random.Random(int(sys.argv[2]))
+blocks = [(i, i, i, i, i) for i in range(20000)]
+rng.shuffle(blocks)
+del blocks[::2]
+formulas = [random_formula(rng, BUILTIN_SIGNATURE, 6, 6) for _ in range(4000)]
+reports = {case: run_case(CASES[case]) for case in sys.argv[3:]}
+axioms = qv_axioms(corpus.cpc_logic(), corpus.classical_pair(), 3, 2)
+reports["digest"] = hashlib.sha256("\\n".join(axiom_lines(axioms)).encode()).hexdigest()
+print(json.dumps(reports))
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reports_do_not_depend_on_node_addresses(seed):
+    cases = ["institution_seed0", "bp_ipc_json", "glivenko_sweep"]
+    out = subprocess.run(
+        [sys.executable, "-c", ADDRESS_PROBE, str(GOLDEN.parent), str(seed)] + cases,
+        capture_output=True, text=True, check=True, cwd=ROOT,
+    )
+    reports = json.loads(out.stdout)
+    for case in cases:
+        assert reports[case] == (GOLDEN / f"{case}.txt").read_text(), case
+    assert reports["digest"] == CPC_AXIOMS_SHA256
 
 
 def test_every_golden_has_a_case():
