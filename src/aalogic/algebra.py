@@ -562,11 +562,11 @@ def is_filter(logic, A: FiniteAlgebra, F: Iterable[int]) -> bool:
     return True
 
 
-def all_filters(logic, A: FiniteAlgebra, max_size: int = 8) -> list[frozenset[int]]:
+def all_filters(logic, A: FiniteAlgebra) -> list[frozenset[int]]:
     """Every subset passing the filter check, smallest first (the order is
-    compatible with inclusion)."""
-    if A.size > max_size:
-        raise ValueError(f"carrier too large for exhaustive filter enumeration (> {max_size})")
+    compatible with inclusion). Refuses carriers of more than 8 elements."""
+    if A.size > 8:
+        raise ValueError("carrier too large for exhaustive filter enumeration (> 8)")
     out = []
     for k in range(A.size + 1):
         for subset in itertools.combinations(A.elements(), k):

@@ -294,14 +294,10 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
     x0, x1 = Var(0), Var(1)
     axioms: list[QuasiIdentity] = []
     for d in pair.delta:
-        refl = substitute(d, {0: x0, 1: x0})
+        refl = substitute(d, {1: x0})
         for eq in tau_translate(pair, refl):
             axioms.append(QuasiIdentity("i", (), eq))
-    premises = tuple(
-        eq
-        for d in pair.delta
-        for eq in tau_translate(pair, substitute(d, {0: x0, 1: x1}))
-    )
+    premises = tuple(eq for d in pair.delta for eq in tau_translate(pair, d))
     axioms.append(QuasiIdentity("ii", premises, Equation(x0, x1)))
 
     conclusions = enumerate_formulas(l.signature, num_vars, depth)

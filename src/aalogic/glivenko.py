@@ -88,9 +88,6 @@ class GlivenkoContext:
             source_pair=pair, target_pair=pair, name=f"id_{logic.name}",
         )
 
-    def translate_formula(self, phi: Formula) -> Formula:
-        return extend_morphism(self.h, phi)
-
     def adjoint(self, M: FiniteAlgebra) -> "AdjointData":
         data = self._adjoint_cache.get(M)
         if data is None:
@@ -326,28 +323,26 @@ class ContextReport:
         return "\n".join(lines)
 
 
-def validate_context(ctx: GlivenkoContext, num_vars: int = 2, depth: int = 2,
-                     limit: int = 400) -> ContextReport:
-    """Necessary conditions only, at the stated bounds: the section equation
-    x0 ~ h(theta) in the target, preservation of the equivalence formulas, and
-    consequence preservation on bounded entailments."""
-    report = ContextReport(ctx.name, {"vars": num_vars, "depth": depth, "limit": limit}, True, None, True)
+def validate_context(ctx: GlivenkoContext) -> ContextReport:
+    """Necessary conditions only: the section equation x0 ~ h(theta) in the
+    target, preservation of the equivalence formulas, and consequence
+    preservation on bounded entailments, at the fixed bounds of
+    ``LogicMorphism.preserves_consequence``: 2 variables, depth 2, the first
+    400 sequents."""
+    report = ContextReport(ctx.name, {"vars": 2, "depth": 2, "limit": 400}, True, None, True)
     if ctx.target_pair is not None:
-        image = ctx.translate_formula(ctx.theta)
+        image = extend_morphism(ctx.h, ctx.theta)
         report.section_equation = class_equal(ctx.target, ctx.target_pair, Var(0), image)
         if not report.section_equation:
             report.witness = f"x0 not equivalent to {print_formula(image)} in {ctx.target.name}"
     if ctx.source_pair is not None and ctx.target_pair is not None:
-        x0, x1 = Var(0), Var(1)
-        image_delta = tuple(
-            ctx.translate_formula(substitute(d, {0: x0, 1: x1})) for d in ctx.source_pair.delta
-        )
-        target_delta = tuple(substitute(d, {0: x0, 1: x1}) for d in ctx.target_pair.delta)
+        image_delta = tuple(extend_morphism(ctx.h, d) for d in ctx.source_pair.delta)
+        target_delta = ctx.target_pair.delta
         report.pair_preserved = all(
             ctx.target.proves(target_delta, d) for d in image_delta
         ) and all(ctx.target.proves(image_delta, d) for d in target_delta)
     morphism = LogicMorphism(ctx.source, ctx.target, ctx.h)
-    violation = morphism.preserves_consequence(num_vars, depth, limit=limit)
+    violation = morphism.preserves_consequence()
     report.consequence_preserved = violation is None
     if violation is not None:
         gamma, phi = violation
@@ -504,11 +499,12 @@ def glivenko_sweep(ctx: GlivenkoContext, num_vars: int, depth: int, gamma_size: 
     )
 
 
-def generic_left_adjoint(A: FiniteAlgebra, class_name: str, bound: int = 5) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+def generic_left_adjoint(A: FiniteAlgebra, class_name: str) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Experimental reflection into a quasivariety by congruence-lattice
-    search: the least congruence whose quotient lands in the class."""
-    if A.size > bound:
-        raise ValueError(f"generic adjoint search is bounded to size {bound}")
+    search: the least congruence whose quotient lands in the class. Refuses
+    algebras of more than 5 elements."""
+    if A.size > 5:
+        raise ValueError("generic adjoint search is bounded to size 5")
     candidates = []
     for theta in all_congruences(A):
         Q, proj = quotient(A, theta)

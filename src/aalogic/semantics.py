@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import provers
 from .algebra import FiniteAlgebra, all_rows, filter_rows, frame_valuation, value_vector
@@ -176,59 +176,48 @@ class LogicMorphism:
     def translate(self, phi: Formula) -> Formula:
         return extend_morphism(self.morphism, phi)
 
-    def preserves_consequence(self, num_vars: int = 2, depth: int = 2,
-                              limit: int = 2000) -> Optional[tuple]:
-        """Bounded check over the formulas within the bounds and premise sets
-        of at most one of them; returns a violating (gamma, phi) or None."""
-        universe = enumerate_formulas(self.source.signature, num_vars, depth)
-        gammas = [()] + [(g,) for g in universe]
-        count = 0
-        for phi in universe:
-            for gamma in gammas:
-                if count >= limit:
-                    return None
-                count += 1
-                if self.source.proves(gamma, phi):
-                    image_gamma = tuple(self.translate(g) for g in gamma)
-                    if not self.target.proves(image_gamma, self.translate(phi)):
-                        return (gamma, phi)
+    def preserves_consequence(self) -> Optional[tuple]:
+        """Bounded check over the first 400 sequents of ``_bounded_sequents``
+        (formulas over x0, x1 up to depth 2, premise sets of at most one of
+        them); returns a violating (gamma, phi) or None."""
+        for gamma, phi in itertools.islice(_bounded_sequents(self.source.signature), 400):
+            if self.source.proves(gamma, phi):
+                image_gamma = tuple(self.translate(g) for g in gamma)
+                if not self.target.proves(image_gamma, self.translate(phi)):
+                    return (gamma, phi)
         return None
+
+
+def _bounded_sequents(sig: Signature) -> Iterator[tuple[tuple[Formula, ...], Formula]]:
+    """The sequents gamma |- phi over formulas in x0, x1 up to depth 2, with
+    gamma empty or one such formula, ordered by the conclusion first."""
+    universe = enumerate_formulas(sig, 2, 2)
+    for phi in universe:
+        yield (), phi
+        for g in universe:
+            yield (g,), phi
 
 
 def identity_morphism(l: LogicSpec) -> LogicMorphism:
     return LogicMorphism(l, l, FlexibleMorphism.identity(l.signature))
 
 
-def mod_translate(h: LogicMorphism, M: Matrix, check: bool = True,
-                  num_vars: int = 2, depth: int = 2, samples: int = 60) -> Matrix:
+def mod_translate(h: LogicMorphism, M: Matrix, check: bool = True) -> Matrix:
     """Translate a matrix model of the target logic along h: take the reduct
     of the algebra and keep the filter. With ``check`` on, spot-check that the
-    filter is still closed under bounded source-logic consequences."""
+    filter is still closed under the first 60 sequents of ``_bounded_sequents``
+    that the source logic proves (formulas over x0, x1 up to depth 2)."""
     translated = Matrix(reduct(h.morphism, M.algebra), M.filter)
     if check:
-        witness = _filter_check(h.source, translated, num_vars, depth, samples)
-        if witness is not None:
-            gamma, phi, v = witness
-            raise ValueError(
-                f"filter is not closed under source consequences: {list(gamma)} |- {phi!r} "
-                f"fails at valuation {v}"
-            )
+        proved = (s for s in _bounded_sequents(h.source.signature) if h.source.proves(*s))
+        for gamma, phi in itertools.islice(proved, 60):
+            v = matrix_violation(translated, gamma, phi)
+            if v is not None:
+                raise ValueError(
+                    f"filter is not closed under source consequences: {list(gamma)} |- {phi!r} "
+                    f"fails at valuation {v}"
+                )
     return translated
-
-
-def _filter_check(logic: LogicSpec, M: Matrix, num_vars: int, depth: int, samples: int):
-    universe = enumerate_formulas(logic.signature, num_vars, depth)
-    count = 0
-    for phi in universe:
-        for gamma in itertools.chain([()], ((g,) for g in universe)):
-            if count >= samples:
-                return None
-            if logic.proves(gamma, phi):
-                count += 1
-                v = matrix_violation(M, gamma, phi)
-                if v is not None:
-                    return gamma, phi, v
-    return None
 
 
 def satisfaction_condition_check(h: LogicMorphism, M: Matrix, gamma: Iterable[Formula],

@@ -2,18 +2,19 @@
 
 Formulas are immutable trees over a fixed enumerable variable set x0, x1, ...
 Nodes are interned: ``Var(i)`` and ``App(name, args)`` return the one live
-node of that structure, and no other path builds a node (copying or
-unpickling one raises ``TypeError``). So equality and hash of nodes are
-those of ``object``, by identity, and a set of nodes iterates in an order
-that follows node addresses: output must never depend on it. The pools are
-strong and never emptied; a node built after a drop would be a second object
-for a structure that a live node already has, and would compare unequal.
+node of that structure, and no other path builds a node: a copied or
+unpickled node is rebuilt through these factories (``__reduce__``), and a
+deep copy is the node itself, so either is the interned node. So equality
+and hash of nodes are those of ``object``, by identity, and a set of nodes
+iterates in an order that follows node addresses: output must never depend
+on it. The pools are strong and never emptied; a node built after a drop
+would be a second object for a structure that a live node already has, and
+would compare unequal.
 
 Every interned node carries metadata computed once, when it is created, and
 never changed afterwards:
 
 - ``vmask``: a bitmask with bit i set when x_i occurs in the node;
-- ``depth``: the nodes on its longest root-to-leaf path (a variable has 1);
 - ``conns``: the frozenset of ``(name, arity)`` pairs of the connectives
   occurring in it. Equal sets are one shared object, and a variable's set is
   empty.
@@ -58,10 +59,16 @@ class FormulaSyntaxError(ValueError):
 
 
 class Formula:
-    __slots__ = ("vmask", "depth", "conns", "_bits")
+    __slots__ = ("vmask", "conns", "_bits")
 
     def __repr__(self):
         return print_formula(self)
+
+    def __deepcopy__(self, memo):
+        # an interned node is its own deep copy; rebuilding it through
+        # __reduce__ would recurse once per level, past the interpreter's
+        # limit below MAX_FORMULA_DEPTH
+        return self
 
 
 _NO_CONNECTIVES: frozenset = frozenset()
@@ -79,11 +86,13 @@ class Var(Formula):
             node = object.__new__(cls)
             node.index = index
             node.vmask = 1 << index
-            node.depth = 1
             node.conns = _NO_CONNECTIVES
             node._bits = None
             cls._pool[index] = node
         return node
+
+    def __reduce__(self):
+        return Var, (self.index,)
 
 
 class App(Formula):
@@ -103,23 +112,23 @@ class App(Formula):
             node = object.__new__(cls)
             node.name = name
             node.args = args
-            mask = depth = 0
+            mask = 0
             conns = args[0].conns if args else _NO_CONNECTIVES
             for a in args:
                 mask |= a.vmask
-                if a.depth > depth:
-                    depth = a.depth
                 if not a.conns <= conns:
                     conns = conns | a.conns
             op = (name, len(args))
             if op not in conns:
                 conns = conns | {op}
             node.vmask = mask
-            node.depth = depth + 1
             node.conns = cls._conn_sets.setdefault(conns, conns)
             node._bits = None
             cls._pool[key] = node
         return node
+
+    def __reduce__(self):
+        return App, (self.name, self.args)
 
 
 class Signature:

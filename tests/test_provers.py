@@ -33,6 +33,7 @@ from aalogic.syntax import (
     substitute,
     variables,
 )
+from test_syntax import ref_depth
 
 
 def g4ip(gamma, phi):
@@ -761,7 +762,7 @@ def nested_text(name, side, depth):
 @pytest.mark.parametrize("name,side", DEEP_SHAPES)
 def test_depth_limit_formulas_decide(name, side, cpc, ipc, b2):
     phi = parse_formula(BUILTIN_SIGNATURE, nested_text(name, side, MAX_FORMULA_DEPTH))
-    assert phi.depth == MAX_FORMULA_DEPTH
+    assert ref_depth(phi) == MAX_FORMULA_DEPTH
     classical = consequence(cpc, (), phi)
     intuitionistic = consequence(ipc, (), phi)
     model = kripke_countermodel((), phi, 2)

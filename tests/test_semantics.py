@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,8 +17,8 @@ from aalogic import (
     substitute,
 )
 from aalogic.corpus import resolve_logic
-from aalogic.semantics import identity_morphism, matrix_satisfies
-from aalogic.syntax import App, random_formula
+from aalogic.semantics import identity_morphism, matrix_satisfies, matrix_violation
+from aalogic.syntax import App, enumerate_formulas, random_formula
 from aalogic import corpus
 
 
@@ -178,6 +179,71 @@ class TestModTranslate:
     def test_preservation_probe(self, cpc):
         assert _negneg_on_neg(cpc).preserves_consequence() is not None
         assert _triple_neg(cpc).preserves_consequence() is None
+
+
+# The two hand-counted loops that the shared bounded-sequent generator
+# replaced, kept verbatim (with their bounds as parameters) as oracles.
+
+def ref_preserves_consequence(self, num_vars, depth, limit):
+    universe = enumerate_formulas(self.source.signature, num_vars, depth)
+    gammas = [()] + [(g,) for g in universe]
+    count = 0
+    for phi in universe:
+        for gamma in gammas:
+            if count >= limit:
+                return None
+            count += 1
+            if self.source.proves(gamma, phi):
+                image_gamma = tuple(self.translate(g) for g in gamma)
+                if not self.target.proves(image_gamma, self.translate(phi)):
+                    return (gamma, phi)
+    return None
+
+
+def ref_filter_check(logic, M, num_vars, depth, samples):
+    universe = enumerate_formulas(logic.signature, num_vars, depth)
+    count = 0
+    for phi in universe:
+        for gamma in itertools.chain([()], ((g,) for g in universe)):
+            if count >= samples:
+                return None
+            if logic.proves(gamma, phi):
+                count += 1
+                v = matrix_violation(M, gamma, phi)
+                if v is not None:
+                    return gamma, phi, v
+    return None
+
+
+class TestBoundedChecksAgainstReference:
+    def morphisms(self, cpc):
+        return [h for _, h in corpus.classical_corpus().morphisms] + [_negneg_on_neg(cpc), _triple_neg(cpc)]
+
+    def test_preserves_consequence(self, cpc):
+        verdicts = []
+        for h in self.morphisms(cpc):
+            violation = h.preserves_consequence()
+            assert violation == ref_preserves_consequence(h, 2, 2, 400)
+            verdicts.append(violation is None)
+        assert False in verdicts and True in verdicts
+
+    def test_mod_translate_check(self, cpc):
+        matrices = corpus.classical_corpus().matrices
+        raised = 0
+        for h in self.morphisms(cpc):
+            for M in matrices[h.target.name]:
+                witness = ref_filter_check(h.source, mod_translate(h, M, check=False), 2, 2, 60)
+                if witness is None:
+                    mod_translate(h, M, check=True)
+                    continue
+                gamma, phi, v = witness
+                expected = (f"filter is not closed under source consequences: {list(gamma)} |- {phi!r} "
+                            f"fails at valuation {v}")
+                with pytest.raises(ValueError) as err:
+                    mod_translate(h, M, check=True)
+                assert str(err.value) == expected
+                raised += 1
+        assert raised
 
 
 class TestSatisfactionCondition:

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -126,7 +129,7 @@ class TestPrinter:
         phi = Var(3)
         for _ in range(4999):
             phi = neg(phi)
-        assert phi.depth == 5000 > sys.getrecursionlimit()
+        assert ref_depth(phi) == 5000 > sys.getrecursionlimit()
         assert print_formula(phi) == "neg(" * 4999 + "x3" + ")" * 4999
 
 
@@ -242,9 +245,9 @@ class TestMorphisms:
 
 class TestEnumeration:
     def test_depth_convention(self):
-        assert Var(0).depth == 1
-        assert neg(Var(0)).depth == 2
-        assert imp(neg(Var(0)), Var(1)).depth == 3
+        assert ref_depth(Var(0)) == 1
+        assert ref_depth(neg(Var(0))) == 2
+        assert ref_depth(imp(neg(Var(0)), Var(1))) == 3
 
     def test_counts_small(self, sig2):
         assert len(enumerate_formulas(sig2, 2, 1)) == 2
@@ -253,7 +256,7 @@ class TestEnumeration:
 
     def test_within_bounds(self, sig):
         for phi in enumerate_formulas(sig, 2, 3):
-            assert phi.depth <= 3
+            assert ref_depth(phi) <= 3
             assert variables(phi) <= {0, 1}
 
     def test_no_duplicates(self, sig):
@@ -264,7 +267,7 @@ class TestEnumeration:
         rng = random.Random(99)
         for _ in range(200):
             phi = random_formula(rng, sig, 2, 3)
-            assert phi.depth <= 3
+            assert ref_depth(phi) <= 3
             assert variables(phi) <= {0, 1}
 
 
@@ -279,9 +282,15 @@ def ref_variables(phi):
 
 
 def ref_depth(phi):
-    if isinstance(phi, Var) or not phi.args:
-        return 1
-    return 1 + max(map(ref_depth, phi.args))
+    """The nodes on phi's longest root-to-leaf path (a variable has 1). An
+    explicit walk, so a chain deeper than the recursion limit has a depth."""
+    depth, stack = 0, [(phi, 1)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(node, App):
+            stack.extend((a, d + 1) for a in node.args)
+    return depth
 
 
 def ref_over(sig, phi):
@@ -314,12 +323,11 @@ SUB_SIGNATURES = [
 
 
 class TestNodeMetadata:
-    def test_variables_and_depth_match_reference(self):
+    def test_variables_match_reference(self):
         sample = metadata_sample()
         assert max(max(variables(phi), default=0) for phi in sample) == 9
         for phi in sample:
             assert variables(phi) == frozenset(ref_variables(phi))
-            assert phi.depth == ref_depth(phi)
 
     def test_formula_over_matches_reference(self):
         for phi in metadata_sample():
@@ -328,12 +336,12 @@ class TestNodeMetadata:
 
     def test_nullary_node_outside_every_signature(self):
         assert variables(BOT) == frozenset()
-        assert BOT.depth == 1
+        assert ref_depth(BOT) == 1
         assert not any(formula_over(sig, BOT) for sig in SUB_SIGNATURES)
 
     def test_nullary_connective(self):
         truth = App("truth", ())
-        assert truth.depth == 1 and variables(truth) == frozenset()
+        assert ref_depth(truth) == 1 and variables(truth) == frozenset()
         assert formula_over(Signature([("truth", 0)]), truth)
         assert not formula_over(Signature([("truth", 1)]), truth)
 
@@ -352,6 +360,50 @@ class TestNodeMetadata:
 
 
 # ---------------------------------------------------------------------------
+# copies and pickles come back as the interned nodes
+# ---------------------------------------------------------------------------
+
+# loads (text, node) pairs pickled by another process from stdin; the text
+# in argv is parsed before the load, so its node is interned here already
+UNPICKLE_PROBE = """
+import pickle, sys
+from aalogic.syntax import BUILTIN_SIGNATURE, parse_formula
+first = parse_formula(BUILTIN_SIGNATURE, sys.argv[1])
+pairs = pickle.loads(sys.stdin.buffer.read())
+print(first in [phi for _, phi in pairs], all(phi is parse_formula(BUILTIN_SIGNATURE, t) for t, phi in pairs))
+"""
+
+
+class TestCopyAndPickle:
+    def sample(self):
+        rng = random.Random(2301)
+        return enumerate_formulas(BUILTIN_SIGNATURE, 2, 2) + [
+            random_formula(rng, BUILTIN_SIGNATURE, 4, 6) for _ in range(50)
+        ]
+
+    def test_copies_are_the_interned_nodes(self):
+        deepest = parse_formula(BUILTIN_SIGNATURE, nested_neg(MAX_FORMULA_DEPTH))
+        for phi in self.sample() + [BOT, imp(Var(9), BOT), deepest]:
+            assert copy.copy(phi) is phi
+            assert copy.deepcopy(phi) is phi
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(phi, protocol)) is phi
+
+    def test_deepcopy_of_a_corpus(self):
+        original = corpus.classical_corpus()
+        copied = copy.deepcopy(original)
+        assert copied.morphisms == original.morphisms
+        assert copied.pairs == original.pairs
+        assert copied.matrices == original.matrices
+
+    def test_unpickled_in_a_fresh_interpreter(self):
+        pairs = [(print_formula(phi), phi) for phi in self.sample()]
+        out = subprocess.run([sys.executable, "-c", UNPICKLE_PROBE, pairs[-1][0]], input=pickle.dumps(pairs),
+                             capture_output=True, check=True).stdout
+        assert out.split() == [b"True", b"True"]
+
+
+# ---------------------------------------------------------------------------
 # the parse-time depth limit
 # ---------------------------------------------------------------------------
 
@@ -361,7 +413,7 @@ def nested_neg(depth):
 
 class TestDepthLimit:
     def test_limit_is_accepted(self, sig):
-        assert parse_formula(sig, nested_neg(MAX_FORMULA_DEPTH)).depth == MAX_FORMULA_DEPTH
+        assert ref_depth(parse_formula(sig, nested_neg(MAX_FORMULA_DEPTH))) == MAX_FORMULA_DEPTH
 
     def test_one_deeper_is_rejected_at_the_offending_token(self, sig):
         with pytest.raises(FormulaSyntaxError) as err:
