@@ -55,6 +55,8 @@ from .syntax import Formula, Signature, Var, enumerate_formulas, parse_formula
 
 class FiniteAlgebra:
     def __init__(self, signature: Signature, size: int, tables: dict[str, Sequence[int]]):
+        if not isinstance(size, int):
+            raise ValueError(f"carrier size must be an integer, got {size!r}")
         if size < 1:
             raise ValueError("carrier must be nonempty")
         self.signature = signature
@@ -303,19 +305,32 @@ class Congruence:
         return "Congruence(%s)" % "|".join(",".join(map(str, b)) for b in self.blocks())
 
 
+def _representatives(A: FiniteAlgebra, theta: Congruence) -> tuple[list[int], tuple[int, ...]]:
+    """theta's least representatives, ascending, and its projection sending
+    each element to the index of its block's representative."""
+    if theta.size != A.size:
+        raise ValueError("partition size mismatch")
+    reps = sorted(set(theta.rep))
+    index = {r: i for i, r in enumerate(reps)}
+    return reps, tuple(index[r] for r in theta.rep)
+
+
+def _algebra_on(A: FiniteAlgebra, reps: Sequence[int], proj: Sequence[int]) -> FiniteAlgebra:
+    """The algebra on the indices of ``reps`` whose operation c sends
+    (i1, .., ik) to proj[c(reps[i1], .., reps[ik])] in A."""
+    return FiniteAlgebra(A.signature, len(reps), {
+        name: [proj[A.op(name, *args)] for args in itertools.product(reps, repeat=arity)]
+        for name, arity in A.signature.connectives
+    })
+
+
 def is_congruence(A: FiniteAlgebra, theta: Congruence) -> bool:
-    for name, arity in A.signature.connectives:
-        if arity == 0:
-            continue
-        for args in itertools.product(A.elements(), repeat=arity):
-            for pos in range(arity):
-                a = args[pos]
-                for b in range(a + 1, A.size):
-                    if theta.related(a, b):
-                        other = args[:pos] + (b,) + args[pos + 1 :]
-                        if not theta.related(A.op(name, *args), A.op(name, *other)):
-                            return False
-    return True
+    """Whether theta is compatible with every operation. theta is the kernel
+    of its projection onto the algebra built at its least representatives,
+    so it is a congruence exactly when that projection is a homomorphism
+    (the first isomorphism theorem)."""
+    reps, proj = _representatives(A, theta)
+    return is_homomorphism(A, _algebra_on(A, reps, proj), proj)
 
 
 def congruence_generated(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
@@ -360,21 +375,15 @@ def _restricted_growth_strings(n: int):
 
 def quotient(A: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Quotient algebra (blocks indexed by ascending least representatives)
-    together with the projection map element -> block index."""
-    if theta.size != A.size:
-        raise ValueError("partition size mismatch")
-    if not is_congruence(A, theta):
+    together with the projection map element -> block index. The quotient is
+    the algebra built at the representatives, and theta, the projection's
+    kernel, is a congruence exactly when the projection is a homomorphism
+    onto it."""
+    reps, proj = _representatives(A, theta)
+    Q = _algebra_on(A, reps, proj)
+    if not is_homomorphism(A, Q, proj):
         raise ValueError("partition is not compatible with the operations")
-    reps = sorted(set(theta.rep))
-    block_index = {r: i for i, r in enumerate(reps)}
-    proj = tuple(block_index[theta.rep[a]] for a in range(A.size))
-    tables = {}
-    for name, arity in A.signature.connectives:
-        table = []
-        for args in itertools.product(reps, repeat=arity):
-            table.append(proj[A.op(name, *args)])
-        tables[name] = table
-    return FiniteAlgebra(A.signature, len(reps), tables), proj
+    return Q, proj
 
 
 def compatible(theta: Congruence, F: Iterable[int]) -> bool:
@@ -514,14 +523,10 @@ def _spot_values(logic, A: FiniteAlgebra) -> frozenset[int]:
     return _invariant(A, ("spot_values", logic), compute)
 
 
-def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int]) -> frozenset[int]:
-    """Least superset of S containing all bounded-theorem values and closed
-    under modus ponens for the logic's implication. A spot-check with a few
-    deeper theorems raises (reported, not silent) when the enumeration bound
-    was too small for this algebra."""
-    imp = _require_implicative(logic, A)
-    F = _carrier_subset(A, S)
-    F |= theorem_values(logic, A)
+def _detachment_closure(A: FiniteAlgebra, imp: str, F: set[int]) -> frozenset[int]:
+    """Least superset of F closed under modus ponens for the implication
+    ``imp``: b is in it whenever some a and a -> b are."""
+    F = set(F)
     table = A.tables[imp]
     changed = True
     while changed:
@@ -532,9 +537,18 @@ def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int]) -> frozenset[int]:
                 if b not in F and table[row + b] in F:
                     F.add(b)
                     changed = True
+    return frozenset(F)
+
+
+def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int]) -> frozenset[int]:
+    """Least superset of S containing all bounded-theorem values and closed
+    under modus ponens for the logic's implication. A spot-check with a few
+    deeper theorems raises (reported, not silent) when the enumeration bound
+    was too small for this algebra."""
+    imp = _require_implicative(logic, A)
+    result = _detachment_closure(A, imp, _carrier_subset(A, S) | theorem_values(logic, A))
     # theorem values and detachment hold by construction; only the deeper
     # spot theorems can fall outside the closure
-    result = frozenset(F)
     if not _spot_values(logic, A) <= result:
         raise RuntimeError(
             "closure bound exhausted: a theorem takes a value outside the closure, or "
@@ -545,21 +559,12 @@ def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int]) -> frozenset[int]:
 
 def is_filter(logic, A: FiniteAlgebra, F: Iterable[int]) -> bool:
     """Bounded l-filter check for implicative logics: contains every bounded
-    theorem value (plus a handful of deeper spot theorems) and is closed under
-    modus ponens."""
+    theorem value (plus a handful of deeper spot theorems) and is its own
+    closure under modus ponens."""
     imp = _require_implicative(logic, A)
     F = _carrier_subset(A, F)
-    if not theorem_values(logic, A) <= F:
-        return False
-    if not _spot_values(logic, A) <= F:
-        return False
-    table = A.tables[imp]
-    for a in F:
-        row = a * A.size
-        for b in A.elements():
-            if table[row + b] in F and b not in F:
-                return False
-    return True
+    return (theorem_values(logic, A) <= F and _spot_values(logic, A) <= F
+            and _detachment_closure(A, imp, F) == F)
 
 
 def all_filters(logic, A: FiniteAlgebra) -> list[frozenset[int]]:

@@ -103,12 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report) -> int:
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.to_text())
-    return 0 if report.passed else 1
+def _emit(args, payload, text: str, passed: bool) -> int:
+    """Print the JSON payload under ``--json``, else the text; exit 0 or 1."""
+    print(json.dumps(payload, indent=2) if args.json else text)
+    return 0 if passed else 1
 
 
 def cmd_consequence(args) -> int:
@@ -116,16 +114,13 @@ def cmd_consequence(args) -> int:
     gamma = _parse_gamma(logic.signature, args.gamma)
     phi = parse_formula(logic.signature, args.phi)
     verdict = consequence(logic, gamma, phi)
-    if args.json:
-        print(json.dumps({
-            "logic": logic.name,
-            "gamma": [print_formula(g) for g in gamma],
-            "phi": print_formula(phi),
-            "verdict": verdict,
-        }, indent=2))
-    else:
-        print("true" if verdict else "false")
-    return 0
+    payload = {
+        "logic": logic.name,
+        "gamma": [print_formula(g) for g in gamma],
+        "phi": print_formula(phi),
+        "verdict": verdict,
+    }
+    return _emit(args, payload, "true" if verdict else "false", True)
 
 
 def cmd_glivenko(args) -> int:
@@ -137,9 +132,10 @@ def cmd_glivenko(args) -> int:
     ctx = resolve_context(args.context)
     if args.exhaustive:
         sweep = {**SAMPLING_DEFAULTS, **given}
-        return _emit(args, glivenko_sweep(
+        report = glivenko_sweep(
             ctx, sweep["vars"], sweep["depth"], sweep["gamma_size"], sweep["seed"], samples=GLIVENKO_SAMPLES,
-        ))
+        )
+        return _emit(args, report.to_json(), report.to_text(), report.passed)
     sig = ctx.target.signature
     gamma = _parse_gamma(sig, args.gamma)
     phi = parse_formula(sig, args.phi)
@@ -153,22 +149,18 @@ def cmd_glivenko(args) -> int:
         "target_proves": right,
         "agree": left == right,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"{ctx.source.name} proves translated: {str(left).lower()}; "
+    text = (f"{ctx.source.name} proves translated: {str(left).lower()}; "
             f"{ctx.target.name} proves: {str(right).lower()}; "
-            f"agree: {str(left == right).lower()}"
-        )
-    return 0 if left == right else 1
+            f"agree: {str(left == right).lower()}")
+    return _emit(args, payload, text, left == right)
 
 
 def check_pair(args) -> int:
     """``check bp`` and ``check lindenbaum``: ``args.suite`` on a logic and its pair."""
     logic = resolve_logic(args.logic)
     pair = load_pair(args.pair, logic.signature) if args.pair else classical_pair()
-    return _emit(args, args.suite(logic, pair, args.vars, args.depth))
+    report = args.suite(logic, pair, args.vars, args.depth)
+    return _emit(args, report.to_json(), report.to_text(), report.passed)
 
 
 def check_institution(args) -> int:
@@ -178,16 +170,13 @@ def check_institution(args) -> int:
                            num_vars=args.vars, depth=args.depth, gamma_size=args.gamma_size)
         for kind in ("If", "InsAL", "InsLAL")
     ]
-    if args.json:
-        print(json.dumps([r.to_json() for r in reports], indent=2))
-    else:
-        for r in reports:
-            print(r.to_text())
-    return 0 if all(r.passed for r in reports) else 1
+    return _emit(args, [r.to_json() for r in reports], "\n".join(r.to_text() for r in reports),
+                 all(r.passed for r in reports))
 
 
 def check_adjoint(args) -> int:
-    return _emit(args, find_adjoint_report(load_algebra(args.algebra)))
+    report = find_adjoint_report(load_algebra(args.algebra))
+    return _emit(args, report.to_json(), report.to_text(), report.passed)
 
 
 def check_leibniz(args) -> int:
@@ -203,13 +192,10 @@ def check_leibniz(args) -> int:
         "is_identity": theta.is_identity(),
         "oracle_agrees": theta == oracle,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        blocks = "|".join(",".join(map(str, b)) for b in theta.blocks())
-        print(f"leibniz congruence: {blocks}")
-        print(f"identity: {str(theta.is_identity()).lower()}; oracle agrees: {str(theta == oracle).lower()}")
-    return 0 if theta == oracle else 1
+    blocks = "|".join(",".join(map(str, b)) for b in theta.blocks())
+    text = (f"leibniz congruence: {blocks}\n"
+            f"identity: {str(theta.is_identity()).lower()}; oracle agrees: {str(theta == oracle).lower()}")
+    return _emit(args, payload, text, theta == oracle)
 
 
 def main(argv=None) -> int:

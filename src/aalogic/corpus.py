@@ -251,22 +251,31 @@ CONTEXTS = {
 
 # file formats; every path inside a file is relative to that file
 
-def _read(path: str):
+def _read(path: str, convert):
+    """``convert`` applied to the JSON in the file at path. Contents without
+    their format's shape (a list where a table belongs, a number where a
+    formula does) make ``convert`` raise a KeyError, TypeError,
+    AttributeError or IndexError, which becomes a ValueError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return convert(data)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{path} does not have its format's shape ({type(exc).__name__}: {exc})") from None
 
 
-def _read_named(what: str, entry: str, names, path: str):
-    """The file at path, which an entry that is not a bundled name must be."""
+def _read_named(what: str, entry: str, names, path: str, convert):
+    """``convert`` of the file at path, which an entry that is not a bundled
+    name must be."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"unknown {what} {entry!r}: not a bundled name ({', '.join(names)}) and not a file")
-    return _read(path)
+    return _read(path, convert)
 
 
 def _signature_of(entry, base: str) -> Signature:
     """A signature entry: inline, or a path relative to base."""
     if isinstance(entry, str):
-        return Signature.from_json(_read(os.path.join(base, entry)))
+        return _read(os.path.join(base, entry), Signature.from_json)
     return Signature.from_json(entry)
 
 
@@ -276,7 +285,7 @@ def load_algebra(entry, base: str = "", signature: Signature | None = None) -> F
     ``signature``."""
     if isinstance(entry, str):
         path = os.path.join(base, entry)
-        return load_algebra(_read(path), os.path.dirname(path))
+        return _read(path, lambda data: load_algebra(data, os.path.dirname(path)))
     if "signature" in entry:
         signature = _signature_of(entry["signature"], base)
     return FiniteAlgebra.from_json(entry, signature)
@@ -310,8 +319,10 @@ def resolve_logic(entry: str, base: str = "") -> LogicSpec:
     if entry in LOGICS:
         return LOGICS[entry]()
     path = os.path.join(base, entry)
-    data = _read_named("logic", entry, LOGICS, path)
-    base = os.path.dirname(path)
+    return _read_named("logic", entry, LOGICS, path, lambda data: _logic_of(data, os.path.dirname(path)))
+
+
+def _logic_of(data, base: str) -> LogicSpec:
     engine = data.get("engine", data)
     sig_entry = data.get("signature")
     sig = None if sig_entry is None else _signature_of(sig_entry, base)
@@ -331,22 +342,26 @@ def resolve_context(entry: str) -> GlivenkoContext:
     built-in engines gets the classical pair."""
     if entry in CONTEXTS:
         return CONTEXTS[entry]()
-    data = _read_named("context", entry, CONTEXTS, entry)
-    source, target = (resolve_logic(data[key], os.path.dirname(entry)) for key in ("source", "target"))
-    pair = classical_pair() if {source.kind, target.kind} <= {"cpc", "ipc"} else None
-    return _context_of(data, source, target, pair, pair, os.path.splitext(os.path.basename(entry))[0])
+
+    def convert(data):
+        source, target = (resolve_logic(data[key], os.path.dirname(entry)) for key in ("source", "target"))
+        pair = classical_pair() if {source.kind, target.kind} <= {"cpc", "ipc"} else None
+        return _context_of(data, source, target, pair, pair, os.path.splitext(os.path.basename(entry))[0])
+    return _read_named("context", entry, CONTEXTS, entry, convert)
 
 
 def load_pair(path: str, signature: Signature) -> AlgebraizingPair:
-    return AlgebraizingPair.from_json(_read(path), signature)
+    return _read(path, lambda data: AlgebraizingPair.from_json(data, signature))
 
 
 def load_corpus(path: str) -> Corpus:
     """Corpus file: named logics (bundled names or logic-spec paths), pairs,
     morphisms, matrices, reduced matrices, quasivariety members and
     contexts."""
-    base = os.path.dirname(path)
-    data = _read(path)
+    return _read(path, lambda data: _corpus_of(data, os.path.dirname(path)))
+
+
+def _corpus_of(data, base: str) -> Corpus:
     logics = {name: resolve_logic(entry, base) for name, entry in data.get("logics", {}).items()}
     pairs = {
         name: AlgebraizingPair.from_json(entry, logics[name].signature)

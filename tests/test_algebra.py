@@ -25,7 +25,7 @@ from aalogic import (
     reduce_matrix,
     reduct,
 )
-from aalogic import algebra
+from aalogic import algebra, glivenko
 from aalogic.algebra import (
     all_congruences,
     compatible,
@@ -642,3 +642,167 @@ class TestCongruenceGeneratedAgainstAllCongruences:
         assert polys == tuple(sorted(unary_polynomials(A)))
         leibniz(A, {2})
         assert A._memo[("unary_polynomials",)] is polys
+
+
+# ---------------------------------------------------------------------------
+# the algebras built at representatives and the detachment closure, against
+# the hand-written loops they replaced, kept here verbatim as oracles
+# ---------------------------------------------------------------------------
+
+def ref_is_congruence(A: FiniteAlgebra, theta: Congruence) -> bool:
+    for name, arity in A.signature.connectives:
+        if arity == 0:
+            continue
+        for args in itertools.product(A.elements(), repeat=arity):
+            for pos in range(arity):
+                a = args[pos]
+                for b in range(a + 1, A.size):
+                    if theta.related(a, b):
+                        other = args[:pos] + (b,) + args[pos + 1 :]
+                        if not theta.related(A.op(name, *args), A.op(name, *other)):
+                            return False
+    return True
+
+
+def ref_quotient(A: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    if theta.size != A.size:
+        raise ValueError("partition size mismatch")
+    if not ref_is_congruence(A, theta):
+        raise ValueError("partition is not compatible with the operations")
+    reps = sorted(set(theta.rep))
+    block_index = {r: i for i, r in enumerate(reps)}
+    proj = tuple(block_index[theta.rep[a]] for a in range(A.size))
+    tables = {}
+    for name, arity in A.signature.connectives:
+        table = []
+        for args in itertools.product(reps, repeat=arity):
+            table.append(proj[A.op(name, *args)])
+        tables[name] = table
+    return FiniteAlgebra(A.signature, len(reps), tables), proj
+
+
+def ref_regular_elements(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    from aalogic.glivenko import _NEGNEG
+
+    if not qv_membership("heyting", H):
+        raise ValueError("not a Heyting algebra")
+    negneg = value_vector(H, _NEGNEG, 1)
+    regs = [a for a in H.elements() if negneg[a] == a]
+    index = {a: i for i, a in enumerate(regs)}
+    size = len(regs)
+    tables: dict[str, list[int]] = {}
+    for name, arity in H.signature.connectives:
+        table = []
+        for args in itertools.product(regs, repeat=arity):
+            value = H.op(name, *args)
+            if name == "or":
+                value = negneg[value]
+            if value not in index:
+                raise ValueError(f"operation {name} does not preserve the regular elements")
+            table.append(index[value])
+        tables[name] = table
+    B = FiniteAlgebra(H.signature, size, tables)
+    if not qv_membership("boolean", B):
+        raise ValueError("regular elements did not form a Boolean algebra; encoding is broken")
+    return B, tuple(regs)
+
+
+def ref_unit_map(H: FiniteAlgebra) -> tuple[int, ...]:
+    from aalogic.glivenko import _NEGNEG
+
+    B, emb = ref_regular_elements(H)
+    index = {a: i for i, a in enumerate(emb)}
+    unit = tuple(index[b] for b in value_vector(H, _NEGNEG, 1))
+    if not algebra.is_homomorphism(H, B, unit):
+        raise ValueError("double negation is not a homomorphism; encoding is broken")
+    if set(unit) != set(range(B.size)):
+        raise ValueError("unit map is not surjective; encoding is broken")
+    return unit
+
+
+def ref_is_filter(logic, A: FiniteAlgebra, F) -> bool:
+    imp = algebra._require_implicative(logic, A)
+    F = algebra._carrier_subset(A, F)
+    if not theorem_values(logic, A) <= F:
+        return False
+    if not algebra._spot_values(logic, A) <= F:
+        return False
+    table = A.tables[imp]
+    for a in F:
+        row = a * A.size
+        for b in A.elements():
+            if table[row + b] in F and b not in F:
+                return False
+    return True
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def bundled_pool() -> list[FiniteAlgebra]:
+    """Every Heyting and Boolean corpus algebra, and L3."""
+    return [A for _, A in corpus.heyting_corpus() + corpus.boolean_corpus()] + [corpus.lukasiewicz3()]
+
+
+def one_cell_changed(bundled: list[FiniteAlgebra], seed: int) -> FiniteAlgebra:
+    """A bundled algebra of two or more elements with one table cell set to
+    another value."""
+    rng = random.Random(seed)
+    A = rng.choice([A for A in bundled if A.size > 1])
+    name = rng.choice(sorted(A.tables))
+    tables = {n: list(t) for n, t in A.tables.items()}
+    cell = rng.randrange(len(tables[name]))
+    tables[name][cell] = rng.choice([v for v in A.elements() if v != tables[name][cell]])
+    return FiniteAlgebra(A.signature, A.size, tables)
+
+
+def representative_pool() -> list[FiniteAlgebra]:
+    """The bundled algebras and 20 seeded copies with one table cell changed."""
+    bundled = bundled_pool()
+    return bundled + [one_cell_changed(bundled, seed) for seed in range(20)]
+
+
+def partitions(n: int) -> list[Congruence]:
+    return [Congruence(n, rep) for rep in itertools.product(range(n), repeat=n)
+            if all(r <= i and rep[r] == r for i, r in enumerate(rep))]
+
+
+class TestRepresentativeAlgebrasAgainstReference:
+    def test_is_congruence_and_quotient(self):
+        verdicts = set()
+        for A in representative_pool():
+            for theta in partitions(A.size):
+                verdict = is_congruence(A, theta)
+                assert verdict == ref_is_congruence(A, theta), (A, theta)
+                verdicts.add(verdict)
+                assert outcome(quotient, A, theta) == outcome(ref_quotient, A, theta), (A, theta)
+        assert verdicts == {True, False}
+
+    def test_regular_elements_and_unit_map(self):
+        outcomes = []
+        for A in representative_pool():
+            regular = outcome(glivenko.regular_elements, A)
+            assert regular == outcome(ref_regular_elements, A)
+            assert outcome(glivenko.unit_map, A) == outcome(ref_unit_map, A)
+            outcomes.append(regular)
+        assert any(isinstance(r[0], FiniteAlgebra) for r in outcomes)
+        assert any(r[0] is ValueError for r in outcomes)
+
+    @pytest.mark.parametrize("logic", ["cpc", "ipc", "l3"])
+    def test_is_filter_on_every_subset(self, logic, request):
+        logic = request.getfixturevalue(logic)
+        for A in representative_pool():
+            for k in range(A.size + 1):
+                for F in itertools.combinations(A.elements(), k):
+                    assert is_filter(logic, A, F) == ref_is_filter(logic, A, F), (A, F)
+
+    def test_size_mismatch(self, b2):
+        for theta in (Congruence(3, (0, 0, 2)), Congruence(1, (0,))):
+            for check in (is_congruence, quotient):
+                with pytest.raises(ValueError, match="^partition size mismatch$"):
+                    check(b2, theta)

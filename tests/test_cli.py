@@ -153,6 +153,58 @@ class TestCheck:
         assert "unrecognized arguments" in out.stderr
 
 
+def b2_json():
+    from aalogic import corpus
+
+    return corpus.b2().to_json()
+
+
+def with_table(name, table):
+    data = b2_json()
+    data["tables"][name] = table
+    return data
+
+
+def matrix_logic(filter_entry):
+    algebra = b2_json()
+    return {"signature": algebra["signature"], "implication": "imp",
+            "engine": {"kind": "matrix", "matrices": [{"algebra": algebra, "filter": filter_entry}]}}
+
+
+# file contents without their format's shape, the command reading them ("{}"
+# is the file's path) and what the one error line must name
+MALFORMED = {
+    # the algebra refuses a size that is not an int; a float one would get
+    # through every reader and fail in the Leibniz check
+    "algebra_size_text": (lambda: {**b2_json(), "size": "2"}, ["check", "adjoint", "--algebra", "{}"],
+                          "carrier size must be an integer"),
+    "algebra_size_float": (lambda: {**b2_json(), "size": 2.0}, ["check", "leibniz", "--algebra", "{}", "--filter", "1"],
+                           "carrier size must be an integer"),
+    "algebra_tables_list": (lambda: {**b2_json(), "tables": [[1, 0]]}, ["check", "adjoint", "--algebra", "{}"], "{}"),
+    "algebra_null_table": (lambda: with_table("neg", None), ["check", "adjoint", "--algebra", "{}"], "{}"),
+    "algebra_float_cell": (lambda: with_table("neg", [1.0, 0]), ["check", "adjoint", "--algebra", "{}"], "{}"),
+    "algebra_top_level_list": (lambda: [b2_json()], ["check", "adjoint", "--algebra", "{}"], "{}"),
+    "pair_delta_number": (lambda: {"delta": [3], "tau": [["imp(x0,x0)", "x0"]]},
+                          ["check", "bp", "--logic", "cpc", "--pair", "{}"], "{}"),
+    "context_theta_number": (lambda: {"source": "ipc", "target": "cpc", "theta": 5},
+                             ["glivenko", "--context", "{}", "--phi", "x0"], "{}"),
+    "logic_filter_number": (lambda: matrix_logic(1), ["consequence", "--logic", "{}", "--phi", "x0"], "{}"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_file_without_its_format_shape_is_a_parse_error(self, case, tmp_path):
+        contents, argv, named = MALFORMED[case]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(contents()))
+        out = run(*(str(path) if arg == "{}" else arg for arg in argv))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
+        assert named.replace("{}", str(path)) in out.stderr
+
+
 class TestFlagsBelongToTheirCommand:
     @pytest.mark.parametrize(
         "args",
