@@ -110,10 +110,13 @@ class FiniteAlgebra:
 
     @classmethod
     def from_json(cls, data: dict, signature: Signature | None = None) -> "FiniteAlgebra":
+        """Each table is flat in row-major order or nested as ``to_json`` writes it."""
         sig = signature if signature is not None else Signature.from_json(data["signature"])
-        size = data["size"]
-        tables = {name: _flatten(table) for name, table in data["tables"].items()}
-        return cls(sig, size, tables)
+        A = cls(sig, data["size"], {name: _flatten(table) for name, table in data["tables"].items()})
+        for name, table in data["tables"].items():
+            if table != list(A.tables[name]) and table != _nest(A.tables[name], A.size, sig.arity(name)):
+                raise ValueError(f"table for {name} is neither flat nor nested one level per argument")
+        return A
 
 
 def _nest(flat: tuple[int, ...], size: int, arity: int):
@@ -126,15 +129,12 @@ def _nest(flat: tuple[int, ...], size: int, arity: int):
 
 
 def _flatten(table) -> list[int]:
+    """A table's cells in order; a cell that is not an int is a TypeError."""
     if isinstance(table, int):
         return [table]
-    out: list[int] = []
-    for entry in table:
-        if isinstance(entry, int):
-            out.append(entry)
-        else:
-            out.extend(_flatten(entry))
-    return out
+    if not isinstance(table, list):
+        raise TypeError(f"table cell {table!r} is not an integer")
+    return [v for entry in table for v in _flatten(entry)]
 
 
 def evaluate(A: FiniteAlgebra, phi: Formula, v: dict[int, int]) -> int:

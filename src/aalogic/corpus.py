@@ -15,7 +15,7 @@ import os
 
 from .algebra import FiniteAlgebra
 from .algebraization import AlgebraizingPair
-from .glivenko import GlivenkoContext
+from .glivenko import GlivenkoContext, adjoint_image
 from .institutions import Corpus
 from .provers import heyting_of_upsets
 from .semantics import (
@@ -217,8 +217,8 @@ def corrupted_reduct_corpus() -> Corpus:
     broken = b2()
     tables = {name: list(t) for name, t in broken.tables.items()}
     tables["neg"] = [0, 1]  # negation forgotten
-    corpus.reduct_overrides[("inclusion", 0)] = FiniteAlgebra(
-        BUILTIN_SIGNATURE, broken.size, tables
+    corpus.overrides[("If", "inclusion", 0)] = Matrix(
+        FiniteAlgebra(BUILTIN_SIGNATURE, broken.size, tables), corpus.matrices["cpc"][0].filter
     )
     return corpus
 
@@ -226,14 +226,15 @@ def corrupted_reduct_corpus() -> Corpus:
 def corrupted_adjoint_filter_corpus() -> Corpus:
     """Classical corpus where one adjoint image filter is tampered."""
     corpus = classical_corpus()
-    corpus.adjoint_filter_overrides[("classical", 1)] = frozenset({0})
+    image = adjoint_image(corpus.contexts[0][1], corpus.reduced_matrices["ipc"][1])
+    corpus.overrides[("InsAL", "classical", 1)] = Matrix(image.algebra, {0})
     return corpus
 
 
 def corrupted_adjoint_algebra_corpus() -> Corpus:
     """Classical corpus where one adjoint value algebra is collapsed."""
     corpus = classical_corpus()
-    corpus.adjoint_algebra_overrides[("classical", 1)] = heyting_chain(1)
+    corpus.overrides[("InsLAL", "classical", 1)] = heyting_chain(1)
     return corpus
 
 
@@ -282,10 +283,15 @@ def _signature_of(entry, base: str) -> Signature:
 def load_algebra(entry, base: str = "", signature: Signature | None = None) -> FiniteAlgebra:
     """An algebra file, by a path relative to base, or an inline algebra:
     size and per-connective tables, with a signature entry that defaults to
-    ``signature``."""
+    ``signature``. A file holds an inline algebra, not the path of another
+    file."""
     if isinstance(entry, str):
         path = os.path.join(base, entry)
-        return _read(path, lambda data: load_algebra(data, os.path.dirname(path)))
+        return _read(path, lambda data: _algebra_of(data, os.path.dirname(path)))
+    return _algebra_of(entry, base, signature)
+
+
+def _algebra_of(entry: dict, base: str, signature: Signature | None = None) -> FiniteAlgebra:
     if "signature" in entry:
         signature = _signature_of(entry["signature"], base)
     return FiniteAlgebra.from_json(entry, signature)

@@ -452,11 +452,11 @@ class SweepReport:
 
 
 def glivenko_sweep(ctx: GlivenkoContext, num_vars: int, depth: int, gamma_size: int,
-                   seed: int, samples: int, signature=None) -> SweepReport:
-    """Exhaustive empty-premise sweep over the bounded formula universe plus
-    seeded sampled premise sets; records every left/right disagreement."""
-    sig = signature or ctx.target.signature
-    universe = enumerate_formulas(sig, num_vars, depth)
+                   seed: int, samples: int) -> SweepReport:
+    """Exhaustive empty-premise sweep over the bounded formula universe of
+    the target signature plus seeded sampled premise sets; records every
+    left/right disagreement."""
+    universe = enumerate_formulas(ctx.target.signature, num_vars, depth)
     disagreements: list[dict] = []
     exhaustive = 0
     for phi in universe:

@@ -79,11 +79,11 @@ def comorphism_plus_check(M: Matrix, pair: AlgebraizingPair, phi: Formula,
 @dataclass
 class Corpus:
     """Explicit finite data standing in for the proper classes the theory
-    quantifies over. The override tables are for fault injection: keyed by
-    (morphism or context name, model index), they replace derived data (a
-    reduct algebra, an image filter, an adjoint value algebra) with tampered
-    copies, once per pool entry of ``institution_report``, where that entry's
-    beta(M) is built. The entry's certificate reads beta(M) with the override
+    quantifies over. ``overrides`` is for fault injection: keyed by a pool
+    entry's labels (kind, morphism or context name, model index), a value
+    replaces that entry's whole beta(M) in ``institution_report`` (a
+    ``Matrix`` for If and InsAL, a ``FiniteAlgebra`` for InsLAL) where it
+    would be built. The entry's certificate reads beta(M) with the override
     applied, so a tampered entry fails its certificate unless the tampering
     keeps the paper's lemma true, and only failed entries are evaluated."""
 
@@ -94,9 +94,7 @@ class Corpus:
     reduced_matrices: dict[str, list[Matrix]] = field(default_factory=dict)
     algebras: dict[str, list[FiniteAlgebra]] = field(default_factory=dict)
     contexts: list[tuple[str, GlivenkoContext]] = field(default_factory=list)
-    reduct_overrides: dict[tuple[str, int], FiniteAlgebra] = field(default_factory=dict)
-    adjoint_filter_overrides: dict[tuple[str, int], frozenset] = field(default_factory=dict)
-    adjoint_algebra_overrides: dict[tuple[str, int], FiniteAlgebra] = field(default_factory=dict)
+    overrides: dict[tuple[str, str, int], Matrix | FiniteAlgebra] = field(default_factory=dict)
 
 
 @dataclass
@@ -176,86 +174,72 @@ def _tau_holds(pair: AlgebraizingPair, A: FiniteAlgebra) -> frozenset[int]:
     return frozenset(a for a in A.elements() if all(l[a] == r[a] for l, r in sides))
 
 
-def _reduct_image(h: LogicMorphism, M: Matrix, image: Matrix):
-    """If's beta(M), built with the pool, and its certificate: beta(M) is M's
-    reduct along h with M's filter, so h(phi) takes in M the value phi takes
-    in beta(M) at every valuation."""
-    return partial(matrix_satisfies, image), _certified(lambda: image == mod_translate(h, M, check=False))
-
-
-def _reduced_image(corpus: Corpus, key, ctx: GlivenkoContext, M: Matrix):
-    """InsAL's beta(M): the adjoint image matrix, or the overrides' parts,
-    and its certificate, with M's filter and beta(M)'s as the designated
-    sets."""
-    image = adjoint_image(ctx, M)
-    beta = Matrix(
-        corpus.adjoint_algebra_overrides.get(key, image.algebra),
-        corpus.adjoint_filter_overrides.get(key, image.filter),
-    )
-    return partial(matrix_satisfies, beta), _certified(
-        lambda: _unit_certificate(ctx, M.algebra, M.filter, beta.algebra, beta.filter))
-
-
-def _quasi_equation_image(corpus: Corpus, key, ctx: GlivenkoContext, A: FiniteAlgebra):
-    """InsLAL's beta(A): the adjoint's value algebra, or its override, and its
-    certificate, with the elements where the source's and the target's
-    defining equations hold as the designated sets."""
-    if ctx.source_pair is None or ctx.target_pair is None:
-        raise ValueError("context carries no algebraizing pairs")
-    image = corpus.adjoint_algebra_overrides.get(key, ctx.adjoint(A).algebra)
-    return partial(tau_consequence, [image], ctx.target_pair), _certified(
-        lambda: _unit_certificate(ctx, A, _tau_holds(ctx.source_pair, A),
-                                  image, _tau_holds(ctx.target_pair, image)))
+def _image(relation, beta, certificate):
+    """An entry's image side: beta(M)'s relation, of the same shape as the
+    model's, and whether beta(M) is certified."""
+    return partial(relation, beta), _certified(lambda: certificate(beta))
 
 
 def _pool(kind: str, corpus: Corpus) -> list[tuple]:
     """The suite's entries, in the order the samples visit them. An entry is
     (labels, signature, model, translate, image) for one model M: labels
-    open its violations, sentences are drawn over the signature,
-    model(gamma, phi) decides M |= gamma |- phi, translate is the sentence
-    translation Phi, and image() builds beta(M), with the corpus's override
-    applied, and returns its relation of the same shape and whether beta(M)
-    is certified. The certificate reads that built beta(M):
-    - If: beta(M) equals M's reduct along the morphism, with M's filter;
-    - InsAL: the adjoint's unit is a surjective homomorphism from M onto
-      beta(M)'s algebra over the target signature, and theta^M(a) is in M's
-      filter exactly when u(a) is in beta(M)'s;
-    - InsLAL: the same homomorphism, and the source's defining equations
-      hold at theta^A(a) exactly when the target's hold at u(a).
+    open its violations and key its override, sentences are drawn over the
+    signature, model(gamma, phi) decides M |= gamma |- phi, translate is the
+    sentence translation Phi, and image() is ``_image`` of beta(M) (the
+    override, if any), beta(M)'s relation and its certificate:
+    - If: M's reduct along the morphism, with M's filter; beta(M) equals it;
+    - InsAL: the adjoint image matrix; the adjoint's unit is a surjective
+      homomorphism from M onto beta(M)'s algebra over the target signature,
+      and theta^M(a) is in M's filter exactly when u(a) is in beta(M)'s;
+    - InsLAL: the adjoint's value algebra, related by the target's
+      quasi-equation consequence; the same homomorphism, and the source's
+      defining equations hold at theta^A(a) exactly when the target's hold
+      at u(a).
     A certified entry satisfies the condition at every sentence, and its
     translation cannot raise: If's morphism has an image for every source
     connective, and the InsAL and InsLAL certificates require the source
     signature to extend the target's. The If reducts are built here and the
     InsAL and InsLAL images on an entry's first sample, where the per-kind
     loops built them, so every error is raised at the same point."""
+    def beta(labels, build):
+        key = tuple(labels.values())
+        return corpus.overrides[key] if key in corpus.overrides else build()
+
+    def if_entry(mname, h, idx, M):
+        labels = {"kind": kind, "morphism": mname, "matrix": idx}
+        reduct = partial(mod_translate, h, M, check=False)
+        return (labels, h.source.signature, partial(matrix_satisfies, M), h.translate,
+                partial(_image, matrix_satisfies, beta(labels, reduct), lambda image: image == reduct()))
+
+    def insal_entry(cname, ctx, idx, M):
+        labels = {"kind": kind, "context": cname, "matrix": idx}
+        return (labels, ctx.target.signature, partial(matrix_satisfies, M), partial(rho_translate, ctx),
+                lambda: _image(matrix_satisfies, beta(labels, partial(adjoint_image, ctx, M)),
+                               lambda image: _unit_certificate(ctx, M.algebra, M.filter,
+                                                               image.algebra, image.filter)))
+
+    def inslal_entry(cname, ctx, idx, A):
+        labels = {"kind": kind, "context": cname, "algebra": idx}
+
+        def quasi_equation_image():
+            if ctx.source_pair is None or ctx.target_pair is None:
+                raise ValueError("context carries no algebraizing pairs")
+            return _image(lambda image, gamma, phi: tau_consequence([image], ctx.target_pair, gamma, phi),
+                          beta(labels, lambda: ctx.adjoint(A).algebra),
+                          lambda image: _unit_certificate(ctx, A, _tau_holds(ctx.source_pair, A),
+                                                          image, _tau_holds(ctx.target_pair, image)))
+        return (labels, ctx.target.signature, partial(tau_consequence, [A], ctx.source_pair),
+                partial(rho_translate, ctx), quasi_equation_image)
+
     if kind == "If":
-        pool = []
-        for mname, h in corpus.morphisms:
-            for idx, M in enumerate(corpus.matrices.get(h.target.name, [])):
-                override = corpus.reduct_overrides.get((mname, idx))
-                reduct = mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
-                pool.append(({"kind": kind, "morphism": mname, "matrix": idx}, h.source.signature,
-                             partial(matrix_satisfies, M), h.translate, partial(_reduct_image, h, M, reduct)))
-        what = "morphism/matrix"
-    elif kind == "InsAL":
-        pool = [
-            ({"kind": kind, "context": cname, "matrix": idx}, ctx.target.signature,
-             partial(matrix_satisfies, M), partial(rho_translate, ctx),
-             partial(_reduced_image, corpus, (cname, idx), ctx, M))
-            for cname, ctx in corpus.contexts
-            for idx, M in enumerate(corpus.reduced_matrices.get(ctx.source.name, []))
-        ]
-        what = "context/matrix"
+        pool = [if_entry(mname, h, idx, M) for mname, h in corpus.morphisms
+                for idx, M in enumerate(corpus.matrices.get(h.target.name, []))]
     else:
-        pool = [
-            ({"kind": kind, "context": cname, "algebra": idx}, ctx.target.signature,
-             partial(tau_consequence, [A], ctx.source_pair), partial(rho_translate, ctx),
-             partial(_quasi_equation_image, corpus, (cname, idx), ctx, A))
-            for cname, ctx in corpus.contexts
-            for idx, A in enumerate(corpus.algebras.get(ctx.source.name, []))
-        ]
-        what = "context/algebra"
+        models, entry = (corpus.reduced_matrices, insal_entry) if kind == "InsAL" else (corpus.algebras, inslal_entry)
+        pool = [entry(cname, ctx, idx, M) for cname, ctx in corpus.contexts
+                for idx, M in enumerate(models.get(ctx.source.name, []))]
     if not pool:
+        what = {"If": "morphism/matrix", "InsAL": "context/matrix", "InsLAL": "context/algebra"}[kind]
         raise ValueError(f"corpus has no {what} pairs")
     return pool
 

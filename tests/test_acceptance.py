@@ -30,6 +30,9 @@ from aalogic import (
     unit_map,
 )
 from aalogic.algebra import find_isomorphism
+from aalogic.glivenko import GlivenkoContext
+from aalogic.semantics import LogicSpec
+from aalogic.syntax import App, FlexibleMorphism, Var
 from aalogic import corpus
 
 SEED = 20260809
@@ -49,11 +52,13 @@ def small_corpus(max_size):
 
 
 def test_criterion_1_classical_glivenko_reproduction():
+    # the double-negation context from ipc into cpc over {neg, imp, and, or};
+    # the sweep enumerates the target's formulas
     sig4 = Signature([("neg", 1), ("imp", 2), ("and", 2), ("or", 2)])
-    ctx = corpus.classical_context()
+    ctx = GlivenkoContext(LogicSpec.ipc(sig4), LogicSpec.cpc(sig4), FlexibleMorphism.identity(sig4),
+                          App("neg", (App("neg", (Var(0),)),)), name="classical")
     started = time.monotonic()
-    sweep = glivenko_sweep(ctx, num_vars=2, depth=3, gamma_size=2, seed=SEED,
-                           samples=10000, signature=sig4)
+    sweep = glivenko_sweep(ctx, num_vars=2, depth=3, gamma_size=2, seed=SEED, samples=10000)
     elapsed = time.monotonic() - started
     agreement = sweep.checked - len(sweep.disagreements)
     report(

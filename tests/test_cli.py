@@ -189,6 +189,12 @@ MALFORMED = {
     "context_theta_number": (lambda: {"source": "ipc", "target": "cpc", "theta": 5},
                              ["glivenko", "--context", "{}", "--phi", "x0"], "{}"),
     "logic_filter_number": (lambda: matrix_logic(1), ["consequence", "--logic", "{}", "--phi", "x0"], "{}"),
+    # a ragged table with B2's number of cells once loaded as B2
+    "algebra_ragged_table": (lambda: with_table("imp", [[1, 1, 0], [1]]), ["check", "adjoint", "--algebra", "{}"],
+                             "table for imp"),
+    # a text cell, and a file naming itself, once recursed until RecursionError
+    "algebra_text_cell": (lambda: with_table("neg", ["1", 0]), ["check", "adjoint", "--algebra", "{}"], "{}"),
+    "algebra_file_is_a_path": (lambda: "input.json", ["check", "adjoint", "--algebra", "{}"], "{}"),
 }
 
 

@@ -272,8 +272,8 @@ def ref_institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed
         pool = []
         for mname, h in corpus.morphisms:
             for idx, M in enumerate(corpus.matrices.get(h.target.name, [])):
-                override = corpus.reduct_overrides.get((mname, idx))
-                model = mod_translate(h, M, check=False) if override is None else Matrix(override, M.filter)
+                override = corpus.overrides.get(("If", mname, idx))
+                model = mod_translate(h, M, check=False) if override is None else override
                 pool.append((mname, h, idx, M, model))
         if not pool:
             raise ValueError("corpus has no morphism/matrix pairs")
@@ -305,10 +305,11 @@ def ref_institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed
         for i in range(samples):
             cname, ctx, idx, M = pool[i % len(pool)]
             gamma, phi = _random_sentence(rng, ctx.target.signature, num_vars, depth, gamma_size)
+            override = corpus.overrides.get(("InsAL", cname, idx))
             agree = ref_matrix_compatibility_check(
                 ctx, M, gamma, phi,
-                filter_override=corpus.adjoint_filter_overrides.get((cname, idx)),
-                algebra_override=corpus.adjoint_algebra_overrides.get((cname, idx)),
+                filter_override=None if override is None else override.filter,
+                algebra_override=None if override is None else override.algebra,
             )
             checked += 1
             if not agree:
@@ -334,7 +335,7 @@ def ref_institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed
             q = InsLALSentence(gamma, phi)
             agree = ref_lind_compatibility_check(
                 ctx, A, q,
-                algebra_override=corpus.adjoint_algebra_overrides.get((cname, idx)),
+                algebra_override=corpus.overrides.get(("InsLAL", cname, idx)),
             )
             checked += 1
             if not agree:
@@ -392,8 +393,8 @@ def tamper_filter(rng, A, F):
 
 def tampered_corpus(seed):
     """The classical corpus with one table cell or one filter element changed:
-    in a model, or in a fault override of a derived reduct, image filter or
-    image algebra."""
+    in a model, or in a fault override of an If reduct, an InsAL image
+    filter or an InsLAL image algebra."""
     rng = random.Random(seed)
     c = corpus.classical_corpus()
     ctx = c.contexts[0][1]
@@ -413,14 +414,15 @@ def tampered_corpus(seed):
     elif where == "reduct":
         mname, h = rng.choice(c.morphisms)
         idx = rng.randrange(len(c.matrices[h.target.name]))
-        c.reduct_overrides[(mname, idx)] = tamper_algebra(rng, reduct(h.morphism, c.matrices[h.target.name][idx].algebra))
-    else:
+        M = c.matrices[h.target.name][idx]
+        c.overrides[("If", mname, idx)] = Matrix(tamper_algebra(rng, reduct(h.morphism, M.algebra)), M.filter)
+    elif where == "image_filter":
         idx = rng.randrange(len(c.reduced_matrices["ipc"]))
         image = adjoint_image(ctx, c.reduced_matrices["ipc"][idx])
-        if where == "image_filter":
-            c.adjoint_filter_overrides[("classical", idx)] = tamper_filter(rng, image.algebra, image.filter)
-        else:
-            c.adjoint_algebra_overrides[("classical", idx)] = tamper_algebra(rng, image.algebra)
+        c.overrides[("InsAL", "classical", idx)] = Matrix(image.algebra, tamper_filter(rng, image.algebra, image.filter))
+    else:
+        idx = rng.randrange(len(c.algebras["ipc"]))
+        c.overrides[("InsLAL", "classical", idx)] = tamper_algebra(rng, ctx.adjoint(c.algebras["ipc"][idx]).algebra)
     return c
 
 
@@ -455,8 +457,7 @@ class TestPoolLoopAgainstReference:
         for kind, samples in CLEAN_SUITES:
             report, _ = assert_same_as_reference(corpus.classical_corpus, kind, samples=samples, seed=seed)
             assert report["passed"] and report["checked"] == samples
-            # every kind on every corrupted corpus; InsAL on the collapsed
-            # image algebra raises (its image filter is out of range)
+            # every kind on every corrupted corpus
             for make_corpus in CORRUPTED.values():
                 assert_same_as_reference(make_corpus, kind, samples=samples, seed=seed)
         for kind, samples in FAULT_SUITES:
@@ -483,9 +484,6 @@ class TestPoolLoopAgainstReference:
         (with_non_heyting_algebra, "InsLAL", 8, "the adjoint requires a Heyting algebra"),
         # a reduct is built with the pool, so it raises before any sample
         (with_matrix_off_the_signature, "If", 0, "algebra is not over the morphism's target signature"),
-        # the collapsed image algebra of classical/1 keeps the unit's image of
-        # the filter, which is out of its range; raised where beta(M) is built
-        (corpus.corrupted_adjoint_algebra_corpus, "InsAL", 1, "filter element out of range"),
     ])
     def test_error_corpora(self, make_corpus, kind, first_bad, message):
         for samples in sorted({-3, 0, first_bad, first_bad + 1, 200}):
@@ -494,6 +492,15 @@ class TestPoolLoopAgainstReference:
                 assert result == (ValueError, message)
             else:
                 assert result[0]["passed"]
+
+    def test_an_override_replaces_only_its_own_entry(self):
+        # the InsLAL override of classical/1 collapses the adjoint algebra of
+        # algebras[1]; InsAL's entry 1 is reduced_matrices[1], another model,
+        # and keeps its own image
+        result = assert_same_as_reference(corpus.corrupted_adjoint_algebra_corpus, "InsAL", samples=200, seed=5)
+        assert result[0]["passed"]
+        entries = certificates("InsAL", corpus.corrupted_adjoint_algebra_corpus())
+        assert len(entries) == 4 and all(certified for *_, certified in entries)
 
     def test_translated_side_raises_first(self, sig2):
         # the one deliberate difference: a sentence that makes both sides
