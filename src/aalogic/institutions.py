@@ -83,9 +83,11 @@ class Corpus:
     entry's labels (kind, morphism or context name, model index), a value
     replaces that entry's whole beta(M) in ``institution_report`` (a
     ``Matrix`` for If and InsAL, a ``FiniteAlgebra`` for InsLAL) where it
-    would be built. The entry's certificate reads beta(M) with the override
-    applied, so a tampered entry fails its certificate unless the tampering
-    keeps the paper's lemma true, and only failed entries are evaluated."""
+    would be built (an InsAL or InsLAL entry still builds its adjoint, so a
+    model the adjoint refuses raises either way). The entry's certificate
+    reads beta(M) with the override applied, so a tampered entry fails its
+    certificate unless the tampering keeps the paper's lemma true, and only
+    failed entries are evaluated."""
 
     logics: dict[str, LogicSpec] = field(default_factory=dict)
     pairs: dict[str, AlgebraizingPair] = field(default_factory=dict)
@@ -183,63 +185,70 @@ def _image(relation, beta, certificate):
 def _pool(kind: str, corpus: Corpus) -> list[tuple]:
     """The suite's entries, in the order the samples visit them. An entry is
     (labels, signature, model, translate, image) for one model M: labels
-    open its violations and key its override, sentences are drawn over the
-    signature, model(gamma, phi) decides M |= gamma |- phi, translate is the
-    sentence translation Phi, and image() is ``_image`` of beta(M) (the
-    override, if any), beta(M)'s relation and its certificate:
-    - If: M's reduct along the morphism, with M's filter; beta(M) equals it;
-    - InsAL: the adjoint image matrix; the adjoint's unit is a surjective
-      homomorphism from M onto beta(M)'s algebra over the target signature,
-      and theta^M(a) is in M's filter exactly when u(a) is in beta(M)'s;
+    open its violations, sentences are drawn over the signature,
+    model(gamma, phi) decides M |= gamma |- phi, translate is the sentence
+    translation Phi, and image() is ``_image`` of beta(M), beta(M)'s
+    relation and its certificate. beta(M) is the override keyed by
+    (kind, morphism or context name, model index), if any, or:
+    - If: M's reduct along the morphism, with M's filter; the certificate is
+      that beta(M) equals it;
+    - InsAL: the adjoint image matrix; the certificate is that the adjoint's
+      unit is a surjective homomorphism from M onto beta(M)'s algebra over
+      the target signature, and theta^M(a) is in M's filter exactly when
+      u(a) is in beta(M)'s;
     - InsLAL: the adjoint's value algebra, related by the target's
-      quasi-equation consequence; the same homomorphism, and the source's
-      defining equations hold at theta^A(a) exactly when the target's hold
-      at u(a).
+      quasi-equation consequence; the certificate is the same homomorphism,
+      and the source's defining equations hold at theta^A(a) exactly when
+      the target's hold at u(a).
     A certified entry satisfies the condition at every sentence, and its
     translation cannot raise: If's morphism has an image for every source
     connective, and the InsAL and InsLAL certificates require the source
-    signature to extend the target's. The If reducts are built here and the
-    InsAL and InsLAL images on an entry's first sample, where the per-kind
+    signature to extend the target's. The If reducts are built here, unless
+    overridden, and the InsAL and InsLAL adjoints on an entry's first
+    sample, also where an override replaces their image, as the per-kind
     loops built them, so every error is raised at the same point."""
-    def beta(labels, build):
-        key = tuple(labels.values())
-        return corpus.overrides[key] if key in corpus.overrides else build()
+    overrides = corpus.overrides
 
     def if_entry(mname, h, idx, M):
-        labels = {"kind": kind, "morphism": mname, "matrix": idx}
+        key = (kind, mname, idx)
         reduct = partial(mod_translate, h, M, check=False)
-        return (labels, h.source.signature, partial(matrix_satisfies, M), h.translate,
-                partial(_image, matrix_satisfies, beta(labels, reduct), lambda image: image == reduct()))
+        beta = overrides[key] if key in overrides else reduct()
+        return ({"kind": kind, "morphism": mname, "matrix": idx}, h.source.signature,
+                partial(matrix_satisfies, M), h.translate,
+                partial(_image, matrix_satisfies, beta, lambda image: image == reduct()))
 
     def insal_entry(cname, ctx, idx, M):
-        labels = {"kind": kind, "context": cname, "matrix": idx}
-        return (labels, ctx.target.signature, partial(matrix_satisfies, M), partial(rho_translate, ctx),
-                lambda: _image(matrix_satisfies, beta(labels, partial(adjoint_image, ctx, M)),
-                               lambda image: _unit_certificate(ctx, M.algebra, M.filter,
-                                                               image.algebra, image.filter)))
+        def image():
+            beta = overrides.get((kind, cname, idx), adjoint_image(ctx, M))
+            return _image(matrix_satisfies, beta, lambda image: _unit_certificate(
+                ctx, M.algebra, M.filter, image.algebra, image.filter))
+        return ({"kind": kind, "context": cname, "matrix": idx}, ctx.target.signature,
+                partial(matrix_satisfies, M), partial(rho_translate, ctx), image)
 
     def inslal_entry(cname, ctx, idx, A):
-        labels = {"kind": kind, "context": cname, "algebra": idx}
-
-        def quasi_equation_image():
+        def image():
             if ctx.source_pair is None or ctx.target_pair is None:
                 raise ValueError("context carries no algebraizing pairs")
+            beta = overrides.get((kind, cname, idx), ctx.adjoint(A).algebra)
             return _image(lambda image, gamma, phi: tau_consequence([image], ctx.target_pair, gamma, phi),
-                          beta(labels, lambda: ctx.adjoint(A).algebra),
-                          lambda image: _unit_certificate(ctx, A, _tau_holds(ctx.source_pair, A),
-                                                          image, _tau_holds(ctx.target_pair, image)))
-        return (labels, ctx.target.signature, partial(tau_consequence, [A], ctx.source_pair),
-                partial(rho_translate, ctx), quasi_equation_image)
+                          beta, lambda image: _unit_certificate(ctx, A, _tau_holds(ctx.source_pair, A),
+                                                                image, _tau_holds(ctx.target_pair, image)))
+        return ({"kind": kind, "context": cname, "algebra": idx}, ctx.target.signature,
+                partial(tau_consequence, [A], ctx.source_pair), partial(rho_translate, ctx), image)
 
     if kind == "If":
         pool = [if_entry(mname, h, idx, M) for mname, h in corpus.morphisms
                 for idx, M in enumerate(corpus.matrices.get(h.target.name, []))]
+        what = "morphism/matrix"
+    elif kind == "InsAL":
+        pool = [insal_entry(cname, ctx, idx, M) for cname, ctx in corpus.contexts
+                for idx, M in enumerate(corpus.reduced_matrices.get(ctx.source.name, []))]
+        what = "context/matrix"
     else:
-        models, entry = (corpus.reduced_matrices, insal_entry) if kind == "InsAL" else (corpus.algebras, inslal_entry)
-        pool = [entry(cname, ctx, idx, M) for cname, ctx in corpus.contexts
-                for idx, M in enumerate(models.get(ctx.source.name, []))]
+        pool = [inslal_entry(cname, ctx, idx, A) for cname, ctx in corpus.contexts
+                for idx, A in enumerate(corpus.algebras.get(ctx.source.name, []))]
+        what = "context/algebra"
     if not pool:
-        what = {"If": "morphism/matrix", "InsAL": "context/matrix", "InsLAL": "context/algebra"}[kind]
         raise ValueError(f"corpus has no {what} pairs")
     return pool
 

@@ -394,11 +394,11 @@ def tamper_filter(rng, A, F):
 def tampered_corpus(seed):
     """The classical corpus with one table cell or one filter element changed:
     in a model, or in a fault override of an If reduct, an InsAL image
-    filter or an InsLAL image algebra."""
+    matrix (its algebra or its filter) or an InsLAL image algebra."""
     rng = random.Random(seed)
     c = corpus.classical_corpus()
     ctx = c.contexts[0][1]
-    where = rng.choice(["matrices", "reduced_matrices", "algebras", "reduct", "image_filter", "image_algebra"])
+    where = rng.choice(["matrices", "reduced_matrices", "algebras", "reduct", "image_matrix", "image_algebra"])
     if where in ("matrices", "reduced_matrices"):
         Ms = getattr(c, where)[rng.choice(sorted(getattr(c, where)))]
         idx = rng.randrange(len(Ms))
@@ -416,10 +416,13 @@ def tampered_corpus(seed):
         idx = rng.randrange(len(c.matrices[h.target.name]))
         M = c.matrices[h.target.name][idx]
         c.overrides[("If", mname, idx)] = Matrix(tamper_algebra(rng, reduct(h.morphism, M.algebra)), M.filter)
-    elif where == "image_filter":
+    elif where == "image_matrix":
         idx = rng.randrange(len(c.reduced_matrices["ipc"]))
         image = adjoint_image(ctx, c.reduced_matrices["ipc"][idx])
-        c.overrides[("InsAL", "classical", idx)] = Matrix(image.algebra, tamper_filter(rng, image.algebra, image.filter))
+        if rng.random() < 0.5:
+            c.overrides[("InsAL", "classical", idx)] = Matrix(tamper_algebra(rng, image.algebra), image.filter)
+        else:
+            c.overrides[("InsAL", "classical", idx)] = Matrix(image.algebra, tamper_filter(rng, image.algebra, image.filter))
     else:
         idx = rng.randrange(len(c.algebras["ipc"]))
         c.overrides[("InsLAL", "classical", idx)] = tamper_algebra(rng, ctx.adjoint(c.algebras["ipc"][idx]).algebra)
@@ -435,6 +438,17 @@ def with_non_heyting_reduced_matrix():
 def with_non_heyting_algebra():
     c = corpus.classical_corpus()
     c.algebras["ipc"].append(corpus.lukasiewicz3())
+    return c
+
+
+def with_overridden_non_heyting_models():
+    """L3 as the last reduced matrix and the last algebra, each with an
+    override of its image: the adjoint is built all the same, and refuses L3."""
+    c = with_non_heyting_algebra()
+    c.reduced_matrices["ipc"].append(Matrix(corpus.lukasiewicz3(), frozenset({2})))
+    image = adjoint_image(c.contexts[0][1], c.reduced_matrices["ipc"][0])
+    c.overrides[("InsAL", "classical", 4)] = image
+    c.overrides[("InsLAL", "classical", 8)] = image.algebra
     return c
 
 
@@ -482,6 +496,9 @@ class TestPoolLoopAgainstReference:
         (with_context_without_pairs, "InsLAL", 8, "context carries no algebraizing pairs"),
         # the ninth algebra, L3, has no double-negation adjoint
         (with_non_heyting_algebra, "InsLAL", 8, "the adjoint requires a Heyting algebra"),
+        # an override of the image does not spare the adjoint's refusal
+        (with_overridden_non_heyting_models, "InsAL", 4, "the adjoint requires a Heyting algebra"),
+        (with_overridden_non_heyting_models, "InsLAL", 8, "the adjoint requires a Heyting algebra"),
         # a reduct is built with the pool, so it raises before any sample
         (with_matrix_off_the_signature, "If", 0, "algebra is not over the morphism's target signature"),
     ])
