@@ -44,15 +44,7 @@ from .glivenko import (
     unit_map,
     validate_context,
 )
-from .institutions import (
-    Corpus,
-    InsALSentence,
-    InsLALSentence,
-    comorphism_plus_check,
-    insal_satisfies,
-    inslal_satisfies,
-    institution_report,
-)
+from .institutions import Corpus, institution_report
 from .provers import (
     Equation,
     cpc_decide,

@@ -253,12 +253,17 @@ CONTEXTS = {
 # file formats; every path inside a file is relative to that file
 
 def _read(path: str, convert):
-    """``convert`` applied to the JSON in the file at path. Contents without
-    their format's shape (a list where a table belongs, a number where a
-    formula does) make ``convert`` raise a KeyError, TypeError,
-    AttributeError or IndexError, which becomes a ValueError naming the file."""
+    """``convert`` applied to the JSON in the file at path. Text that is not
+    JSON, or nested too deeply to decode, becomes a ValueError naming the
+    file. Contents without their format's shape (a list where a table
+    belongs, a number where a formula does) make ``convert`` raise a
+    KeyError, TypeError, AttributeError or IndexError, which becomes one
+    too."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path} could not be decoded as JSON ({exc})") from None
     try:
         return convert(data)
     except (KeyError, TypeError, AttributeError, IndexError) as exc:

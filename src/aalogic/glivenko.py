@@ -1,13 +1,14 @@
 """Double-negation style translation contexts between logics: the fixed
 formula inducing the syntactic translation, the per-algebra left adjoint
 (regular elements / generated-filter quotient), sections, the translation
-equivalence, matrix- and class-level compatibility checks and context
-composition."""
+equivalence, the satisfaction conditions of InsAL and InsLAL with their
+per-sentence compatibility checks, and context composition."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -21,6 +22,7 @@ from .algebra import (
     find_isomorphism,
     homomorphisms,
     is_homomorphism,
+    is_reduced,
     quotient,
     value_vector,
 )
@@ -30,7 +32,7 @@ from .algebraization import (
     qv_membership,
     tau_consequence,
 )
-from .semantics import LogicMorphism, LogicSpec, Matrix, consequence, matrix_satisfies
+from .semantics import LogicMorphism, LogicSpec, Matrix, _agrees, consequence, matrix_satisfies
 from .syntax import (
     App,
     FlexibleMorphism,
@@ -240,28 +242,87 @@ def adjoint_image(ctx: GlivenkoContext, M: Matrix) -> Matrix:
     return Matrix(data.algebra, frozenset(data.unit[a] for a in M.filter))
 
 
+def _unit_certificate(ctx: GlivenkoContext, A: FiniteAlgebra, designated: frozenset,
+                      image: FiniteAlgebra, image_designated: frozenset) -> bool:
+    """The paper's lemma for a context: the adjoint's unit u is a surjective
+    homomorphism from A onto the image over the target signature, and
+    theta^A(a) is designated in A exactly when u(a) is designated in the
+    image. Then for every sentence and valuation v into A, theta(phi) is
+    designated at v exactly when phi is designated at u.v, and the u.v are
+    every valuation into the image. The lemma also needs theta(phi) to be a
+    source sentence for every target sentence phi, so the source signature
+    must extend the target's; where it does not, a translation may raise."""
+    sig = ctx.target.signature
+    unit = ctx.adjoint(A).unit
+    theta = value_vector(A, ctx.theta, 1)
+    return (
+        ctx.source.signature.extends(sig)
+        and A.signature.extends(sig) and image.signature.extends(sig)
+        and set(unit) == set(image.elements())
+        and is_homomorphism(A, image, unit, sig)
+        and all((theta[a] in designated) == (unit[a] in image_designated) for a in A.elements())
+    )
+
+
+def _tau_holds(pair: AlgebraizingPair, A: FiniteAlgebra) -> frozenset[int]:
+    """The elements at which every defining equation of the pair holds; the
+    equations are in x0 alone."""
+    sides = [(value_vector(A, lhs, 1), value_vector(A, rhs, 1)) for lhs, rhs in pair.tau]
+    return frozenset(a for a in A.elements() if all(l[a] == r[a] for l, r in sides))
+
+
+def insal_condition(ctx: GlivenkoContext, M: Matrix, beta: Matrix | None = None) -> tuple:
+    """The satisfaction condition of InsAL at the reduced matrix M, as
+    (model, translate, image): model(gamma, phi) decides M |= gamma |- phi,
+    translate is ``rho_translate``, and image() gives beta(M)'s relation and
+    its certificate, a thunk. image() refuses M unless it is reduced, then
+    builds the adjoint, which refuses an algebra outside its domain, also
+    where beta(M) is given; beta(M) is the given matrix, or else the adjoint
+    image matrix. The certificate is ``_unit_certificate`` on the filters."""
+    def image():
+        if not is_reduced(M.algebra, M.filter):
+            raise ValueError("matrix is not reduced")
+        paper = adjoint_image(ctx, M)
+        beta_M = paper if beta is None else beta
+        return (partial(matrix_satisfies, beta_M),
+                lambda: _unit_certificate(ctx, M.algebra, M.filter, beta_M.algebra, beta_M.filter))
+    return partial(matrix_satisfies, M), partial(rho_translate, ctx), image
+
+
+def inslal_condition(ctx: GlivenkoContext, A: FiniteAlgebra, beta: FiniteAlgebra | None = None) -> tuple:
+    """The satisfaction condition of InsLAL at the algebra A, as
+    (model, translate, image): model(gamma, phi) decides the quasi-equation
+    tau(gamma) => tau(phi) in A under the source pair, translate is
+    ``rho_translate``, and image() gives beta(M)'s relation, the same under
+    the target pair, and its certificate, a thunk. image() refuses a context
+    without algebraizing pairs, then builds the adjoint, also where beta(M)
+    is given; beta(M) is the given algebra, or else the adjoint's value
+    algebra. The certificate is ``_unit_certificate`` on the elements where
+    each pair's defining equations hold."""
+    def image():
+        if ctx.source_pair is None or ctx.target_pair is None:
+            raise ValueError("context carries no algebraizing pairs")
+        paper = ctx.adjoint(A).algebra
+        beta_A = paper if beta is None else beta
+        return (partial(tau_consequence, [beta_A], ctx.target_pair),
+                lambda: _unit_certificate(ctx, A, _tau_holds(ctx.source_pair, A),
+                                          beta_A, _tau_holds(ctx.target_pair, beta_A)))
+    return partial(tau_consequence, [A], ctx.source_pair), partial(rho_translate, ctx), image
+
+
 def matrix_compatibility_check(ctx: GlivenkoContext, M: Matrix,
                                gamma_prime: Iterable[Formula], phi_prime: Formula) -> bool:
     """Whether the adjoint image matrix satisfies the sentence exactly when the
-    original matrix satisfies the translated sentence."""
-    gamma_prime = tuple(gamma_prime)
-    left = matrix_satisfies(adjoint_image(ctx, M), gamma_prime, phi_prime)
-    right = matrix_satisfies(M, rho_translate_all(ctx, gamma_prime), rho_translate(ctx, phi_prime))
-    return left == right
+    original matrix, which must be reduced, satisfies the translated
+    sentence."""
+    return _agrees(insal_condition(ctx, M), gamma_prime, phi_prime)
 
 
-def lind_compatibility_check(ctx: GlivenkoContext, M: FiniteAlgebra, q) -> bool:
-    """Whether M satisfies the translated quasi-equation sentence exactly when
-    the adjoint image satisfies the original one. ``q`` must expose .premises
-    and .conclusion formulas over the shared signature."""
-    if ctx.source_pair is None or ctx.target_pair is None:
-        raise ValueError("context carries no algebraizing pairs")
-    image = ctx.adjoint(M).algebra
-    left = tau_consequence(
-        [M], ctx.source_pair, rho_translate_all(ctx, q.premises), rho_translate(ctx, q.conclusion)
-    )
-    right = tau_consequence([image], ctx.target_pair, q.premises, q.conclusion)
-    return left == right
+def lind_compatibility_check(ctx: GlivenkoContext, A: FiniteAlgebra,
+                             gamma_prime: Iterable[Formula], phi_prime: Formula) -> bool:
+    """Whether A satisfies the translated quasi-equation sentence exactly when
+    the adjoint image satisfies the original one."""
+    return _agrees(inslal_condition(ctx, A), gamma_prime, phi_prime)
 
 
 def compose_contexts(g: GlivenkoContext, f: GlivenkoContext) -> GlivenkoContext:

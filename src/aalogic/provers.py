@@ -57,9 +57,6 @@ class Equation:
         return f"{self.lhs!r} == {self.rhs!r}"
 
 
-BOOLEAN_CONNECTIVES = ("neg", "imp", "and", "or", "iff")
-
-
 # ---------------------------------------------------------------------------
 # classical provability: bit-parallel truth tables
 # ---------------------------------------------------------------------------

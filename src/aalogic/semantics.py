@@ -1,10 +1,11 @@
 """Matrix models, matrix consequence, reducts along flexible morphisms, and
-the model-translation half of the satisfaction condition."""
+the satisfaction condition of If with its per-sentence check."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import provers
@@ -220,13 +221,31 @@ def mod_translate(h: LogicMorphism, M: Matrix, check: bool = True) -> Matrix:
     return translated
 
 
+def if_condition(h: LogicMorphism, M: Matrix, beta: Matrix | None = None) -> tuple:
+    """The satisfaction condition of If at the matrix M, as
+    (model, translate, image): model(gamma, phi) decides M |= gamma |- phi,
+    translate is the sentence translation along h, and image() gives
+    beta(M)'s relation and its certificate, a thunk. beta(M) is the given
+    matrix, or else M's reduct along h with M's filter, built here; the
+    certificate is that beta(M) equals that reduct."""
+    translated = partial(mod_translate, h, M, check=False)
+    if beta is None:
+        beta = translated()
+    return (partial(matrix_satisfies, M), h.translate,
+            lambda: (partial(matrix_satisfies, beta), lambda: beta == translated()))
+
+
+def _agrees(condition: tuple, gamma: Iterable[Formula], phi: Formula) -> bool:
+    """Whether a satisfaction condition's two sides agree at one sentence: M
+    satisfies its translation exactly when beta(M) satisfies the sentence."""
+    model, translate, image = condition
+    gamma = tuple(gamma)
+    relation, _ = image()
+    return model(tuple(map(translate, gamma)), translate(phi)) == relation(gamma, phi)
+
+
 def satisfaction_condition_check(h: LogicMorphism, M: Matrix, gamma: Iterable[Formula],
                                  phi: Formula) -> bool:
     """Whether [M |= translated sentence] equals [translated model |= sentence];
     expected always true."""
-    gamma = tuple(gamma)
-    image_gamma = tuple(h.translate(g) for g in gamma)
-    left = matrix_satisfies(M, image_gamma, h.translate(phi))
-    right = matrix_satisfies(mod_translate(h, M, check=False), gamma, phi)
-    return left == right
-
+    return _agrees(if_condition(h, M), gamma, phi)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +210,36 @@ class TestMalformedFiles:
         assert out.stdout == ""
         assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
         assert named.replace("{}", str(path)) in out.stderr
+
+
+# a bundled file of each format, with a command reading it through its flag
+READERS = {
+    "algebra": ("data/B2.json", ["check", "adjoint", "--algebra", "{}"]),
+    "pair": ("data/cpc_pair.json", ["check", "bp", "--logic", "cpc", "--pair", "{}"]),
+    "logic": ("data/h3_logic.json", ["consequence", "--logic", "{}", "--phi", "x0"]),
+    "context": ("data/classical_context.json", ["glivenko", "--context", "{}", "--phi", "x0"]),
+}
+
+# text that is no JSON, and JSON nested deeper than the decoder recurses
+UNDECODABLE = {
+    "truncated": lambda source: Path(source).read_text()[:40],
+    "deeply_nested": lambda source: "[" * 100_000 + "]" * 100_000,
+}
+
+
+class TestUndecodableFiles:
+    @pytest.mark.parametrize("text", sorted(UNDECODABLE))
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_undecodable_file_is_an_error_naming_it(self, reader, text, tmp_path):
+        source, argv = READERS[reader]
+        path = tmp_path / "input.json"
+        path.write_text(UNDECODABLE[text](source))
+        out = run(*(str(path) if arg == "{}" else arg for arg in argv))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
+        assert str(path) in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestFlagsBelongToTheirCommand:

@@ -6,7 +6,6 @@ import pytest
 from aalogic import (
     App,
     GlivenkoContext,
-    InsLALSentence,
     Matrix,
     Var,
     compose_contexts,
@@ -238,36 +237,31 @@ class TestMatrixCompatibility:
 
 class TestLindCompatibility:
     def test_theorem_class(self, ctx, b2, F):
-        q = InsLALSentence((), F("iff(x0,x0)"))
-        assert lind_compatibility_check(ctx, b2, q)
+        assert lind_compatibility_check(ctx, b2, (), F("iff(x0,x0)"))
 
     def test_peirce_class(self, ctx, h3, peirce):
-        q = InsLALSentence((), peirce)
-        assert lind_compatibility_check(ctx, h3, q)
+        assert lind_compatibility_check(ctx, h3, (), peirce)
 
     def test_with_premises(self, ctx, h3, F):
-        q = InsLALSentence((F("x0"),), F("neg(neg(x0))"))
-        assert lind_compatibility_check(ctx, h3, q)
+        assert lind_compatibility_check(ctx, h3, (F("x0"),), F("neg(neg(x0))"))
 
     def test_exhaustive_small(self, ctx, sig, h3):
         from aalogic.syntax import enumerate_formulas
 
         universe = enumerate_formulas(sig, 2, 2)
         for phi in universe:
-            assert lind_compatibility_check(ctx, h3, InsLALSentence((), phi))
+            assert lind_compatibility_check(ctx, h3, (), phi)
         for gamma, phi in itertools.islice(itertools.product(universe, universe), 0, 400, 7):
-            assert lind_compatibility_check(ctx, h3, InsLALSentence((gamma,), phi))
+            assert lind_compatibility_check(ctx, h3, (gamma,), phi)
 
     def test_rejects_non_heyting(self, ctx, F):
         # the adjoint's domain is checked, not left to the filter closure
-        q = InsLALSentence((), F("x0"))
         with pytest.raises(ValueError, match="^the adjoint requires a Heyting algebra$"):
-            lind_compatibility_check(ctx, corpus.lukasiewicz3(), q)
+            lind_compatibility_check(ctx, corpus.lukasiewicz3(), (), F("x0"))
 
     def test_identity_context_takes_any_algebra(self, F):
         L3 = corpus.lukasiewicz3()
-        q = InsLALSentence((), F("or(x0,neg(x0))"))
-        assert lind_compatibility_check(corpus.identity_context(), L3, q)
+        assert lind_compatibility_check(corpus.identity_context(), L3, (), F("or(x0,neg(x0))"))
         data = corpus.identity_context().adjoint(L3)
         assert data.algebra is L3 and data.unit == data.section == (0, 1, 2)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -9,22 +10,19 @@ from aalogic import (
     FiniteAlgebra,
     FlexibleMorphism,
     GlivenkoContext,
-    InsALSentence,
-    InsLALSentence,
     LogicSpec,
     Matrix,
     Signature,
     Var,
     class_equal,
-    comorphism_plus_check,
-    insal_satisfies,
-    inslal_satisfies,
     institution_report,
+    is_reduced,
+    matrix_compatibility_check,
     reduce_matrix,
     reduct,
 )
 from aalogic.algebraization import qv_membership, tau_consequence
-from aalogic.glivenko import adjoint_image, rho_translate, rho_translate_all
+from aalogic.glivenko import _tau_holds, adjoint_image, rho_translate, rho_translate_all
 from aalogic.institutions import Corpus, InstitutionReport, _pool, _random_sentence
 from aalogic.semantics import matrix_satisfies, mod_translate
 from aalogic.syntax import enumerate_formulas, print_formula
@@ -44,27 +42,24 @@ class TestClassEqual:
 
 
 class TestInsAL:
+    """InsAL's relation on a reduced matrix is matrix satisfaction."""
+
     def test_trivial(self, b2, F):
         M = Matrix(b2, frozenset({1}))
-        assert insal_satisfies(M, InsALSentence(frozenset({F("x0")}), F("x0")))
+        assert matrix_satisfies(M, (F("x0"),), F("x0"))
 
     def test_peirce_on_boolean(self, b2, peirce):
         M = Matrix(b2, frozenset({1}))
-        assert insal_satisfies(M, InsALSentence(frozenset(), peirce))
+        assert matrix_satisfies(M, (), peirce)
 
     def test_peirce_fails_on_chain(self, h3, peirce):
         M = Matrix(h3, frozenset({2}))
-        assert not insal_satisfies(M, InsALSentence(frozenset(), peirce))
+        assert not matrix_satisfies(M, (), peirce)
 
     def test_rejects_non_reduced(self, h3, F):
         M = Matrix(h3, frozenset({1, 2}))
-        with pytest.raises(ValueError):
-            insal_satisfies(M, InsALSentence(frozenset(), F("x0")))
-
-    def test_rejects_algebra_outside_quasivariety(self, ipc, F):
-        M = Matrix(corpus.lukasiewicz3(), frozenset({2}))
-        with pytest.raises(ValueError):
-            insal_satisfies(M, InsALSentence(frozenset(), F("x0")), logic=ipc)
+        with pytest.raises(ValueError, match="^matrix is not reduced$"):
+            matrix_compatibility_check(corpus.classical_context(), M, (), F("x0"))
 
     def test_representative_independence(self, cpc, pair, b2, sig):
         # swapping any representative for a class-equal one leaves satisfaction
@@ -73,24 +68,23 @@ class TestInsAL:
         universe = enumerate_formulas(sig, 2, 2)
         for phi, psi in itertools.combinations(universe, 2):
             if class_equal(cpc, pair, phi, psi):
-                for gamma in (frozenset(), frozenset({universe[0]})):
-                    assert insal_satisfies(M, InsALSentence(gamma, phi)) == insal_satisfies(
-                        M, InsALSentence(gamma, psi)
-                    )
-                assert insal_satisfies(M, InsALSentence(frozenset({phi}), universe[1])) == (
-                    insal_satisfies(M, InsALSentence(frozenset({psi}), universe[1]))
-                )
+                for gamma in ((), (universe[0],)):
+                    assert matrix_satisfies(M, gamma, phi) == matrix_satisfies(M, gamma, psi)
+                assert matrix_satisfies(M, (phi,), universe[1]) == matrix_satisfies(M, (psi,), universe[1])
 
 
 class TestInsLAL:
+    """InsLAL's relation is the quasi-equation consequence of the defining
+    equations."""
+
     def test_theorem_class(self, b2, pair, F):
-        assert inslal_satisfies(b2, InsLALSentence((), F("iff(x0,x0)")), pair)
+        assert tau_consequence([b2], pair, (), F("iff(x0,x0)"))
 
     def test_peirce_fails_on_chain(self, h3, pair, peirce):
-        assert not inslal_satisfies(h3, InsLALSentence((), peirce), pair)
+        assert not tau_consequence([h3], pair, (), peirce)
 
     def test_double_negation_from_premise(self, b2, pair, F):
-        assert inslal_satisfies(b2, InsLALSentence((F("x0"),), F("neg(neg(x0))")), pair)
+        assert tau_consequence([b2], pair, (F("x0"),), F("neg(neg(x0))"))
 
     def test_pair_swap_invariance(self, b2, h3, pair, sig, F):
         split = AlgebraizingPair(
@@ -99,51 +93,36 @@ class TestInsLAL:
         universe = enumerate_formulas(sig, 2, 2)
         for A in (b2, h3):
             for phi in universe:
-                q = InsLALSentence((), phi)
-                assert inslal_satisfies(A, q, pair) == inslal_satisfies(A, q, split)
+                assert tau_consequence([A], pair, (), phi) == tau_consequence([A], split, (), phi)
             for gamma, phi in itertools.islice(itertools.product(universe, universe), 0, 400, 11):
-                q = InsLALSentence((gamma,), phi)
-                assert inslal_satisfies(A, q, pair) == inslal_satisfies(A, q, split)
+                assert tau_consequence([A], pair, (gamma,), phi) == tau_consequence([A], split, (gamma,), phi)
 
     def test_representative_independence(self, cpc, pair, b2, sig):
         universe = enumerate_formulas(sig, 2, 2)
         for phi, psi in itertools.combinations(universe, 2):
             if class_equal(cpc, pair, phi, psi):
-                assert inslal_satisfies(b2, InsLALSentence((), phi), pair) == inslal_satisfies(
-                    b2, InsLALSentence((), psi), pair
-                )
+                assert tau_consequence([b2], pair, (), phi) == tau_consequence([b2], pair, (), psi)
 
 
 class TestComorphismPlus:
-    def test_true_valuation(self, b2, pair, F):
-        M = Matrix(b2, frozenset({1}))
-        assert comorphism_plus_check(M, pair, F("x0"), {0: 1})
+    """Filter membership agrees with the defining equations exactly on
+    reduced matrices: the elements where the equations hold are the filter."""
 
-    def test_false_valuation(self, b2, pair, F):
-        M = Matrix(b2, frozenset({1}))
-        assert comorphism_plus_check(M, pair, F("x0"), {0: 0})
+    def test_true_valuation(self, b2, pair):
+        assert 1 in _tau_holds(pair, b2)
 
-    def test_reduced_matrices_always_agree(self, pair, sig, h3, chain4, b4):
+    def test_false_valuation(self, b2, pair):
+        assert 0 not in _tau_holds(pair, b2)
+
+    def test_reduced_matrices_always_agree(self, pair, h3, chain4, b4):
         for A, F_ in [(h3, {1, 2}), (chain4, {2, 3}), (b4, {1, 3})]:
             B, image = reduce_matrix(A, F_)
-            M = Matrix(B, image)
-            for phi in enumerate_formulas(sig, 2, 2):
-                for v0 in B.elements():
-                    for v1 in B.elements():
-                        assert comorphism_plus_check(M, pair, phi, {0: v0, 1: v1})
+            assert _tau_holds(pair, B) == image
 
-    def test_non_reduced_violation_found(self, h3, pair, sig):
-        M = Matrix(h3, frozenset({1, 2}))
-        violations = [
-            (phi, v0)
-            for phi in enumerate_formulas(sig, 1, 2)
-            for v0 in h3.elements()
-            if not comorphism_plus_check(M, pair, phi, {0: v0})
-        ]
-        assert violations
-        from aalogic import Var
-
-        assert (Var(0), 1) in violations
+    def test_non_reduced_violation_found(self, h3, pair):
+        # 1 is in the filter {1, 2}, but the equations hold only at the top
+        assert not is_reduced(h3, {1, 2})
+        assert _tau_holds(pair, h3) == {2}
 
 
 class TestReports:
@@ -224,10 +203,15 @@ class TestReports:
 # the per-kind sampling loops, kept as the oracle of the one pool loop
 # ---------------------------------------------------------------------------
 
+InsLALSentence = namedtuple("InsLALSentence", "premises conclusion")
+
+
 def ref_matrix_compatibility_check(ctx: GlivenkoContext, M: Matrix,
                                    gamma_prime, phi_prime,
                                    filter_override: frozenset[int] | None = None,
                                    algebra_override: FiniteAlgebra | None = None) -> bool:
+    if not is_reduced(M.algebra, M.filter):
+        raise ValueError("matrix is not reduced")
     if ctx.theta != Var(0) and not qv_membership("heyting", M.algebra):
         raise ValueError("the adjoint requires a Heyting algebra")
     gamma_prime = tuple(gamma_prime)
@@ -435,6 +419,14 @@ def with_non_heyting_reduced_matrix():
     return c
 
 
+def with_non_reduced_matrix():
+    # B4 with the filter of one atom: the Leibniz congruence identifies that
+    # atom with the top
+    c = corpus.classical_corpus()
+    c.reduced_matrices["ipc"].append(Matrix(corpus.b4(), frozenset({1, 3})))
+    return c
+
+
 def with_non_heyting_algebra():
     c = corpus.classical_corpus()
     c.algebras["ipc"].append(corpus.lukasiewicz3())
@@ -493,6 +485,8 @@ class TestPoolLoopAgainstReference:
         # the bad entry is the pool's last: reduced matrix 4, or context "bare"
         # after the eight algebras of "classical"
         (with_non_heyting_reduced_matrix, "InsAL", 4, "the adjoint requires a Heyting algebra"),
+        # a matrix that is not reduced is refused before its adjoint is built
+        (with_non_reduced_matrix, "InsAL", 4, "matrix is not reduced"),
         (with_context_without_pairs, "InsLAL", 8, "context carries no algebraizing pairs"),
         # the ninth algebra, L3, has no double-negation adjoint
         (with_non_heyting_algebra, "InsLAL", 8, "the adjoint requires a Heyting algebra"),
@@ -509,6 +503,14 @@ class TestPoolLoopAgainstReference:
                 assert result == (ValueError, message)
             else:
                 assert result[0]["passed"]
+
+    def test_non_reduced_matrix_is_refused_by_insal_only(self, F):
+        M = with_non_reduced_matrix().reduced_matrices["ipc"][4]
+        with pytest.raises(ValueError, match="^matrix is not reduced$"):
+            matrix_compatibility_check(corpus.classical_context(), M, (), F("x0"))
+        # InsLAL's models are the corpus's algebras, which the matrix is not
+        result = assert_same_as_reference(with_non_reduced_matrix, "InsLAL", samples=200, seed=5)
+        assert result[0]["passed"]
 
     def test_an_override_replaces_only_its_own_entry(self):
         # the InsLAL override of classical/1 collapses the adjoint algebra of
