@@ -252,22 +252,29 @@ CONTEXTS = {
 
 # file formats; every path inside a file is relative to that file
 
+class _Refusal(ValueError):
+    """A reader's refusal of a file, final as written: the reader of an
+    enclosing file passes it on instead of wrapping it again."""
+
+
 def _read(path: str, convert):
     """``convert`` applied to the JSON in the file at path. Text that is not
     JSON, or nested too deeply to decode, becomes a ValueError naming the
     file. Contents without their format's shape (a list where a table
-    belongs, a number where a formula does) make ``convert`` raise a
-    KeyError, TypeError, AttributeError or IndexError, which becomes one
-    too."""
+    belongs, a number where a formula does, a text carrier size) make
+    ``convert`` raise a KeyError, TypeError, AttributeError, IndexError or
+    ValueError, which becomes one too."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path} could not be decoded as JSON ({exc})") from None
+            raise _Refusal(f"{path} could not be decoded as JSON ({exc})") from None
     try:
         return convert(data)
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
-        raise ValueError(f"{path} does not have its format's shape ({type(exc).__name__}: {exc})") from None
+    except _Refusal:
+        raise
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise _Refusal(f"{path} does not have its format's shape ({type(exc).__name__}: {exc})") from None
 
 
 def _read_named(what: str, entry: str, names, path: str, convert):
@@ -344,7 +351,8 @@ def _logic_of(data, base: str) -> LogicSpec:
             raise ValueError("matrix logic spec needs a signature")
         matrices = [_matrix_of(m, base, sig) for m in engine["matrices"]]
         return LogicSpec.from_matrices(sig, matrices, implication=data.get("implication"))
-    raise ValueError("logic spec file has no recognizable engine")
+    # a file that is no logic spec at all; tests/golden/error_signature_as_logic.txt pins this line
+    raise _Refusal("logic spec file has no recognizable engine")
 
 
 def resolve_context(entry: str) -> GlivenkoContext:

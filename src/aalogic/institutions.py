@@ -5,10 +5,10 @@ translation contexts. Each kind's satisfaction condition is defined once,
 beside its per-sentence check (``semantics.if_condition``,
 ``glivenko.insal_condition`` and ``glivenko.inslal_condition``); this module
 labels its entries, applies the corpus's overrides and runs the sampling
-loop. Reports are seeded and deterministic. Every sample draws its
-sentence, but only entries whose certificate failed translate and evaluate
-it; a certified entry satisfies the condition at every sentence, and its
-translation cannot raise."""
+loop. Reports are seeded and deterministic. A certified entry satisfies the
+condition at every sentence, so only failed entries build, translate and
+evaluate sentences; a certified entry's sample only makes the RNG calls,
+and a suite whose samples reach no failed entry makes none."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .algebra import FiniteAlgebra
 from .algebraization import AlgebraizingPair
 from .glivenko import GlivenkoContext, insal_condition, inslal_condition
 from .semantics import LogicMorphism, LogicSpec, Matrix, if_condition
-from .syntax import print_formula, random_formula
+from .syntax import formula_of_choices, print_formula, random_choices
 
 
 @dataclass
@@ -76,12 +76,15 @@ class InstitutionReport:
         return "\n".join(lines)
 
 
+def _sentence_choices(rng, sig, num_vars, depth, gamma_size) -> list:
+    """The draw of a sentence: gamma's size, then the choices
+    (``syntax.random_choices``) of gamma's formulas and of phi's."""
+    return [random_choices(rng, sig, num_vars, depth) for _ in range(rng.randrange(gamma_size + 1) + 1)]
+
+
 def _random_sentence(rng, sig, num_vars, depth, gamma_size):
-    gamma = tuple(
-        random_formula(rng, sig, num_vars, depth) for _ in range(rng.randrange(gamma_size + 1))
-    )
-    phi = random_formula(rng, sig, num_vars, depth)
-    return gamma, phi
+    *gamma, phi = map(formula_of_choices, _sentence_choices(rng, sig, num_vars, depth, gamma_size))
+    return tuple(gamma), phi
 
 
 def _image(image) -> tuple:
@@ -107,8 +110,9 @@ def _pool(kind: str, corpus: Corpus) -> list[tuple]:
     translation cannot raise: If's morphism has an image for every source
     connective, and the InsAL and InsLAL certificates require the source
     signature to extend the target's. The If conditions, and with them the
-    reducts that are not overridden, are built here; image() runs on an
-    entry's first sample, so the InsAL and InsLAL refusals are raised there."""
+    reducts that are not overridden, are built here; image() runs in pool
+    order before an entry's first sample (see ``institution_report``), so
+    the InsAL and InsLAL refusals are raised there."""
     if kind == "If":
         cases = [({"kind": kind, "morphism": mname, "matrix": idx}, h.source.signature,
                   partial(if_condition, h, M))
@@ -142,12 +146,16 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
     """Run the satisfaction-condition suite named by ``kind`` over the corpus
     with seeded random sentences: sample i checks M |= Phi(gamma) |- Phi(phi)
     against beta(M) |= gamma |- phi on pool entry i mod the pool size, and
-    every disagreement is reported with its sentence as the witness. Every
-    sentence is drawn, so the samples stay in step, but it is translated
-    and the two sides are evaluated only on entries whose certificate (see
-    ``_pool``) failed: a certified entry agrees at every sentence and its
-    translation cannot raise, so the report, errors included, is the one
-    full evaluation would give."""
+    every disagreement is reported with its sentence as the witness. Only
+    entries whose certificate (see ``_pool``) failed build, translate and
+    evaluate sentences: a certified entry agrees at every sentence and its
+    translation cannot raise. The images of the entries the samples reach
+    are built in pool order up to the first failed one; if none failed, the
+    report passes with no draw, and otherwise a certified entry's sample
+    draws its sentence's choices unbuilt, so the samples stay in step. So
+    the report, errors included, is the one full evaluation gives. Bounds
+    that the draw refuses (``num_vars`` not an integer >= 1, ``gamma_size``
+    not one >= 0) are refused first, so a suite that draws nothing does too."""
     witness_keys = {
         "If": ("gamma", "phi", "model_side", "translated_side"),
         "InsAL": ("gamma", "phi"),
@@ -155,20 +163,30 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
     }
     if kind not in witness_keys:
         raise ValueError(f"unknown institution kind {kind!r}")
+    if not (type(num_vars) is type(gamma_size) is int and num_vars >= 1 and gamma_size >= 0):
+        raise ValueError(f"sentences need integers num_vars >= 1 and gamma_size >= 0, "
+                         f"got {num_vars!r} and {gamma_size!r}")
     rng = random.Random(seed)
     config = {"seed": seed, "vars": num_vars, "depth": depth, "gamma_size": gamma_size}
     violations: list[dict] = []
     pool = _pool(kind, corpus)
-    images = [None] * len(pool)
+    images = []
+    for *_, build_image in pool[:max(samples, 0)]:
+        images.append(build_image())
+        if not images[-1][1]:
+            break
+    else:
+        return InstitutionReport(kind, samples, max(samples, 0), violations, config)
     for i in range(samples):
         j = i % len(pool)
         labels, signature, model, translate, build_image = pool[j]
-        gamma, phi = _random_sentence(rng, signature, num_vars, depth, gamma_size)
-        if images[j] is None:
-            images[j] = build_image()
+        if j == len(images):
+            images.append(build_image())
         image_satisfies, certified = images[j]
         if certified:
+            _sentence_choices(rng, signature, num_vars, depth, gamma_size)
             continue
+        gamma, phi = _random_sentence(rng, signature, num_vars, depth, gamma_size)
         translated = model(tuple(map(translate, gamma)), translate(phi))
         image = image_satisfies(gamma, phi)
         if translated != image:

@@ -23,10 +23,10 @@ A node also has one memo slot that starts empty and is filled at most once:
 ``_bits``, the classical truth table over a fixed variable frame
 (``provers.cpc_decide``).
 
-The parser and the printer keep explicit stacks. The parser still rejects
-formulas nested deeper than MAX_FORMULA_DEPTH, so that the recursive
-substitution and evaluation stay well within the interpreter's recursion
-limit on any parsed formula. It rejects variable indices above
+The parser, the printer and the random drawer keep explicit stacks. The
+parser still rejects formulas nested deeper than MAX_FORMULA_DEPTH, so that
+the recursive substitution and evaluation stay well within the
+interpreter's recursion limit on any parsed formula. It rejects variable indices above
 MAX_VARIABLE_INDEX as well.
 """
 
@@ -422,12 +422,37 @@ def _tuples_with_max(pool: list[Formula], deepest: list[Formula], arity: int) ->
             yield args
 
 
+def random_choices(rng, sig: Signature, num_vars: int, max_depth: int) -> list:
+    """The RNG choices of one seeded random formula within the depth and
+    variable bounds, in preorder: a variable index, or a connective (name,
+    arity) before its arguments' choices. The one copy of the draw order:
+    ``random_formula`` builds from it, and a skipped draw discards it."""
+    conns = sig.connectives
+    choices = []
+    pending = [max_depth]
+    while pending:
+        depth = pending.pop()
+        if depth <= 1 or not conns or rng.random() < 0.3:
+            choices.append(rng.randrange(num_vars))
+        else:
+            conn = conns[rng.randrange(len(conns))]
+            choices.append(conn)
+            pending += [depth - 1] * conn[1]
+    return choices
+
+
+def formula_of_choices(choices: list) -> Formula:
+    """The formula whose preorder choices (``random_choices``) these are."""
+    built: list[Formula] = []
+    for choice in reversed(choices):
+        if type(choice) is int:
+            built.append(Var(choice))
+        else:
+            name, arity = choice
+            built.append(App(name, [built.pop() for _ in range(arity)]))
+    return built.pop()
+
+
 def random_formula(rng, sig: Signature, num_vars: int, max_depth: int) -> Formula:
     """Seeded random formula within the depth/variable bounds."""
-    if max_depth <= 1 or not sig.connectives:
-        return Var(rng.randrange(num_vars))
-    if rng.random() < 0.3:
-        return Var(rng.randrange(num_vars))
-    name, arity = sig.connectives[rng.randrange(len(sig.connectives))]
-    return App(name, tuple(random_formula(rng, sig, num_vars, max_depth - 1) for _ in range(arity)))
-
+    return formula_of_choices(random_choices(rng, sig, num_vars, max_depth))

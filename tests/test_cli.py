@@ -178,9 +178,9 @@ MALFORMED = {
     # the algebra refuses a size that is not an int; a float one would get
     # through every reader and fail in the Leibniz check
     "algebra_size_text": (lambda: {**b2_json(), "size": "2"}, ["check", "adjoint", "--algebra", "{}"],
-                          "carrier size must be an integer"),
+                          "{} does not have its format's shape (ValueError: carrier size must be an integer, got '2')"),
     "algebra_size_float": (lambda: {**b2_json(), "size": 2.0}, ["check", "leibniz", "--algebra", "{}", "--filter", "1"],
-                           "carrier size must be an integer"),
+                           "{} does not have its format's shape (ValueError: carrier size must be an integer"),
     "algebra_tables_list": (lambda: {**b2_json(), "tables": [[1, 0]]}, ["check", "adjoint", "--algebra", "{}"], "{}"),
     "algebra_null_table": (lambda: with_table("neg", None), ["check", "adjoint", "--algebra", "{}"], "{}"),
     "algebra_float_cell": (lambda: with_table("neg", [1.0, 0]), ["check", "adjoint", "--algebra", "{}"], "{}"),
@@ -192,7 +192,14 @@ MALFORMED = {
     "logic_filter_number": (lambda: matrix_logic(1), ["consequence", "--logic", "{}", "--phi", "x0"], "{}"),
     # a ragged table with B2's number of cells once loaded as B2
     "algebra_ragged_table": (lambda: with_table("imp", [[1, 1, 0], [1]]), ["check", "adjoint", "--algebra", "{}"],
-                             "table for imp"),
+                             "{} does not have its format's shape (ValueError: table for imp"),
+    # other values a constructor refuses with a ValueError
+    "context_theta_unparsable": (lambda: {"source": "ipc", "target": "cpc", "theta": "neg(x0"},
+                                 ["glivenko", "--context", "{}", "--phi", "x0"],
+                                 "{} does not have its format's shape (FormulaSyntaxError: "),
+    "logic_matrix_without_signature": (lambda: {"engine": matrix_logic([1])["engine"]},
+                                       ["consequence", "--logic", "{}", "--phi", "x0"],
+                                       "{} does not have its format's shape (ValueError: matrix logic spec needs"),
     # a text cell, and a file naming itself, once recursed until RecursionError
     "algebra_text_cell": (lambda: with_table("neg", ["1", 0]), ["check", "adjoint", "--algebra", "{}"], "{}"),
     "algebra_file_is_a_path": (lambda: "input.json", ["check", "adjoint", "--algebra", "{}"], "{}"),

@@ -153,6 +153,18 @@ class TestLogicFiles:
         })
         assert resolve_logic(path) == resolve_logic(str(DATA / "h3_logic.json"))
 
+    def test_a_refusal_names_the_file_at_fault_once(self, tmp_path):
+        # a text carrier size in an algebra file that a logic file names
+        bad = write(tmp_path / "bad.json", {**corpus.b2().to_json(), "size": "2"})
+        path = write(tmp_path / "logic.json", {
+            "signature": BUILTIN_SIGNATURE.to_json(),
+            "engine": {"kind": "matrix", "matrices": [{"algebra": "bad.json", "filter": [1]}]},
+        })
+        with pytest.raises(ValueError) as err:
+            resolve_logic(path)
+        assert str(err.value) == (
+            f"{bad} does not have its format's shape (ValueError: carrier size must be an integer, got '2')")
+
 
 # every bundled data file, by the reader of its format
 BUNDLED_FILES = {

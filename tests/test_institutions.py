@@ -199,6 +199,63 @@ class TestReports:
         assert r.to_json()["passed"] is True
 
 
+class CountingRandom(random.Random):
+    """A Random that counts the calls of its drawing methods. Defining both
+    random() and getrandbits() keeps randrange on the base class's draws."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
+
+
+class TestDrawsOnlyWhatIsEvaluated:
+    def counted(self, monkeypatch, kind, c, **kw):
+        """The report, and the RNG calls the suite made."""
+        made = []
+        monkeypatch.setattr(random, "Random", lambda seed: made.append(CountingRandom(seed)) or made[-1])
+        report = institution_report(kind, c, **kw)
+        monkeypatch.undo()
+        assert len(made) == 1
+        return report, made[0].calls
+
+    @pytest.mark.parametrize("kind", ["If", "InsAL", "InsLAL"])
+    def test_an_all_certified_suite_calls_no_rng_method(self, monkeypatch, kind):
+        report, calls = self.counted(monkeypatch, kind, corpus.classical_corpus(), samples=1000, seed=4)
+        assert report.passed and report.checked == 1000
+        assert calls == 0
+
+    @pytest.mark.parametrize("kind", ["If", "InsAL", "InsLAL"])
+    def test_a_suite_with_a_failed_entry_draws_every_sample(self, monkeypatch, kind):
+        # the patch reaches the suite's generator, which counts its draws
+        # and leaves the report as it is
+        report, calls = self.counted(monkeypatch, kind, CORRUPTED[kind](), samples=300, seed=4)
+        assert report.to_json() == institution_report(kind, CORRUPTED[kind](), samples=300, seed=4).to_json()
+        # at least gamma's size and phi's variable per sample
+        assert calls >= 2 * 300
+
+    @pytest.mark.parametrize("bounds", [{"num_vars": 0}, {"num_vars": -2}, {"gamma_size": -1},
+                                        {"num_vars": 2.5}, {"num_vars": 2.0}, {"gamma_size": 1.5}])
+    @pytest.mark.parametrize("kind", ["If", "InsAL", "InsLAL"])
+    def test_bounds_the_draw_refuses_are_refused_up_front(self, kind, bounds):
+        # the clean corpus would pass without a draw, a fault corpus would
+        # raise at its first draw and an empty corpus when its pool is
+        # built: the bounds are refused before any of these
+        for make_corpus in (corpus.classical_corpus, CORRUPTED[kind], Corpus):
+            for samples in (0, 10):
+                with pytest.raises(ValueError, match="^sentences need integers num_vars >= 1 and gamma_size >= 0"):
+                    institution_report(kind, make_corpus(), samples=samples, **bounds)
+
+
 # ---------------------------------------------------------------------------
 # the per-kind sampling loops, kept as the oracle of the one pool loop
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -22,6 +23,7 @@ from aalogic import (
     variables,
 )
 from aalogic import corpus
+from aalogic.institutions import _random_sentence, _sentence_choices
 from aalogic.semantics import BUILTIN_SIGNATURE
 from aalogic.syntax import (
     _VAR_RE,
@@ -29,6 +31,7 @@ from aalogic.syntax import (
     MAX_VARIABLE_INDEX,
     Formula,
     formula_over,
+    random_choices,
     random_formula,
 )
 
@@ -638,3 +641,61 @@ class TestVariableIndexBound:
     def test_leading_zeros_do_not_count(self, sig):
         assert parse_formula(sig, "x" + "0" * 5000 + "7") is Var(7)
         assert parse_formula(sig, f"x000{MAX_VARIABLE_INDEX}") is Var(MAX_VARIABLE_INDEX)
+
+
+# ---------------------------------------------------------------------------
+# the draw order: one iterative drawer against the recursive one it replaced
+# ---------------------------------------------------------------------------
+
+def ref_random_formula(rng, sig, num_vars, max_depth):
+    """The recursive random_formula, frozen as the oracle of the draw order."""
+    if max_depth <= 1 or not sig.connectives:
+        return Var(rng.randrange(num_vars))
+    if rng.random() < 0.3:
+        return Var(rng.randrange(num_vars))
+    name, arity = sig.connectives[rng.randrange(len(sig.connectives))]
+    return App(name, tuple(ref_random_formula(rng, sig, num_vars, max_depth - 1) for _ in range(arity)))
+
+
+def ref_random_sentence(rng, sig, num_vars, depth, gamma_size):
+    gamma = tuple(ref_random_formula(rng, sig, num_vars, depth) for _ in range(rng.randrange(gamma_size + 1)))
+    return gamma, ref_random_formula(rng, sig, num_vars, depth)
+
+
+def draw_signatures():
+    """The built-in signature, one without connectives, one with nullary and
+    ternary ones, and every signature an institution suite draws over."""
+    c = corpus.classical_corpus()
+    sigs = [BUILTIN_SIGNATURE, Signature([]), ODD_ARITIES]
+    sigs += [h.source.signature for _, h in c.morphisms]
+    sigs += [ctx.target.signature for _, ctx in c.contexts]
+    return [sig for i, sig in enumerate(sigs) if sig not in sigs[:i]]
+
+
+# (num_vars, depth, gamma_size)
+DRAW_BOUNDS = list(itertools.product(range(1, 5), range(7), range(4)))
+
+
+class TestDrawParity:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_formulas_are_the_recursive_draws(self, seed):
+        for sig in draw_signatures():
+            for num_vars, depth, _ in DRAW_BOUNDS:
+                ref, new, skip = (random.Random(f"{seed}:{num_vars}:{depth}") for _ in range(3))
+                for _ in range(6):
+                    assert random_formula(new, sig, num_vars, depth) is ref_random_formula(ref, sig, num_vars, depth)
+                    random_choices(skip, sig, num_vars, depth)
+                    assert new.getstate() == ref.getstate() == skip.getstate()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sentences_are_the_recursive_draws_and_a_skip_keeps_step(self, seed):
+        for sig in draw_signatures():
+            for bounds in DRAW_BOUNDS:
+                ref, new, skip = (random.Random(f"{seed}:{bounds}") for _ in range(3))
+                for _ in range(4):
+                    gamma, phi = _random_sentence(new, sig, *bounds)
+                    ref_gamma, ref_phi = ref_random_sentence(ref, sig, *bounds)
+                    assert len(gamma) == len(ref_gamma) and phi is ref_phi
+                    assert all(g is r for g, r in zip(gamma, ref_gamma))
+                    _sentence_choices(skip, sig, *bounds)
+                    assert new.getstate() == ref.getstate() == skip.getstate()
