@@ -41,6 +41,13 @@ entries. The syntactic translations (a morphism's extension, a pair's tau
 and Delta, a context's theta[phi']) keep no memo: each is a substitution
 that builds interned nodes afresh on every call.
 
+Homomorphisms come from one backtracking search over table rows
+(``_homomorphism_search``), which ``homomorphisms`` lists and
+``find_isomorphism`` stops at its first bijection; ``is_homomorphism``
+checks one given map (quotients, the unit, the certificates). The
+unary-polynomial clone is the closure of the identity under composition
+with the basic translations x -> c(a1, .., x, .., ak).
+
 ``evaluate`` handles one valuation.
 """
 
@@ -229,20 +236,49 @@ def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, f: Sequence[int],
     return True
 
 
-def homomorphisms(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """All maps h with h(c(a..)) = c(h(a)..), in lexicographic table order."""
+def _homomorphism_search(A: FiniteAlgebra, B: FiniteAlgebra):
+    """Every homomorphism from A to B, in lexicographic order. h is fixed on
+    A's elements in ascending order, each trying B's elements in ascending
+    order, and a table row c(a1..ak) = r is checked as soon as h is fixed on
+    its largest element max(a1..ak, r). The search keeps its own stack."""
     if A.signature != B.signature:
         raise ValueError("signature mismatch")
-    return [h for h in itertools.product(B.elements(), repeat=A.size) if is_homomorphism(A, B, h)]
+    n, m = A.size, B.size
+    rows: list[list] = [[] for _ in A.elements()]  # rows[k]: the rows whose largest element is k
+    for name, arity in A.signature.connectives:
+        for args, r in zip(itertools.product(A.elements(), repeat=arity), A.tables[name]):
+            rows[max(args + (r,))].append((args, r, B.tables[name]))
+    h = [-1] * n  # h[k] == -1: not yet fixed
+    k = 0  # the element whose image is being tried
+    while k >= 0:
+        h[k] += 1
+        if h[k] == m:
+            h[k] = -1
+            k -= 1
+            continue
+        for args, r, table in rows[k]:
+            index = 0
+            for a in args:
+                index = index * m + h[a]
+            if table[index] != h[r]:
+                break
+        else:
+            if k == n - 1:
+                yield tuple(h)
+            else:
+                k += 1
+
+
+def homomorphisms(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """All maps h with h(c(a..)) = c(h(a)..), in lexicographic table order."""
+    return list(_homomorphism_search(A, B))
 
 
 def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra) -> tuple[int, ...] | None:
+    """The first bijective homomorphism of the search, or None."""
     if A.size != B.size or A.signature != B.signature:
         return None
-    for h in homomorphisms(A, B):
-        if len(set(h)) == A.size:
-            return h
-    return None
+    return next((h for h in _homomorphism_search(A, B) if len(set(h)) == A.size), None)
 
 
 class Congruence:
@@ -392,27 +428,25 @@ def compatible(theta: Congruence, F: Iterable[int]) -> bool:
 
 
 def unary_polynomials(A: FiniteAlgebra) -> set[tuple[int, ...]]:
-    """All unary polynomial functions, generated breadth-first from the tables
-    with constants until the set of induced functions stabilizes."""
-    identity = tuple(range(A.size))
+    """All unary polynomial functions: the closure of the identity under
+    composition with the basic translations x -> c(a1, .., x, .., ak)."""
+    n = A.size
+    translations = set()
+    for name, arity in A.signature.connectives:
+        table = A.tables[name]
+        for pos in range(arity):
+            step = n ** (arity - 1 - pos)  # the table index step of the argument at pos
+            translations.update(table[i : i + n * step : step] for i in range(n**arity) if i // step % n == 0)
+    identity = tuple(A.elements())
     funcs = {identity}
-    frontier = [identity]
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for f in frontier:
-            for name, arity in A.signature.connectives:
-                if arity == 0:
-                    continue
-                for pos in range(arity):
-                    for consts in itertools.product(A.elements(), repeat=arity - 1):
-                        g = tuple(
-                            A.op(name, *(consts[:pos] + (f[x],) + consts[pos:]))
-                            for x in A.elements()
-                        )
-                        if g not in funcs:
-                            funcs.add(g)
-                            new.append(g)
-        frontier = new
+    stack = [identity]
+    while stack:
+        f = stack.pop()
+        for t in translations:
+            g = tuple(map(t.__getitem__, f))
+            if g not in funcs:
+                funcs.add(g)
+                stack.append(g)
     return funcs
 
 

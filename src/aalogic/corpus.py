@@ -351,8 +351,9 @@ def _logic_of(data, base: str) -> LogicSpec:
             raise ValueError("matrix logic spec needs a signature")
         matrices = [_matrix_of(m, base, sig) for m in engine["matrices"]]
         return LogicSpec.from_matrices(sig, matrices, implication=data.get("implication"))
-    # a file that is no logic spec at all; tests/golden/error_signature_as_logic.txt pins this line
-    raise _Refusal("logic spec file has no recognizable engine")
+    # a file that is no logic spec at all; _read names the file, and
+    # tests/golden/error_signature_as_logic.txt pins the line
+    raise ValueError("logic spec has no recognizable engine")
 
 
 def resolve_context(entry: str) -> GlivenkoContext:

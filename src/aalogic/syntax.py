@@ -128,6 +128,10 @@ class App(Formula):
         return node
 
     def __reduce__(self):
+        # pickle rebuilds a node through App(name, args) after its args, so
+        # it recurses once per level: a node nested deeper than the
+        # interpreter's recursion limit raises RecursionError. Parsed
+        # formulas are capped at MAX_FORMULA_DEPTH and round-trip.
         return App, (self.name, self.args)
 
 

@@ -129,6 +129,86 @@ class TestIsHomomorphism:
                     assert algebra.is_homomorphism(H, B, tampered) == (b == unit[a])
 
 
+# ---------------------------------------------------------------------------
+# the backtracking homomorphism search and the clone built from translations,
+# against the brute-force loops they replaced, kept here verbatim as oracles
+# ---------------------------------------------------------------------------
+
+def ref_homomorphisms(A, B):
+    return [h for h in itertools.product(B.elements(), repeat=A.size) if algebra.is_homomorphism(A, B, h)]
+
+
+def ref_unary_polynomials(A):
+    identity = tuple(range(A.size))
+    funcs = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for f in frontier:
+            for name, arity in A.signature.connectives:
+                if arity == 0:
+                    continue
+                for pos in range(arity):
+                    for consts in itertools.product(A.elements(), repeat=arity - 1):
+                        g = tuple(
+                            A.op(name, *(consts[:pos] + (f[x],) + consts[pos:]))
+                            for x in A.elements()
+                        )
+                        if g not in funcs:
+                            funcs.add(g)
+                            new.append(g)
+        frontier = new
+    return funcs
+
+
+# a nullary, a unary, a binary and a ternary connective
+SEARCH_SIGNATURE = Signature([("c", 0), ("u", 1), ("b", 2), ("t", 3)])
+
+
+def narrow_algebra(rng, size):
+    """A random algebra over SEARCH_SIGNATURE whose tables take values in a
+    random subset, so that many maps into and out of it are homomorphisms."""
+    values = rng.sample(range(size), rng.randint(1, size))
+    return FiniteAlgebra(SEARCH_SIGNATURE, size, {
+        name: [rng.choice(values) for _ in range(size ** arity)] for name, arity in SEARCH_SIGNATURE.connectives
+    })
+
+
+def search_pairs():
+    """Every same-signature pair of the Heyting and Boolean corpora and L3,
+    then every pair of seeded random algebras of sizes 1-4."""
+    bundled = [A for _, A in corpus.heyting_corpus() + corpus.boolean_corpus()] + [corpus.lukasiewicz3()]
+    rng = random.Random(2801)
+    drawn = [narrow_algebra(rng, size) for size in range(1, 5) for _ in range(6)]
+    return [(A, B) for pool in (bundled, drawn) for A in pool for B in pool if A.signature == B.signature]
+
+
+class TestSearchAgainstBruteForce:
+    def test_homomorphisms_in_order_and_the_first_isomorphism(self):
+        several = isomorphic = 0
+        for A, B in search_pairs():
+            expected = ref_homomorphisms(A, B)
+            assert homomorphisms(A, B) == expected
+            bijections = [h for h in expected if len(set(h)) == A.size == B.size]
+            assert find_isomorphism(A, B) == (bijections[0] if bijections else None)
+            several += len(expected) > 1
+            isomorphic += bool(bijections)
+        assert several > 100  # the order is tested, not only single maps
+        assert isomorphic >= 14 + 24  # at least every algebra with itself
+
+    def test_unary_polynomials(self):
+        rng = random.Random(2802)
+        algebras = [A for _, A in corpus.heyting_corpus() + corpus.boolean_corpus()] + [corpus.lukasiewicz3()]
+        algebras += [random_algebra(rng, sig, rng.randint(1, 4))
+                     for sig in GENERATOR_SIGNATURES + [SEARCH_SIGNATURE] for _ in range(20)]
+        for A in algebras:
+            assert unary_polynomials(A) == ref_unary_polynomials(A)
+
+    def test_adjoint_of_the_nine_element_chain(self):
+        # the brute-force search tried 4**9 maps into the four-element Boolean algebra
+        assert glivenko.find_adjoint_report(corpus.heyting_chain(9)).passed
+
+
 class TestCongruences:
     def test_empty_generates_identity(self, h3):
         assert congruence_generated(h3, []).is_identity()

@@ -200,6 +200,8 @@ MALFORMED = {
     "logic_matrix_without_signature": (lambda: {"engine": matrix_logic([1])["engine"]},
                                        ["consequence", "--logic", "{}", "--phi", "x0"],
                                        "{} does not have its format's shape (ValueError: matrix logic spec needs"),
+    "logic_unknown_engine_kind": (lambda: {"engine": {"kind": "modal"}}, ["consequence", "--logic", "{}", "--phi", "x0"],
+                                  "{} does not have its format's shape (ValueError: logic spec has no recognizable"),
     # a text cell, and a file naming itself, once recursed until RecursionError
     "algebra_text_cell": (lambda: with_table("neg", ["1", 0]), ["check", "adjoint", "--algebra", "{}"], "{}"),
     "algebra_file_is_a_path": (lambda: "input.json", ["check", "adjoint", "--algebra", "{}"], "{}"),
