@@ -13,8 +13,17 @@ The Kripke search shares no code with the sequent prover. It runs on the
 evaluation kernel (``algebra.value_vector``): the sets of worlds where a
 formula is forced on a frame are the elements of the Heyting algebra of the
 frame's upsets, built once per frame by ``heyting_of_upsets``, which also
-builds the corpus's Heyting algebras. The tests check the search model for
-model against a direct forcing interpreter.
+builds the corpus's Heyting algebras. Its frames are the first rooted
+partial order, in the enumeration order of the preorders, of each
+isomorphism class: 1, 1, 2 and 5 frames on 1 to 4 worlds, out of 1 + 4 +
+29 + 355 preorders. The countermodel it returns is the first one over every
+preorder, by size and then in enumeration order. That one's frame is
+generated by the refuting world, or the subframe above that world would be
+a smaller countermodel; it has no cluster, since upsets are unions of
+clusters and collapsing them would give a smaller frame with the same
+forcing; and no isomorphic copy of it comes earlier. The tests check the
+search against that walk, and model for model against a direct forcing
+interpreter.
 
 Intuitionistic provability is Dyckhoff's contraction-free sequent calculus
 G4ip, searched on integer-coded formulas. Each query gets its own search
@@ -330,16 +339,31 @@ class KripkeModel:
     world: int                   # world where the premises hold and the goal fails
 
 
-def _enumerate_preorders(n: int):
-    """Reflexive transitive relations on n worlds as successor bitmasks, in
-    the product order of their off-diagonal pairs."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        up = [1 << i for i in range(n)]
-        for (i, j), b in zip(pairs, bits):
-            up[i] |= b << j
-        if all(up[j] & ~up[i] == 0 for i in range(n) for j in range(n) if up[i] >> j & 1):
-            yield tuple(up)
+def _rooted_partial_orders(n: int):
+    """Rooted partial orders on n worlds as successor bitmasks, in the order
+    in which ``itertools.product`` walks the bits of their off-diagonal pairs
+    (0, 1), (0, 2), .., (n-1, n-2): the enumeration order of the preorders.
+    A relation without a world that sees every world, or with a pair of
+    worlds that see each other, is dropped before transitivity is checked."""
+    full = (1 << n) - 1
+    rows = [
+        [(1 << i) | sum(b << j for j, b in zip([j for j in range(n) if j != i], bits))
+         for bits in itertools.product((0, 1), repeat=n - 1)]
+        for i in range(n)
+    ]
+    pairs = list(itertools.combinations(range(n), 2))
+    for up in itertools.product(*rows):
+        if (full in up and not any(up[i] >> j & up[j] >> i & 1 for i, j in pairs)
+                and all(up[v] & ~up[w] == 0 for w in range(n) for v in range(n) if up[w] >> v & 1)):
+            yield up
+
+
+def _relabel(up: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The frame ``up`` with world w renamed perm[w]."""
+    out = [0] * len(up)
+    for w, succ in enumerate(up):
+        out[perm[w]] = sum(1 << perm[v] for v in range(len(up)) if succ >> v & 1)
+    return tuple(out)
 
 
 def heyting_of_upsets(up: Sequence[int], key=None) -> tuple[FiniteAlgebra, list[int]]:
@@ -371,9 +395,16 @@ _frame_cache: dict[int, tuple] = {}
 
 
 def _frames(n: int) -> tuple:
-    """(up, algebra of its upsets, the upsets) for every preorder on n worlds."""
+    """(up, algebra of its upsets, the upsets) for the first rooted partial
+    order on n worlds, in enumeration order, of each isomorphism class."""
     if n not in _frame_cache:
-        _frame_cache[n] = tuple((up, *heyting_of_upsets(up)) for up in _enumerate_preorders(n))
+        perms = list(itertools.permutations(range(n)))
+        seen, firsts = set(), []
+        for up in _rooted_partial_orders(n):
+            if up not in seen:
+                firsts.append(up)
+                seen.update(_relabel(up, perm) for perm in perms)
+        _frame_cache[n] = tuple((up, *heyting_of_upsets(up)) for up in firsts)
     return _frame_cache[n]
 
 
@@ -384,8 +415,12 @@ def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int 
     The sets of worlds forcing a formula on a frame are the elements of the
     Heyting algebra of its upsets, so the valuations on a frame are the rows
     of that algebra's value vectors. Frames go by size, then in enumeration
-    order; on each, the first row where the premises' upsets meet outside the
-    conclusion's is returned, with the lowest world there."""
+    order, one rooted partial order per isomorphism class (``_frames``); on
+    each, the first row where the premises' upsets meet outside the
+    conclusion's is returned, with the lowest world there. That is the model
+    a walk over every preorder returns: its frame is the first to refute the
+    query, so it is rooted at the refuting world, has no cluster and is the
+    first of its class (see the module docstring)."""
     gamma = tuple(gamma)
     _require_connectives(gamma + (phi,), _CONNECTIVES, "an intuitionistic")
     frame = 0

@@ -20,7 +20,7 @@ from aalogic import (
 )
 from aalogic import corpus, provers
 from aalogic.algebraization import delta_translate, tau_translate
-from aalogic.algebra import FiniteAlgebra, value_vector
+from aalogic.algebra import FiniteAlgebra, frame_valuation, value_vector
 from aalogic.provers import _FRAME_VARS, KripkeModel, _frame_bits, _frames, heyting_of_upsets
 from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
 from aalogic.syntax import (
@@ -388,7 +388,8 @@ class TestKripkeSearchAgainstForcing:
         assert kripke_countermodel((), F("or(imp(x0,x1),imp(x1,x0))"), 3) is not None
         assert kripke_countermodel((F("x0"),), F("neg(neg(x0))"), 3) is None
         frames = [A for frames in provers._frame_cache.values() for _, A, _ in frames]
-        assert len(frames) >= 1 + 4 + 29  # the preorders on one, two and three worlds
+        # one rooted partial order per isomorphism class on one, two and three worlds
+        assert sum(len(provers._frame_cache[n]) for n in (1, 2, 3)) == 1 + 1 + 2
         assert not any(A._memo for A in frames)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -397,6 +398,107 @@ class TestKripkeSearchAgainstForcing:
             B, fresh_upsets = heyting_of_upsets(up)
             assert A == B and hash(A) == hash(B) and upsets == fresh_upsets
             assert FiniteAlgebra.from_json(A.to_json()) == A
+
+
+# ---------------------------------------------------------------------------
+# the search over one frame per isomorphism class against the search over
+# every preorder
+# ---------------------------------------------------------------------------
+
+def ref_relabelings(up):
+    """Every frame isomorphic to ``up``: world i renamed perm[i], for every
+    permutation perm of the worlds."""
+    n = len(up)
+    return {
+        tuple(sum(1 << perm[j] for j in range(n) if up[perm.index(i)] >> j & 1) for i in range(n))
+        for perm in itertools.permutations(range(n))
+    }
+
+
+def ref_first_of_each_class(n):
+    """The first preorder, in enumeration order, of each isomorphism class of
+    rooted partial orders on n worlds."""
+    full = (1 << n) - 1
+    seen, firsts = set(), []
+    for up in ref_preorders(n):
+        rooted = full in up
+        antisymmetric = all(not (up[i] >> j & 1 and up[j] >> i & 1)
+                            for i in range(n) for j in range(n) if i != j)
+        if rooted and antisymmetric and up not in seen:
+            firsts.append(up)
+            seen |= ref_relabelings(up)
+    return firsts
+
+
+@functools.cache
+def ref_frame_algebras(n):
+    return [(up, *heyting_of_upsets(up)) for up in ref_preorders(n)]
+
+
+def ref_every_preorder_search(gamma, phi, max_worlds):
+    """The search over every preorder: frames by size, then in enumeration
+    order, each evaluated on the algebra of its upsets; the first row where
+    the premises' upsets meet outside the conclusion's, with its lowest
+    world."""
+    gamma = tuple(gamma)
+    frame = 0
+    for f in gamma + (phi,):
+        frame |= f.vmask
+    for n in range(1, max_worlds + 1):
+        top = (1 << n) - 1
+        for up, A, upsets in ref_frame_algebras(n):
+            diff = [top ^ upsets[a] for a in value_vector(A, phi, frame)]
+            for g in gamma:
+                diff = [d & upsets[a] for d, a in zip(diff, value_vector(A, g, frame))]
+            A._memo.clear()
+            for row, d in enumerate(diff):
+                if d:
+                    val = {i: upsets[a] for i, a in frame_valuation(A, frame, row).items()}
+                    return KripkeModel(n, up, val, (d & -d).bit_length() - 1)
+    return None
+
+
+CONJUNCTIONS_OF_TWO_FRAMES = [
+    ("or(x1,imp(x1,or(x0,neg(x0))))", "or(imp(x0,x2),imp(x2,x0))"),
+    ("or(x2,imp(x2,or(x1,imp(x1,or(x0,neg(x0))))))", FOUR_WORLD_TEXTS[0]),
+]
+
+
+class TestOneFramePerIsomorphismClass:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_frames_are_the_first_of_each_class(self, n):
+        # every relabelling of a preorder is a preorder, so each class of
+        # rooted partial orders is met whole in the enumeration
+        preorders = ref_preorders(n)
+        assert all(ref_relabelings(up) <= set(preorders) for up in preorders)
+        firsts = ref_first_of_each_class(n)
+        assert len(firsts) == [1, 1, 2, 5][n - 1]
+        assert [up for up, _, _ in _frames(n)] == firsts
+
+    def test_countermodels_are_those_of_every_preorder(self, sig, F):
+        # benchmark-shaped queries, kept until there are 10 classically
+        # refuted, 5 provable (about 0.3 s each on every preorder) and 40
+        # classically valid but unprovable ones
+        kept = {"refuted": [], "provable": [], "unprovable": []}
+        for gamma, phi in bench_shaped_queries(sig, 2901, 10_000):
+            if not cpc_decide(gamma, phi):
+                kind = "refuted"
+            else:
+                kind = "provable" if ipc_decide(gamma, phi) else "unprovable"
+            if len(kept[kind]) < {"refuted": 10, "provable": 5, "unprovable": 40}[kind]:
+                kept[kind].append((gamma, phi))
+            if len(kept["unprovable"]) == 40:
+                break
+        assert all(any(gamma for gamma, _ in queries) for queries in kept.values())
+        queries = [q for queries in kept.values() for q in queries]
+        queries += [((), F(text)) for text in FOUR_WORLD_TEXTS]
+        queries.append(((F("imp(neg(x0),or(x1,x2))"),), F("or(imp(neg(x0),x1),imp(neg(x0),x2))")))
+        # each refuted first on two frames of the same size: bounded depth 2
+        # and linearity on three worlds, bounded depth 3 and width 2 on four
+        queries += [((), F(f"and({a},{b})")) for a, b in CONJUNCTIONS_OF_TWO_FRAMES]
+        models = [kripke_countermodel(gamma, phi, 4) for gamma, phi in queries]
+        assert models == [ref_every_preorder_search(gamma, phi, 4) for gamma, phi in queries]
+        assert {m and m.worlds for m in models} == {None, 1, 2, 3, 4}
 
 
 SEARCH_PROBE = """
