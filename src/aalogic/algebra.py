@@ -29,17 +29,18 @@ instance, in ``A._memo``:
   ``leibniz_bruteforce``, which must not share the clone);
 - theorem values per (logic, bounds) and spot-theorem values per logic (for
   ``filter_closure`` and ``is_filter``);
-- membership verdicts of ``algebraization.qv_membership`` per class.
+- membership verdicts of ``algebraization.qv_membership`` per class;
+- a Glivenko context's adjoint per (source logic, theta), and the
+  regular-element adjoint.
 
 The invariants go through ``_invariant`` under keys that begin with a
-string, so they cannot collide with the kernel's frame keys. No
-module-level cache holds a caller's algebra (``provers._frame_cache`` keeps
-only the frame algebras it builds), so an algebra and its memo are freed
-with its last reference. This memo and a Glivenko context's adjoint cache
-go through ``_remember``, which drops a memo wholesale at ``MEMO_LIMIT``
-entries. The syntactic translations (a morphism's extension, a pair's tau
-and Delta, a context's theta[phi']) keep no memo: each is a substitution
-that builds interned nodes afresh on every call.
+string, so they cannot collide with the kernel's frame keys. No module or
+context holds a caller's algebra (``provers._frame_cache`` keeps only the
+frame algebras it builds), so an algebra and its memo are freed with its
+last reference; ``_remember`` drops a full memo at ``MEMO_LIMIT``. The
+syntactic translations (a morphism's extension, a pair's tau and Delta, a
+context's theta[phi']) keep no memo: each is a substitution that builds
+interned nodes afresh on every call.
 
 Homomorphisms come from one backtracking search over table rows
 (``_homomorphism_search``), which ``homomorphisms`` lists and

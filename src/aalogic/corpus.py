@@ -15,7 +15,7 @@ import os
 
 from .algebra import FiniteAlgebra
 from .algebraization import AlgebraizingPair
-from .glivenko import GlivenkoContext, adjoint_image
+from .glivenko import _NEGNEG, GlivenkoContext, adjoint_image
 from .institutions import Corpus
 from .provers import heyting_of_upsets
 from .semantics import (
@@ -133,14 +133,16 @@ def perturbed_pair() -> AlgebraizingPair:
     return AlgebraizingPair([f("imp(x0,x1)")], [(f("imp(x0,x0)"), f("x0"))])
 
 
+def _negneg_context(source: LogicSpec, name: str) -> GlivenkoContext:
+    """The double-negation context from the source logic into classical logic."""
+    pair = classical_pair()
+    return GlivenkoContext(source, cpc_logic(), FlexibleMorphism.identity(BUILTIN_SIGNATURE), _NEGNEG,
+                           source_pair=pair, target_pair=pair, name=name)
+
+
 def classical_context() -> GlivenkoContext:
     """The double-negation context from intuitionistic into classical logic."""
-    pair = classical_pair()
-    return GlivenkoContext(
-        ipc_logic(), cpc_logic(), FlexibleMorphism.identity(BUILTIN_SIGNATURE),
-        App("neg", (App("neg", (Var(0),)),)), source_pair=pair, target_pair=pair,
-        name="classical",
-    )
+    return _negneg_context(ipc_logic(), "classical")
 
 
 def identity_context(logic: LogicSpec | None = None) -> GlivenkoContext:
@@ -149,12 +151,7 @@ def identity_context(logic: LogicSpec | None = None) -> GlivenkoContext:
 
 
 def cpc_negneg_context() -> GlivenkoContext:
-    pair = classical_pair()
-    return GlivenkoContext(
-        cpc_logic(), cpc_logic(), FlexibleMorphism.identity(BUILTIN_SIGNATURE),
-        App("neg", (App("neg", (Var(0),)),)), source_pair=pair, target_pair=pair,
-        name="cpc-negneg",
-    )
+    return _negneg_context(cpc_logic(), "cpc-negneg")
 
 
 def _endo_morphism(logic: LogicSpec, overrides) -> LogicMorphism:
@@ -169,7 +166,7 @@ def classical_corpus() -> Corpus:
     double-negation context."""
     ipc, cpc = ipc_logic(), cpc_logic()
     pair = classical_pair()
-    triple_neg = App("neg", (App("neg", (App("neg", (Var(0),)),)),))
+    triple_neg = App("neg", (_NEGNEG,))
     swap_and = App("and", (Var(1), Var(0)))
     inclusion = LogicMorphism(ipc, cpc, FlexibleMorphism.identity(BUILTIN_SIGNATURE))
     # the matrices use the Heyting algebras' own instances, so each algebra

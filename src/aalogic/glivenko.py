@@ -15,7 +15,7 @@ from .algebra import (
     Congruence,
     FiniteAlgebra,
     _algebra_on,
-    _remember,
+    _invariant,
     all_congruences,
     filter_closure,
     filter_rows,
@@ -81,7 +81,6 @@ class GlivenkoContext:
         self.source_pair = source_pair
         self.target_pair = target_pair
         self.name = name or f"{source.name}->{target.name}"
-        self._adjoint_cache: dict[FiniteAlgebra, AdjointData] = {}
 
     @classmethod
     def identity(cls, logic: LogicSpec, pair: AlgebraizingPair | None = None) -> "GlivenkoContext":
@@ -91,10 +90,7 @@ class GlivenkoContext:
         )
 
     def adjoint(self, M: FiniteAlgebra) -> "AdjointData":
-        data = self._adjoint_cache.get(M)
-        if data is None:
-            data = _remember(self._adjoint_cache, M, _adjoint_data(self, M))
-        return data
+        return _adjoint_data(self.source, self.theta, M)
 
     def __repr__(self):
         return f"GlivenkoContext({self.name}, theta={print_formula(self.theta)})"
@@ -117,42 +113,47 @@ def rho_translate_all(ctx: GlivenkoContext, gamma: Iterable[Formula]) -> tuple[F
 # the concrete left adjoint on Heyting algebras
 # ---------------------------------------------------------------------------
 
+def _regular_adjoint(H: FiniteAlgebra) -> AdjointData:
+    """The regular-element algebra, the unit onto it and the embedding, kept in H's memo."""
+    def compute(H: FiniteAlgebra) -> AdjointData:
+        if not qv_membership("heyting", H):
+            raise ValueError("not a Heyting algebra")
+        negneg = value_vector(H, _NEGNEG, 1)
+        regs = tuple(a for a in H.elements() if negneg[a] == a)
+        index = {a: i for i, a in enumerate(regs)}
+        unit = tuple(index[b] for b in negneg)
+        B = _algebra_on(H, regs, unit)
+        if not qv_membership("boolean", B):
+            raise ValueError("regular elements did not form a Boolean algebra; encoding is broken")
+        return AdjointData(B, unit, regs)
+    return _invariant(H, ("regular_elements",), compute)
+
+
 def regular_elements(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """The double-negation fixed points, as a Boolean algebra: the algebra
     built at the regular elements with the projection a |-> not not a, so each
     operation is the inherited one followed by double negation. On a Heyting
     algebra this changes only join: meet, implication and negation keep the
     regular elements. Also returns the embedding (new index -> element)."""
-    if not qv_membership("heyting", H):
-        raise ValueError("not a Heyting algebra")
-    negneg = value_vector(H, _NEGNEG, 1)
-    regs = [a for a in H.elements() if negneg[a] == a]
-    index = {a: i for i, a in enumerate(regs)}
-    B = _algebra_on(H, regs, [index[b] for b in negneg])
-    if not qv_membership("boolean", B):
-        raise ValueError("regular elements did not form a Boolean algebra; encoding is broken")
-    return B, tuple(regs)
+    data = _regular_adjoint(H)
+    return data.algebra, data.section
 
 
 def unit_map(H: FiniteAlgebra) -> tuple[int, ...]:
     """a |-> not not a, as a homomorphism onto the regular-element algebra
     (indices of that algebra). It is onto by construction: each regular
     element is its own double negation."""
-    B, emb = regular_elements(H)
-    index = {a: i for i, a in enumerate(emb)}
-    unit = tuple(index[b] for b in value_vector(H, _NEGNEG, 1))
-    if not is_homomorphism(H, B, unit):
+    data = _regular_adjoint(H)
+    if not is_homomorphism(H, data.algebra, data.unit):
         raise ValueError("double negation is not a homomorphism; encoding is broken")
-    return unit
+    return data.unit
 
 
 def left_adjoint_quotient(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """The double-negation context's adjoint at H: the quotient of H by the
     filter generated by all a <-> not not a, with the quotient map.
     Isomorphic to the regular-element algebra."""
-    from .corpus import classical_context  # corpus imports this module
-
-    data = classical_context().adjoint(H)
+    data = _adjoint_data(LogicSpec.ipc(), _NEGNEG, H)
     return data.algebra, data.unit
 
 
@@ -177,30 +178,29 @@ class AdjointData:
     section: tuple[int, ...]
 
 
-def _adjoint_data(ctx: GlivenkoContext, M: FiniteAlgebra) -> AdjointData:
+def _adjoint_data(source: LogicSpec, theta: Formula, M: FiniteAlgebra) -> AdjointData:
     """The quotient of M by the source-logic filter generated by the values of
-    x0 <-> theta. Unless theta is x0, a built-in (cpc or ipc) source needs M
+    x0 <-> theta, kept in M's memo per (source, theta); theta = x0 gives M
+    itself, kept nowhere. Otherwise a built-in (cpc or ipc) source needs M
     Heyting: its theorems close no filter on other algebras."""
-    theta_hat = value_vector(M, ctx.theta, 1)  # theta at x0 = a, for each a
-    if ctx.theta == Var(0):
+    if theta == Var(0):
         ident = tuple(M.elements())
         return AdjointData(M, ident, ident)
-    if ctx.source.kind in ("cpc", "ipc") and not qv_membership("heyting", M):
-        raise ValueError("the adjoint requires a Heyting algebra")
-    F = filter_closure(ctx.source, M, value_vector(M, _iff(M, Var(0), ctx.theta), 1))
-    Q, proj = _filter_quotient(M, F)
-    section = [None] * Q.size
-    for a in M.elements():
-        expected = theta_hat[a]
-        j = proj[a]
-        if section[j] is None:
-            section[j] = expected
-        elif section[j] != expected:
-            raise ValueError("theta does not induce a well-defined section on the quotient")
-    for j, s in enumerate(section):
-        if proj[s] != j:
+
+    def compute(M: FiniteAlgebra) -> AdjointData:
+        theta_hat = value_vector(M, theta, 1)  # theta at x0 = a, for each a
+        if source.kind in ("cpc", "ipc") and not qv_membership("heyting", M):
+            raise ValueError("the adjoint requires a Heyting algebra")
+        F = filter_closure(source, M, value_vector(M, _iff(M, Var(0), theta), 1))
+        Q, proj = _filter_quotient(M, F)
+        section: dict[int, int] = {}  # block -> theta at each of its elements
+        for a in M.elements():
+            if section.setdefault(proj[a], theta_hat[a]) != theta_hat[a]:
+                raise ValueError("theta does not induce a well-defined section on the quotient")
+        if any(proj[s] != j for j, s in section.items()):
             raise ValueError("theta does not induce a section of the unit")
-    return AdjointData(Q, proj, tuple(section))
+        return AdjointData(Q, proj, tuple(section[j] for j in range(Q.size)))
+    return _invariant(M, ("adjoint", source, theta), compute)
 
 
 def section_check(H: FiniteAlgebra, corpus: Sequence[FiniteAlgebra] = ()) -> bool:
@@ -211,12 +211,10 @@ def section_check(H: FiniteAlgebra, corpus: Sequence[FiniteAlgebra] = ()) -> boo
     if any(unit[emb[j]] != j for j in range(B.size)):
         return False
     for H2 in corpus:
-        B2, emb2 = regular_elements(H2)
+        _B2, emb2 = regular_elements(H2)
         unit2 = unit_map(H2)
-        for f in homomorphisms(H, H2):
-            for j in range(B.size):
-                if f[emb[j]] != emb2[unit2[f[emb[j]]]]:
-                    return False
+        if any(f[a] != emb2[unit2[f[a]]] for f in homomorphisms(H, H2) for a in emb):
+            return False
     return True
 
 
@@ -447,11 +445,10 @@ def find_adjoint_report(H: FiniteAlgebra) -> AdjointReport:
     hom-set bijection against the bundled Boolean algebras."""
     from .corpus import boolean_corpus  # corpus imports this module
 
-    B, emb = regular_elements(H)
+    B, _emb = regular_elements(H)
     Q, _proj = left_adjoint_quotient(H)
     iso = find_isomorphism(Q, B) is not None
     unit = unit_map(H)
-    section_ok = all(unit[emb[j]] == j for j in range(B.size))
     hom_counts = []
     for name, C in boolean_corpus():
         from_reg = homomorphisms(B, C)
@@ -463,7 +460,7 @@ def find_adjoint_report(H: FiniteAlgebra) -> AdjointReport:
             "from_algebra": len(from_alg),
             "equal": len(from_reg) == len(from_alg) and precomposed == set(map(tuple, from_alg)),
         })
-    return AdjointReport(H.size, B.size, Q.size, iso, section_ok, hom_counts)
+    return AdjointReport(H.size, B.size, Q.size, iso, section_check(H), hom_counts)
 
 
 @dataclass

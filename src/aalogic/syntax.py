@@ -364,6 +364,9 @@ class FlexibleMorphism:
             and self.assignment == other.assignment
         )
 
+    def __hash__(self):
+        return hash((self.source, self.target, frozenset(self.assignment.items())))
+
     def __repr__(self):
         body = ", ".join(f"{n}:{print_formula(f)}" for n, f in sorted(self.assignment.items()))
         return f"FlexibleMorphism({body})"

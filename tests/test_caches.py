@@ -9,10 +9,17 @@ import random
 import weakref
 
 import aalogic
-from aalogic import BUILTIN_SIGNATURE, FiniteAlgebra, corpus
+from aalogic import BUILTIN_SIGNATURE, FiniteAlgebra, Matrix, corpus, parse_formula
 from aalogic.algebra import all_filters, filter_closure, is_filter, theorem_values
 from aalogic.algebraization import delta_translate, qv_membership, tau_translate
-from aalogic.glivenko import find_adjoint_report, left_adjoint_quotient, regular_elements, rho_translate
+from aalogic.glivenko import (
+    find_adjoint_report,
+    left_adjoint_quotient,
+    lind_compatibility_check,
+    matrix_compatibility_check,
+    regular_elements,
+    rho_translate,
+)
 from aalogic.provers import Equation
 from aalogic.syntax import extend_morphism, random_formula
 
@@ -46,7 +53,12 @@ def containers(namespace) -> set[str]:
 
 def test_no_algebra_outlives_its_last_user(ipc):
     algebras = [FiniteAlgebra.from_json(H.to_json()) for _, H in corpus.heyting_corpus(4)]
+    ctx = corpus.classical_context()
+    phi = parse_formula(BUILTIN_SIGNATURE, "or(x0,neg(x0))")
     for H in algebras:
+        ctx.adjoint(H)
+        matrix_compatibility_check(ctx, Matrix(H, {H.size - 1}), (), phi)
+        lind_compatibility_check(ctx, H, (), phi)
         theorem_values(ipc, H)
         is_filter(ipc, H, H.elements())
         all_filters(ipc, H)

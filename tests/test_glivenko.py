@@ -23,9 +23,9 @@ from aalogic import (
 )
 from aalogic.algebra import Congruence, FiniteAlgebra, filter_closure, find_isomorphism, quotient, value_vector
 from aalogic.corpus import load_algebra, resolve_context
-from aalogic.glivenko import AdjointData, adjoint_image, generic_left_adjoint
+from aalogic.glivenko import AdjointData, adjoint_image, find_adjoint_report, generic_left_adjoint
 from aalogic.syntax import BUILTIN_SIGNATURE, FlexibleMorphism
-from aalogic import corpus
+from aalogic import corpus, glivenko
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,20 @@ class TestRegularElements:
             R, emb = regular_elements(B)
             assert emb == tuple(range(B.size))
             assert R == B
+
+
+    def test_built_once_per_algebra(self, monkeypatch):
+        # separately built algebras, so no other test has filled their memos
+        built = []
+        algebra_on = glivenko._algebra_on
+        monkeypatch.setattr(glivenko, "_algebra_on", lambda A, *args: built.append(A) or algebra_on(A, *args))
+        H = corpus.heyting_chain(5)
+        assert find_adjoint_report(H).passed
+        assert [id(A) for A in built] == [id(H)]
+        built.clear()
+        algebras = [A for _, A in corpus.heyting_corpus(4)]
+        assert section_check(H, algebras) and section_check(algebras[3], algebras)
+        assert sorted(id(A) for A in built) == sorted(id(A) for A in algebras)
 
 
 class TestUnitMap:

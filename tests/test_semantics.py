@@ -142,6 +142,19 @@ class TestReduct:
             assert reduct(compose_morphisms(g, f), M) == reduct(f, reduct(g, M))
 
 
+class TestMorphismHashing:
+    def test_equal_morphisms_hash_equal(self, ipc, cpc):
+        assert identity_morphism(ipc) == identity_morphism(ipc)
+        assert hash(identity_morphism(ipc)) == hash(identity_morphism(ipc))
+        assert hash(_triple_neg(cpc)) == hash(_triple_neg(cpc))
+        assert identity_morphism(cpc) != _triple_neg(cpc)
+
+    def test_a_set_of_the_corpus_morphisms_builds(self):
+        morphisms = [m for _, m in corpus.classical_corpus().morphisms]
+        again = {m for _, m in corpus.classical_corpus().morphisms}
+        assert len(again) == len(morphisms) and all(m in again for m in morphisms)
+
+
 def _negneg_on_neg(cpc):
     assignment = FlexibleMorphism.identity(cpc.signature).assignment
     assignment["neg"] = App("neg", (App("neg", (Var(0),)),))
