@@ -4,9 +4,13 @@ and Boolean/Heyting membership by the classes' defining identities."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Optional
 
 from .algebra import FiniteAlgebra, _invariant
 from .provers import Equation, equational_consequence
@@ -250,8 +254,9 @@ class QuasiIdentity:
     """The quasi-identity ``premises -> conclusion`` of kind "i", "ii" or
     "iii". It compares and hashes by value, like the tuple of its fields but
     unequal to it. It is immutable by convention, as formula nodes are: its
-    fields are plain slots, since ``qv_axioms`` builds hundreds of thousands
-    of them and a frozen dataclass pays an ``object.__setattr__`` per field."""
+    fields are plain slots, since iterating ``qv_axioms``' sequence builds one
+    per axiom, hundreds of thousands at the bench's bounds, and a frozen
+    dataclass pays an ``object.__setattr__`` per field."""
 
     __slots__ = ("kind", "premises", "conclusion")
 
@@ -274,41 +279,107 @@ class QuasiIdentity:
         return f"[{self.kind}] {prem} -> {self.conclusion!r}"
 
 
+class QuasiIdentities(Sequence):
+    """A read-only sequence of quasi-identities kept as premise groups.
+
+    Each group ``(kind, premises, conclusions)`` in ``groups`` stands for
+    ``QuasiIdentity(kind, premises, c)`` for each c in its conclusions, in
+    order; empty groups are dropped. Indexing (negative indices too),
+    slicing (into a list) and iteration build each quasi-identity on demand
+    and keep none. The sequence compares equal to a list, or another such
+    sequence, holding the same quasi-identities in the same order."""
+
+    __slots__ = ("groups", "_ends")
+
+    def __init__(self, groups: Iterable[tuple[str, tuple[Equation, ...], tuple[Equation, ...]]]):
+        self.groups = tuple(g for g in groups if g[2])
+        # _ends[g] is the index one past group g's last quasi-identity
+        self._ends = list(itertools.accumulate(len(g[2]) for g in self.groups))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("quasi-identity index out of range")
+        g = bisect.bisect_right(self._ends, i)
+        kind, premises, conclusions = self.groups[g]
+        # i - _ends[g] counts back from the group's end
+        return QuasiIdentity(kind, premises, conclusions[i - self._ends[g]])
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(
+            map(partial(QuasiIdentity, kind, premises), conclusions)
+            for kind, premises, conclusions in self.groups
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, QuasiIdentities)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def lines(self) -> list[str]:
+        """The repr of each quasi-identity, in order. Each group's premises
+        are printed once and so is each distinct equation, which spares
+        printing each shared side afresh as ``QuasiIdentity.__repr__``
+        would."""
+        printed: dict[Equation, str] = {}
+
+        def text(eq: Equation) -> str:
+            out = printed.get(eq)
+            if out is None:
+                out = printed[eq] = repr(eq)
+            return out
+
+        out: list[str] = []
+        for kind, premises, conclusions in self.groups:
+            head = f"[{kind}] {' & '.join(map(text, premises)) or 'true'} -> "
+            out.extend(head + text(eq) for eq in conclusions)
+        return out
+
+
 def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
-              max_premises: int = 2) -> list[QuasiIdentity]:
+              max_premises: int = 2) -> QuasiIdentities:
     """The three kinds of quasi-identities presenting the quasivariety: the
     reflexivity equations, the faithfulness quasi-identity, and one
     quasi-identity per bounded entailment of the logic (conclusions up to
     ``depth``, premise sets of at most ``max_premises`` formulas up to depth
     min(depth, 2)).
 
-    The conclusions are grouped once by ``LogicSpec.entailment_key``, in order
-    of first occurrence; the members of a group are entailed by the same
-    premise sets. Each premise set is decided once through
-    ``LogicSpec.entailed``, against one representative per group: for cpc at
-    most 16 truth tables over x0..x3, for ipc and matrix logics every
-    conclusion. The equations of each distinct set of entailed groups are
-    computed once, from its members in ascending conclusion order. A
-    kind-(iii) axiom is emitted once per premise tuple and conclusion
-    equation, in order of first occurrence."""
+    They come as a ``QuasiIdentities`` sequence of premise groups: one group
+    of kind (i) with no premises, one of kind (ii), and one of kind (iii) per
+    premise set that entails a conclusion not yet emitted under its premise
+    tuple. No ``QuasiIdentity`` is built here.
+
+    The conclusions are sorted once into classes by
+    ``LogicSpec.entailment_key``, in order of first occurrence; the members of
+    a class are entailed by the same premise sets. Each premise set is decided
+    once through ``LogicSpec.entailed``, against one representative per
+    class: for cpc at most 16 truth tables over x0..x3, for ipc and matrix
+    logics every conclusion. The equations of each distinct set of entailed
+    classes are computed once, from its members in ascending conclusion
+    order, and shared by every premise group with that set. A kind-(iii)
+    axiom is emitted once per premise tuple and conclusion equation, in order
+    of first occurrence."""
     x0, x1 = Var(0), Var(1)
-    axioms: list[QuasiIdentity] = []
-    for d in pair.delta:
-        refl = substitute(d, {1: x0})
-        for eq in tau_translate(pair, refl):
-            axioms.append(QuasiIdentity("i", (), eq))
+    reflexive = tuple(eq for d in pair.delta for eq in tau_translate(pair, substitute(d, {1: x0})))
     premises = tuple(eq for d in pair.delta for eq in tau_translate(pair, d))
-    axioms.append(QuasiIdentity("ii", premises, Equation(x0, x1)))
+    groups = [("i", (), reflexive), ("ii", premises, (Equation(x0, x1),))]
 
     conclusions = enumerate_formulas(l.signature, num_vars, depth)
     images = [tau_translate(pair, phi) for phi in conclusions]
-    groups: dict[object, list[int]] = {}
+    classes: dict[object, list[int]] = {}
     for i, phi in enumerate(conclusions):
-        groups.setdefault(l.entailment_key(phi), []).append(i)
-    members = list(groups.values())
+        classes.setdefault(l.entailment_key(phi), []).append(i)
+    members = list(classes.values())
     representatives = [conclusions[m[0]] for m in members]
     premise_pool = enumerate_formulas(l.signature, num_vars, min(depth, 2))
-    # the distinct equations of each set of entailed groups, in order
+    # the distinct equations of each set of entailed classes, in order
     equations: dict[tuple[int, ...], tuple[Equation, ...]] = {}
     # the kind-(iii) conclusions emitted so far under each premise tuple
     emitted: dict[tuple[Equation, ...], tuple[Equation, ...]] = {}
@@ -327,8 +398,8 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
                 emitted[prem] += eqs
             else:
                 emitted[prem] = eqs
-            axioms.extend([QuasiIdentity("iii", prem, eq) for eq in eqs])
-    return axioms
+            groups.append(("iii", prem, eqs))
+    return QuasiIdentities(groups)
 
 
 @dataclass

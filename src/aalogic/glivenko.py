@@ -16,7 +16,6 @@ from .algebra import (
     FiniteAlgebra,
     _algebra_on,
     _invariant,
-    all_congruences,
     filter_closure,
     filter_rows,
     find_isomorphism,
@@ -544,23 +543,3 @@ def glivenko_sweep(ctx: GlivenkoContext, num_vars: int, depth: int, gamma_size: 
         sampled,
         disagreements,
     )
-
-
-def generic_left_adjoint(A: FiniteAlgebra, class_name: str) -> tuple[FiniteAlgebra, tuple[int, ...]]:
-    """Experimental reflection into a quasivariety by congruence-lattice
-    search: the least congruence whose quotient lands in the class. Refuses
-    algebras of more than 5 elements."""
-    if A.size > 5:
-        raise ValueError("generic adjoint search is bounded to size 5")
-    candidates = []
-    for theta in all_congruences(A):
-        Q, proj = quotient(A, theta)
-        if qv_membership(class_name, Q):
-            candidates.append((theta, Q, proj))
-    if not candidates:
-        raise ValueError(f"no quotient of the algebra lies in {class_name}")
-    least = min(candidates, key=lambda t: A.size - t[0].num_blocks())
-    theta, Q, proj = least
-    if not all(other.contains(theta) for other, _, _ in candidates):
-        raise ValueError("no least congruence with quotient in the class")
-    return Q, proj

@@ -23,6 +23,7 @@ from aalogic import (
     is_lindenbaum,
     qv_axioms,
     qv_membership,
+    quasiidentities_hold,
     quasiidentity_holds,
     tau_translate,
 )
@@ -30,6 +31,7 @@ from aalogic.algebraization import (
     HEYTING_IDENTITIES,
     BPReport,
     ConditionResult,
+    QuasiIdentities,
     QuasiIdentity,
     _delta_tau,
     _interderivability_classes,
@@ -543,6 +545,108 @@ class TestBatchedAxioms:
         assert len(sizes) == 211
         assert set(sizes) == {len(enumerate_formulas(ipc.signature, 2, 2))}
 
+
+
+@pytest.fixture(scope="module")
+def cpc_axioms(cpc, pair):
+    return qv_axioms(cpc, pair, 3, 2)
+
+
+class TestAxiomSequence:
+    """The read-only sequence of premise groups that ``qv_axioms`` returns."""
+
+    def test_len(self, cpc_axioms):
+        assert len(cpc_axioms) == 212168
+        assert len(cpc_axioms) == sum(len(conclusions) for _, _, conclusions in cpc_axioms.groups)
+        assert len(QuasiIdentities([])) == 0 and len(QuasiIdentities([("iii", (), ())])) == 0
+
+    def test_iteration_matches_indexing(self, cpc_axioms):
+        assert list(cpc_axioms) == [cpc_axioms[i] for i in range(len(cpc_axioms))]
+        l, pair = _constant_tau_logic()
+        repeated = qv_axioms(l, pair, 2, 2)
+        assert list(repeated) == [repeated[i] for i in range(len(repeated))]
+
+    def test_negative_indices_slices_and_bounds(self, axioms):
+        flat, n = list(axioms), len(axioms)
+        assert [axioms[-i] for i in range(1, n + 1)] == [flat[-i] for i in range(1, n + 1)]
+        for bounds in [(None, None, None), (3, 17, None), (-5, None, None), (None, None, -1),
+                       (n - 2, n + 10, 3), (-n - 10, 4, None), (10, 2, None), (None, None, 7)]:
+            part = axioms[slice(*bounds)]
+            assert isinstance(part, list) and part == flat[slice(*bounds)]
+        for i in (n, n + 1, -n - 1, -n - 5):
+            with pytest.raises(IndexError):
+                axioms[i]
+        with pytest.raises(IndexError):
+            QuasiIdentities([])[0]
+        with pytest.raises(TypeError):
+            axioms["0"]
+
+    def test_compares_with_lists_both_ways(self, cpc, pair, axioms):
+        flat = list(axioms)
+        assert axioms == flat and flat == axioms
+        assert not (axioms != flat) and not (flat != axioms)
+        assert axioms == qv_axioms(cpc, pair, depth=2, num_vars=2)
+        swapped = flat[:]
+        swapped[3], swapped[4] = swapped[4], swapped[3]
+        for other in (swapped, flat[:-1], flat + flat[:1], [], [None] * len(flat)):
+            assert axioms != other and other != axioms
+            assert not (axioms == other) and not (other == axioms)
+        # a list, like Python's own sequences: never equal to a tuple
+        assert axioms != tuple(flat) and tuple(flat) != axioms
+        assert QuasiIdentities([]) == [] and [] == QuasiIdentities([])
+        with pytest.raises(TypeError):
+            hash(axioms)
+
+    def test_builds_each_quasi_identity_on_demand(self, cpc, pair, monkeypatch):
+        built: list[str] = []
+        init = QuasiIdentity.__init__
+
+        def spy(self, kind, premises, conclusion):
+            built.append(kind)
+            init(self, kind, premises, conclusion)
+
+        monkeypatch.setattr(QuasiIdentity, "__init__", spy)
+        axioms = qv_axioms(cpc, pair, 3, 2)
+        # every kind is kept as a group, so no kind-(iii) object is built,
+        # nor even the kind-(i) and kind-(ii) ones
+        assert built == []
+        assert axioms[0].kind == "i" and axioms[-1].kind == "iii"
+        assert built == ["i", "iii"]
+        # nothing is kept: each pass builds every quasi-identity again
+        for _ in range(2):
+            built.clear()
+            assert sum(1 for _ in axioms) == 212168 == len(built)
+
+    def test_lines_print_each_group_once(self, cpc_axioms):
+        lines = cpc_axioms.lines()
+        assert lines == axiom_lines(cpc_axioms)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CPC_AXIOMS_SHA256
+        l, pair = _constant_tau_logic()
+        repeated = qv_axioms(l, pair, 2, 2)
+        assert repeated.lines() == [repr(q) for q in repeated] == axiom_lines(repeated)
+
+
+class TestGroupCheck:
+    @pytest.mark.parametrize("make", [corpus.b2, corpus.h3, corpus.lukasiewicz3], ids=["b2", "h3", "l3"])
+    def test_agrees_with_quasiidentity_holds(self, cpc_axioms, make):
+        A = make()
+        grouped = [
+            verdict
+            for _, premises, conclusions in cpc_axioms.groups
+            for verdict in quasiidentities_hold(A, premises, conclusions)
+        ]
+        single = [quasiidentity_holds(A, q.premises, q.conclusion) for q in cpc_axioms]
+        assert grouped == single
+        assert all(single) == (A.size == 2)
+
+    def test_frame_spans_every_equation(self, h3, F):
+        # the premise mentions only x0 and the conclusions x1 and x2
+        premises = (Equation(F("neg(neg(x0))"), F("x0")),)
+        conclusions = (Equation(F("x1"), F("x1")), Equation(F("x2"), F("x0")), Equation(F("neg(neg(x0))"), F("x0")))
+        assert quasiidentities_hold(h3, premises, conclusions) == tuple(
+            quasiidentity_holds(h3, premises, c) for c in conclusions) == (True, False, True)
+        assert quasiidentities_hold(h3, premises, ()) == ()
+        assert quasiidentities_hold(h3, iter(premises), conclusions[:1]) == (True,)
 
 def _proves_loop(l, gamma, phis):
     return tuple(i for i, phi in enumerate(phis) if l.proves(gamma, phi))

@@ -15,15 +15,24 @@ from aalogic import (
     left_adjoint_quotient,
     lind_compatibility_check,
     matrix_compatibility_check,
+    qv_membership,
     regular_elements,
     rho_translate,
     section_check,
     unit_map,
     validate_context,
 )
-from aalogic.algebra import Congruence, FiniteAlgebra, filter_closure, find_isomorphism, quotient, value_vector
+from aalogic.algebra import (
+    Congruence,
+    FiniteAlgebra,
+    all_congruences,
+    filter_closure,
+    find_isomorphism,
+    quotient,
+    value_vector,
+)
 from aalogic.corpus import load_algebra, resolve_context
-from aalogic.glivenko import AdjointData, adjoint_image, find_adjoint_report, generic_left_adjoint
+from aalogic.glivenko import AdjointData, adjoint_image, find_adjoint_report
 from aalogic.syntax import BUILTIN_SIGNATURE, FlexibleMorphism
 from aalogic import corpus, glivenko
 
@@ -128,6 +137,26 @@ class TestUnitMap:
     def test_homomorphism_everywhere(self, heyting_algebras):
         for _, H in heyting_algebras:
             unit_map(H)  # raises if not a surjective homomorphism
+
+
+def generic_left_adjoint(A: FiniteAlgebra, class_name: str) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    """Reference oracle for the left adjoint: the reflection into a
+    quasivariety by congruence-lattice search, the least congruence whose
+    quotient lands in the class. Refuses algebras of more than 5 elements."""
+    if A.size > 5:
+        raise ValueError("generic adjoint search is bounded to size 5")
+    candidates = []
+    for theta in all_congruences(A):
+        Q, proj = quotient(A, theta)
+        if qv_membership(class_name, Q):
+            candidates.append((theta, Q, proj))
+    if not candidates:
+        raise ValueError(f"no quotient of the algebra lies in {class_name}")
+    least = min(candidates, key=lambda t: A.size - t[0].num_blocks())
+    theta, Q, proj = least
+    if not all(other.contains(theta) for other, _, _ in candidates):
+        raise ValueError("no least congruence with quotient in the class")
+    return Q, proj
 
 
 class TestLeftAdjointQuotient:
