@@ -64,6 +64,7 @@ CASES = {
     "glivenko_identity_cpc": ["glivenko", "--context", "identity-cpc", "--phi", PEIRCE, "--json"],
     "glivenko_identity": ["glivenko", "--context", "identity", "--phi", PEIRCE, "--json"],
     "glivenko_identity_ipc_sweep": ["glivenko", "--context", "identity-ipc", "--exhaustive", "--vars", "1", "--depth", "2"],
+    "glivenko_naive_sweep": ["glivenko", "--context", "data/naive_context.json", "--exhaustive", "--vars", "2", "--depth", "3"],
     # exit-2 paths
     "error_unknown_logic": ["consequence", "--logic", "nosuch", "--phi", "x0"],
     "error_unknown_context": ["glivenko", "--context", "nosuch", "--phi", "x0"],

@@ -178,6 +178,7 @@ BUNDLED_FILES = {
     "l3_logic.json": (resolve_logic, None),
     "h3_logic.json": (resolve_logic, None),
     "classical_context.json": (resolve_context, None),
+    "naive_context.json": (resolve_context, None),
     "classical_corpus.json": (load_corpus, None),
     "sig_builtin.json": (lambda p: corpus._signature_of(p, ""), lambda: BUILTIN_SIGNATURE),
 }

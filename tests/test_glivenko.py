@@ -241,6 +241,58 @@ class TestEquivalence:
         assert report.exhaustive_checked == 20
 
 
+class TestFailingSweep:
+    """The identity morphism from ipc to cpc with theta = x0 is no Glivenko
+    context: cpc proves excluded middle and ipc does not. Over two variables
+    the sweep needs depth 3 to see it."""
+
+    @pytest.fixture(scope="class")
+    def naive(self):
+        return resolve_context("data/naive_context.json")
+
+    def test_depth_2_sees_no_disagreement(self, naive):
+        report = glivenko_sweep(naive, 2, 2, 2, seed=7, samples=300)
+        assert report.passed and report.checked == 320
+
+    def test_exhaustive_disagreements(self, naive):
+        report = glivenko_sweep(naive, 2, 3, 2, seed=0, samples=0)
+        assert (report.universe_size, report.exhaustive_checked, report.sampled_checked) == (1622, 1622, 0)
+        assert len(report.disagreements) == 54
+        assert report.disagreements[0] == {"gamma": [], "phi": "or(x0,neg(x0))", "left": False, "right": True}
+        assert all(d["gamma"] == [] for d in report.disagreements)
+        assert report.to_json()["agreement"] == "1568/1622"
+
+    def test_sampled_disagreements_follow_the_exhaustive_ones(self, naive):
+        exhaustive = glivenko_sweep(naive, 2, 3, 2, seed=0, samples=0).disagreements
+        report = glivenko_sweep(naive, 2, 3, 2, seed=0, samples=2000)
+        assert report.disagreements[:54] == exhaustive
+        sampled = report.disagreements[54:]
+        assert len(sampled) == 58
+        # a draw may have no premises; its "gamma" is [] as in the exhaustive part
+        assert sum(d["gamma"] == [] for d in report.disagreements) == 73
+        assert sampled[1] == {"gamma": ["imp(iff(x0,x1),or(x0,x0))", "iff(x0,iff(x0,x1))"],
+                              "phi": "or(iff(x0,x1),or(x0,x1))", "left": False, "right": True}
+        # cpc proves whatever ipc proves, never the other way round
+        assert all(not d["left"] and d["right"] for d in report.disagreements)
+        assert report.to_json()["agreement"] == "3510/3622"
+        assert not report.passed and report.to_json()["passed"] is False
+
+    def test_another_seed_draws_other_samples(self, naive):
+        report = glivenko_sweep(naive, 2, 3, 2, seed=7, samples=300)
+        assert len(report.disagreements) == 64
+        assert report.disagreements[54] == {
+            "gamma": ["imp(neg(x1),imp(x0,x0))", "imp(imp(x0,x1),or(x1,x0))"],
+            "phi": "or(or(x0,x1),and(x1,x1))", "left": False, "right": True}
+        assert report.to_json()["agreement"] == "1858/1922"
+
+    def test_text_lists_the_first_ten_disagreements(self, naive):
+        report = glivenko_sweep(naive, 2, 3, 2, seed=0, samples=2000)
+        lines = report.to_text().splitlines()
+        assert lines[4] == "  agreement: 3510/3622"
+        assert lines[5:15] == [f"  disagreement: {d}" for d in report.disagreements[:10]]
+        assert lines[15:] == ["overall: FAIL"]
+
+
 class TestMatrixCompatibility:
     def test_boolean_matrix(self, ctx, b2, peirce):
         assert matrix_compatibility_check(ctx, Matrix(b2, frozenset({1})), (), peirce)

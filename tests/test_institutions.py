@@ -24,7 +24,7 @@ from aalogic import (
 from aalogic.algebraization import qv_membership, tau_consequence
 from aalogic.glivenko import _tau_holds, adjoint_image, rho_translate, rho_translate_all
 from aalogic.institutions import Corpus, InstitutionReport, _pool, _random_sentence
-from aalogic.semantics import matrix_satisfies, mod_translate
+from aalogic.semantics import identity_morphism, if_condition, matrix_satisfies, mod_translate
 from aalogic.syntax import enumerate_formulas, print_formula
 from aalogic import corpus
 
@@ -611,6 +611,25 @@ class TestPoolLoopAgainstReference:
             results = [assert_same_as_reference(narrow_corpus, kind, samples=n, seed=18) for n in range(8)]
             assert all(report["passed"] for report, _ in results[:5])
             assert results[5:] == [(ValueError, "formula is not over the shared signature")] * 3
+
+    def test_a_certificate_that_raises_fails_its_entry(self, b2):
+        # the identity on cpc at B2 with its connectives listed in reverse:
+        # the reduct refuses an algebra over another signature, so the
+        # override's certificate raises, the entry has failed, and its samples
+        # evaluate both sides, by connective name
+        reverse = Signature(reversed(BUILTIN_SIGNATURE.connectives))
+        M = Matrix(FiniteAlgebra(reverse, 2, b2.tables), {1})
+
+        def make_corpus():
+            return Corpus(morphisms=[("id", identity_morphism(corpus.cpc_logic()))], matrices={"cpc": [M]},
+                          overrides={("If", "id", 0): Matrix(b2, {1})})
+
+        _relation, certificate = if_condition(identity_morphism(corpus.cpc_logic()), M, Matrix(b2, {1}))[2]()
+        with pytest.raises(ValueError, match="^algebra is not over the morphism's target signature$"):
+            certificate()
+        assert failed_certificates("If", make_corpus()) == [{"kind": "If", "morphism": "id", "matrix": 0}]
+        result = assert_same_as_reference(make_corpus, "If", samples=30, seed=1)
+        assert result[0]["passed"] and result[0]["checked"] == 30
 
     def test_empty_pools(self):
         for kind in ("If", "InsAL", "InsLAL"):
