@@ -477,14 +477,8 @@ def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
     every unary polynomial p."""
     F = _carrier_subset(A, F)
     polys = _polynomials(A)
-    profile = {a: tuple(p[a] in F for p in polys) for a in A.elements()}
-    pairs = [
-        (a, b)
-        for a in A.elements()
-        for b in range(a + 1, A.size)
-        if profile[a] == profile[b]
-    ]
-    return Congruence.from_pairs(A.size, pairs)
+    first: dict[tuple, int] = {}  # profile -> least element with it
+    return Congruence(A.size, [first.setdefault(tuple(p[a] in F for p in polys), a) for a in A.elements()])
 
 
 def leibniz_bruteforce(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:

@@ -6,6 +6,7 @@ per-sentence compatibility checks, and context composition."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -124,6 +125,8 @@ def _regular_adjoint(H: FiniteAlgebra) -> AdjointData:
         B = _algebra_on(H, regs, unit)
         if not qv_membership("boolean", B):
             raise ValueError("regular elements did not form a Boolean algebra; encoding is broken")
+        if not is_homomorphism(H, B, unit):
+            raise ValueError("double negation is not a homomorphism; encoding is broken")
         return AdjointData(B, unit, regs)
     return _invariant(H, ("regular_elements",), compute)
 
@@ -142,10 +145,7 @@ def unit_map(H: FiniteAlgebra) -> tuple[int, ...]:
     """a |-> not not a, as a homomorphism onto the regular-element algebra
     (indices of that algebra). It is onto by construction: each regular
     element is its own double negation."""
-    data = _regular_adjoint(H)
-    if not is_homomorphism(H, data.algebra, data.unit):
-        raise ValueError("double negation is not a homomorphism; encoding is broken")
-    return data.unit
+    return _regular_adjoint(H).unit
 
 
 def left_adjoint_quotient(H: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -358,17 +358,6 @@ class ContextReport:
     def to_json(self) -> dict:
         return {**asdict(self), "passed": self.passed}
 
-    def to_text(self) -> str:
-        lines = [f"context {self.context} (bounded checks, bounds={self.bounds})"]
-        lines.append(f"  section equation: {'pass' if self.section_equation else 'FAIL'}")
-        if self.pair_preserved is not None:
-            lines.append(f"  pair preservation: {'pass' if self.pair_preserved else 'FAIL'}")
-        lines.append(f"  consequence preservation: {'pass' if self.consequence_preserved else 'FAIL'}")
-        if self.witness:
-            lines.append(f"  witness: {self.witness}")
-        lines.append("overall: " + ("pass" if self.passed else "FAIL"))
-        return "\n".join(lines)
-
 
 def validate_context(ctx: GlivenkoContext) -> ContextReport:
     """Necessary conditions only: the section equation x0 ~ h(theta) in the
@@ -514,20 +503,13 @@ def glivenko_sweep(ctx: GlivenkoContext, num_vars: int, depth: int, gamma_size: 
     the target signature plus seeded sampled premise sets; records every
     left/right disagreement."""
     universe = enumerate_formulas(ctx.target.signature, num_vars, depth)
-    disagreements: list[dict] = []
-    exhaustive = 0
-    for phi in universe:
-        left, right = glivenko_equivalence(ctx, (), phi)
-        exhaustive += 1
-        if left != right:
-            disagreements.append({"gamma": [], "phi": print_formula(phi), "left": left, "right": right})
     rng = random.Random(seed)
-    sampled = 0
-    for _ in range(samples):
-        gamma = tuple(rng.choice(universe) for _ in range(rng.randrange(gamma_size + 1)))
-        phi = rng.choice(universe)
+    # each draw: gamma's size, then gamma, then phi
+    draws = ((tuple(rng.choice(universe) for _ in range(rng.randrange(gamma_size + 1))), rng.choice(universe))
+             for _ in range(samples))
+    disagreements: list[dict] = []
+    for gamma, phi in itertools.chain((((), phi) for phi in universe), draws):
         left, right = glivenko_equivalence(ctx, gamma, phi)
-        sampled += 1
         if left != right:
             disagreements.append({
                 "gamma": [print_formula(g) for g in gamma],
@@ -539,7 +521,7 @@ def glivenko_sweep(ctx: GlivenkoContext, num_vars: int, depth: int, gamma_size: 
         ctx.name,
         {"vars": num_vars, "depth": depth, "gamma_size": gamma_size, "seed": seed, "samples": samples},
         len(universe),
-        exhaustive,
-        sampled,
+        len(universe),
+        max(samples, 0),
         disagreements,
     )
