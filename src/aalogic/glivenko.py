@@ -363,9 +363,9 @@ def validate_context(ctx: GlivenkoContext) -> ContextReport:
     """Necessary conditions only: the section equation x0 ~ h(theta) in the
     target, preservation of the equivalence formulas, and consequence
     preservation on bounded entailments, at the fixed bounds of
-    ``LogicMorphism.preserves_consequence``: 2 variables, depth 2, the first
+    ``LogicMorphism.preserves_consequence``: 2 variables, depth 3, the first
     400 sequents."""
-    report = ContextReport(ctx.name, {"vars": 2, "depth": 2, "limit": 400}, True, None, True)
+    report = ContextReport(ctx.name, {"vars": 2, "depth": 3, "limit": 400}, True, None, True)
     if ctx.target_pair is not None:
         image = extend_morphism(ctx.h, ctx.theta)
         report.section_equation = class_equal(ctx.target, ctx.target_pair, Var(0), image)

@@ -38,10 +38,13 @@ in ascending id order, so the sequents a query visits, and its verdict,
 depend neither on ``PYTHONHASHSEED`` nor on the queries before it.
 
 ``ipc_decide`` refutes before it proves. Every intuitionistic consequence is
-a classical one, so a query over x0..x3 that the truth table refutes is
-answered no without a sequent search. A search that spends its step budget,
-or overflows the recursion limit, hands the query to the Kripke search over
-at most three worlds, which answers no when it finds a model. Only the
+a classical one, so a query with at most four distinct variables that
+``cpc_decide`` refutes is answered no without a sequent search. A search
+that spends its step budget, or overflows the recursion limit, on such a
+query hands it to the Kripke search over at most three worlds, which
+answers no when it finds a model. The gate counts variables, not their
+indices, so renaming a query's variables changes neither its verdict nor
+the path it takes. Only the
 sequent search answers yes, so the Glivenko check stays non-circular: that
 cpc |- phi implies ipc |- neg neg phi is still proved by G4ip.
 """
@@ -148,9 +151,9 @@ _ATOM, _FALSUM, _AND, _OR, _IMP = range(5)
 _TAGS = {"and": _AND, "or": _OR, "imp": _IMP}
 _FALSE = 0
 
-# ipc_decide lets G4ip take this many steps (memo misses) on a query over
-# x0..x3 before it looks for a Kripke countermodel with up to
-# _FALLBACK_WORLDS worlds. On 40 seeds of the consequence benchmark's stream,
+# ipc_decide lets G4ip take this many steps (memo misses) on a query with at
+# most four distinct variables before it looks for a Kripke countermodel with
+# up to _FALLBACK_WORLDS worlds. On 40 seeds of the consequence benchmark's stream,
 # 1 of 53,275 ipc calls spent the budget (a Kripke model refuted it), and a
 # provable query took up to 1,917 steps: a smaller budget would run a
 # fruitless Kripke search before proving such queries.
@@ -299,21 +302,25 @@ def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     contraction-free sequent search with Gamma as the antecedent.
 
     Refute first: every intuitionistic consequence is a classical one, so on
-    a query over x0..x3 a classical refutation answers no. A search that
-    spends ``_STEP_BUDGET`` steps, or overflows the recursion limit, on such a
-    query then asks for a Kripke countermodel with up to ``_FALLBACK_WORLDS``
-    worlds; when there is none, the search goes on unbounded with its memo,
-    or the ``RecursionError`` propagates. Only the sequent search answers yes."""
+    a query with at most four distinct variables a classical refutation
+    answers no. A search that spends ``_STEP_BUDGET`` steps, or overflows
+    the recursion limit, on such a query then asks for a Kripke countermodel
+    with up to ``_FALLBACK_WORLDS`` worlds; when there is none, the search
+    goes on unbounded with its memo, or the ``RecursionError`` propagates.
+    Only the sequent search answers yes."""
     gamma = tuple(gamma)
     query = gamma + (phi,)
     _require_connectives(query, _CONNECTIVES, "an intuitionistic")
-    inside = not any(f.vmask >> _FRAME_VARS for f in query)
-    if inside and not cpc_decide(gamma, phi):
+    mask = 0
+    for f in query:
+        mask |= f.vmask
+    refute = mask.bit_count() <= _FRAME_VARS
+    if refute and not cpc_decide(gamma, phi):
         return False
     search = _Search()
     ctx = frozenset(map(search.code, gamma))
     goal = search.code(phi)
-    if not inside:
+    if not refute:
         return search.prove(ctx, goal)
     search.steps = _STEP_BUDGET
     try:

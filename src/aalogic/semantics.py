@@ -179,9 +179,10 @@ class LogicMorphism:
 
     def preserves_consequence(self) -> Optional[tuple]:
         """Bounded check over the first 400 sequents of ``_bounded_sequents``
-        (formulas over x0, x1 up to depth 2, premise sets of at most one of
-        them); returns a violating (gamma, phi) or None."""
-        for gamma, phi in itertools.islice(_bounded_sequents(self.source.signature), 400):
+        (formulas over x0, x1 up to depth 3, premise sets of at most one of
+        them); returns a violating (gamma, phi) or None. Among them is
+        neg(neg(x0)) |- x0, which tells cpc from ipc."""
+        for gamma, phi in itertools.islice(_bounded_sequents(self.source.signature, 3), 400):
             if self.source.proves(gamma, phi):
                 image_gamma = tuple(self.translate(g) for g in gamma)
                 if not self.target.proves(image_gamma, self.translate(phi)):
@@ -189,10 +190,10 @@ class LogicMorphism:
         return None
 
 
-def _bounded_sequents(sig: Signature) -> Iterator[tuple[tuple[Formula, ...], Formula]]:
-    """The sequents gamma |- phi over formulas in x0, x1 up to depth 2, with
+def _bounded_sequents(sig: Signature, depth: int) -> Iterator[tuple[tuple[Formula, ...], Formula]]:
+    """The sequents gamma |- phi over formulas in x0, x1 up to the depth, with
     gamma empty or one such formula, ordered by the conclusion first."""
-    universe = enumerate_formulas(sig, 2, 2)
+    universe = enumerate_formulas(sig, 2, depth)
     for phi in universe:
         yield (), phi
         for g in universe:
@@ -210,7 +211,7 @@ def mod_translate(h: LogicMorphism, M: Matrix, check: bool = True) -> Matrix:
     that the source logic proves (formulas over x0, x1 up to depth 2)."""
     translated = Matrix(reduct(h.morphism, M.algebra), M.filter)
     if check:
-        proved = (s for s in _bounded_sequents(h.source.signature) if h.source.proves(*s))
+        proved = (s for s in _bounded_sequents(h.source.signature, 2) if h.source.proves(*s))
         for gamma, phi in itertools.islice(proved, 60):
             v = matrix_violation(translated, gamma, phi)
             if v is not None:

@@ -13,11 +13,12 @@ def run(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
-def iff_chain(leaves):
-    """The left-nested iff chain over alternating x0/x1 with this many leaves."""
-    text = "x0"
+def iff_chain(leaves, first=0, second=1):
+    """The left-nested iff chain over alternating x<first>/x<second> with
+    this many leaves."""
+    text = f"x{first}"
     for k in range(1, leaves):
-        text = f"iff({text},x{k % 2})"
+        text = f"iff({text},x{second if k % 2 else first})"
     return text
 
 
@@ -85,6 +86,11 @@ class TestConsequence:
         # 16 leaves and overflows the recursion limit at 200
         out = run("consequence", "--logic", "ipc", "--phi", iff_chain(leaves))
         assert out.returncode == 0 and out.stdout.strip() == "false"
+
+    def test_iff_chain_over_other_variables_is_refuted(self):
+        # the refuters count a query's distinct variables, not their indices
+        out = run("consequence", "--logic", "ipc", "--phi", iff_chain(200, 4, 5))
+        assert out.returncode == 0 and out.stdout == "false\n"
 
     def test_formula_at_the_depth_limit_decides(self):
         out = run("consequence", "--logic", "ipc", "--phi", "neg(" * 199 + "x0" + ")" * 199)

@@ -554,13 +554,25 @@ class TestValidation:
     def test_classical_context_report_json(self, ctx):
         assert list(validate_context(ctx).to_json().items()) == [
             ("context", "classical"),
-            ("bounds", {"vars": 2, "depth": 2, "limit": 400}),
+            ("bounds", {"vars": 2, "depth": 3, "limit": 400}),
             ("section_equation", True),
             ("pair_preserved", True),
             ("consequence_preserved", True),
             ("witness", None),
             ("passed", True),
         ]
+
+    def test_identity_from_cpc_to_ipc_does_not_preserve_consequence(self):
+        # cpc proves neg(neg(x0)) |- x0 and ipc does not; over x0, x1 no
+        # sequent of depth 2 tells the two apart
+        pair = corpus.classical_pair()
+        cpc = corpus.cpc_logic()
+        naive = GlivenkoContext(cpc, corpus.ipc_logic(), FlexibleMorphism.identity(cpc.signature), Var(0),
+                                source_pair=pair, target_pair=pair, name="cpc->ipc")
+        report = validate_context(naive)
+        assert not report.consequence_preserved and not report.passed
+        assert report.witness == "consequence not preserved at ['neg(neg(x0))'] |- x0"
+        assert report.to_json()["passed"] is False
 
     def test_context_file(self, ctx, F):
         loaded = resolve_context("data/classical_context.json")

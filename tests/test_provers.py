@@ -590,6 +590,11 @@ def iff_chain(leaves):
     return phi
 
 
+def shift(phi, k):
+    """phi with every variable index raised by k."""
+    return substitute(phi, {i: Var(i + k) for i in variables(phi)})
+
+
 class TestRefuteFirst:
     """ipc_decide refutes classically, and after its step budget by a small
     Kripke model, before it finishes the sequent search; its verdicts are
@@ -630,14 +635,27 @@ class TestRefuteFirst:
                     decide(gamma, phi)
 
     def test_variables_beyond_the_frame_skip_the_refuters(self, F, monkeypatch):
+        # five or more distinct variables, whatever their indices
         monkeypatch.setattr(provers, "cpc_decide", None)
         monkeypatch.setattr(provers, "kripke_countermodel", None)
-        queries = [((), F("or(x4,neg(x4))")), ((), F("imp(x7,x7)")),
-                   ((F("x0"), F("imp(x0,x5)")), F("x5")), ((F("neg(neg(x6))"),), F("x6")),
-                   ((), nn(F("or(x4,neg(x4))")))]
+        queries = [((), F("or(x4,or(x0,or(x1,or(x2,neg(x3)))))")),
+                   ((), F("imp(and(x0,and(x1,and(x2,x3))),or(x7,x0))")),
+                   ((F("x0"), F("imp(x0,x5)"), F("and(x1,and(x2,x3))")), F("x5")),
+                   ((F("neg(neg(x6))"), F("x10"), F("x11"), F("x12")), F("and(x6,x13)")),
+                   ((), nn(F("or(and(x4,and(x0,or(x1,imp(x2,x3)))),neg(and(x4,and(x0,or(x1,imp(x2,x3))))))")))]
         verdicts = [ipc_decide(gamma, phi) for gamma, phi in queries]
         assert verdicts == [False, True, True, False, True]
         assert verdicts == [g4ip(gamma, phi) for gamma, phi in queries]
+
+    def test_renaming_the_variables_keeps_every_verdict(self, sig):
+        # the refuters are gated on the number of distinct variables, so
+        # shifted indices take the same path to the same verdict
+        queries = [((), iff_chain(leaves)) for leaves in (8, 12, 16, 200)]
+        queries += list(bench_shaped_queries(sig, 1501, 600))
+        verdicts = [ipc_decide(gamma, phi) for gamma, phi in queries]
+        for k in (4, 17):
+            shifted = [(tuple(shift(g, k) for g in gamma), shift(phi, k)) for gamma, phi in queries]
+            assert [ipc_decide(gamma, phi) for gamma, phi in shifted] == verdicts, k
 
     @pytest.mark.parametrize("leaves", [8, 12, 16, 200])
     def test_iff_chain_is_refuted(self, leaves):

@@ -236,7 +236,7 @@ class TestBoundedChecksAgainstReference:
         verdicts = []
         for h in self.morphisms(cpc):
             violation = h.preserves_consequence()
-            assert violation == ref_preserves_consequence(h, 2, 2, 400)
+            assert violation == ref_preserves_consequence(h, 2, 3, 400)
             verdicts.append(violation is None)
         assert False in verdicts and True in verdicts
 
