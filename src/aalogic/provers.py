@@ -44,9 +44,9 @@ that spends its step budget, or overflows the recursion limit, on such a
 query hands it to the Kripke search over at most three worlds, which
 answers no when it finds a model. The gate counts variables, not their
 indices, so renaming a query's variables changes neither its verdict nor
-the path it takes. Only the
-sequent search answers yes, so the Glivenko check stays non-circular: that
-cpc |- phi implies ipc |- neg neg phi is still proved by G4ip.
+the path it takes. Only the sequent search answers yes, so the Glivenko
+check stays non-circular: that cpc |- phi implies ipc |- neg neg phi is
+still proved by G4ip.
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ _FALSE = 0
 
 # ipc_decide lets G4ip take this many steps (memo misses) on a query with at
 # most four distinct variables before it looks for a Kripke countermodel with
-# up to _FALLBACK_WORLDS worlds. On 40 seeds of the consequence benchmark's stream,
-# 1 of 53,275 ipc calls spent the budget (a Kripke model refuted it), and a
-# provable query took up to 1,917 steps: a smaller budget would run a
+# up to _FALLBACK_WORLDS worlds. On 40 seeds of the consequence benchmark's
+# stream, 1 of 53,275 ipc calls spent the budget (a Kripke model refuted it),
+# and a provable query took up to 1,917 steps: a smaller budget would run a
 # fruitless Kripke search before proving such queries.
 _STEP_BUDGET = 2000
 _FALLBACK_WORLDS = 3
