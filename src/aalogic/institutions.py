@@ -6,9 +6,9 @@ beside its per-sentence check (``semantics.if_condition``,
 ``glivenko.insal_condition`` and ``glivenko.inslal_condition``); this module
 labels its entries, applies the corpus's overrides and runs the sampling
 loop. Reports are seeded and deterministic. A certified entry satisfies the
-condition at every sentence, so only failed entries build, translate and
-evaluate sentences; a certified entry's sample only makes the RNG calls,
-and a suite whose samples reach no failed entry makes none."""
+condition at every sentence, so only failed entries draw, translate and
+evaluate sentences: each entry draws from its own seeded stream, and a
+certified entry draws nothing."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .algebra import FiniteAlgebra
 from .algebraization import AlgebraizingPair
 from .glivenko import GlivenkoContext, insal_condition, inslal_condition
 from .semantics import LogicMorphism, LogicSpec, Matrix, if_condition
-from .syntax import formula_of_choices, print_formula, random_choices
+from .syntax import print_formula, random_formula
 
 
 @dataclass
@@ -76,14 +76,9 @@ class InstitutionReport:
         return "\n".join(lines)
 
 
-def _sentence_choices(rng, sig, num_vars, depth, gamma_size) -> list:
-    """The draw of a sentence: gamma's size, then the choices
-    (``syntax.random_choices``) of gamma's formulas and of phi's."""
-    return [random_choices(rng, sig, num_vars, depth) for _ in range(rng.randrange(gamma_size + 1) + 1)]
-
-
 def _random_sentence(rng, sig, num_vars, depth, gamma_size):
-    *gamma, phi = map(formula_of_choices, _sentence_choices(rng, sig, num_vars, depth, gamma_size))
+    """A seeded sentence: gamma's size, then gamma's formulas, then phi."""
+    *gamma, phi = (random_formula(rng, sig, num_vars, depth) for _ in range(rng.randrange(gamma_size + 1) + 1))
     return tuple(gamma), phi
 
 
@@ -146,16 +141,19 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
     """Run the satisfaction-condition suite named by ``kind`` over the corpus
     with seeded random sentences: sample i checks M |= Phi(gamma) |- Phi(phi)
     against beta(M) |= gamma |- phi on pool entry i mod the pool size, and
-    every disagreement is reported with its sentence as the witness. Only
-    entries whose certificate (see ``_pool``) failed build, translate and
-    evaluate sentences: a certified entry agrees at every sentence and its
-    translation cannot raise. The images of the entries the samples reach
-    are built in pool order up to the first failed one; if none failed, the
-    report passes with no draw, and otherwise a certified entry's sample
-    draws its sentence's choices unbuilt, so the samples stay in step. So
-    the report, errors included, is the one full evaluation gives. Bounds
-    that the draw refuses (``num_vars`` not an integer >= 1, ``gamma_size``
-    not one >= 0) are refused first, so a suite that draws nothing does too."""
+    every disagreement is reported with its sentence as the witness. Entry
+    j draws its sentences from its own stream, ``random.Random(f"{seed}:{j}")``
+    (a string seed is hashed with SHA-512, so the stream is the same in every
+    process), built the first time a sample needs it. Only entries whose
+    certificate (see ``_pool``) failed draw, translate and evaluate
+    sentences: a certified entry agrees at every sentence and its
+    translation cannot raise, so its sample draws nothing. The images of
+    the entries the samples reach are built in pool order, and if every
+    entry up to the last one reached is certified, the report passes at
+    once. So the report, errors included, is the one full evaluation over
+    the same streams gives. Bounds that the draw refuses (``num_vars`` not
+    an integer >= 1, ``gamma_size`` not one >= 0) are refused first, so a
+    suite that draws nothing does too."""
     witness_keys = {
         "If": ("gamma", "phi", "model_side", "translated_side"),
         "InsAL": ("gamma", "phi"),
@@ -166,11 +164,10 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
     if not (type(num_vars) is type(gamma_size) is int and num_vars >= 1 and gamma_size >= 0):
         raise ValueError(f"sentences need integers num_vars >= 1 and gamma_size >= 0, "
                          f"got {num_vars!r} and {gamma_size!r}")
-    rng = random.Random(seed)
     config = {"seed": seed, "vars": num_vars, "depth": depth, "gamma_size": gamma_size}
     violations: list[dict] = []
     pool = _pool(kind, corpus)
-    images = []
+    images, streams = [], {}
     for *_, build_image in pool[:max(samples, 0)]:
         images.append(build_image())
         if not images[-1][1]:
@@ -184,9 +181,10 @@ def institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed: in
             images.append(build_image())
         image_satisfies, certified = images[j]
         if certified:
-            _sentence_choices(rng, signature, num_vars, depth, gamma_size)
             continue
-        gamma, phi = _random_sentence(rng, signature, num_vars, depth, gamma_size)
+        if j not in streams:
+            streams[j] = random.Random(f"{seed}:{j}")
+        gamma, phi = _random_sentence(streams[j], signature, num_vars, depth, gamma_size)
         translated = model(tuple(map(translate, gamma)), translate(phi))
         image = image_satisfies(gamma, phi)
         if translated != image:

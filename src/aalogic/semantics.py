@@ -180,8 +180,9 @@ class LogicMorphism:
     def preserves_consequence(self) -> Optional[tuple]:
         """Bounded check over the first 400 sequents of ``_bounded_sequents``
         (formulas over x0, x1 up to depth 3, premise sets of at most one of
-        them); returns a violating (gamma, phi) or None. Among them is
-        neg(neg(x0)) |- x0, which tells cpc from ipc."""
+        them, by the sum of the premise's and the conclusion's positions:
+        27 conclusions, and 27 premises besides none); returns a violating
+        (gamma, phi) or None. Among them is neg(neg(x0)) |- x0, which tells cpc from ipc."""
         for gamma, phi in itertools.islice(_bounded_sequents(self.source.signature, 3), 400):
             if self.source.proves(gamma, phi):
                 image_gamma = tuple(self.translate(g) for g in gamma)
@@ -192,12 +193,15 @@ class LogicMorphism:
 
 def _bounded_sequents(sig: Signature, depth: int) -> Iterator[tuple[tuple[Formula, ...], Formula]]:
     """The sequents gamma |- phi over formulas in x0, x1 up to the depth, with
-    gamma empty or one such formula, ordered by the conclusion first."""
+    gamma empty or one such formula. They come by the sum of two positions,
+    the premise's (0 for none, i + 1 for formula i) and the conclusion's,
+    with the conclusion ascending within each sum, so a prefix mixes early
+    premises with early conclusions."""
     universe = enumerate_formulas(sig, 2, depth)
-    for phi in universe:
-        yield (), phi
-        for g in universe:
-            yield (g,), phi
+    premises = [()] + [(g,) for g in universe]
+    for total in range(2 * len(universe)):
+        for c in range(max(0, total - len(universe)), min(total, len(universe) - 1) + 1):
+            yield premises[total - c], universe[c]
 
 
 def identity_morphism(l: LogicSpec) -> LogicMorphism:
@@ -208,7 +212,8 @@ def mod_translate(h: LogicMorphism, M: Matrix, check: bool = True) -> Matrix:
     """Translate a matrix model of the target logic along h: take the reduct
     of the algebra and keep the filter. With ``check`` on, spot-check that the
     filter is still closed under the first 60 sequents of ``_bounded_sequents``
-    that the source logic proves (formulas over x0, x1 up to depth 2)."""
+    that the source logic proves (formulas over x0, x1 up to depth 2, by the
+    sum of the premise's and the conclusion's positions)."""
     translated = Matrix(reduct(h.morphism, M.algebra), M.filter)
     if check:
         proved = (s for s in _bounded_sequents(h.source.signature, 2) if h.source.proves(*s))

@@ -432,8 +432,8 @@ def _tuples_with_max(pool: list[Formula], deepest: list[Formula], arity: int) ->
 def random_choices(rng, sig: Signature, num_vars: int, max_depth: int) -> list:
     """The RNG choices of one seeded random formula within the depth and
     variable bounds, in preorder: a variable index, or a connective (name,
-    arity) before its arguments' choices. The one copy of the draw order:
-    ``random_formula`` builds from it, and a skipped draw discards it."""
+    arity) before its arguments' choices. The one copy of the draw order,
+    which ``random_formula`` builds from (``formula_of_choices``)."""
     conns = sig.connectives
     choices = []
     pending = [max_depth]

@@ -574,6 +574,20 @@ class TestValidation:
         assert report.witness == "consequence not preserved at ['neg(neg(x0))'] |- x0"
         assert report.to_json()["passed"] is False
 
+    def test_a_broken_connective_is_caught_at_its_own_conclusion(self):
+        # the identity on cpc except or |-> x0: cpc proves x1 |- or(x0,x1),
+        # whose image x1 |- x0 it does not, so the probe has to reach a
+        # conclusion other than x0
+        pair = corpus.classical_pair()
+        cpc = corpus.cpc_logic()
+        assignment = FlexibleMorphism.identity(cpc.signature).assignment
+        assignment["or"] = Var(0)
+        h = FlexibleMorphism(cpc.signature, cpc.signature, assignment)
+        report = validate_context(GlivenkoContext(cpc, cpc, h, Var(0), source_pair=pair, target_pair=pair,
+                                                  name="or->x0"))
+        assert report.section_equation and not report.consequence_preserved and not report.passed
+        assert report.witness == "consequence not preserved at ['x1'] |- or(x0,x1)"
+
     def test_context_file(self, ctx, F):
         loaded = resolve_context("data/classical_context.json")
         assert loaded.theta == ctx.theta

@@ -20,6 +20,7 @@ from aalogic import (
 )
 from aalogic import corpus, provers
 from aalogic.algebraization import delta_translate, tau_translate
+from aalogic.glivenko import rho_translate, rho_translate_all
 from aalogic.algebra import FiniteAlgebra, frame_valuation, value_vector
 from aalogic.provers import _FRAME_VARS, KripkeModel, _frame_bits, _frames, heyting_of_upsets
 from aalogic.semantics import BUILTIN_SIGNATURE, consequence, matrix_satisfies
@@ -855,6 +856,162 @@ class TestNodeMemos:
         assert hash(eq) == hash((F("x0"), F("imp(x0,x1)")))
         assert eq == Equation(F("x0"), F("imp(x0,x1)"))
         assert len({eq, Equation(F("x0"), F("imp(x0,x1)")), Equation(F("x1"), F("x0"))}) == 2
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle for "provable": a plain G4ip that returns derivations
+# ---------------------------------------------------------------------------
+
+def imp(a, b):
+    return App("imp", (a, b))
+
+
+def ref_g4ip(ctx, goal):
+    """A G4ip derivation of ctx => goal, or None: Dyckhoff's contraction-free
+    calculus, searched recursively over desugared ``Formula`` nodes (see
+    ``ref_desugar``) with no coding, memo or worklist. The first invertible
+    rule that applies is applied; then each choice of R-or and of L-imp-imp
+    is tried in turn. A node is (rule, ctx, goal, principal, premises)."""
+
+    def by(rule, principal, *sequents):
+        premises = [ref_g4ip(*s) for s in sequents]
+        return None if None in premises else (rule, ctx, goal, principal, premises)
+
+    if goal in ctx:
+        return by("id", None)
+    if BOT in ctx:
+        return by("L-bot", None)
+    for p in ctx:
+        if isinstance(p, Var):
+            continue
+        rest, (a, b) = ctx - {p}, p.args
+        if p.name == "and":
+            return by("L-and", p, (rest | {a, b}, goal))
+        if p.name == "or":
+            return by("L-or", p, (rest | {a}, goal), (rest | {b}, goal))
+        if a is BOT:
+            return by("L-bot-imp", p, (rest, goal))
+        if isinstance(a, Var):
+            if a in ctx:
+                return by("L-atom-imp", p, (rest | {b}, goal))
+        elif a.name == "and":
+            return by("L-and-imp", p, (rest | {imp(a.args[0], imp(a.args[1], b))}, goal))
+        elif a.name == "or":
+            return by("L-or-imp", p, (rest | {imp(a.args[0], b), imp(a.args[1], b)}, goal))
+    if isinstance(goal, App) and goal.name == "and":
+        return by("R-and", None, (ctx, goal.args[0]), (ctx, goal.args[1]))
+    if isinstance(goal, App) and goal.name == "imp":
+        return by("R-imp", None, (ctx | {goal.args[0]}, goal.args[1]))
+    choices = []
+    if isinstance(goal, App) and goal.name == "or":
+        choices = [("R-or-left", None, (ctx, goal.args[0])), ("R-or-right", None, (ctx, goal.args[1]))]
+    for p in ctx:
+        if isinstance(p, App) and p.name == "imp" and isinstance(p.args[0], App) and p.args[0].name == "imp":
+            (c, d), b = p.args[0].args, p.args[1]
+            choices.append(("L-imp-imp", p, (ctx - {p} | {imp(d, b)}, p.args[0]), (ctx - {p} | {b}, goal)))
+    for choice in choices:
+        derivation = by(*choice)
+        if derivation is not None:
+            return derivation
+    return None
+
+
+def g4ip_premises(rule, ctx, goal, p):
+    """The premises that the named G4ip rule gives for ctx => goal with
+    principal formula p, or None where the rule does not apply."""
+    shape = lambda f, name: isinstance(f, App) and f.name == name  # noqa: E731
+    if rule in ("id", "L-bot"):
+        return [] if (goal if rule == "id" else BOT) in ctx and p is None else None
+    if rule.startswith("R-"):
+        name = {"R-and": "and", "R-imp": "imp", "R-or-left": "or", "R-or-right": "or"}[rule]
+        if p is not None or not shape(goal, name):
+            return None
+        a, b = goal.args
+        return {"R-and": [(ctx, a), (ctx, b)], "R-imp": [(ctx | {a}, b)],
+                "R-or-left": [(ctx, a)], "R-or-right": [(ctx, b)]}[rule]
+    if p not in ctx or not isinstance(p, App):
+        return None
+    rest = ctx - {p}
+    if rule in ("L-and", "L-or"):
+        if not shape(p, rule[2:]):
+            return None
+        a, b = p.args
+        return [(rest | {a, b}, goal)] if rule == "L-and" else [(rest | {a}, goal), (rest | {b}, goal)]
+    if not shape(p, "imp"):
+        return None
+    a, b = p.args
+    if rule == "L-bot-imp":
+        return [(rest, goal)] if a is BOT else None
+    if rule == "L-atom-imp":
+        return [(rest | {b}, goal)] if isinstance(a, Var) and a in ctx else None
+    name = {"L-and-imp": "and", "L-or-imp": "or", "L-imp-imp": "imp"}[rule]
+    if not shape(a, name):
+        return None
+    c, d = a.args
+    return {"L-and-imp": [(rest | {imp(c, imp(d, b))}, goal)],
+            "L-or-imp": [(rest | {imp(c, b), imp(d, b)}, goal)],
+            "L-imp-imp": [(rest | {imp(d, b)}, a), (rest | {b}, goal)]}[rule]
+
+
+def check_derivation(derivation):
+    """The certificate: every node is an instance of its named rule, with its
+    children's sequents as the rule's premises. Returns the node count."""
+    rule, ctx, goal, p, children = derivation
+    premises = g4ip_premises(rule, ctx, goal, p)
+    assert premises == [(child[1], child[2]) for child in children], (rule, ctx, goal, p)
+    return 1 + sum(map(check_derivation, children))
+
+
+def ref_ipc(gamma, phi):
+    """The reference verdict, and a derivation for a provable query. A
+    classically invalid query is unprovable (``truth_table_entails``), which
+    spares the search its longest failures."""
+    if not truth_table_entails(gamma, phi):
+        return False, None
+    derivation = ref_g4ip(frozenset(map(ref_desugar, gamma)), ref_desugar(phi))
+    return derivation is not None, derivation
+
+
+class TestDerivationCertificates:
+    """ipc_decide's verdicts against the reference G4ip, whose every "provable"
+    comes with a derivation that the certificate checks node by node."""
+
+    def assert_certified(self, queries):
+        provable = 0
+        for gamma, phi in queries:
+            verdict, derivation = ref_ipc(gamma, phi)
+            assert ipc_decide(gamma, phi) == verdict, (gamma, phi)
+            if verdict:
+                assert derivation[1:3] == (frozenset(map(ref_desugar, gamma)), ref_desugar(phi))
+                check_derivation(derivation)
+                provable += 1
+        return provable
+
+    def test_full_signature_queries(self, sig):
+        assert 0 < self.assert_certified(full_signature_queries(sig)) < 400
+
+    def test_bench_shaped_queries(self, sig):
+        assert 0 < self.assert_certified(bench_shaped_queries(sig, 3301, 2000)) < 2000
+
+    def test_glivenko_pairs_of_the_classical_context(self, sig):
+        # every sentence over x0, x1 up to depth 2 with at most one premise,
+        # and every one up to depth 3 with none: ipc proves its double-negation
+        # translation exactly when cpc proves it
+        ctx = corpus.classical_context()
+        universe = enumerate_formulas(sig, 2, 2)
+        sentences = [(gamma, phi) for phi in universe for gamma in [()] + [(g,) for g in universe]]
+        sentences += [((), phi) for phi in enumerate_formulas(sig, 2, 3)]
+        queries = [(rho_translate_all(ctx, gamma), rho_translate(ctx, phi)) for gamma, phi in sentences]
+        assert self.assert_certified(queries) == sum(cpc_decide(gamma, phi) for gamma, phi in sentences)
+
+    def test_the_certificate_refuses_a_wrong_step(self, F):
+        # x0 => or(x0, x1) by R-or-right, whose premise x0 => x1 is not one
+        x0, x1 = F("x0"), F("x1")
+        ctx = frozenset({x0})
+        leaf = ("id", ctx, x1, None, [])
+        with pytest.raises(AssertionError):
+            check_derivation(("R-or-right", ctx, F("or(x0,x1)"), None, [leaf]))
+        assert check_derivation(ref_g4ip(ctx, F("or(x0,x1)"))) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-import itertools
+import heapq
 import random
 
 import pytest
@@ -195,36 +195,47 @@ class TestModTranslate:
 
 
 # The two hand-counted loops that the shared bounded-sequent generator
-# replaced, kept verbatim (with their bounds as parameters) as oracles.
+# replaced, kept (with their bounds as parameters) as oracles, and moved to
+# its order: by the sum of the premise's position (0 for none, i + 1 for
+# formula i) and the conclusion's, the conclusion ascending within a sum.
+
+def ref_sequent_order(universe):
+    """The sequents lazily: one stream per conclusion, ascending in the
+    premise, merged on (sum, conclusion)."""
+    gammas = [()] + [(g,) for g in universe]
+
+    def by_premise(c):
+        return (((p + c, c), p) for p in range(len(gammas)))
+
+    for (_, c), p in heapq.merge(*map(by_premise, range(len(universe)))):
+        yield gammas[p], universe[c]
+
 
 def ref_preserves_consequence(self, num_vars, depth, limit):
     universe = enumerate_formulas(self.source.signature, num_vars, depth)
-    gammas = [()] + [(g,) for g in universe]
     count = 0
-    for phi in universe:
-        for gamma in gammas:
-            if count >= limit:
-                return None
-            count += 1
-            if self.source.proves(gamma, phi):
-                image_gamma = tuple(self.translate(g) for g in gamma)
-                if not self.target.proves(image_gamma, self.translate(phi)):
-                    return (gamma, phi)
+    for gamma, phi in ref_sequent_order(universe):
+        if count >= limit:
+            return None
+        count += 1
+        if self.source.proves(gamma, phi):
+            image_gamma = tuple(self.translate(g) for g in gamma)
+            if not self.target.proves(image_gamma, self.translate(phi)):
+                return (gamma, phi)
     return None
 
 
 def ref_filter_check(logic, M, num_vars, depth, samples):
     universe = enumerate_formulas(logic.signature, num_vars, depth)
     count = 0
-    for phi in universe:
-        for gamma in itertools.chain([()], ((g,) for g in universe)):
-            if count >= samples:
-                return None
-            if logic.proves(gamma, phi):
-                count += 1
-                v = matrix_violation(M, gamma, phi)
-                if v is not None:
-                    return gamma, phi, v
+    for gamma, phi in ref_sequent_order(universe):
+        if count >= samples:
+            return None
+        if logic.proves(gamma, phi):
+            count += 1
+            v = matrix_violation(M, gamma, phi)
+            if v is not None:
+                return gamma, phi, v
     return None
 
 
