@@ -182,7 +182,8 @@ class LogicMorphism:
         (formulas over x0, x1 up to depth 3, premise sets of at most one of
         them, by the sum of the premise's and the conclusion's positions:
         27 conclusions, and 27 premises besides none); returns a violating
-        (gamma, phi) or None. Among them is neg(neg(x0)) |- x0, which tells cpc from ipc."""
+        (gamma, phi) or None. Among them is neg(neg(x0)) |- x0, which tells
+        cpc from ipc."""
         for gamma, phi in itertools.islice(_bounded_sequents(self.source.signature, 3), 400):
             if self.source.proves(gamma, phi):
                 image_gamma = tuple(self.translate(g) for g in gamma)

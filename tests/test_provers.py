@@ -866,6 +866,10 @@ def imp(a, b):
     return App("imp", (a, b))
 
 
+def is_app(f, name):
+    return isinstance(f, App) and f.name == name
+
+
 def ref_g4ip(ctx, goal):
     """A G4ip derivation of ctx => goal, or None: Dyckhoff's contraction-free
     calculus, searched recursively over desugared ``Formula`` nodes (see
@@ -898,16 +902,16 @@ def ref_g4ip(ctx, goal):
             return by("L-and-imp", p, (rest | {imp(a.args[0], imp(a.args[1], b))}, goal))
         elif a.name == "or":
             return by("L-or-imp", p, (rest | {imp(a.args[0], b), imp(a.args[1], b)}, goal))
-    if isinstance(goal, App) and goal.name == "and":
+    if is_app(goal, "and"):
         return by("R-and", None, (ctx, goal.args[0]), (ctx, goal.args[1]))
-    if isinstance(goal, App) and goal.name == "imp":
+    if is_app(goal, "imp"):
         return by("R-imp", None, (ctx | {goal.args[0]}, goal.args[1]))
     choices = []
-    if isinstance(goal, App) and goal.name == "or":
+    if is_app(goal, "or"):
         choices = [("R-or-left", None, (ctx, goal.args[0])), ("R-or-right", None, (ctx, goal.args[1]))]
     for p in ctx:
-        if isinstance(p, App) and p.name == "imp" and isinstance(p.args[0], App) and p.args[0].name == "imp":
-            (c, d), b = p.args[0].args, p.args[1]
+        if is_app(p, "imp") and is_app(p.args[0], "imp"):
+            (_, d), b = p.args[0].args, p.args[1]
             choices.append(("L-imp-imp", p, (ctx - {p} | {imp(d, b)}, p.args[0]), (ctx - {p} | {b}, goal)))
     for choice in choices:
         derivation = by(*choice)
@@ -919,12 +923,11 @@ def ref_g4ip(ctx, goal):
 def g4ip_premises(rule, ctx, goal, p):
     """The premises that the named G4ip rule gives for ctx => goal with
     principal formula p, or None where the rule does not apply."""
-    shape = lambda f, name: isinstance(f, App) and f.name == name  # noqa: E731
     if rule in ("id", "L-bot"):
         return [] if (goal if rule == "id" else BOT) in ctx and p is None else None
     if rule.startswith("R-"):
         name = {"R-and": "and", "R-imp": "imp", "R-or-left": "or", "R-or-right": "or"}[rule]
-        if p is not None or not shape(goal, name):
+        if p is not None or not is_app(goal, name):
             return None
         a, b = goal.args
         return {"R-and": [(ctx, a), (ctx, b)], "R-imp": [(ctx | {a}, b)],
@@ -933,11 +936,11 @@ def g4ip_premises(rule, ctx, goal, p):
         return None
     rest = ctx - {p}
     if rule in ("L-and", "L-or"):
-        if not shape(p, rule[2:]):
+        if not is_app(p, rule[2:]):
             return None
         a, b = p.args
         return [(rest | {a, b}, goal)] if rule == "L-and" else [(rest | {a}, goal), (rest | {b}, goal)]
-    if not shape(p, "imp"):
+    if not is_app(p, "imp"):
         return None
     a, b = p.args
     if rule == "L-bot-imp":
@@ -945,7 +948,7 @@ def g4ip_premises(rule, ctx, goal, p):
     if rule == "L-atom-imp":
         return [(rest | {b}, goal)] if isinstance(a, Var) and a in ctx else None
     name = {"L-and-imp": "and", "L-or-imp": "or", "L-imp-imp": "imp"}[rule]
-    if not shape(a, name):
+    if not is_app(a, name):
         return None
     c, d = a.args
     return {"L-and-imp": [(rest | {imp(c, imp(d, b))}, goal)],
