@@ -51,7 +51,6 @@ from .provers import (
     equational_consequence,
     ipc_decide,
     kripke_countermodel,
-    quasiidentities_hold,
     quasiidentity_holds,
 )
 from .semantics import (

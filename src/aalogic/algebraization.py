@@ -323,25 +323,6 @@ class QuasiIdentities(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    def lines(self) -> list[str]:
-        """The repr of each quasi-identity, in order. Each group's premises
-        are printed once and so is each distinct equation, which spares
-        printing each shared side afresh as ``QuasiIdentity.__repr__``
-        would."""
-        printed: dict[Equation, str] = {}
-
-        def text(eq: Equation) -> str:
-            out = printed.get(eq)
-            if out is None:
-                out = printed[eq] = repr(eq)
-            return out
-
-        out: list[str] = []
-        for kind, premises, conclusions in self.groups:
-            head = f"[{kind}] {' & '.join(map(text, premises)) or 'true'} -> "
-            out.extend(head + text(eq) for eq in conclusions)
-        return out
-
 
 def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
               max_premises: int = 2) -> QuasiIdentities:

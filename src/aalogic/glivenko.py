@@ -389,7 +389,7 @@ def validate_context(ctx: GlivenkoContext) -> ContextReport:
 @dataclass
 class AdjointReport:
     algebra_size: int
-    regular_size: int
+    regular_elements: int
     quotient_size: int
     isomorphic: bool
     section_ok: bool
@@ -400,20 +400,12 @@ class AdjointReport:
         return self.isomorphic and self.section_ok and all(h["equal"] for h in self.hom_counts)
 
     def to_json(self) -> dict:
-        return {
-            "algebra_size": self.algebra_size,
-            "regular_elements": self.regular_size,
-            "quotient_size": self.quotient_size,
-            "isomorphic": self.isomorphic,
-            "section_ok": self.section_ok,
-            "hom_counts": self.hom_counts,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [
             f"adjoint report for a Heyting algebra of size {self.algebra_size}",
-            f"  regular elements: {self.regular_size}",
+            f"  regular elements: {self.regular_elements}",
             f"  generated-filter quotient: {self.quotient_size} "
             f"({'isomorphic to the regular elements' if self.isomorphic else 'NOT isomorphic'})",
             f"  unit/section check: {'pass' if self.section_ok else 'FAIL'}",
@@ -500,12 +492,15 @@ class SweepReport:
 def glivenko_sweep(ctx: GlivenkoContext, num_vars: int, depth: int, gamma_size: int,
                    seed: int, samples: int) -> SweepReport:
     """Exhaustive empty-premise sweep over the bounded formula universe of
-    the target signature plus seeded sampled premise sets; records every
-    left/right disagreement."""
+    the target signature plus seeded sampled premise sets of 1 to
+    ``gamma_size`` formulas (the exhaustive part already covers the empty
+    one); records every left/right disagreement."""
+    if gamma_size < 1:
+        raise ValueError(f"a sweep needs gamma_size >= 1, got {gamma_size!r}")
     universe = enumerate_formulas(ctx.target.signature, num_vars, depth)
     rng = random.Random(seed)
     # each draw: gamma's size, then gamma, then phi
-    draws = ((tuple(rng.choice(universe) for _ in range(rng.randrange(gamma_size + 1))), rng.choice(universe))
+    draws = ((tuple(rng.choice(universe) for _ in range(rng.randrange(gamma_size) + 1)), rng.choice(universe))
              for _ in range(samples))
     disagreements: list[dict] = []
     for gamma, phi in itertools.chain((((), phi) for phi in universe), draws):

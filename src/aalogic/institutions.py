@@ -31,8 +31,9 @@ class Corpus:
     replaces that entry's whole beta(M) in ``institution_report`` (a
     ``Matrix`` for If and InsAL, a ``FiniteAlgebra`` for InsLAL) where it
     would be built (an InsAL or InsLAL entry still admits its model and
-    builds its adjoint, so a model either refuses raises either way). The entry's certificate
-    reads beta(M) with the override applied, so a tampered entry fails its
+    builds its adjoint, so a model that either of them refuses raises
+    whether or not the entry is overridden). The entry's certificate reads
+    beta(M) with the override applied, so a tampered entry fails its
     certificate unless the tampering keeps the paper's lemma true, and only
     failed entries are evaluated."""
 

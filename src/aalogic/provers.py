@@ -475,20 +475,3 @@ def quasiidentity_holds(
     A: FiniteAlgebra, premises: Iterable[Equation], conclusion: Equation
 ) -> bool:
     return equational_consequence([A], premises, conclusion)
-
-
-def quasiidentities_hold(
-    A: FiniteAlgebra, premises: Iterable[Equation], conclusions: Sequence[Equation]
-) -> tuple[bool, ...]:
-    """Whether each quasi-identity ``premises -> c`` holds in A, for c in
-    ``conclusions``, in order: one premise group decided at once. The rows
-    where every premise holds are computed once, over the variables of all
-    the equations, and each conclusion's rows are tested against them."""
-    premises = tuple(premises)
-    frame = 0
-    for e in itertools.chain(premises, conclusions):
-        frame |= e.lhs.vmask | e.rhs.vmask
-    ok = all_rows(A, frame)
-    for e in premises:
-        ok &= equation_rows(A, e.lhs, e.rhs, frame)
-    return tuple(not ok & ~equation_rows(A, c.lhs, c.rhs, frame) for c in conclusions)

@@ -429,11 +429,11 @@ def _tuples_with_max(pool: list[Formula], deepest: list[Formula], arity: int) ->
             yield args
 
 
-def random_choices(rng, sig: Signature, num_vars: int, max_depth: int) -> list:
-    """The RNG choices of one seeded random formula within the depth and
-    variable bounds, in preorder: a variable index, or a connective (name,
-    arity) before its arguments' choices. The one copy of the draw order,
-    which ``random_formula`` builds from (``formula_of_choices``)."""
+def random_formula(rng, sig: Signature, num_vars: int, max_depth: int) -> Formula:
+    """Seeded random formula within the depth/variable bounds. The RNG
+    choices are drawn in preorder (a variable index, or a connective before
+    its arguments' choices), then the formula is built from them bottom-up;
+    neither pass recurses."""
     conns = sig.connectives
     choices = []
     pending = [max_depth]
@@ -445,11 +445,6 @@ def random_choices(rng, sig: Signature, num_vars: int, max_depth: int) -> list:
             conn = conns[rng.randrange(len(conns))]
             choices.append(conn)
             pending += [depth - 1] * conn[1]
-    return choices
-
-
-def formula_of_choices(choices: list) -> Formula:
-    """The formula whose preorder choices (``random_choices``) these are."""
     built: list[Formula] = []
     for choice in reversed(choices):
         if type(choice) is int:
@@ -458,8 +453,3 @@ def formula_of_choices(choices: list) -> Formula:
             name, arity = choice
             built.append(App(name, [built.pop() for _ in range(arity)]))
     return built.pop()
-
-
-def random_formula(rng, sig: Signature, num_vars: int, max_depth: int) -> Formula:
-    """Seeded random formula within the depth/variable bounds."""
-    return formula_of_choices(random_choices(rng, sig, num_vars, max_depth))

@@ -23,7 +23,6 @@ from aalogic import (
     is_lindenbaum,
     qv_axioms,
     qv_membership,
-    quasiidentities_hold,
     quasiidentity_holds,
     tau_translate,
 )
@@ -617,36 +616,25 @@ class TestAxiomSequence:
             built.clear()
             assert sum(1 for _ in axioms) == 212168 == len(built)
 
-    def test_lines_print_each_group_once(self, cpc_axioms):
-        lines = cpc_axioms.lines()
-        assert lines == axiom_lines(cpc_axioms)
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CPC_AXIOMS_SHA256
+    def test_constant_tau_axioms_print_as_their_reprs(self):
         l, pair = _constant_tau_logic()
         repeated = qv_axioms(l, pair, 2, 2)
-        assert repeated.lines() == [repr(q) for q in repeated] == axiom_lines(repeated)
+        assert [repr(q) for q in repeated] == axiom_lines(repeated)
 
 
-class TestGroupCheck:
+class TestAxiomCheck:
     @pytest.mark.parametrize("make", [corpus.b2, corpus.h3, corpus.lukasiewicz3], ids=["b2", "h3", "l3"])
-    def test_agrees_with_quasiidentity_holds(self, cpc_axioms, make):
+    def test_every_axiom_holds_only_in_b2(self, cpc_axioms, make):
         A = make()
-        grouped = [
-            verdict
-            for _, premises, conclusions in cpc_axioms.groups
-            for verdict in quasiidentities_hold(A, premises, conclusions)
-        ]
-        single = [quasiidentity_holds(A, q.premises, q.conclusion) for q in cpc_axioms]
-        assert grouped == single
-        assert all(single) == (A.size == 2)
+        assert all(quasiidentity_holds(A, q.premises, q.conclusion) for q in cpc_axioms) == (A.size == 2)
 
     def test_frame_spans_every_equation(self, h3, F):
         # the premise mentions only x0 and the conclusions x1 and x2
         premises = (Equation(F("neg(neg(x0))"), F("x0")),)
         conclusions = (Equation(F("x1"), F("x1")), Equation(F("x2"), F("x0")), Equation(F("neg(neg(x0))"), F("x0")))
-        assert quasiidentities_hold(h3, premises, conclusions) == tuple(
-            quasiidentity_holds(h3, premises, c) for c in conclusions) == (True, False, True)
-        assert quasiidentities_hold(h3, premises, ()) == ()
-        assert quasiidentities_hold(h3, iter(premises), conclusions[:1]) == (True,)
+        assert [quasiidentity_holds(h3, premises, c) for c in conclusions] == [True, False, True]
+        assert quasiidentity_holds(h3, iter(premises), conclusions[0])
+
 
 def _proves_loop(l, gamma, phis):
     return tuple(i for i, phi in enumerate(phis) if l.proves(gamma, phi))

@@ -254,6 +254,11 @@ class TestFailingSweep:
         report = glivenko_sweep(naive, 2, 2, 2, seed=7, samples=300)
         assert report.passed and report.checked == 320
 
+    @pytest.mark.parametrize("gamma_size", [0, -1])
+    def test_refuses_a_gamma_size_below_one(self, naive, gamma_size):
+        with pytest.raises(ValueError, match=f"^a sweep needs gamma_size >= 1, got {gamma_size}$"):
+            glivenko_sweep(naive, 2, 2, gamma_size, seed=7, samples=0)
+
     def test_exhaustive_disagreements(self, naive):
         report = glivenko_sweep(naive, 2, 3, 2, seed=0, samples=0)
         assert (report.universe_size, report.exhaustive_checked, report.sampled_checked) == (1622, 1622, 0)
@@ -267,28 +272,31 @@ class TestFailingSweep:
         report = glivenko_sweep(naive, 2, 3, 2, seed=0, samples=2000)
         assert report.disagreements[:54] == exhaustive
         sampled = report.disagreements[54:]
-        assert len(sampled) == 58
-        # a draw may have no premises; its "gamma" is [] as in the exhaustive part
-        assert sum(d["gamma"] == [] for d in report.disagreements) == 73
-        assert sampled[1] == {"gamma": ["imp(iff(x0,x1),or(x0,x0))", "iff(x0,iff(x0,x1))"],
+        assert len(sampled) == 53
+        # a draw has 1 to gamma_size premises: the exhaustive part is the
+        # only one with an empty "gamma"
+        assert all(d["gamma"] for d in sampled)
+        assert sum(d["gamma"] == [] for d in report.disagreements) == 54
+        assert sampled[1] == {"gamma": ["iff(x0,iff(x0,x1))"],
                               "phi": "or(iff(x0,x1),or(x0,x1))", "left": False, "right": True}
         # cpc proves whatever ipc proves, never the other way round
         assert all(not d["left"] and d["right"] for d in report.disagreements)
-        assert report.to_json()["agreement"] == "3510/3622"
+        assert report.to_json()["agreement"] == "3515/3622"
         assert not report.passed and report.to_json()["passed"] is False
 
     def test_another_seed_draws_other_samples(self, naive):
         report = glivenko_sweep(naive, 2, 3, 2, seed=7, samples=300)
-        assert len(report.disagreements) == 64
+        assert len(report.disagreements) == 65
+        assert all(d["gamma"] for d in report.disagreements[54:])
         assert report.disagreements[54] == {
-            "gamma": ["imp(neg(x1),imp(x0,x0))", "imp(imp(x0,x1),or(x1,x0))"],
+            "gamma": ["imp(imp(x0,x1),or(x1,x0))"],
             "phi": "or(or(x0,x1),and(x1,x1))", "left": False, "right": True}
-        assert report.to_json()["agreement"] == "1858/1922"
+        assert report.to_json()["agreement"] == "1857/1922"
 
     def test_text_lists_the_first_ten_disagreements(self, naive):
         report = glivenko_sweep(naive, 2, 3, 2, seed=0, samples=2000)
         lines = report.to_text().splitlines()
-        assert lines[4] == "  agreement: 3510/3622"
+        assert lines[4] == "  agreement: 3515/3622"
         assert lines[5:15] == [f"  disagreement: {d}" for d in report.disagreements[:10]]
         assert lines[15:] == ["overall: FAIL"]
 
