@@ -74,6 +74,10 @@ class FiniteAlgebra:
             if name not in tables:
                 raise ValueError(f"missing table for {name}")
             table = tuple(tables[name])
+            # here size**arity >= 2**arity exceeds the length; it is not built, as a
+            # signature file's arity may be huge
+            if size > 1 and arity > len(table).bit_length():
+                raise ValueError(f"table for {name} has {len(table)} entries, expected {size}**{arity}")
             if len(table) != size**arity:
                 raise ValueError(f"table for {name} has {len(table)} entries, expected {size**arity}")
             if any(not (0 <= v < size) for v in table):

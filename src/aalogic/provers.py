@@ -1,7 +1,7 @@
 """Exact decision procedures: classical and intuitionistic provability over
 {neg, imp, and, or, iff}, a Kripke countermodel search usable as an
 independent refutation oracle, and equational consequence over finite
-algebra classes.
+algebra classes. The first three refuse every other connective in one guard.
 
 Classical consequence over x0..x3 is a bit-parallel truth table over one
 fixed frame of 16 rows, memoised on each node. A query that mentions a
@@ -57,7 +57,7 @@ from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, all_rows, equation_rows, frame_valuation, value_vector
-from .syntax import BUILTIN_SIGNATURE, Formula, Var
+from .syntax import BUILTIN_SIGNATURE, Formula, Var, formula_over
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,18 @@ _FRAME_FULL = (1 << (1 << _FRAME_VARS)) - 1
 _FRAME_COLUMNS = tuple(
     sum(1 << row for row in range(1 << _FRAME_VARS) if row >> j & 1) for j in range(_FRAME_VARS)
 )
-_CONNECTIVES = frozenset(BUILTIN_SIGNATURE.connectives)
 
 
-def _require_connectives(formulas: Iterable[Formula], allowed: frozenset, logic: str) -> None:
+def _query_frame(formulas: Iterable[Formula], logic: str) -> int:
+    """The query's variable frame, the OR of its formulas' masks; the first
+    formula with a connective outside the built-in signature is refused."""
+    frame = 0
     for f in formulas:
-        foreign = sorted(f.conns - allowed)
-        if foreign:
-            raise ValueError(f"connective {foreign[0][0]} is not {logic} connective")
+        if not formula_over(BUILTIN_SIGNATURE, f):
+            name = min(f.conns - frozenset(BUILTIN_SIGNATURE.connectives))[0]
+            raise ValueError(f"connective {name} is not {logic} connective")
+        frame |= f.vmask
+    return frame
 
 
 def _frame_bits(phi: Formula) -> int:
@@ -131,11 +135,7 @@ def cpc_entailed(gamma: Iterable[Formula], phis: Sequence[Formula]) -> tuple[int
     two-element Boolean algebra, so Gamma entails phi classically exactly
     when no one-world model refutes it."""
     gamma = tuple(gamma)
-    mask = 0
-    for f in itertools.chain(gamma, phis):
-        mask |= f.vmask
-    if mask >> _FRAME_VARS:
-        _require_connectives(itertools.chain(gamma, phis), _CONNECTIVES, "a classical")
+    if _query_frame(itertools.chain(gamma, phis), "a classical") >> _FRAME_VARS:
         return tuple(i for i, phi in enumerate(phis) if kripke_countermodel(gamma, phi, 1) is None)
     ok = _FRAME_FULL
     for g in gamma:
@@ -309,24 +309,17 @@ def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
     goes on unbounded with its memo, or the ``RecursionError`` propagates.
     Only the sequent search answers yes."""
     gamma = tuple(gamma)
-    query = gamma + (phi,)
-    _require_connectives(query, _CONNECTIVES, "an intuitionistic")
-    mask = 0
-    for f in query:
-        mask |= f.vmask
-    refute = mask.bit_count() <= _FRAME_VARS
+    refute = _query_frame(gamma + (phi,), "an intuitionistic").bit_count() <= _FRAME_VARS
     if refute and not cpc_decide(gamma, phi):
         return False
     search = _Search()
     ctx = frozenset(map(search.code, gamma))
     goal = search.code(phi)
-    if not refute:
-        return search.prove(ctx, goal)
-    search.steps = _STEP_BUDGET
+    search.steps = _STEP_BUDGET if refute else 0
     try:
         return search.prove(ctx, goal)
     except (_BudgetSpent, RecursionError) as exc:
-        if kripke_countermodel(gamma, phi, _FALLBACK_WORLDS) is not None:
+        if refute and kripke_countermodel(gamma, phi, _FALLBACK_WORLDS) is not None:
             return False
         if isinstance(exc, RecursionError):
             raise
@@ -429,10 +422,7 @@ def kripke_countermodel(gamma: Iterable[Formula], phi: Formula, max_worlds: int 
     query, so it is rooted at the refuting world, has no cluster and is the
     first of its class (see the module docstring)."""
     gamma = tuple(gamma)
-    _require_connectives(gamma + (phi,), _CONNECTIVES, "an intuitionistic")
-    frame = 0
-    for f in gamma + (phi,):
-        frame |= f.vmask
+    frame = _query_frame(gamma + (phi,), "an intuitionistic")
     for n in range(1, max_worlds + 1):
         top = (1 << n) - 1
         for up, A, upsets in _frames(n):

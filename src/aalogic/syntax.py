@@ -139,11 +139,13 @@ class Signature:
     """An ordered list of connectives (name, arity); the order is canonical."""
 
     def __init__(self, connectives: Iterable[tuple[str, int]]):
-        conns = tuple((str(n), int(a)) for n, a in connectives)
+        conns = tuple((str(n), a) for n, a in connectives)
         seen = set()
         for name, arity in conns:
             if not _NAME_RE.match(name) or _VAR_RE.match(name):
                 raise ValueError(f"bad connective name: {name!r}")
+            if type(arity) is not int:  # neither a bool nor a float nor a text
+                raise ValueError(f"arity of {name} is not an integer: {arity!r}")
             if arity < 0:
                 raise ValueError(f"negative arity for {name}")
             if name in seen:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -65,6 +66,20 @@ class TestEvaluate:
         neg_only = FiniteAlgebra(Signature([("neg", 1)]), 2, {"neg": [1, 0]})
         with pytest.raises(ValueError):
             evaluate(neg_only, F("imp(x0,x1)"), {0: 0, 1: 0})
+
+
+class TestTableLengths:
+    @pytest.mark.parametrize("arity, expected",
+                             [(1, "3"), (3, "27"), (4, "81"), (5, "3**5"), (10**100, "3**1" + "0" * 100)])
+    def test_a_length_mismatch_names_the_expected_length(self, arity, expected):
+        # size**arity is not built once the arity passes the length's bit
+        # length (4 for 9 entries): at 10**100 it would not finish
+        with pytest.raises(ValueError, match=rf"^table for op has 9 entries, expected {re.escape(expected)}$"):
+            FiniteAlgebra(Signature([("op", arity)]), 3, {"op": [0] * 9})
+
+    def test_one_element_tables_of_any_arity(self):
+        for arity in (0, 1, 5, 10**100):
+            assert FiniteAlgebra(Signature([("op", arity)]), 1, {"op": [0]}).tables == {"op": (0,)}
 
 
 class TestHomomorphisms:

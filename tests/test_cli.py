@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +175,12 @@ def with_table(name, table):
     return data
 
 
+def with_imp_arity(arity):
+    data = b2_json()
+    data["signature"]["connectives"][1]["arity"] = arity
+    return data
+
+
 def matrix_logic(filter_entry):
     algebra = b2_json()
     return {"signature": algebra["signature"], "implication": "imp",
@@ -208,6 +217,15 @@ MALFORMED = {
                                        "{} does not have its format's shape (ValueError: matrix logic spec needs"),
     "logic_unknown_engine_kind": (lambda: {"engine": {"kind": "modal"}}, ["consequence", "--logic", "{}", "--phi", "x0"],
                                   "{} does not have its format's shape (ValueError: logic spec has no recognizable"),
+    # an arity once coerced by int(), and one whose size**arity took seconds
+    # to minutes to build, or failed to print
+    **{f"signature_arity_{kind}": (lambda arity=arity: with_imp_arity(arity), ["check", "adjoint", "--algebra", "{}"],
+                                   f"{{}} does not have its format's shape (ValueError: arity of imp is not an integer: "
+                                   f"{arity!r})")
+       for kind, arity in (("text", "2"), ("bool", True), ("float", 1.5))},
+    "signature_arity_huge": (lambda: with_imp_arity(10**8), ["check", "adjoint", "--algebra", "{}"],
+                             "{} does not have its format's shape (ValueError: table for imp has 4 entries, "
+                             "expected 2**100000000)"),
     # a text cell, and a file naming itself, once recursed until RecursionError
     "algebra_text_cell": (lambda: with_table("neg", ["1", 0]), ["check", "adjoint", "--algebra", "{}"], "{}"),
     "algebra_file_is_a_path": (lambda: "input.json", ["check", "adjoint", "--algebra", "{}"], "{}"),
@@ -255,6 +273,116 @@ class TestUndecodableFiles:
         assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
         assert str(path) in out.stderr
         assert "Traceback" not in out.stderr
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+ALGEBRA_READER = ["check", "leibniz", "--algebra"]  # refuses no algebra, as adjoint refuses L3
+# each data file and the command line that reads it; a signature file is read
+# through an algebra file that names it, and the corpus file by load_corpus
+MUTATED_READERS = {
+    **{name: [*ALGEBRA_READER, name] for name in ("B2.json", "B4.json", "H3.json", "L3.json", "chain4.json")},
+    "sig_builtin.json": [*ALGEBRA_READER, "B2.json"],
+    **{name: ["check", "bp", "--logic", "cpc", "--pair", name, "--vars", "1", "--depth", "1"]
+       for name in ("cpc_pair.json", "imp_pair.json")},
+    **{name: ["consequence", "--logic", name, "--phi", "x0"] for name in ("h3_logic.json", "l3_logic.json")},
+    **{name: ["glivenko", "--context", name, "--phi", "x0"]
+       for name in ("classical_context.json", "naive_context.json")},
+    "classical_corpus.json": None,
+}
+# the values a swap puts in; the text is no name, path or formula any file uses
+SWAPS = ("mutant", None, [], True, 1.5, 10**100)
+
+
+def mutate(text: str, rng) -> tuple[str, str]:
+    """A JSON file's text with one seeded mutation, and what it did: the text
+    truncated, a key dropped, or a value swapped or nested 1 or 50 levels
+    deeper."""
+    kind = rng.choice(("truncate", "drop", "swap", "nest"))
+    if kind == "truncate":
+        n = rng.randrange(len(text))
+        return text[:n], f"truncated to {n} characters"
+    holder = [json.loads(text)]
+    slots, stack = [(holder, 0)], [holder[0]]  # (container, key) of every value
+    while stack:
+        node = stack.pop()
+        for key in (node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()):
+            slots.append((node, key))
+            stack.append(node[key])
+    if kind == "drop":
+        node, key = rng.choice([(node, key) for node, key in slots if isinstance(node, dict)])
+        del node[key]
+        return json.dumps(holder[0]), f"dropped {key!r}"
+    node, key = rng.choice(slots)
+    if kind == "swap":
+        node[key] = rng.choice(SWAPS)
+        return json.dumps(holder[0]), f"{key!r} swapped for {node[key]!r:.20}"
+    levels = rng.choice((1, 50))
+    for _ in range(levels):
+        node[key] = [node[key]]
+    return json.dumps(holder[0]), f"{key!r} nested {levels} levels deeper"
+
+
+def read_corpus(path) -> int:
+    """load_corpus with the CLI's handling of a refusal: one error line, exit 2."""
+    from aalogic.corpus import load_corpus
+    from aalogic.syntax import FormulaSyntaxError
+
+    try:
+        load_corpus(str(path))
+    except (FormulaSyntaxError, ValueError, OSError, KeyError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def read_through(argv, path) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of reading a file in this process: ``argv``
+    through the CLI, or the corpus by read_corpus when it is None. Any other
+    exception, a traceback at the command line, stands in for the code."""
+    from aalogic.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = read_corpus(path) if argv is None else main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestMutatedDataFiles:
+    def test_every_data_file_has_a_reader(self):
+        assert sorted(p.name for p in DATA.glob("*.json")) == sorted(MUTATED_READERS)
+
+    def test_a_mutated_file_passes_fails_or_is_refused_in_one_line_naming_it(self, tmp_path):
+        # exit 0 or 1, or exit 2 with one error line naming the mutated file,
+        # the file on the command line, or the swapped-in text it could not
+        # resolve as a path or bundled name
+        texts = {p.name: p.read_text() for p in DATA.glob("*.json")}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        rng = random.Random(3501)
+        bad = []
+        for _ in range(500):
+            name = rng.choice(sorted(texts))
+            mutated, what = mutate(texts[name], rng)
+            path = tmp_path / name
+            path.write_text(mutated)
+            argv = MUTATED_READERS[name]
+            argv = argv and [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+            code, out, err = read_through(argv, path)
+            path.write_text(texts[name])
+            lines = err.splitlines()
+            named = (str(path), *(a for a in argv or () if a.endswith(".json")), "mutant")
+            if code in (0, 1):
+                continue
+            if (code == 2 and out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+                    and any(n in lines[0] for n in named)):
+                continue
+            bad.append(f"{name} {what}: exit {code}: {err!r:.300}")
+        assert bad == []
 
 
 class TestFlagsBelongToTheirCommand:

@@ -80,8 +80,9 @@ CASES = {
 
 def run_case(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
-    # argparse wraps usage lines to COLUMNS; pin it so goldens do not depend on the terminal
-    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps usage lines to COLUMNS, and Python 3.13 wraps them otherwise than
+    # earlier versions; pin it wide enough that no usage line wraps on any interpreter
+    with mock.patch.dict(os.environ, COLUMNS="200"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -42,7 +42,7 @@ def g4ip(gamma, phi):
     check: no classical pre-check and no Kripke fallback, so the oracles below
     check it on its own."""
     gamma = tuple(gamma)
-    provers._require_connectives(gamma + (phi,), provers._CONNECTIVES, "an intuitionistic")
+    provers._query_frame(gamma + (phi,), "an intuitionistic")
     search = provers._Search()
     return search.prove(frozenset(map(search.code, gamma)), search.code(phi))
 
@@ -821,14 +821,21 @@ class TestNodeMemos:
 
     @pytest.mark.parametrize("var", [0, _FRAME_VARS])
     def test_foreign_connectives_are_not_classical(self, F, var):
-        # the same message inside the frame and beyond it
-        x = Var(var)
+        # the same message inside the frame and beyond it, also for a built-in
+        # name at another arity (the frame's truth tables read neg/2 as neg/1
+        # and index past imp/1), as ipc_decide and kripke_countermodel give
+        x, y = Var(var), Var(var + 1)
         box = App("box", (x,))
         queries = [((), box, "box"), ((box,), x, "box"), ((x,), App("imp", (x, box)), "box"),
-                   ((), BOT, "_bot"), ((BOT,), x, "_bot")]
+                   ((), BOT, "_bot"), ((BOT,), x, "_bot"), ((), App("neg", (x, y)), "neg"),
+                   ((App("imp", (x,)),), x, "imp"), ((x,), App("or", (x, App("and", (x,)))), "and")]
         for gamma, phi, name in queries:
-            with pytest.raises(ValueError, match=f"connective {name} is not a classical connective"):
-                cpc_decide(gamma, phi)
+            for decide in (cpc_decide, lambda gamma, phi: provers.cpc_entailed(gamma, (x, phi))):
+                with pytest.raises(ValueError, match=f"^connective {name} is not a classical connective$"):
+                    decide(gamma, phi)
+            for decide in (ipc_decide, kripke_countermodel):
+                with pytest.raises(ValueError, match=f"^connective {name} is not an intuitionistic connective$"):
+                    decide(gamma, phi)
 
     def test_desugar_matches_reference(self, sig):
         rng = random.Random(23)

@@ -144,6 +144,12 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature([("x0", 1)])
 
+    @pytest.mark.parametrize("arity", ["2", True, 1.5, None])
+    def test_arity_that_is_no_plain_int_rejected(self, arity):
+        # not read as 2 or as 1
+        with pytest.raises(ValueError, match=f"^arity of imp is not an integer: {arity!r}$"):
+            Signature([("neg", 1), ("imp", arity)])
+
     def test_json_roundtrip(self, sig):
         assert Signature.from_json(sig.to_json()) == sig
 
