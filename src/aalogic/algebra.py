@@ -58,14 +58,12 @@ import itertools
 from operator import add, eq, mul
 from typing import Iterable, Sequence
 
-from .syntax import Formula, Signature, Var, enumerate_formulas, parse_formula
+from .syntax import Formula, Signature, Var, _integer, enumerate_formulas, parse_formula
 
 
 class FiniteAlgebra:
     def __init__(self, signature: Signature, size: int, tables: dict[str, Sequence[int]]):
-        if not isinstance(size, int):
-            raise ValueError(f"carrier size must be an integer, got {size!r}")
-        if size < 1:
+        if _integer(size, "carrier size") < 1:
             raise ValueError("carrier must be nonempty")
         self.signature = signature
         self.size = size
@@ -80,7 +78,8 @@ class FiniteAlgebra:
                 raise ValueError(f"table for {name} has {len(table)} entries, expected {size}**{arity}")
             if len(table) != size**arity:
                 raise ValueError(f"table for {name} has {len(table)} entries, expected {size**arity}")
-            if any(not (0 <= v < size) for v in table):
+            cell = f"table cell of {name}"
+            if any(not (0 <= _integer(v, cell) < size) for v in table):
                 raise ValueError(f"table for {name} has out-of-range entries")
             flat[name] = table
         extra = set(tables) - set(signature.names)
@@ -140,12 +139,10 @@ def _nest(flat: tuple[int, ...], size: int, arity: int):
     return [_nest(flat[i * step : (i + 1) * step], size, arity - 1) for i in range(size)]
 
 
-def _flatten(table) -> list[int]:
-    """A table's cells in order; a cell that is not an int is a TypeError."""
-    if isinstance(table, int):
-        return [table]
+def _flatten(table) -> list:
+    """A table's cells in order: anything but a list is one cell."""
     if not isinstance(table, list):
-        raise TypeError(f"table cell {table!r} is not an integer")
+        return [table]
     return [v for entry in table for v in _flatten(entry)]
 
 
@@ -469,10 +466,11 @@ def _polynomials(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
 
 
 def _carrier_subset(A: FiniteAlgebra, F: Iterable[int]) -> set[int]:
-    F = set(F)
+    """F as a set of A's elements, each entry checked first: a set merges True into 1."""
+    F = [_integer(a, "filter element") for a in F]
     if any(not 0 <= a < A.size for a in F):
         raise ValueError("filter element out of range")
-    return F
+    return set(F)
 
 
 def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:

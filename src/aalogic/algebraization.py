@@ -175,8 +175,6 @@ def check_bp_conditions(l: LogicSpec, pair: AlgebraizingPair, num_vars: int, dep
     representatives, which decides them for the whole universe; for matrix
     logics from the whole universe. (d) stops after the first failing
     connective."""
-    if num_vars < 1 or depth < 1:
-        raise ValueError("bounds must be >= 1")
     congruential = l.kind in ("cpc", "ipc")
     universe = enumerate_formulas(l.signature, num_vars, depth)
     reps = _interderivability_classes(l, universe) if congruential else list(universe)

@@ -307,7 +307,7 @@ def _algebra_of(entry: dict, base: str, signature: Signature | None = None) -> F
 
 
 def _matrix_of(entry, base: str, signature: Signature | None = None) -> Matrix:
-    return Matrix(load_algebra(entry["algebra"], base, signature), frozenset(entry["filter"]))
+    return Matrix(load_algebra(entry["algebra"], base, signature), entry["filter"])
 
 
 def _morphism_of(entry, source: LogicSpec, target: LogicSpec) -> FlexibleMorphism:

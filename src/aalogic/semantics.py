@@ -9,7 +9,7 @@ from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import provers
-from .algebra import FiniteAlgebra, all_rows, filter_rows, frame_valuation, value_vector
+from .algebra import FiniteAlgebra, _carrier_subset, all_rows, filter_rows, frame_valuation, value_vector
 from .syntax import (
     BUILTIN_SIGNATURE,
     FlexibleMorphism,
@@ -28,9 +28,7 @@ class Matrix:
     filter: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "filter", frozenset(self.filter))
-        if any(not 0 <= a < self.algebra.size for a in self.filter):
-            raise ValueError("filter element out of range")
+        object.__setattr__(self, "filter", frozenset(_carrier_subset(self.algebra, self.filter)))
 
     def __repr__(self):
         return f"Matrix(size={self.algebra.size}, filter={sorted(self.filter)})"

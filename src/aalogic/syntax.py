@@ -135,6 +135,13 @@ class App(Formula):
         return App, (self.name, self.args)
 
 
+def _integer(value, what: str) -> int:
+    """value if it is a plain int; a bool, a float (2.0 too) or a text is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} is not an integer: {value!r}")
+    return value
+
+
 class Signature:
     """An ordered list of connectives (name, arity); the order is canonical."""
 
@@ -144,9 +151,7 @@ class Signature:
         for name, arity in conns:
             if not _NAME_RE.match(name) or _VAR_RE.match(name):
                 raise ValueError(f"bad connective name: {name!r}")
-            if type(arity) is not int:  # neither a bool nor a float nor a text
-                raise ValueError(f"arity of {name} is not an integer: {arity!r}")
-            if arity < 0:
+            if _integer(arity, f"arity of {name}") < 0:
                 raise ValueError(f"negative arity for {name}")
             if name in seen:
                 raise ValueError(f"duplicate connective: {name}")
@@ -397,7 +402,7 @@ def enumerate_formulas(sig: Signature, num_vars: int, max_depth: int) -> list[Fo
     Deterministic order: by depth, then signature order, then argument order.
     """
     if num_vars < 1 or max_depth < 1:
-        return []
+        raise ValueError("bounds must be >= 1")
     atoms = [Var(i) for i in range(num_vars)]
     atoms += [App(name, ()) for name, arity in sig.connectives if arity == 0]
     by_depth: list[list[Formula]] = [atoms]

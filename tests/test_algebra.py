@@ -82,6 +82,31 @@ class TestTableLengths:
             assert FiniteAlgebra(Signature([("op", arity)]), 1, {"op": [0]}).tables == {"op": (0,)}
 
 
+class TestIntegerFields:
+    # bool is a subclass of int, and 2.0 == 2: both were once read as numbers
+    NOT_INTEGERS = [True, False, 1.5, 2.0, "1", None]
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_carrier_size(self, value):
+        with pytest.raises(ValueError, match=f"^carrier size is not an integer: {re.escape(repr(value))}$"):
+            FiniteAlgebra(Signature([("neg", 1)]), value, {"neg": [1, 0]})
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_table_cell(self, b2, value):
+        data = b2.to_json()
+        data["tables"]["neg"] = [value, 0]
+        with pytest.raises(ValueError, match=f"^table cell of neg is not an integer: {re.escape(repr(value))}$"):
+            FiniteAlgebra.from_json(data)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_filter_element(self, b2, value):
+        # checked before a set is built, where True would merge into 1
+        message = f"^filter element is not an integer: {re.escape(repr(value))}$"
+        for build in (lambda F: Matrix(b2, F), lambda F: leibniz(b2, F), lambda F: leibniz_bruteforce(b2, F)):
+            with pytest.raises(ValueError, match=message):
+                build([1, value])
+
+
 class TestHomomorphisms:
     def test_b2_endomorphisms(self, b2):
         assert homomorphisms(b2, b2) == [(0, 1)]

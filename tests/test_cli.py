@@ -181,6 +181,32 @@ def with_imp_arity(arity):
     return data
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def bundled(name):
+    """A data file's JSON, with the files it names given by absolute path, so
+    a copy reads from anywhere."""
+    data = json.loads((DATA / name).read_text())
+    for holder in (data, *data.get("engine", {}).get("matrices", ())):
+        for key in ("signature", "algebra"):
+            if isinstance(holder.get(key), str):
+                holder[key] = str(DATA / holder[key])
+    return data
+
+
+def h3_with_imp_cell(value):
+    data = bundled("H3.json")
+    data["tables"]["imp"][2][1] = value  # a 1
+    return data
+
+
+def h3_logic_with_filter(filter_entry):
+    data = bundled("h3_logic.json")
+    data["engine"]["matrices"][0]["filter"] = filter_entry
+    return data
+
+
 def matrix_logic(filter_entry):
     algebra = b2_json()
     return {"signature": algebra["signature"], "implication": "imp",
@@ -193,9 +219,9 @@ MALFORMED = {
     # the algebra refuses a size that is not an int; a float one would get
     # through every reader and fail in the Leibniz check
     "algebra_size_text": (lambda: {**b2_json(), "size": "2"}, ["check", "adjoint", "--algebra", "{}"],
-                          "{} does not have its format's shape (ValueError: carrier size must be an integer, got '2')"),
+                          "{} does not have its format's shape (ValueError: carrier size is not an integer: '2')"),
     "algebra_size_float": (lambda: {**b2_json(), "size": 2.0}, ["check", "leibniz", "--algebra", "{}", "--filter", "1"],
-                           "{} does not have its format's shape (ValueError: carrier size must be an integer"),
+                           "{} does not have its format's shape (ValueError: carrier size is not an integer: 2.0)"),
     "algebra_tables_list": (lambda: {**b2_json(), "tables": [[1, 0]]}, ["check", "adjoint", "--algebra", "{}"], "{}"),
     "algebra_null_table": (lambda: with_table("neg", None), ["check", "adjoint", "--algebra", "{}"], "{}"),
     "algebra_float_cell": (lambda: with_table("neg", [1.0, 0]), ["check", "adjoint", "--algebra", "{}"], "{}"),
@@ -229,6 +255,15 @@ MALFORMED = {
     # a text cell, and a file naming itself, once recursed until RecursionError
     "algebra_text_cell": (lambda: with_table("neg", ["1", 0]), ["check", "adjoint", "--algebra", "{}"], "{}"),
     "algebra_file_is_a_path": (lambda: "input.json", ["check", "adjoint", "--algebra", "{}"], "{}"),
+    # a true cell and non-integer filter elements, once read as numbers: the
+    # adjoint check passed, and imp(x0,x0) was not a consequence
+    "algebra_bool_cell": (lambda: h3_with_imp_cell(True), ["check", "adjoint", "--algebra", "{}"],
+                          "{} does not have its format's shape (ValueError: table cell of imp is not an integer: True)"),
+    **{f"logic_filter_{kind}": (lambda value=value: h3_logic_with_filter([value]),
+                                ["consequence", "--logic", "{}", "--phi", "imp(x0,x0)"],
+                                f"{{}} does not have its format's shape (ValueError: filter element is not an integer: "
+                                f"{value!r})")
+       for kind, value in (("bool", True), ("float", 1.5), ("whole_float", 2.0))},
 }
 
 
@@ -275,7 +310,6 @@ class TestUndecodableFiles:
         assert "Traceback" not in out.stderr
 
 
-DATA = Path(__file__).resolve().parent.parent / "data"
 ALGEBRA_READER = ["check", "leibniz", "--algebra"]  # refuses no algebra, as adjoint refuses L3
 # each data file and the command line that reads it; a signature file is read
 # through an algebra file that names it, and the corpus file by load_corpus
@@ -320,6 +354,24 @@ def mutate(text: str, rng) -> tuple[str, str]:
     for _ in range(levels):
         node[key] = [node[key]]
     return json.dumps(holder[0]), f"{key!r} nested {levels} levels deeper"
+
+
+def number_slots(node, field=None):
+    """(container, key, field) of every integer in a data file's JSON, with
+    the field as a refusal names it: an arity, the carrier size, a table cell
+    or a filter element."""
+    entries = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in entries:
+        if field == "tables":
+            here = f"table cell of {key}"
+        elif key == "arity":
+            here = f"arity of {node['name']}"
+        else:
+            here = {"size": "carrier size", "tables": "tables", "filter": "filter element"}.get(key, field)
+        if type(value) is int:
+            yield node, key, here
+        else:
+            yield from number_slots(value, here)
 
 
 def read_corpus(path) -> int:
@@ -382,6 +434,37 @@ class TestMutatedDataFiles:
                     and any(n in lines[0] for n in named)):
                 continue
             bad.append(f"{name} {what}: exit {code}: {err!r:.300}")
+        assert bad == []
+
+    def test_every_number_that_is_no_int_is_refused_naming_the_file_and_field(self, tmp_path):
+        # each integer in turn swapped for a bool or a float, and each filter
+        # for one holding True beside an element; every read exits 2 at once
+        texts = {p.name: p.read_text() for p in DATA.glob("*.json")}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        fields, bad = set(), []
+        for name, text in sorted(texts.items()):
+            path = tmp_path / name
+            argv = MUTATED_READERS[name]
+            argv = argv and [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+            for i, (_, _, field) in enumerate(number_slots(json.loads(text))):
+                fields.add(field.split(" of ")[0])
+                swaps = [(None, value) for value in (True, False, 1.5, 2.0)]
+                if field == "filter element":
+                    swaps += [(slice(None), [2, True]), (slice(None), [1, True])]
+                for key, value in swaps:
+                    data = json.loads(text)
+                    node, slot, _ = list(number_slots(data))[i]
+                    node[slot if key is None else key] = value
+                    path.write_text(json.dumps(data))
+                    code, out, err = read_through(argv, path)
+                    path.write_text(text)
+                    refused = True if isinstance(value, list) else value
+                    expected = (f"error: {path} does not have its format's shape "
+                                f"(ValueError: {field} is not an integer: {refused!r})\n")
+                    if (code, out, err) != (2, "", expected):
+                        bad.append(f"{name} {field} #{i} swapped for {value!r}: exit {code}: {err!r:.300}")
+        assert fields == {"arity", "carrier size", "table cell", "filter element"}
         assert bad == []
 
 

@@ -163,7 +163,7 @@ class TestLogicFiles:
         with pytest.raises(ValueError) as err:
             resolve_logic(path)
         assert str(err.value) == (
-            f"{bad} does not have its format's shape (ValueError: carrier size must be an integer, got '2')")
+            f"{bad} does not have its format's shape (ValueError: carrier size is not an integer: '2')")
 
 
 # every bundled data file, by the reader of its format

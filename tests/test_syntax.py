@@ -23,6 +23,8 @@ from aalogic import (
     variables,
 )
 from aalogic import corpus
+from aalogic.algebraization import is_lindenbaum
+from aalogic.glivenko import glivenko_sweep
 from aalogic.institutions import _random_sentence
 from aalogic.semantics import BUILTIN_SIGNATURE
 from aalogic.syntax import (
@@ -270,6 +272,17 @@ class TestEnumeration:
     def test_no_duplicates(self, sig):
         formulas = enumerate_formulas(sig, 2, 3)
         assert len(formulas) == len(set(formulas))
+
+    # a sweep once drew from the empty universe (IndexError), and the
+    # Lindenbaum check passed on 0 instances
+    @pytest.mark.parametrize("bounds", [(0, 2), (2, 0)], ids=["vars", "depth"])
+    @pytest.mark.parametrize("check", [
+        lambda num_vars, depth: glivenko_sweep(corpus.classical_context(), num_vars, depth, 1, 0, 10),
+        lambda num_vars, depth: is_lindenbaum(corpus.ipc_logic(), corpus.classical_pair(), num_vars, depth),
+    ], ids=["glivenko_sweep", "is_lindenbaum"])
+    def test_a_zero_bound_is_refused(self, check, bounds):
+        with pytest.raises(ValueError, match="^bounds must be >= 1$"):
+            check(*bounds)
 
     def test_random_formula_in_bounds(self, sig):
         rng = random.Random(99)
