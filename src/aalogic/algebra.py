@@ -27,8 +27,8 @@ instance, in ``A._memo``:
 - the sorted unary-polynomial clone, read through ``_polynomials`` by
   ``leibniz`` and ``congruence_generated``, and the congruence list (for
   ``leibniz_bruteforce``, which must not share the clone);
-- theorem values per (logic, bounds) and spot-theorem values per logic (for
-  ``filter_closure`` and ``is_filter``);
+- theorem values and spot-theorem values per logic, both read through
+  ``_proved_values``, for ``filter_closure``, which ``is_filter`` reads;
 - membership verdicts of ``algebraization.qv_membership`` per class;
 - a Glivenko context's adjoint per (source logic, theta), and the
   regular-element adjoint.
@@ -58,7 +58,7 @@ import itertools
 from operator import add, eq, mul
 from typing import Iterable, Sequence
 
-from .syntax import Formula, Signature, Var, _integer, enumerate_formulas, parse_formula
+from .syntax import BUILTIN_SIGNATURE, Formula, Signature, Var, _integer, enumerate_formulas, formula_over, parse_formula
 
 
 class FiniteAlgebra:
@@ -140,10 +140,16 @@ def _nest(flat: tuple[int, ...], size: int, arity: int):
 
 
 def _flatten(table) -> list:
-    """A table's cells in order: anything but a list is one cell."""
-    if not isinstance(table, list):
-        return [table]
-    return [v for entry in table for v in _flatten(entry)]
+    """A table's cells in order: anything but a list is one cell. It walks a
+    stack, not the call stack, so no nesting depth overflows it."""
+    cells, stack = [], [table]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            stack.extend(reversed(entry))
+        else:
+            cells.append(entry)
+    return cells
 
 
 def evaluate(A: FiniteAlgebra, phi: Formula, v: dict[int, int]) -> int:
@@ -506,15 +512,17 @@ def reduce_matrix(A: FiniteAlgebra, F: Iterable[int]) -> tuple[FiniteAlgebra, fr
     return B, frozenset(proj[a] for a in F)
 
 
+def _proved_values(logic, A: FiniteAlgebra, formulas: Iterable[Formula]) -> frozenset[int]:
+    """Values taken in A, under every valuation, by the formulas that
+    ``logic`` proves."""
+    return frozenset(a for phi in formulas if logic.proves((), phi) for a in value_vector(A, phi, phi.vmask))
+
+
 def theorem_values(logic, A: FiniteAlgebra) -> frozenset[int]:
     """Values taken in A, under every valuation, by the theorems of ``logic``
     over min(|A|, 3) variables up to depth 2."""
-    return _invariant(A, ("theorem_values", logic), lambda A: frozenset(
-        a
-        for phi in enumerate_formulas(A.signature, min(A.size, 3), 2)
-        if logic.proves((), phi)
-        for a in value_vector(A, phi, phi.vmask)
-    ))
+    return _invariant(A, ("theorem_values", logic), lambda A: _proved_values(
+        logic, A, enumerate_formulas(A.signature, min(A.size, 3), 2)))
 
 
 def _require_implicative(logic, A: FiniteAlgebra) -> str:
@@ -527,75 +535,51 @@ def _require_implicative(logic, A: FiniteAlgebra) -> str:
     return imp
 
 
-_SPOT_THEOREM_TEXTS = (
-    # deeper theorems than the default enumeration bound reaches; used to
-    # notice when the bounded closure misses theorem values on an algebra
+# deeper theorems than the default enumeration bound reaches; used to notice
+# when the bounded closure misses theorem values on an algebra
+_SPOT_THEOREMS = tuple(parse_formula(BUILTIN_SIGNATURE, text) for text in (
     "neg(neg(or(x0,neg(x0))))",
     "neg(neg(imp(neg(neg(x0)),x0)))",
     "neg(and(x0,neg(x0)))",
     "imp(neg(x0),imp(x0,x1))",
     "imp(and(x0,x1),or(x1,x0))",
-)
+))
 
 
 def _spot_values(logic, A: FiniteAlgebra) -> frozenset[int]:
     """Values taken in A by the spot theorems that ``logic`` proves and A's
     signature can express, kept in A's memo."""
-    def compute(A: FiniteAlgebra) -> frozenset[int]:
-        out: set[int] = set()
-        for text in _SPOT_THEOREM_TEXTS:
-            try:
-                phi = parse_formula(A.signature, text)
-            except ValueError:
-                continue
-            if logic.proves((), phi):
-                out.update(value_vector(A, phi, phi.vmask))
-        return frozenset(out)
-    return _invariant(A, ("spot_values", logic), compute)
-
-
-def _detachment_closure(A: FiniteAlgebra, imp: str, F: set[int]) -> frozenset[int]:
-    """Least superset of F closed under modus ponens for the implication
-    ``imp``: b is in it whenever some a and a -> b are."""
-    F = set(F)
-    table = A.tables[imp]
-    changed = True
-    while changed:
-        changed = False
-        for a in list(F):
-            row = a * A.size
-            for b in A.elements():
-                if b not in F and table[row + b] in F:
-                    F.add(b)
-                    changed = True
-    return frozenset(F)
+    return _invariant(A, ("spot_values", logic), lambda A: _proved_values(
+        logic, A, (phi for phi in _SPOT_THEOREMS if formula_over(A.signature, phi))))
 
 
 def filter_closure(logic, A: FiniteAlgebra, S: Iterable[int]) -> frozenset[int]:
     """Least superset of S containing all bounded-theorem values and closed
-    under modus ponens for the logic's implication. A spot-check with a few
-    deeper theorems raises (reported, not silent) when the enumeration bound
-    was too small for this algebra."""
-    imp = _require_implicative(logic, A)
-    result = _detachment_closure(A, imp, _carrier_subset(A, S) | theorem_values(logic, A))
+    under modus ponens for the logic's implication: b is in it whenever some
+    a and a -> b are. A spot-check with a few deeper theorems raises
+    (reported, not silent) when the enumeration bound was too small for this
+    algebra."""
+    table = A.tables[_require_implicative(logic, A)]
+    F = _carrier_subset(A, S) | theorem_values(logic, A)
+    while grown := {b for a in F for b in A.elements() if table[a * A.size + b] in F} - F:
+        F |= grown
     # theorem values and detachment hold by construction; only the deeper
     # spot theorems can fall outside the closure
-    if not _spot_values(logic, A) <= result:
+    if not _spot_values(logic, A) <= F:
         raise RuntimeError(
             "closure bound exhausted: a theorem takes a value outside the closure, or "
             "detachment escapes it"
         )
-    return result
+    return frozenset(F)
 
 
 def is_filter(logic, A: FiniteAlgebra, F: Iterable[int]) -> bool:
-    """Bounded l-filter check for implicative logics: contains every bounded
-    theorem value (plus a handful of deeper spot theorems) and is its own
-    closure under modus ponens."""
-    imp = _require_implicative(logic, A)
+    """Bounded l-filter check for implicative logics: F holds the values of
+    the spot theorems and is its own ``filter_closure`` (so it holds every
+    bounded theorem value and is closed under modus ponens)."""
+    _require_implicative(logic, A)
     F = _carrier_subset(A, F)
-    return (theorem_values(logic, A) <= F and _spot_values(logic, A) <= F
-            and _detachment_closure(A, imp, F) == F)
+    return _spot_values(logic, A) <= F and filter_closure(logic, A, F) == F
 
 
 def all_filters(logic, A: FiniteAlgebra) -> list[frozenset[int]]:

@@ -207,22 +207,21 @@ def identity_morphism(l: LogicSpec) -> LogicMorphism:
     return LogicMorphism(l, l, FlexibleMorphism.identity(l.signature))
 
 
-def mod_translate(h: LogicMorphism, M: Matrix, check: bool = True) -> Matrix:
+def mod_translate(h: LogicMorphism, M: Matrix) -> Matrix:
     """Translate a matrix model of the target logic along h: take the reduct
-    of the algebra and keep the filter. With ``check`` on, spot-check that the
-    filter is still closed under the first 60 sequents of ``_bounded_sequents``
-    that the source logic proves (formulas over x0, x1 up to depth 2, by the
-    sum of the premise's and the conclusion's positions)."""
+    of the algebra and keep the filter. Spot-check that the filter is still
+    closed under the first 60 sequents of ``_bounded_sequents`` that the
+    source logic proves (formulas over x0, x1 up to depth 2, by the sum of
+    the premise's and the conclusion's positions)."""
     translated = Matrix(reduct(h.morphism, M.algebra), M.filter)
-    if check:
-        proved = (s for s in _bounded_sequents(h.source.signature, 2) if h.source.proves(*s))
-        for gamma, phi in itertools.islice(proved, 60):
-            v = matrix_violation(translated, gamma, phi)
-            if v is not None:
-                raise ValueError(
-                    f"filter is not closed under source consequences: {list(gamma)} |- {phi!r} "
-                    f"fails at valuation {v}"
-                )
+    proved = (s for s in _bounded_sequents(h.source.signature, 2) if h.source.proves(*s))
+    for gamma, phi in itertools.islice(proved, 60):
+        v = matrix_violation(translated, gamma, phi)
+        if v is not None:
+            raise ValueError(
+                f"filter is not closed under source consequences: {list(gamma)} |- {phi!r} "
+                f"fails at valuation {v}"
+            )
     return translated
 
 
@@ -233,7 +232,7 @@ def if_condition(h: LogicMorphism, M: Matrix, beta: Matrix | None = None) -> tup
     beta(M)'s relation and its certificate, a thunk. beta(M) is the given
     matrix, or else M's reduct along h with M's filter, built here; the
     certificate is that beta(M) equals that reduct."""
-    translated = partial(mod_translate, h, M, check=False)
+    translated = lambda: Matrix(reduct(h.morphism, M.algebra), M.filter)
     if beta is None:
         beta = translated()
     return (partial(matrix_satisfies, M), h.translate,

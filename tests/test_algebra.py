@@ -10,6 +10,7 @@ from aalogic import (
     Equation,
     FiniteAlgebra,
     FlexibleMorphism,
+    LogicSpec,
     Matrix,
     Signature,
     all_filters,
@@ -484,6 +485,29 @@ class TestFilters:
         assert filter_closure(l3, A, {1}) == {0, 1, 2}
         assert all_filters(l3, A) == [frozenset({2}), frozenset({0, 1, 2})]
 
+    # the spot theorems over neg and imp alone: the two of the five that
+    # this signature can express
+    NEG_IMP_FILTERS = {
+        "one": [{0}],
+        "two": [{1}, {0, 1}],
+        "chain3": [{2}, {1, 2}, {0, 1, 2}],
+        "chain4": [{3}, {2, 3}, {1, 2, 3}, {0, 1, 2, 3}],
+        "diamond": [{3}, {1, 3}, {2, 3}, {0, 1, 2, 3}],
+    }
+
+    @pytest.mark.parametrize("kind", ["ipc", "cpc"])
+    def test_filters_over_neg_and_imp(self, kind):
+        sig = Signature([("neg", 1), ("imp", 2)])
+        logic = getattr(LogicSpec, kind)(sig)
+        filters = {}
+        for name, H in corpus.heyting_corpus(4):
+            A = FiniteAlgebra(sig, H.size, {c: H.tables[c] for c in sig.names})
+            top = {A.size - 1}
+            assert algebra._spot_values(logic, A) == top
+            assert filter_closure(logic, A, ()) == top
+            filters[name] = all_filters(logic, A)
+        assert filters == self.NEG_IMP_FILTERS
+
 
 def lattice_filter_of(A, a):
     """The principal filter of a, with the order read off the meet."""
@@ -559,6 +583,13 @@ class TestSerialization:
         data = b4.to_json()
         assert FiniteAlgebra.from_json(data) == b4
         assert data["tables"]["neg"] == [3, 2, 1, 0]
+
+    def test_table_nested_deeper_than_the_call_stack_rejected(self):
+        data = corpus.b2().to_json()
+        for _ in range(5000):
+            data["tables"]["neg"] = [data["tables"]["neg"]]
+        with pytest.raises(ValueError, match="^table for neg is neither flat nor nested one level per argument$"):
+            FiniteAlgebra.from_json(data)
 
     def test_bad_table_rejected(self, sig):
         with pytest.raises(ValueError):

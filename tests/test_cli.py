@@ -207,6 +207,22 @@ def h3_logic_with_filter(filter_entry):
     return data
 
 
+def b2_with_nested_neg(levels):
+    """B2's file with its neg table wrapped in this many lists."""
+    data = bundled("B2.json")
+    for _ in range(levels):
+        data["tables"]["neg"] = [data["tables"]["neg"]]
+    return data
+
+
+def classical_context_with_h(drop=(), **extra):
+    """The classical context with h the identity written out, less the
+    connectives in drop, plus the extra assignments."""
+    h = {"neg": "neg(x0)", "imp": "imp(x0,x1)", "and": "and(x0,x1)", "or": "or(x0,x1)", "iff": "iff(x0,x1)"}
+    h = {name: text for name, text in h.items() if name not in drop}
+    return {**bundled("classical_context.json"), "h": {**h, **extra}}
+
+
 def matrix_logic(filter_entry):
     algebra = b2_json()
     return {"signature": algebra["signature"], "implication": "imp",
@@ -264,6 +280,38 @@ MALFORMED = {
                                 f"{{}} does not have its format's shape (ValueError: filter element is not an integer: "
                                 f"{value!r})")
        for kind, value in (("bool", True), ("float", 1.5), ("whole_float", 2.0))},
+    # a table nested deeper than one level per argument, whatever its cells
+    "algebra_table_nested_deep": (lambda: b2_with_nested_neg(50), ["check", "leibniz", "--algebra", "{}"],
+                                  "{} does not have its format's shape (ValueError: table for neg is neither flat "
+                                  "nor nested one level per argument)"),
+    # the other refusals a file can reach, each with its constructor's message
+    "algebra_size_zero": (lambda: {**b2_json(), "size": 0}, ["check", "adjoint", "--algebra", "{}"],
+                          "{} does not have its format's shape (ValueError: carrier must be nonempty)"),
+    "algebra_unknown_connective_table": (lambda: with_table("xor", [[0, 1], [1, 0]]),
+                                         ["check", "adjoint", "--algebra", "{}"],
+                                         "{} does not have its format's shape (ValueError: tables for unknown "
+                                         "connectives: ['xor'])"),
+    "signature_arity_negative": (lambda: with_imp_arity(-1), ["check", "adjoint", "--algebra", "{}"],
+                                 "{} does not have its format's shape (ValueError: negative arity for imp)"),
+    "context_theta_beyond_x0": (lambda: {**bundled("classical_context.json"), "theta": "neg(x1)"},
+                                ["glivenko", "--context", "{}", "--phi", "x0"],
+                                "{} does not have its format's shape (ValueError: theta must be a formula in at most x0)"),
+    "context_h_missing_connective": (lambda: classical_context_with_h(drop=("iff",)),
+                                     ["glivenko", "--context", "{}", "--phi", "x0"],
+                                     "{} does not have its format's shape (ValueError: no assignment for connective iff)"),
+    "context_h_extra_connective": (lambda: classical_context_with_h(xor="x0"),
+                                   ["glivenko", "--context", "{}", "--phi", "x0"],
+                                   "{} does not have its format's shape (ValueError: assignment for unknown "
+                                   "connectives: ['xor'])"),
+    "logic_no_matrices": (lambda: {**matrix_logic([1]), "engine": {"kind": "matrix", "matrices": []}},
+                          ["consequence", "--logic", "{}", "--phi", "x0"],
+                          "{} does not have its format's shape (ValueError: a matrix family must be nonempty)"),
+    "logic_builtin_with_nullary": (lambda: {"signature": {"connectives": [*b2_json()["signature"]["connectives"],
+                                                                          {"name": "top", "arity": 0}]},
+                                            "engine": {"kind": "builtin", "name": "cpc"}},
+                                   ["consequence", "--logic", "{}", "--phi", "x0"],
+                                   "{} does not have its format's shape (ValueError: built-in engines only support "
+                                   "sublanguages of neg/imp/and/or/iff)"),
 }
 
 

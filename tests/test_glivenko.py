@@ -6,7 +6,9 @@ import pytest
 from aalogic import (
     App,
     GlivenkoContext,
+    LogicSpec,
     Matrix,
+    Signature,
     Var,
     compose_contexts,
     glivenko_equivalence,
@@ -487,6 +489,22 @@ class TestAdjointAgainstReference:
             _, emb = regular_elements(A)
             assert emb == tuple(a for a in B.elements() if ref_negneg(B, a) == a)
             assert unit_map(A) == tuple(emb.index(ref_negneg(B, a)) for a in B.elements())
+
+
+class TestAdjointWithoutIff:
+    def test_double_negation_context_over_neg_imp_and_or(self, ctx):
+        # with no iff table, x0 <-> x1 is read as the meet of both
+        # implications, which is iff on every Heyting algebra
+        sig = Signature([("neg", 1), ("imp", 2), ("and", 2), ("or", 2)])
+        narrow = GlivenkoContext(LogicSpec.ipc(sig), LogicSpec.cpc(sig), FlexibleMorphism.identity(sig),
+                                 glivenko._NEGNEG)
+        algebras = corpus.heyting_corpus()
+        assert len(algebras) == 10
+        for name, A in algebras:
+            data = narrow.adjoint(FiniteAlgebra(sig, A.size, {c: A.tables[c] for c in sig.names}))
+            full = ctx.adjoint(A)
+            assert (data.unit, data.section) == (full.unit, full.section), name
+            assert data.algebra.tables == {c: full.algebra.tables[c] for c in sig.names}, name
 
 
 def _adjoint_equal(c1, c2, algebras):

@@ -1,15 +1,18 @@
 """Every name a package module imports is used in that module, so a removal
 leaves no import behind. The package's ``__init__`` re-exports what it
-imports, and ``from __future__`` imports are directives, not names."""
+imports, and ``from __future__`` imports are directives, not names. Every
+module the package imports from outside itself is in the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import aalogic
 
-MODULES = sorted(p for p in Path(aalogic.__file__).parent.glob("*.py") if p.name != "__init__.py")
+INIT = Path(aalogic.__file__)
+MODULES = sorted(p for p in INIT.parent.glob("*.py") if p != INIT)
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -22,6 +25,18 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def absolute_imports(tree: ast.Module) -> dict[str, int]:
+    """The top-level package of each absolute import, with its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out[node.module.partition(".")[0]] = node.lineno
     return out
 
 
@@ -42,3 +57,15 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from .algebra import FiniteAlgebra, _remember\nx: FiniteAlgebra\n")
     assert {name for name in imported_names(tree) if name not in used_names(tree)} == {"_remember"}
+
+
+@pytest.mark.parametrize("path", [*MODULES, INIT], ids=lambda p: p.name)
+def test_every_absolute_import_is_in_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = {name: line for name, line in absolute_imports(tree).items() if name not in sys.stdlib_module_names}
+    assert outside == {}, f"{path.name}: imports from outside the standard library (module: line)"
+
+
+def test_the_check_sees_a_third_party_import():
+    tree = ast.parse("import os.path\nfrom numpy import array\nfrom .syntax import Var\n")
+    assert absolute_imports(tree) == {"os": 1, "numpy": 2}

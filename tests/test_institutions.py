@@ -28,7 +28,7 @@ from aalogic import (
 from aalogic.algebraization import qv_membership, tau_consequence
 from aalogic.glivenko import _tau_holds, adjoint_image, rho_translate, rho_translate_all
 from aalogic.institutions import Corpus, InstitutionReport, _pool, _random_sentence
-from aalogic.semantics import identity_morphism, if_condition, matrix_satisfies, mod_translate
+from aalogic.semantics import identity_morphism, if_condition, matrix_satisfies
 from aalogic.syntax import enumerate_formulas, print_formula
 from aalogic import corpus
 
@@ -350,7 +350,7 @@ def ref_institution_report(kind: str, corpus: Corpus, samples: int = 10000, seed
         for mname, h in corpus.morphisms:
             for idx, M in enumerate(corpus.matrices.get(h.target.name, [])):
                 override = corpus.overrides.get(("If", mname, idx))
-                model = mod_translate(h, M, check=False) if override is None else override
+                model = Matrix(reduct(h.morphism, M.algebra), M.filter) if override is None else override
                 pool.append((mname, h, idx, M, model))
         if not pool:
             raise ValueError("corpus has no morphism/matrix pairs")
