@@ -8,7 +8,6 @@ import bisect
 import itertools
 import operator
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Iterable, Optional
 
@@ -85,20 +84,20 @@ def _delta_tau(pair: AlgebraizingPair, phi: Formula) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-@dataclass
 class ConditionResult:
-    passed: bool
-    instances: int
-    witness: Optional[str] = None
+    __slots__ = ("passed", "instances", "witness")
+
+    def __init__(self, passed: bool, instances: int, witness: Optional[str] = None):
+        self.passed, self.instances, self.witness = passed, instances, witness
 
 
-@dataclass
 class BPReport:
-    logic: str
-    bounds: dict
-    universe_size: int
-    class_count: int
-    conditions: dict[str, ConditionResult] = field(default_factory=dict)
+    __slots__ = ("logic", "bounds", "universe_size", "class_count", "conditions")
+
+    def __init__(self, logic: str, bounds: dict, universe_size: int, class_count: int,
+                 conditions: Optional[dict[str, ConditionResult]] = None):
+        self.logic, self.bounds, self.universe_size, self.class_count = logic, bounds, universe_size, class_count
+        self.conditions = {} if conditions is None else conditions
 
     @property
     def passed(self) -> bool:
@@ -251,10 +250,11 @@ def detachment_check(l: LogicSpec, pair: AlgebraizingPair, phi: Formula, psi: Fo
 class QuasiIdentity:
     """The quasi-identity ``premises -> conclusion`` of kind "i", "ii" or
     "iii". It compares and hashes by value, like the tuple of its fields but
-    unequal to it. It is immutable by convention, as formula nodes are: its
-    fields are plain slots, since iterating ``qv_axioms``' sequence builds one
-    per axiom, hundreds of thousands at the bench's bounds, and a frozen
-    dataclass pays an ``object.__setattr__`` per field."""
+    unequal to it. It is immutable by convention, as formula nodes are, and
+    unlike the frozen records (``Equation``) it does not refuse assignment:
+    a record that does sets each slot through a call of
+    ``object.__setattr__``, and iterating ``qv_axioms``' sequence builds one
+    quasi-identity per axiom, hundreds of thousands at the bench's bounds."""
 
     __slots__ = ("kind", "premises", "conclusion")
 
@@ -381,16 +381,15 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
     return QuasiIdentities(groups)
 
 
-@dataclass
 class LindReport:
-    logic: str
-    bounds: dict
-    passed: bool
-    instances: int
-    witness: Optional[str] = None
+    __slots__ = ("logic", "bounds", "passed", "instances", "witness")
+
+    def __init__(self, logic: str, bounds: dict, passed: bool, instances: int, witness: Optional[str] = None):
+        self.logic, self.bounds = logic, bounds
+        self.passed, self.instances, self.witness = passed, instances, witness
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def to_text(self) -> str:
         status = "pass" if self.passed else "FAIL"

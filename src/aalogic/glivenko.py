@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
@@ -38,6 +37,9 @@ from .syntax import (
     FlexibleMorphism,
     Formula,
     Var,
+    _frozen,
+    _value_eq,
+    _value_hash,
     compose_morphisms,
     enumerate_formulas,
     extend_morphism,
@@ -167,14 +169,21 @@ def _filter_quotient(H: FiniteAlgebra, F: frozenset[int]) -> tuple[FiniteAlgebra
     return quotient(H, theta)
 
 
-@dataclass(frozen=True)
 class AdjointData:
     """Per-algebra data of the adjoint induced by a context: the value algebra,
     the unit a -> [a], and a section of the unit."""
 
-    algebra: FiniteAlgebra
-    unit: tuple[int, ...]
-    section: tuple[int, ...]
+    __slots__ = ("algebra", "unit", "section")
+    __setattr__ = __delattr__ = _frozen
+    __eq__, __hash__ = _value_eq, _value_hash
+
+    def __init__(self, algebra: FiniteAlgebra, unit: tuple[int, ...], section: tuple[int, ...]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "section", section)
+
+    def __reduce__(self):
+        return AdjointData, (self.algebra, self.unit, self.section)
 
 
 def _adjoint_data(source: LogicSpec, theta: Formula, M: FiniteAlgebra) -> AdjointData:
@@ -342,21 +351,20 @@ def compose_contexts(g: GlivenkoContext, f: GlivenkoContext) -> GlivenkoContext:
 # bounded validity reporting
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ContextReport:
-    context: str
-    bounds: dict
-    section_equation: bool
-    pair_preserved: Optional[bool]
-    consequence_preserved: bool
-    witness: Optional[str] = None
+    __slots__ = ("context", "bounds", "section_equation", "pair_preserved", "consequence_preserved", "witness")
+
+    def __init__(self, context: str, bounds: dict, section_equation: bool, pair_preserved: Optional[bool],
+                 consequence_preserved: bool, witness: Optional[str] = None):
+        self.context, self.bounds, self.section_equation = context, bounds, section_equation
+        self.pair_preserved, self.consequence_preserved, self.witness = pair_preserved, consequence_preserved, witness
 
     @property
     def passed(self) -> bool:
         return self.section_equation and self.consequence_preserved and self.pair_preserved is not False
 
     def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**{name: getattr(self, name) for name in self.__slots__}, "passed": self.passed}
 
 
 def validate_context(ctx: GlivenkoContext) -> ContextReport:
@@ -386,21 +394,20 @@ def validate_context(ctx: GlivenkoContext) -> ContextReport:
     return report
 
 
-@dataclass
 class AdjointReport:
-    algebra_size: int
-    regular_elements: int
-    quotient_size: int
-    isomorphic: bool
-    section_ok: bool
-    hom_counts: list[dict]
+    __slots__ = ("algebra_size", "regular_elements", "quotient_size", "isomorphic", "section_ok", "hom_counts")
+
+    def __init__(self, algebra_size: int, regular_elements: int, quotient_size: int, isomorphic: bool,
+                 section_ok: bool, hom_counts: list[dict]):
+        self.algebra_size, self.regular_elements, self.quotient_size = algebra_size, regular_elements, quotient_size
+        self.isomorphic, self.section_ok, self.hom_counts = isomorphic, section_ok, hom_counts
 
     @property
     def passed(self) -> bool:
         return self.isomorphic and self.section_ok and all(h["equal"] for h in self.hom_counts)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**{name: getattr(self, name) for name in self.__slots__}, "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [
@@ -443,14 +450,14 @@ def find_adjoint_report(H: FiniteAlgebra) -> AdjointReport:
     return AdjointReport(H.size, B.size, Q.size, iso, section_check(H), hom_counts)
 
 
-@dataclass
 class SweepReport:
-    context: str
-    bounds: dict
-    universe_size: int
-    exhaustive_checked: int
-    sampled_checked: int
-    disagreements: list[dict]
+    __slots__ = ("context", "bounds", "universe_size", "exhaustive_checked", "sampled_checked", "disagreements")
+
+    def __init__(self, context: str, bounds: dict, universe_size: int, exhaustive_checked: int,
+                 sampled_checked: int, disagreements: list[dict]):
+        self.context, self.bounds, self.universe_size = context, bounds, universe_size
+        self.exhaustive_checked, self.sampled_checked = exhaustive_checked, sampled_checked
+        self.disagreements = disagreements
 
     @property
     def passed(self) -> bool:

@@ -13,7 +13,6 @@ certified entry draws nothing."""
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .algebra import FiniteAlgebra
@@ -23,7 +22,6 @@ from .semantics import LogicMorphism, LogicSpec, Matrix, if_condition
 from .syntax import print_formula, random_formula
 
 
-@dataclass
 class Corpus:
     """Explicit finite data standing in for the proper classes the theory
     quantifies over. ``overrides`` is for fault injection: keyed by a pool
@@ -37,30 +35,40 @@ class Corpus:
     certificate unless the tampering keeps the paper's lemma true, and only
     failed entries are evaluated."""
 
-    logics: dict[str, LogicSpec] = field(default_factory=dict)
-    pairs: dict[str, AlgebraizingPair] = field(default_factory=dict)
-    morphisms: list[tuple[str, LogicMorphism]] = field(default_factory=list)
-    matrices: dict[str, list[Matrix]] = field(default_factory=dict)
-    reduced_matrices: dict[str, list[Matrix]] = field(default_factory=dict)
-    algebras: dict[str, list[FiniteAlgebra]] = field(default_factory=dict)
-    contexts: list[tuple[str, GlivenkoContext]] = field(default_factory=list)
-    overrides: dict[tuple[str, str, int], Matrix | FiniteAlgebra] = field(default_factory=dict)
+    __slots__ = ("logics", "pairs", "morphisms", "matrices", "reduced_matrices", "algebras", "contexts",
+                 "overrides")
+
+    def __init__(self, logics: dict[str, LogicSpec] | None = None,
+                 pairs: dict[str, AlgebraizingPair] | None = None,
+                 morphisms: list[tuple[str, LogicMorphism]] | None = None,
+                 matrices: dict[str, list[Matrix]] | None = None,
+                 reduced_matrices: dict[str, list[Matrix]] | None = None,
+                 algebras: dict[str, list[FiniteAlgebra]] | None = None,
+                 contexts: list[tuple[str, GlivenkoContext]] | None = None,
+                 overrides: dict[tuple[str, str, int], Matrix | FiniteAlgebra] | None = None):
+        self.logics = {} if logics is None else logics
+        self.pairs = {} if pairs is None else pairs
+        self.morphisms = [] if morphisms is None else morphisms
+        self.matrices = {} if matrices is None else matrices
+        self.reduced_matrices = {} if reduced_matrices is None else reduced_matrices
+        self.algebras = {} if algebras is None else algebras
+        self.contexts = [] if contexts is None else contexts
+        self.overrides = {} if overrides is None else overrides
 
 
-@dataclass
 class InstitutionReport:
-    kind: str
-    samples: int
-    checked: int
-    violations: list[dict]
-    config: dict
+    __slots__ = ("kind", "samples", "checked", "violations", "config")
+
+    def __init__(self, kind: str, samples: int, checked: int, violations: list[dict], config: dict):
+        self.kind, self.samples, self.checked = kind, samples, checked
+        self.violations, self.config = violations, config
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**{name: getattr(self, name) for name in self.__slots__}, "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [

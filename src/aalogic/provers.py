@@ -52,18 +52,32 @@ still proved by G4ip.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, all_rows, equation_rows, frame_valuation, value_vector
-from .syntax import BUILTIN_SIGNATURE, Formula, Var, formula_over
+from .syntax import BUILTIN_SIGNATURE, Formula, Var, _frozen, _value_eq, _value_hash, formula_over
 
 
-@dataclass(frozen=True)
 class Equation:
-    lhs: Formula
-    rhs: Formula
+    """A frozen record. ``qv_axioms`` drops repeated equations by hash, so its
+    ``__eq__`` and ``__hash__`` read the two fields directly."""
+
+    __slots__ = ("lhs", "rhs")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        return self.lhs == other.lhs and self.rhs == other.rhs if other.__class__ is Equation else NotImplemented
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
+
+    def __reduce__(self):
+        return Equation, (self.lhs, self.rhs)
 
     def __repr__(self):
         return f"{self.lhs!r} == {self.rhs!r}"
@@ -331,12 +345,25 @@ def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
 # Kripke countermodel search (sound refuter, exhaustive up to a world bound)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class KripkeModel:
-    worlds: int
-    up: tuple[int, ...]          # up[w] = bitmask of successors (reflexive, transitive)
-    valuation: dict              # var index -> bitmask of worlds (an upset)
-    world: int                   # world where the premises hold and the goal fails
+    """A frozen record; its dict valuation leaves it unhashable."""
+
+    __slots__ = ("worlds", "up", "valuation", "world")
+    __setattr__ = __delattr__ = _frozen
+    __eq__, __hash__ = _value_eq, _value_hash
+
+    def __init__(self, worlds: int, up: tuple[int, ...], valuation: dict, world: int):
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "up", up)                # up[w] = bitmask of successors (reflexive, transitive)
+        object.__setattr__(self, "valuation", valuation)  # var index -> bitmask of worlds (an upset)
+        object.__setattr__(self, "world", world)          # world where the premises hold and the goal fails
+
+    def __reduce__(self):
+        return KripkeModel, (self.worlds, self.up, self.valuation, self.world)
+
+    def __repr__(self):
+        return (f"KripkeModel(worlds={self.worlds!r}, up={self.up!r}, "
+                f"valuation={self.valuation!r}, world={self.world!r})")
 
 
 def _rooted_partial_orders(n: int):

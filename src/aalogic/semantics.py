@@ -4,7 +4,6 @@ the satisfaction condition of If with its per-sentence check."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -15,20 +14,27 @@ from .syntax import (
     FlexibleMorphism,
     Formula,
     Signature,
+    _frozen,
+    _value_eq,
+    _value_hash,
     enumerate_formulas,
     extend_morphism,
     formula_over,
 )
 
-@dataclass(frozen=True)
 class Matrix:
     """An algebra with a designated subset of truth values."""
 
-    algebra: FiniteAlgebra
-    filter: frozenset[int]
+    __slots__ = ("algebra", "filter")
+    __setattr__ = __delattr__ = _frozen
+    __eq__, __hash__ = _value_eq, _value_hash
 
-    def __post_init__(self):
-        object.__setattr__(self, "filter", frozenset(_carrier_subset(self.algebra, self.filter)))
+    def __init__(self, algebra: FiniteAlgebra, filter: Iterable[int]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "filter", frozenset(_carrier_subset(algebra, filter)))
+
+    def __reduce__(self):
+        return Matrix, (self.algebra, self.filter)
 
     def __repr__(self):
         return f"Matrix(size={self.algebra.size}, filter={sorted(self.filter)})"
@@ -159,18 +165,23 @@ def reduct(h: FlexibleMorphism, M: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(h.source, M.size, tables)
 
 
-@dataclass(frozen=True)
 class LogicMorphism:
     """A flexible morphism between the signatures of two logics, intended to
     preserve consequence (checked only on bounded instances)."""
 
-    source: LogicSpec
-    target: LogicSpec
-    morphism: FlexibleMorphism
+    __slots__ = ("source", "target", "morphism")
+    __setattr__ = __delattr__ = _frozen
+    __eq__, __hash__ = _value_eq, _value_hash
 
-    def __post_init__(self):
-        if self.morphism.source != self.source.signature or self.morphism.target != self.target.signature:
+    def __init__(self, source: LogicSpec, target: LogicSpec, morphism: FlexibleMorphism):
+        if morphism.source != source.signature or morphism.target != target.signature:
             raise ValueError("morphism signatures do not match the logics")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "morphism", morphism)
+
+    def __reduce__(self):
+        return LogicMorphism, (self.source, self.target, self.morphism)
 
     def translate(self, phi: Formula) -> Formula:
         return extend_morphism(self.morphism, phi)

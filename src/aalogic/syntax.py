@@ -142,6 +142,21 @@ def _integer(value, what: str) -> int:
     return value
 
 
+# Methods of the frozen records (``provers.Equation``, ``semantics.Matrix``,
+# ...), which set their slots through ``object.__setattr__``: they refuse
+# assignment, and compare and hash by what their ``__reduce__`` rebuilds them from.
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _value_eq(self, other):
+    return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+
+def _value_hash(self):
+    return hash(self.__reduce__())
+
+
 class Signature:
     """An ordered list of connectives (name, arity); the order is canonical."""
 

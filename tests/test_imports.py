@@ -1,9 +1,13 @@
 """Every name a package module imports is used in that module, so a removal
 leaves no import behind. The package's ``__init__`` re-exports what it
 imports, and ``from __future__`` imports are directives, not names. Every
-module the package imports from outside itself is in the standard library."""
+module the package imports from outside itself is in the standard library.
+Importing the command line loads none of the slow standard modules that
+``dataclasses`` brings in."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +73,36 @@ def test_every_absolute_import_is_in_the_standard_library(path):
 def test_the_check_sees_a_third_party_import():
     tree = ast.parse("import os.path\nfrom numpy import array\nfrom .syntax import Var\n")
     assert absolute_imports(tree) == {"os": 1, "numpy": 2}
+
+
+# each is imported by dataclasses (inspect, and through it ast, dis and
+# tokenize) and would add its own import time to every command
+SLOW_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+LOADED_PROBE = """
+import sys
+before = set(sys.modules)
+import {module}
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def loaded_by(module: str) -> set[str]:
+    """The modules that importing ``module`` adds to a fresh interpreter's
+    ``sys.modules``. The interpreter skips the ``site`` module (``-S``), so
+    what a site customisation imports at start-up is neither counted nor
+    hidden."""
+    path = [str(INIT.parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-S", "-c", LOADED_PROBE.format(module=module)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_the_command_line_loads_no_slow_module():
+    loaded = loaded_by("aalogic.cli")
+    assert "aalogic.cli" in loaded
+    assert loaded & SLOW_MODULES == set()
+
+
+def test_the_check_sees_a_slow_module():
+    assert loaded_by("dataclasses") >= SLOW_MODULES
