@@ -20,10 +20,10 @@ check is an AND and a mask test whose lowest set bit is the first violating
 valuation.
 
 Everything that depends on one algebra alone is memoised on that algebra
-instance, in ``A._memo``:
+instance, in ``A._memo`` (formulas in its keys hash and compare by identity):
 
 - value vectors, keyed ``(frame, phi)``, and equation masks, keyed
-  ``(frame, lhs, rhs)``, whose formulas hash and compare by identity;
+  ``(frame, lhs, rhs)``, also read directly by ``provers.quasiidentity_holds``;
 - the sorted unary-polynomial clone, read through ``_polynomials`` by
   ``leibniz`` and ``congruence_generated``, and the congruence list (for
   ``leibniz_bruteforce``, which must not share the clone);

@@ -12,7 +12,7 @@ from functools import partial
 from typing import Iterable, Optional
 
 from .algebra import FiniteAlgebra, _invariant
-from .provers import Equation, equational_consequence
+from .provers import Equation, equational_consequence, quasiidentity_holds
 from .semantics import LogicSpec, consequence
 from .syntax import (
     BUILTIN_SIGNATURE,
@@ -473,4 +473,4 @@ def qv_membership(cls_name: str, A: FiniteAlgebra) -> bool:
     laws = HEYTING_IDENTITIES + (IFF_IDENTITY,) * ("iff" in A.tables)
     laws += (EXCLUDED_MIDDLE,) * (cls_name == "boolean")
     return _invariant(A, ("qv_membership", cls_name),
-                      lambda A: all(equational_consequence([A], (), law) for law in laws))
+                      lambda A: all(quasiidentity_holds(A, (), law) for law in laws))

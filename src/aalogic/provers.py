@@ -1,7 +1,8 @@
 """Exact decision procedures: classical and intuitionistic provability over
 {neg, imp, and, or, iff}, a Kripke countermodel search usable as an
 independent refutation oracle, and equational consequence over finite
-algebra classes. The first three refuse every other connective in one guard.
+algebra classes, decided one algebra at a time by ``quasiidentity_holds``.
+The first three refuse every other connective in one guard.
 
 Classical consequence over x0..x3 is a bit-parallel truth table over one
 fixed frame of 16 rows, memoised on each node. A query that mentions a
@@ -476,19 +477,23 @@ def equational_consequence(
     """For every algebra in K and every valuation satisfying all premise
     equations, the conclusion equation holds."""
     gamma = tuple(gamma)
-    frame = eq.lhs.vmask | eq.rhs.vmask
-    for e in gamma:
-        frame |= e.lhs.vmask | e.rhs.vmask
-    for A in K:
-        ok = all_rows(A, frame)
-        for e in gamma:
-            ok &= equation_rows(A, e.lhs, e.rhs, frame)
-        if ok & ~equation_rows(A, eq.lhs, eq.rhs, frame):
-            return False
-    return True
+    return all(quasiidentity_holds(A, gamma, eq) for A in K)
 
 
 def quasiidentity_holds(
     A: FiniteAlgebra, premises: Iterable[Equation], conclusion: Equation
 ) -> bool:
-    return equational_consequence([A], premises, conclusion)
+    """Equational consequence in one algebra, the kernel of
+    ``equational_consequence``. Each equation's row mask is read directly from
+    ``A._memo`` under ``equation_rows``' key, which is called only on a miss or
+    a stored 0. Every premise is evaluated, in order, then the conclusion, so
+    a connective A lacks raises ``ValueError`` wherever it occurs."""
+    premises = tuple(premises)
+    frame = conclusion.lhs.vmask | conclusion.rhs.vmask
+    for e in premises:
+        frame |= e.lhs.vmask | e.rhs.vmask
+    memo, ok = A._memo, all_rows(A, frame)
+    for e in premises:
+        ok &= memo.get((frame, e.lhs, e.rhs)) or equation_rows(A, e.lhs, e.rhs, frame)
+    lhs, rhs = conclusion.lhs, conclusion.rhs
+    return not ok & ~(memo.get((frame, lhs, rhs)) or equation_rows(A, lhs, rhs, frame))

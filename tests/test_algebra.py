@@ -22,6 +22,7 @@ from aalogic import (
     is_reduced,
     leibniz,
     leibniz_bruteforce,
+    quasiidentity_holds,
     quotient,
     qv_membership,
     reduce_matrix,
@@ -668,19 +669,37 @@ class TestEvaluationKernel:
                     assert list(witness.items()) == list(expected.items())
         assert found > 100
 
-    def test_equational_consequence_over_one_and_two_algebras(self, kernel_algebras):
+    def test_equational_consequence_over_one_and_two_algebras(self, kernel_algebras, F):
         rng = random.Random(403)
         algebras = list(kernel_algebras.values())
-        verdicts = set()
-        for _ in range(400):
+        boolean = (kernel_algebras["B2"], kernel_algebras["B4"])
+        # x0 = neg(x0) holds in no row of B2 or B4, so its stored mask is 0
+        nowhere = Equation(F("x0"), F("neg(x0)"))
+        verdicts, zero_masks_read = set(), 0
+        for i in range(400):
             A, B = rng.choice(algebras), rng.choice(algebras)
             gamma = tuple(Equation(draw(rng, 2), draw(rng, 2)) for _ in range(rng.randrange(3)))
+            gamma += (nowhere,) * (i % 4 == 0)
             eq = Equation(draw(rng, 3), draw(rng, 3))
+            frame = 0
+            for e in gamma + (eq,):
+                frame |= e.lhs.vmask | e.rhs.vmask
             for K in ([A], [A, B]):
                 expected = oracle_equational_consequence(K, gamma, eq)
-                assert equational_consequence(K, gamma, eq) == expected
+                for again in (False, True):  # the second time every mask comes from the memo
+                    entries = [len(C._memo) for C in K]
+                    assert equational_consequence(K, gamma, eq) == expected
+                    for C in K:
+                        assert quasiidentity_holds(C, gamma, eq) == oracle_equational_consequence([C], gamma, eq)
+                    if again:
+                        assert [len(C._memo) for C in K] == entries
                 verdicts.add(expected)
+            if nowhere in gamma and A in boolean:
+                assert A._memo[frame, nowhere.lhs, nowhere.rhs] == 0
+                assert equational_consequence([A], gamma, eq)
+                zero_masks_read += 1
         assert verdicts == {True, False}
+        assert zero_masks_read > 10
 
     def test_reduct_tables(self, kernel_algebras):
         rng = random.Random(404)

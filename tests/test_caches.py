@@ -10,8 +10,8 @@ import weakref
 
 import aalogic
 from aalogic import BUILTIN_SIGNATURE, FiniteAlgebra, Matrix, corpus, parse_formula
-from aalogic.algebra import all_filters, filter_closure, is_filter, theorem_values
-from aalogic.algebraization import delta_translate, qv_membership, tau_translate
+from aalogic.algebra import MEMO_LIMIT, all_filters, filter_closure, is_filter, theorem_values
+from aalogic.algebraization import delta_translate, qv_axioms, qv_membership, tau_translate
 from aalogic.glivenko import (
     find_adjoint_report,
     left_adjoint_quotient,
@@ -20,7 +20,7 @@ from aalogic.glivenko import (
     regular_elements,
     rho_translate,
 )
-from aalogic.provers import Equation
+from aalogic.provers import Equation, quasiidentity_holds
 from aalogic.syntax import extend_morphism, random_formula
 
 # The process-wide containers the package keeps on purpose: the prover's
@@ -71,6 +71,17 @@ def test_no_algebra_outlives_its_last_user(ipc):
     del algebras, H
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_a_second_pass_over_the_quasivariety_reads_only_the_memo(cpc):
+    H3 = corpus.h3()
+    axioms = qv_axioms(cpc, corpus.classical_pair(), depth=3, num_vars=2)
+    first = [quasiidentity_holds(H3, q.premises, q.conclusion) for q in axioms]
+    entries = len(H3._memo)  # 5,741 masks and vectors
+    second = [quasiidentity_holds(H3, q.premises, q.conclusion) for q in axioms]
+    assert len(H3._memo) == entries < MEMO_LIMIT
+    assert second == first
+    assert first.count(False) == 3456
 
 
 def test_module_level_containers_are_the_allowlist():

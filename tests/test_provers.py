@@ -699,6 +699,22 @@ class TestEquational:
         assert equational_consequence([b2], (), eq)
         assert not equational_consequence([b2, h3], (), eq)
 
+    def test_every_premise_is_evaluated(self, b2):
+        # the conclusion holds in every row, and the premise still raises
+        premise, refl = Equation(App("box", (Var(0),)), Var(0)), Equation(Var(0), Var(0))
+        with pytest.raises(ValueError, match="box not interpreted"):
+            quasiidentity_holds(b2, (premise,), refl)
+        with pytest.raises(ValueError, match="box not interpreted"):
+            equational_consequence([b2], iter((premise,)), refl)
+
+    def test_the_empty_class_satisfies_everything(self, b2, F):
+        never = Equation(F("x0"), F("neg(x0)"))
+        assert equational_consequence([], (), never)
+        assert equational_consequence([], (Equation(App("box", (Var(0),)), Var(0)),), never)
+        # a premise that holds in no row is the one-algebra counterpart
+        assert not quasiidentity_holds(b2, (), never)
+        assert quasiidentity_holds(b2, iter((never,)), Equation(Var(0), Var(1)))
+
 
 class TestLukasiewiczLogic:
     def test_implicative(self, l3, F):
