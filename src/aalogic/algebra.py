@@ -49,6 +49,11 @@ checks one given map (quotients, the unit, the certificates). The
 unary-polynomial clone is the closure of the identity under composition
 with the basic translations x -> c(a1, .., x, .., ak).
 
+A partition has one form, its least-representative map: ``from_pairs``
+merges two blocks by relabelling the larger representative to the smaller,
+and the oracle ``all_congruences`` walks the maps in lexicographic order. It
+refuses carriers of more than 8 elements, as ``all_filters`` does.
+
 ``evaluate`` handles one valuation.
 """
 
@@ -303,19 +308,12 @@ class Congruence:
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Congruence":
-        parent = list(range(size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        rep = list(range(size))
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return cls(size, tuple(find(i) for i in range(size)))
+            lo, hi = sorted((rep[a], rep[b]))
+            if lo != hi:
+                rep = [lo if r == hi else r for r in rep]
+        return cls(size, rep)
 
     @classmethod
     def identity(cls, size: int) -> "Congruence":
@@ -390,31 +388,25 @@ def congruence_generated(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> 
 
 
 def all_congruences(A: FiniteAlgebra) -> list[Congruence]:
-    """Every congruence of A, by brute force over all partitions."""
+    """Every congruence of A, by brute force over all partitions in the
+    lexicographic order of their maps: element i joins an earlier block, in
+    ascending order of representatives, or starts its own. At most 8 elements."""
+    n = A.size
+    if n > 8:
+        raise ValueError("carrier too large for exhaustive congruence enumeration (> 8)")
     out = []
-    for rgs in _restricted_growth_strings(A.size):
-        first_of: dict[int, int] = {}
-        rep = []
-        for i, label in enumerate(rgs):
-            rep.append(first_of.setdefault(label, i))
-        theta = Congruence(A.size, rep)
-        if is_congruence(A, theta):
-            out.append(theta)
-    return out
-
-
-def _restricted_growth_strings(n: int):
-    string = [0] * n
-
-    def rec(i: int, max_label: int):
+    stack = [(0,)]
+    while stack:
+        rep = stack.pop()
+        i = len(rep)
         if i == n:
-            yield tuple(string)
-            return
-        for label in range(max_label + 2):
-            string[i] = label
-            yield from rec(i + 1, max(max_label, label))
-
-    yield from rec(1, 0) if n > 0 else iter(())
+            theta = Congruence(n, rep)
+            if is_congruence(A, theta):
+                out.append(theta)
+        else:
+            # pushed in reverse, so the lowest representative is popped first
+            stack.extend(rep + (r,) for r in range(i, -1, -1) if r == i or rep[r] == r)
+    return out
 
 
 def quotient(A: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -431,8 +423,10 @@ def quotient(A: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, tuple[
 
 
 def compatible(theta: Congruence, F: Iterable[int]) -> bool:
+    """Whether F is a union of blocks: F holds every element sharing a representative with it."""
     F = set(F)
-    return all(b in F for a in F for b in range(theta.size) if theta.related(a, b))
+    reps = {theta.rep[a] for a in F}
+    return all(b in F for b, r in enumerate(theta.rep) if r in reps)
 
 
 def unary_polynomials(A: FiniteAlgebra) -> set[tuple[int, ...]]:
@@ -494,7 +488,7 @@ def leibniz_bruteforce(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
     F = _carrier_subset(A, F)
     thetas = _invariant(A, ("all_congruences",), lambda A: tuple(all_congruences(A)))
     compat = [theta for theta in thetas if compatible(theta, F)]
-    best = max(compat, key=lambda t: sum(1 for a in range(t.size) for b in range(t.size) if t.related(a, b)))
+    best = min(compat, key=Congruence.num_blocks)
     if not all(best.contains(theta) for theta in compat):
         raise RuntimeError("no greatest compatible congruence found; algebra encoding is broken")
     return best

@@ -953,6 +953,16 @@ class TestRepresentativeAlgebrasAgainstReference:
                 assert outcome(quotient, A, theta) == outcome(ref_quotient, A, theta), (A, theta)
         assert verdicts == {True, False}
 
+    def test_all_congruences_walks_the_partitions_in_order(self):
+        for A in representative_pool():
+            assert all_congruences(A) == [t for t in partitions(A.size) if ref_is_congruence(A, t)], A
+
+    def test_every_partition_is_a_congruence_of_the_identity_map(self):
+        # the Bell numbers
+        sig = Signature([("id", 1)])
+        counts = [len(all_congruences(FiniteAlgebra(sig, n, {"id": range(n)}))) for n in range(1, 7)]
+        assert counts == [1, 2, 5, 15, 52, 203]
+
     def test_regular_elements_and_unit_map(self):
         outcomes = []
         for A in representative_pool():
@@ -976,3 +986,64 @@ class TestRepresentativeAlgebrasAgainstReference:
             for check in (is_congruence, quotient):
                 with pytest.raises(ValueError, match="^partition size mismatch$"):
                     check(b2, theta)
+
+
+def ref_equivalence_closure(n: int, pairs) -> list[list[bool]]:
+    """The least equivalence relation holding the pairs, as a matrix: the
+    reflexive and symmetric relation closed by Warshall's algorithm."""
+    R = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in pairs:
+        R[a][b] = R[b][a] = True
+    for k in range(n):
+        for i in range(n):
+            if R[i][k]:
+                R[i] = [x or y for x, y in zip(R[i], R[k])]
+    return R
+
+
+class TestCongruenceFromPairs:
+    def test_against_warshall(self):
+        rng = random.Random(4003)
+        total = set()  # whether the pairs relate everything
+        for trial in range(2000):
+            n = trial % 8 + 1
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+            if pairs:
+                a, b = rng.choice(pairs)
+                pairs += [(a, b), (b, a), (a, a)]  # a repeat, both orders and a self-pair
+            rng.shuffle(pairs)
+            R = ref_equivalence_closure(n, pairs)
+            theta = Congruence.from_pairs(n, pairs)
+            assert [[theta.related(a, b) for b in range(n)] for a in range(n)] == R, (n, pairs)
+            assert theta.rep == tuple(row.index(True) for row in R), (n, pairs)
+            total.add(theta.num_blocks() == 1)
+        assert total == {True, False}
+
+    def test_repr_and_hash(self):
+        theta = Congruence.from_pairs(4, [(3, 1)])
+        assert repr(theta) == "Congruence(0|1,3|2)"
+        same = Congruence.from_pairs(4, [(1, 3), (3, 3), (3, 1)])
+        assert same == theta and hash(same) == hash(theta) == hash(Congruence(4, (0, 1, 2, 1)))
+        assert len({theta, same, Congruence.identity(4)}) == 2
+
+
+class TestExhaustiveBounds:
+    """``all_filters`` and ``all_congruences`` (with ``leibniz_bruteforce``,
+    which reads it) enumerate at most 8 elements."""
+
+    def test_eight_elements_are_enumerated(self, ipc):
+        A = corpus.heyting_chain(8)
+        assert len(all_filters(ipc, A)) == 8
+        # a Heyting algebra's congruences correspond to its filters
+        assert len(all_congruences(A)) == 8
+        assert leibniz_bruteforce(A, {7}).is_identity()
+
+    def test_nine_elements_are_refused(self, ipc):
+        A = corpus.heyting_chain(9)
+        with pytest.raises(ValueError, match=r"^carrier too large for exhaustive filter enumeration \(> 8\)$"):
+            all_filters(ipc, A)
+        for enumerate_congruences in (all_congruences, lambda A: leibniz_bruteforce(A, {8})):
+            with pytest.raises(ValueError,
+                               match=r"^carrier too large for exhaustive congruence enumeration \(> 8\)$"):
+                enumerate_congruences(A)
+        assert leibniz(A, {8}).is_identity()

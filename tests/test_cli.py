@@ -140,6 +140,15 @@ class TestCheck:
         assert out.returncode == 0
         assert "identity: true" in out.stdout
 
+    def test_leibniz_oracle_refuses_nine_elements(self, tmp_path):
+        from aalogic import corpus
+
+        path = tmp_path / "chain9.json"
+        path.write_text(json.dumps(corpus.heyting_chain(9).to_json()))
+        out = run("check", "leibniz", "--algebra", str(path), "--filter", "8")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: carrier too large for exhaustive congruence enumeration (> 8)\n"
+
     def test_adjoint(self):
         out = run("check", "adjoint", "--algebra", "data/H3.json")
         assert out.returncode == 0
