@@ -310,6 +310,8 @@ class Congruence:
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Congruence":
         rep = list(range(size))
         for a, b in pairs:
+            if not (0 <= a < size and 0 <= b < size):
+                raise ValueError(f"element out of range: {(a, b)}")
             lo, hi = sorted((rep[a], rep[b]))
             if lo != hi:
                 rep = [lo if r == hi else r for r in rep]
@@ -423,10 +425,11 @@ def quotient(A: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, tuple[
 
 
 def compatible(theta: Congruence, F: Iterable[int]) -> bool:
-    """Whether F is a union of blocks: F holds every element sharing a representative with it."""
+    """Whether F is a union of blocks: each element is in F exactly when its representative is."""
     F = set(F)
-    reps = {theta.rep[a] for a in F}
-    return all(b in F for b, r in enumerate(theta.rep) if r in reps)
+    if not F.issubset(range(theta.size)):
+        raise ValueError(f"element out of range: {min(F.difference(range(theta.size)))}")
+    return all((b in F) == (r in F) for b, r in enumerate(theta.rep))
 
 
 def unary_polynomials(A: FiniteAlgebra) -> set[tuple[int, ...]]:

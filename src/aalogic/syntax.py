@@ -28,6 +28,10 @@ parser still rejects formulas nested deeper than MAX_FORMULA_DEPTH, so that
 the recursive substitution and evaluation stay well within the
 interpreter's recursion limit on any parsed formula. It rejects variable indices above
 MAX_VARIABLE_INDEX as well.
+
+``enumerate_formulas`` builds layer d from the tuples over layers 1..d-1 that
+meet layer d-1. It counts first, c_d = c_{d-1} + sum over arities a > 0 of
+(c_{d-1}^a - c_{d-2}^a), and refuses past MAX_UNIVERSE or MAX_FORMULA_DEPTH.
 """
 
 from __future__ import annotations
@@ -35,13 +39,16 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _VAR_RE = re.compile(r"x[0-9]+\Z")
 
 MAX_FORMULA_DEPTH = 200
+# the most formulas enumerate_formulas builds: (6,3) over the built-in
+# signature, 97,506 of them, takes 0.22 s and 25 MB (2 vCPUs, Python 3.11)
+MAX_UNIVERSE = 100_000
 # Bit i of a node's vmask stands for x_i, so a variable costs index / 8 bytes
 # in every node above it, and frame walks (algebra.frame_valuation) step
 # through every bit below the highest variable. Every formula in the
@@ -411,6 +418,19 @@ def compose_morphisms(g: FlexibleMorphism, f: FlexibleMorphism) -> FlexibleMorph
     return FlexibleMorphism(f.source, g.target, assignment)
 
 
+def _universe_size(sig: Signature, num_vars: int, max_depth: int) -> int:
+    """len(enumerate_formulas(...)), or some number above MAX_UNIVERSE once the count passes it."""
+    arities = [arity for _, arity in sig.connectives if arity]
+    # c counts the layers so far, b all but the last. Past the limit's bit
+    # length, c^a - b^a exceeds the limit when c >= 2 and is 1 when c = 1 (b = 0),
+    # so capping the exponent there changes no verdict
+    cap = MAX_UNIVERSE.bit_length() + 1
+    depth, b, c = 1, 0, num_vars + len(sig.connectives) - len(arities)
+    while depth < max_depth and c <= MAX_UNIVERSE:
+        depth, b, c = depth + 1, c, c + sum(c ** min(a, cap) - b ** min(a, cap) for a in arities)
+    return c
+
+
 def enumerate_formulas(sig: Signature, num_vars: int, max_depth: int) -> list[Formula]:
     """All formulas with variables among x0..x_{num_vars-1} and depth <= max_depth.
 
@@ -418,37 +438,16 @@ def enumerate_formulas(sig: Signature, num_vars: int, max_depth: int) -> list[Fo
     """
     if num_vars < 1 or max_depth < 1:
         raise ValueError("bounds must be >= 1")
-    atoms = [Var(i) for i in range(num_vars)]
-    atoms += [App(name, ()) for name, arity in sig.connectives if arity == 0]
-    by_depth: list[list[Formula]] = [atoms]
-    everything = list(atoms)
+    if max_depth > MAX_FORMULA_DEPTH or _universe_size(sig, num_vars, max_depth) > MAX_UNIVERSE:
+        raise ValueError(f"bounds vars={num_vars}, depth={max_depth} exceed the limits of"
+                         f" {MAX_UNIVERSE:,} formulas and depth {MAX_FORMULA_DEPTH}")
+    layers = [[Var(i) for i in range(num_vars)] + [App(name, ()) for name, arity in sig.connectives if arity == 0]]
     for _depth in range(2, max_depth + 1):
-        shallower = [phi for layer in by_depth for phi in layer]
-        deepest = by_depth[-1]
-        layer: list[Formula] = []
-        for name, arity in sig.connectives:
-            if arity == 0:
-                continue
-            layer.extend(
-                App(name, args)
-                for args in _tuples_with_max(shallower, deepest, arity)
-            )
-        by_depth.append(layer)
-        everything.extend(layer)
-    return everything
-
-
-def _tuples_with_max(pool: list[Formula], deepest: list[Formula], arity: int) -> Iterator[tuple[Formula, ...]]:
-    # tuples over pool with at least one component in the deepest layer,
-    # enumerated in plain product order over the pool
-    deepest_set = set(deepest)
-    if arity == 1:
-        for a in deepest:
-            yield (a,)
-        return
-    for args in itertools.product(pool, repeat=arity):
-        if any(a in deepest_set for a in args):
-            yield args
+        pool = [phi for layer in layers for phi in layer]
+        deepest = set(layers[-1])
+        layers.append([App(name, args) for name, arity in sig.connectives if arity
+                       for args in itertools.product(pool, repeat=arity) if not deepest.isdisjoint(args)])
+    return [phi for layer in layers for phi in layer]
 
 
 def random_formula(rng, sig: Signature, num_vars: int, max_depth: int) -> Formula:

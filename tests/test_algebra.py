@@ -1026,6 +1026,17 @@ class TestCongruenceFromPairs:
         assert same == theta and hash(same) == hash(theta) == hash(Congruence(4, (0, 1, 2, 1)))
         assert len({theta, same, Congruence.identity(4)}) == 2
 
+    # -1 once read the last element (merging 0 with 2), and size raised IndexError
+    @pytest.mark.parametrize("element", [-1, 3])
+    def test_an_element_outside_the_carrier_is_refused(self, element):
+        with pytest.raises(ValueError, match=r"^element out of range: "):
+            Congruence.from_pairs(3, [(element, 0)])
+        with pytest.raises(ValueError, match=r"^element out of range: "):
+            Congruence.from_pairs(3, [(1, 1), (0, element)])
+        with pytest.raises(ValueError, match=rf"^element out of range: {element}$"):
+            compatible(Congruence.identity(3), {0, element})
+        assert compatible(Congruence.identity(3), {0, 2}) and not compatible(Congruence(3, (0, 1, 0)), {0})
+
 
 class TestExhaustiveBounds:
     """``all_filters`` and ``all_congruences`` (with ``leibniz_bruteforce``,

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,41 @@ class TestCheck:
         out = run("check", "institution", "--context", "identity")
         assert out.returncode == 2
         assert "unrecognized arguments" in out.stderr
+
+
+def wide_logic():
+    """A logic with one 40-ary connective on a one-element matrix: depth 2
+    over two variables holds 2 + 2**40 formulas."""
+    table = 0
+    for _ in range(40):
+        table = [table]
+    return {"signature": {"connectives": [{"name": "w", "arity": 40}]},
+            "engine": {"kind": "matrix", "matrices": [{"algebra": {"size": 1, "tables": {"w": table}}, "filter": [0]}]}}
+
+
+class TestUniverseLimit:
+    """Bounds whose formula universe is over syntax.MAX_UNIVERSE are refused
+    before a formula is built. They once ran until memory ran out (exit 1
+    with a MemoryError), or did not end."""
+
+    @pytest.mark.parametrize("args, bounds", [
+        (["check", "lindenbaum", "--vars", "2", "--depth", "4"], "vars=2, depth=4"),
+        (["glivenko", "--exhaustive", "--vars", "2", "--depth", "4"], "vars=2, depth=4"),
+        (["check", "bp", "--vars", "9", "--depth", "3"], "vars=9, depth=3"),
+        (["check", "bp", "--logic", "{wide}"], "vars=2, depth=2"),
+    ])
+    def test_a_universe_over_the_limit_exits_2_at_once(self, args, bounds, tmp_path, capsys):
+        from aalogic.cli import main
+
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(wide_logic()))
+        start = time.perf_counter()
+        code = main([arg.format(wide=wide) for arg in args])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: bounds {bounds} exceed the limits of 100,000 formulas and depth 200\n"
+        assert elapsed < 1.0
 
 
 def b2_json():

@@ -27,11 +27,14 @@ from aalogic.algebraization import is_lindenbaum
 from aalogic.glivenko import glivenko_sweep
 from aalogic.institutions import _random_sentence
 from aalogic.semantics import BUILTIN_SIGNATURE
+from aalogic import syntax
 from aalogic.syntax import (
     _VAR_RE,
     MAX_FORMULA_DEPTH,
+    MAX_UNIVERSE,
     MAX_VARIABLE_INDEX,
     Formula,
+    _universe_size,
     formula_over,
     random_formula,
 )
@@ -253,6 +256,51 @@ class TestMorphisms:
             assert lhs == rhs
 
 
+# signatures for the enumeration tests: nullary connectives before, between
+# and after positive arities, and a ternary one
+ENUMERATED = {
+    "builtin": BUILTIN_SIGNATURE,
+    "neg_imp": Signature([("neg", 1), ("imp", 2)]),
+    "top_m": Signature([("top", 0), ("m", 3)]),
+    "mixed": Signature([("m", 3), ("bot", 0), ("neg", 1), ("top", 0), ("imp", 2)]),
+}
+
+
+def ref_universe_size(sig, num_vars, max_depth):
+    """The number of formulas by the recurrence at full exponents. Past 2**64
+    it stops at a shallower depth, whose count is already above every limit
+    tested and below the true one."""
+    arities = [a for _, a in sig.connectives if a]
+    below, count = 0, num_vars + len(sig.connectives) - len(arities)
+    for _ in range(2, max_depth + 1):
+        if count > 2**64:
+            break
+        below, count = count, count + sum(count**a - below**a for a in arities)
+    return count
+
+
+def ref_enumeration(sig, num_vars, max_depth):
+    """Every formula within the bounds by brute force: each connective over
+    every tuple of the formulas one level down, collected as a set. Then
+    sorted by depth, then the connective's signature position, then the
+    arguments' own keys from left to right; variables come before nullary
+    connectives."""
+    atoms = [Var(i) for i in range(num_vars)] + [App(n, ()) for n, a in sig.connectives if a == 0]
+    formulas = set(atoms)
+    for _ in range(2, max_depth + 1):
+        below = list(formulas)
+        formulas.update(App(n, args) for n, a in sig.connectives for args in itertools.product(below, repeat=a))
+    position = {name: i for i, name in enumerate(sig.names)}
+    keys = {phi: (1, i) for i, phi in enumerate(atoms)}
+
+    def key(phi):
+        if phi not in keys:
+            keys[phi] = (ref_depth(phi), position[phi.name], tuple(key(a) for a in phi.args))
+        return keys[phi]
+
+    return sorted(formulas, key=key)
+
+
 class TestEnumeration:
     def test_depth_convention(self):
         assert ref_depth(Var(0)) == 1
@@ -283,6 +331,68 @@ class TestEnumeration:
     def test_a_zero_bound_is_refused(self, check, bounds):
         with pytest.raises(ValueError, match="^bounds must be >= 1$"):
             check(*bounds)
+
+    @pytest.mark.parametrize("name, num_vars, depth", [
+        (name, v, d) for name in ENUMERATED for v in (1, 2, 3) for d in (1, 2, 3)
+        if ref_universe_size(ENUMERATED[name], v, d) <= 30_000
+    ])
+    def test_order_against_reference(self, name, num_vars, depth):
+        sig = ENUMERATED[name]
+        assert enumerate_formulas(sig, num_vars, depth) == ref_enumeration(sig, num_vars, depth)
+
+    @pytest.mark.parametrize("name", ENUMERATED)
+    def test_count_against_length(self, name):
+        sig = ENUMERATED[name]
+        admitted = 0
+        for v, d in [(v, d) for v in (1, 2, 3) for d in (1, 2, 3)] + [(3, 4)]:
+            size = ref_universe_size(sig, v, d)
+            if size <= MAX_UNIVERSE:
+                assert _universe_size(sig, v, d) == size == len(enumerate_formulas(sig, v, d))
+                admitted += 1
+            else:
+                assert _universe_size(sig, v, d) > MAX_UNIVERSE
+                with pytest.raises(ValueError, match=f"^bounds vars={v}, depth={d} exceed the limits of"
+                                                     f" {MAX_UNIVERSE:,} formulas and depth {MAX_FORMULA_DEPTH}$"):
+                    enumerate_formulas(sig, v, d)
+        assert admitted >= 5
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 7, 8, 73, 74, 1000, MAX_UNIVERSE])
+    def test_capped_exponents_give_the_verdict_of_the_full_count(self, monkeypatch, limit):
+        monkeypatch.setattr(syntax, "MAX_UNIVERSE", limit)
+        for arities in [(), (1,), (2,), (1, 2), (3,), (2, 2, 2), (10,), (16,), (17,), (18,), (40,), (1, 40)]:
+            for nullary in (0, 1):
+                sig = Signature([(f"c{i}", a) for i, a in enumerate(arities)] + [("k", 0)] * nullary)
+                for v in (1, 2, 3, 9):
+                    for d in (1, 2, 3, 4, 8):
+                        size, counted = ref_universe_size(sig, v, d), _universe_size(sig, v, d)
+                        assert counted == size if size <= limit else counted > limit, (arities, nullary, v, d)
+
+    def test_a_universe_of_exactly_the_limit_is_admitted(self, monkeypatch, sig2):
+        monkeypatch.setattr(syntax, "MAX_UNIVERSE", 74)
+        assert len(enumerate_formulas(sig2, 2, 3)) == 74
+        monkeypatch.setattr(syntax, "MAX_UNIVERSE", 73)
+        with pytest.raises(ValueError, match="exceed the limits of 73 formulas"):
+            enumerate_formulas(sig2, 2, 3)
+
+    def test_a_wide_connective_is_refused_before_a_formula_is_built(self):
+        # two variables under a 40-ary connective at depth 2: 2 + 2**40 formulas
+        sig = Signature([("w", 40)])
+        nodes = len(App._pool)
+        with pytest.raises(ValueError, match=f"^bounds vars=2, depth=2 exceed the limits of {MAX_UNIVERSE:,}"):
+            enumerate_formulas(sig, 2, 2)
+        assert len(App._pool) == nodes
+        assert enumerate_formulas(sig, 1, 2) == [Var(0), App("w", (Var(0),) * 40)]
+
+    def test_depth_past_the_parser_limit_is_refused(self):
+        # one unary connective gives one formula per atom (x0, top()) and depth
+        sig = Signature([("neg", 1), ("top", 0)])
+        formulas = enumerate_formulas(sig, 1, MAX_FORMULA_DEPTH)
+        assert len(formulas) == 2 * MAX_FORMULA_DEPTH
+        assert parse_formula(sig, print_formula(formulas[-1])) is formulas[-1]
+        with pytest.raises(ValueError, match=f"^bounds vars=1, depth={MAX_FORMULA_DEPTH + 1} exceed the limits"):
+            enumerate_formulas(sig, 1, MAX_FORMULA_DEPTH + 1)
+        with pytest.raises(ValueError, match="exceed the limits"):
+            enumerate_formulas(Signature([("top", 0)]), 1, 10**9)
 
     def test_random_formula_in_bounds(self, sig):
         rng = random.Random(99)
