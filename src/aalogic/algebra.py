@@ -63,7 +63,17 @@ import itertools
 from operator import add, eq, mul
 from typing import Iterable, Sequence
 
-from .syntax import BUILTIN_SIGNATURE, Formula, Signature, Var, _integer, enumerate_formulas, formula_over, parse_formula
+from .syntax import (
+    BUILTIN_SIGNATURE,
+    MAX_UNIVERSE,
+    Formula,
+    Signature,
+    Var,
+    _integer,
+    enumerate_formulas,
+    formula_over,
+    parse_formula,
+)
 
 
 class FiniteAlgebra:
@@ -517,9 +527,18 @@ def _proved_values(logic, A: FiniteAlgebra, formulas: Iterable[Formula]) -> froz
 
 def theorem_values(logic, A: FiniteAlgebra) -> frozenset[int]:
     """Values taken in A, under every valuation, by the theorems of ``logic``
-    over min(|A|, 3) variables up to depth 2."""
-    return _invariant(A, ("theorem_values", logic), lambda A: _proved_values(
-        logic, A, enumerate_formulas(A.signature, min(A.size, 3), 2)))
+    over min(|A|, 3) variables up to depth 2. Raises ValueError when A's
+    signature makes that universe pass MAX_UNIVERSE."""
+    def compute(A):
+        try:
+            formulas = enumerate_formulas(A.signature, min(A.size, 3), 2)
+        except ValueError:
+            # the bounds are this function's, not the caller's: name the algebra instead
+            raise ValueError(f"enumerating the theorem values of a {A.size}-element algebra exceeds"
+                             f" the limit of {MAX_UNIVERSE:,} formulas") from None
+        return _proved_values(logic, A, formulas)
+
+    return _invariant(A, ("theorem_values", logic), compute)
 
 
 def _require_implicative(logic, A: FiniteAlgebra) -> str:

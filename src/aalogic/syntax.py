@@ -29,6 +29,16 @@ the recursive substitution and evaluation stay well within the
 interpreter's recursion limit on any parsed formula. It rejects variable indices above
 MAX_VARIABLE_INDEX as well.
 
+The parser cuts the text once at "(", "," and ")" (``re.split`` with the
+marks kept, so a piece's offset is the sum of the lengths before it) and
+reads the pieces between the marks in order. A piece that is empty, a
+connective of the signature or a variable in ``_VARIABLES`` takes one dict
+lookup. Any other piece (whitespace, leading zeros, several tokens, an
+unknown name, a bad character) is scanned by ``_TOKEN_RE``, that piece
+only. ``_VARIABLES`` maps "x<i>" to ``Var(i)`` for each variable that was a
+whole piece, spelled with no leading zero or whitespace, of a text that
+parsed, so it holds at most MAX_VARIABLE_INDEX + 1 entries.
+
 ``enumerate_formulas`` builds layer d from the tuples over layers 1..d-1 that
 meet layer d-1. It counts first, c_d = c_{d-1} + sum over arities a > 0 of
 (c_{d-1}^a - c_{d-2}^a), and refuses past MAX_UNIVERSE or MAX_FORMULA_DEPTH.
@@ -58,7 +68,8 @@ _INDEX_DIGITS = len(str(MAX_VARIABLE_INDEX))
 
 
 class FormulaSyntaxError(ValueError):
-    """Parse failure; ``offset`` is the byte offset of the offending token."""
+    """Parse failure; ``offset`` is the index in the text (in characters,
+    not bytes) of the offending token."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -239,53 +250,115 @@ def print_formula(phi: Formula) -> str:
     return "".join(out)
 
 
-# groups: 1 a variable (2 its index without leading zeros), 3 a name,
-# 4 "(", 5 ",", 6 ")", 7 any other character
-_TOKEN_RE = re.compile(r"\s*(?:(x0*([0-9]+))(?![a-z0-9_])|([a-z][a-z0-9_]*)|(\()|(,)|(\))|(\S))")
+_PUNCTUATION_RE = re.compile(r"([(),])")
+# groups: 1 a variable (2 its index without leading zeros), 3 a name, 4 any
+# other character. It scans one piece, which holds no punctuation.
+_TOKEN_RE = re.compile(r"\s*(?:(x0*([0-9]+))(?![a-z0-9_])|([a-z][a-z0-9_]*)|(\S))")
+# "x<i>" -> Var(i) for each variable that was a whole piece, spelled with no
+# leading zero or whitespace, of a text that parsed: at most
+# MAX_VARIABLE_INDEX + 1 entries
+_VARIABLES: dict[str, Var] = {}
+
+
+def _piece_tokens(piece: str, offset: int, nesting: int, fresh: dict) -> list[tuple]:
+    """The names and variables of a piece that starts at ``offset`` inside
+    ``nesting`` open parentheses, as (spelling, name or variable index,
+    offset). Puts the piece into ``fresh`` when it is a variable spelled as
+    _VARIABLES keeps it. Raises the piece's first lexical error."""
+    tokens = []
+    # ending the scan before trailing whitespace saves a failed search per position
+    for m in _TOKEN_RE.finditer(piece, 0, len(piece.rstrip())):
+        kind = m.lastindex
+        start = offset + m.start(kind)
+        if kind == 4:
+            raise FormulaSyntaxError(f"unexpected character {m.group(4)!r}", start)
+        # a name or variable inside n open parentheses is a node at depth n + 1
+        if nesting >= MAX_FORMULA_DEPTH:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", start)
+        spelling = m.group(kind)
+        if kind == 3:
+            tokens.append((spelling, spelling, start))
+            continue
+        digits = m.group(2)
+        if len(digits) > _INDEX_DIGITS or (index := int(digits)) > MAX_VARIABLE_INDEX:
+            raise FormulaSyntaxError(f"variable index above {MAX_VARIABLE_INDEX}", start)
+        if spelling == piece and len(digits) == len(piece) - 1:
+            fresh[piece] = index
+        tokens.append((spelling, index, start))
+    return tokens
 
 
 def parse_formula(sig: Signature, text: str) -> Formula:
     """Parse ``formula := var | name "(" formula ("," formula)* ")" | name "(" ")"``,
     the last form for nullary connectives.
 
-    Raises FormulaSyntaxError (with byte offset) on malformed input, unknown
-    connectives, arity mismatches, variable indices above MAX_VARIABLE_INDEX
-    and formulas deeper than MAX_FORMULA_DEPTH. Lexical errors (a bad
-    character, an index above the bound, a name or variable inside
-    MAX_FORMULA_DEPTH open parentheses) come first: the first of them in the
-    text is raised even after a grammar error, which is raised only when the
-    text has none. One pass over the tokens, with an explicit stack.
+    Raises FormulaSyntaxError (with the character index of the offending
+    token in the text) on malformed input, unknown connectives, arity
+    mismatches, variable indices above MAX_VARIABLE_INDEX and formulas deeper
+    than MAX_FORMULA_DEPTH. Lexical errors (a bad character, an index above
+    the bound, a name or variable inside MAX_FORMULA_DEPTH open parentheses)
+    come first: the first of them in the text is raised even after a grammar
+    error, which is raised only when the text has none. One pass over the
+    pieces between punctuation marks, with an explicit stack.
     """
     arity = sig._arity
+    variables = _VARIABLES
+    fresh = {}  # the spellings to add to _VARIABLES if the text parses, with their indices
     stack = []  # open applications, innermost last: (name, offset, args)
     node = None  # the formula just completed, if any
     name = None  # a connective still waiting for its "("
     error = None  # the first grammar error
     nesting = 0  # open parentheses minus closed ones
-    # ending the scan before trailing whitespace saves a failed search per position
-    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
-        kind = m.lastindex
-        if kind <= 3:
-            # a name or variable inside n open parentheses is a node at depth n + 1
-            if nesting >= MAX_FORMULA_DEPTH:
-                raise FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", m.start(kind))
-            if kind == 1:
-                digits = m.group(2)
-                if len(digits) > _INDEX_DIGITS or (index := int(digits)) > MAX_VARIABLE_INDEX:
-                    raise FormulaSyntaxError(f"variable index above {MAX_VARIABLE_INDEX}", m.start(1))
-        elif kind == 4:
+    pos = 0  # the offset of the piece at hand, the lengths of the pieces before it summed
+    pieces = _PUNCTUATION_RE.split(text)
+    pieces.append("")  # the split alternates text and marks; "" marks the end
+    it = iter(pieces)
+    for piece, mark in zip(it, it):
+        if piece:
+            var = variables.get(piece)
+            if var is None and piece not in arity:
+                tokens = _piece_tokens(piece, pos, nesting, fresh)
+            elif nesting >= MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH}", pos)
+            elif error is None and node is None and name is None:
+                # a variable or connective where a formula may start: the common case
+                if var is None:
+                    name, name_off = piece, pos
+                else:
+                    node = var
+                tokens = ()
+            else:  # where the grammar has no place for it
+                tokens = ((piece, piece if var is None else var.index, pos),)
+            for spelling, token, off in tokens:
+                if error is not None:
+                    break
+                if node is not None:
+                    if stack:
+                        error = FormulaSyntaxError(f"expected ',' or ')', found {spelling!r}", off)
+                    else:
+                        error = FormulaSyntaxError(f"trailing input {spelling!r}", off)
+                elif name is not None:
+                    error = FormulaSyntaxError(f"expected '(' after connective {name!r}", off)
+                elif token.__class__ is int:
+                    node = Var(token)
+                else:
+                    name, name_off = token, off
+                    if name not in arity:
+                        error = FormulaSyntaxError(f"unknown connective {name!r}", off)
+            pos += len(piece)
+        if not mark:
+            break
+        if mark == "(":
             nesting += 1
-        elif kind == 6:
+        elif mark == ")":
             nesting -= 1
-        elif kind == 7:
-            raise FormulaSyntaxError(f"unexpected character {m.group(7)!r}", m.start(7))
         if error is not None:
-            continue
-        if node is not None:
-            if kind == 5 and stack:
+            pass  # after a grammar error only the lexical checks are left
+        elif node is not None:
+            if mark == "," and stack:
                 stack[-1][2].append(node)
                 node = None
-            elif kind == 6 and stack:
+            elif mark == ")" and stack:
                 op, op_off, args = stack.pop()
                 args.append(node)
                 if len(args) == arity[op]:
@@ -295,27 +368,24 @@ def parse_formula(sig: Signature, text: str) -> Formula:
                         f"arity mismatch: {op} expects {arity[op]} argument(s), got {len(args)}", op_off
                     )
             elif stack:
-                error = FormulaSyntaxError(f"expected ',' or ')', found {m.group(kind)!r}", m.start(kind))
+                error = FormulaSyntaxError(f"expected ',' or ')', found {mark!r}", pos)
             else:
-                error = FormulaSyntaxError(f"trailing input {m.group(kind)!r}", m.start(kind))
+                error = FormulaSyntaxError(f"trailing input {mark!r}", pos)
         elif name is not None:
-            if kind == 4:
+            if mark == "(":
                 stack.append((name, name_off, []))
                 name = None
             else:
-                error = FormulaSyntaxError(f"expected '(' after connective {name!r}", m.start(kind))
-        elif kind == 1:
-            node = Var(index)
-        elif kind == 3:
-            name, name_off = m.group(3), m.start(3)
-            if name not in arity:
-                error = FormulaSyntaxError(f"unknown connective {name!r}", name_off)
-        elif kind == 6 and stack and not stack[-1][2] and arity[stack[-1][0]] == 0:
+                error = FormulaSyntaxError(f"expected '(' after connective {name!r}", pos)
+        elif mark == ")" and stack and not stack[-1][2] and arity[stack[-1][0]] == 0:
             node = App(stack.pop()[0], ())
         else:
-            error = FormulaSyntaxError(f"expected a formula, found {m.group(kind)!r}", m.start(kind))
+            error = FormulaSyntaxError(f"expected a formula, found {mark!r}", pos)
+        pos += 1
     if error is None:
         if node is not None and not stack:
+            for spelling, index in fresh.items():
+                variables[spelling] = Var(index)
             return node
         end = len(text)
         if node is not None:

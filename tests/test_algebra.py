@@ -457,6 +457,17 @@ class TestFilters:
         with pytest.raises(RuntimeError, match="bound exhausted"):
             filter_closure(ipc, corpus.lukasiewicz3(), ())
 
+    def test_theorem_values_past_the_universe_limit_name_the_algebra(self):
+        # over 3 variables to depth 2, an 11-ary connective makes 177,159
+        # formulas: the refusal names the algebra, not bounds the caller never gave
+        sig = Signature([("imp", 2), ("w", 11)])
+        imp = [2 if a <= b else b for a in range(3) for b in range(3)]
+        A = FiniteAlgebra(sig, 3, {"imp": imp, "w": [0] * 3**11})
+        logic = LogicSpec.from_matrices(sig, [Matrix(A, {2})], implication="imp")
+        message = "^enumerating the theorem values of a 3-element algebra exceeds the limit of 100,000 formulas$"
+        with pytest.raises(ValueError, match=message):
+            all_filters(logic, A)
+
     def test_closure_missing_a_spot_theorem_value_is_reported(self, ipc, h3, monkeypatch):
         # with no bounded theorem values the closure of nothing is empty, so
         # the spot theorems' value (the top) falls outside it

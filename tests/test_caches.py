@@ -2,6 +2,7 @@
 nothing outside a caller keeps an algebra alive, and no module grows a new
 process-wide cache unnoticed."""
 
+import contextlib
 import gc
 import importlib
 import pkgutil
@@ -9,7 +10,7 @@ import random
 import weakref
 
 import aalogic
-from aalogic import BUILTIN_SIGNATURE, FiniteAlgebra, Matrix, corpus, parse_formula
+from aalogic import BUILTIN_SIGNATURE, FiniteAlgebra, FormulaSyntaxError, Matrix, Var, corpus, parse_formula, syntax
 from aalogic.algebra import MEMO_LIMIT, all_filters, filter_closure, is_filter, theorem_values
 from aalogic.algebraization import delta_translate, qv_axioms, qv_membership, tau_translate
 from aalogic.glivenko import (
@@ -21,15 +22,17 @@ from aalogic.glivenko import (
     rho_translate,
 )
 from aalogic.provers import Equation, quasiidentity_holds
-from aalogic.syntax import extend_morphism, random_formula
+from aalogic.syntax import MAX_VARIABLE_INDEX, extend_morphism, random_formula
 
 # The process-wide containers the package keeps on purpose: the prover's
 # connective-to-tag table and its Kripke frame algebras (each sequent search
-# keeps its tables and memo to itself), and the bundled-name tables, which
-# hold builders, not built objects.
+# keeps its tables and memo to itself), the bundled-name tables, which hold
+# builders, not built objects, and the parser's table of variable spellings,
+# one entry per canonical "x<i>", so at most MAX_VARIABLE_INDEX + 1 of them.
 MODULE_CONTAINERS = {
     "provers": {"_TAGS", "_frame_cache"},
     "corpus": {"LOGICS", "CONTEXTS"},
+    "syntax": {"_VARIABLES"},
 }
 # The class-level containers: the formula intern pools and the shared
 # connective sets of App nodes. These and MODULE_CONTAINERS name every
@@ -49,6 +52,21 @@ def containers(namespace) -> set[str]:
         name for name, value in vars(namespace).items()
         if not name.startswith("__") and isinstance(value, (dict, list, set))
     }
+
+
+def test_the_variable_table_holds_canonical_spellings_of_parsed_texts():
+    # whitespace, leading zeros and failing texts leave the table as it was
+    before = dict(syntax._VARIABLES)
+    for text in [" x9001", "x9001 ", "x09001", "neg(\tx9001)", "x9001$", "neg(x9001", "imp(x9001,x9002",
+                 "x9001 x9002", "neg(x9001)(", "x10000", "x9001_"]:
+        with contextlib.suppress(FormulaSyntaxError):
+            parse_formula(BUILTIN_SIGNATURE, text)
+    assert syntax._VARIABLES == before
+    parse_formula(BUILTIN_SIGNATURE, "imp(x9001,x9002)")
+    assert set(syntax._VARIABLES) - set(before) == {"x9001", "x9002"}
+    assert len(syntax._VARIABLES) <= MAX_VARIABLE_INDEX + 1
+    for spelling, var in syntax._VARIABLES.items():
+        assert spelling == f"x{var.index}" and var is Var(var.index)
 
 
 def test_no_algebra_outlives_its_last_user(ipc):

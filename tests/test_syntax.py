@@ -610,7 +610,7 @@ def ref_parse_formula(sig: Signature, text: str) -> Formula:
     """Parse ``formula := var | name "(" formula ("," formula)* ")" | name "(" ")"``,
     the last form for nullary connectives.
 
-    Raises FormulaSyntaxError (with byte offset) on malformed input, unknown
+    Raises FormulaSyntaxError (with the character offset) on malformed input, unknown
     connectives, arity mismatches and formulas deeper than MAX_FORMULA_DEPTH.
     """
     tokens = _tokenize(text)
@@ -710,6 +710,9 @@ def differential_texts():
         "imp(\tx0,\nneg(x1)\n)", "\n\timp(x0,x1)\t\n", "imp(x0,\n", "  ",
         "", "x", "x0a", "x007", "x00", "x0_", "xx0", "x0x1", "x0 x1", "neg x0", "neg(x0", "neg(x0,",
         "x0)" + "(" * 300 + "x0", "x0)" + "(" * 300, "foo(x0 $", "foo(x0", "neg(x0)$", "$", ")", ",",
+        # the pieces between punctuation: Unicode whitespace, non-ASCII
+        # digits, runs of spaces and a piece of several tokens
+        "neg(\u3000x0)", "imp(x0 ,x1)\u3000", " x0", "x\u0661", "x\u00b2", "neg  (x0)", "imp(x0  x1,x2)",
     ]
     return texts
 
