@@ -9,7 +9,7 @@ import itertools
 import operator
 from collections.abc import Sequence
 from functools import partial
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .algebra import FiniteAlgebra, _invariant
 from .provers import Equation, equational_consequence, quasiidentity_holds
@@ -18,6 +18,8 @@ from .syntax import (
     BUILTIN_SIGNATURE,
     App,
     Formula,
+    Record,
+    Report,
     Signature,
     Var,
     enumerate_formulas,
@@ -84,20 +86,14 @@ def _delta_tau(pair: AlgebraizingPair, phi: Formula) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-class ConditionResult:
+class ConditionResult(Record):
     __slots__ = ("passed", "instances", "witness")
-
-    def __init__(self, passed: bool, instances: int, witness: Optional[str] = None):
-        self.passed, self.instances, self.witness = passed, instances, witness
+    _defaults = (None,)
 
 
-class BPReport:
+class BPReport(Record):
     __slots__ = ("logic", "bounds", "universe_size", "class_count", "conditions")
-
-    def __init__(self, logic: str, bounds: dict, universe_size: int, class_count: int,
-                 conditions: Optional[dict[str, ConditionResult]] = None):
-        self.logic, self.bounds, self.universe_size, self.class_count = logic, bounds, universe_size, class_count
-        self.conditions = {} if conditions is None else conditions
+    _defaults = (dict,)
 
     @property
     def passed(self) -> bool:
@@ -381,15 +377,9 @@ def qv_axioms(l: LogicSpec, pair: AlgebraizingPair, depth: int, num_vars: int,
     return QuasiIdentities(groups)
 
 
-class LindReport:
+class LindReport(Report):
     __slots__ = ("logic", "bounds", "passed", "instances", "witness")
-
-    def __init__(self, logic: str, bounds: dict, passed: bool, instances: int, witness: Optional[str] = None):
-        self.logic, self.bounds = logic, bounds
-        self.passed, self.instances, self.witness = passed, instances, witness
-
-    def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+    _defaults = (None,)
 
     def to_text(self) -> str:
         status = "pass" if self.passed else "FAIL"

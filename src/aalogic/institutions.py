@@ -15,60 +15,40 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .algebra import FiniteAlgebra
-from .algebraization import AlgebraizingPair
-from .glivenko import GlivenkoContext, insal_condition, inslal_condition
-from .semantics import LogicMorphism, LogicSpec, Matrix, if_condition
-from .syntax import print_formula, random_formula
+from .glivenko import insal_condition, inslal_condition
+from .semantics import if_condition
+from .syntax import Record, Report, print_formula, random_formula
 
 
-class Corpus:
+class Corpus(Record):
     """Explicit finite data standing in for the proper classes the theory
-    quantifies over. ``overrides`` is for fault injection: keyed by a pool
+    quantifies over, each field empty by default. ``logics`` and ``pairs`` are
+    dicts from names to ``LogicSpec`` and ``AlgebraizingPair``; ``matrices``,
+    ``reduced_matrices`` and ``algebras`` are dicts from a logic's name to a
+    list of ``Matrix`` or ``FiniteAlgebra``; ``morphisms`` and ``contexts``
+    are lists of (name, ``LogicMorphism``) and (name, ``GlivenkoContext``)
+    pairs. ``overrides`` is a dict for fault injection: keyed by a pool
     entry's labels (kind, morphism or context name, model index), a value
     replaces that entry's whole beta(M) in ``institution_report`` (a
     ``Matrix`` for If and InsAL, a ``FiniteAlgebra`` for InsLAL) where it
-    would be built (an InsAL or InsLAL entry still admits its model and
-    builds its adjoint, so a model that either of them refuses raises
-    whether or not the entry is overridden). The entry's certificate reads
-    beta(M) with the override applied, so a tampered entry fails its
-    certificate unless the tampering keeps the paper's lemma true, and only
-    failed entries are evaluated."""
+    would be built (an InsAL or InsLAL entry still admits its model and builds
+    its adjoint, so a model that either of them refuses raises whether or not
+    the entry is overridden). The entry's certificate reads beta(M) with the
+    override applied, so a tampered entry fails its certificate unless the
+    tampering keeps the paper's lemma true, and only failed entries are
+    evaluated."""
 
     __slots__ = ("logics", "pairs", "morphisms", "matrices", "reduced_matrices", "algebras", "contexts",
                  "overrides")
-
-    def __init__(self, logics: dict[str, LogicSpec] | None = None,
-                 pairs: dict[str, AlgebraizingPair] | None = None,
-                 morphisms: list[tuple[str, LogicMorphism]] | None = None,
-                 matrices: dict[str, list[Matrix]] | None = None,
-                 reduced_matrices: dict[str, list[Matrix]] | None = None,
-                 algebras: dict[str, list[FiniteAlgebra]] | None = None,
-                 contexts: list[tuple[str, GlivenkoContext]] | None = None,
-                 overrides: dict[tuple[str, str, int], Matrix | FiniteAlgebra] | None = None):
-        self.logics = {} if logics is None else logics
-        self.pairs = {} if pairs is None else pairs
-        self.morphisms = [] if morphisms is None else morphisms
-        self.matrices = {} if matrices is None else matrices
-        self.reduced_matrices = {} if reduced_matrices is None else reduced_matrices
-        self.algebras = {} if algebras is None else algebras
-        self.contexts = [] if contexts is None else contexts
-        self.overrides = {} if overrides is None else overrides
+    _defaults = (dict, dict, list, dict, dict, dict, list, dict)
 
 
-class InstitutionReport:
+class InstitutionReport(Report):
     __slots__ = ("kind", "samples", "checked", "violations", "config")
-
-    def __init__(self, kind: str, samples: int, checked: int, violations: list[dict], config: dict):
-        self.kind, self.samples, self.checked = kind, samples, checked
-        self.violations, self.config = violations, config
 
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {**{name: getattr(self, name) for name in self.__slots__}, "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [

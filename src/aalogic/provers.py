@@ -57,28 +57,20 @@ from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, all_rows, equation_rows, frame_valuation, value_vector
-from .syntax import BUILTIN_SIGNATURE, Formula, Var, _frozen, _value_eq, _value_hash, formula_over
+from .syntax import BUILTIN_SIGNATURE, Formula, FrozenRecord, Var, formula_over
 
 
-class Equation:
+class Equation(FrozenRecord):
     """A frozen record. ``qv_axioms`` drops repeated equations by hash, so its
     ``__eq__`` and ``__hash__`` read the two fields directly."""
 
     __slots__ = ("lhs", "rhs")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, lhs: Formula, rhs: Formula):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
 
     def __eq__(self, other):
         return self.lhs == other.lhs and self.rhs == other.rhs if other.__class__ is Equation else NotImplemented
 
     def __hash__(self):
         return hash((self.lhs, self.rhs))
-
-    def __reduce__(self):
-        return Equation, (self.lhs, self.rhs)
 
     def __repr__(self):
         return f"{self.lhs!r} == {self.rhs!r}"
@@ -346,21 +338,13 @@ def ipc_decide(gamma: Iterable[Formula], phi: Formula) -> bool:
 # Kripke countermodel search (sound refuter, exhaustive up to a world bound)
 # ---------------------------------------------------------------------------
 
-class KripkeModel:
-    """A frozen record; its dict valuation leaves it unhashable."""
+class KripkeModel(FrozenRecord):
+    """A frozen record; its dict valuation leaves it unhashable. ``up[w]`` is
+    the bitmask of w's successors (reflexive, transitive), ``valuation`` maps
+    a variable's index to the bitmask of the worlds where it holds (an
+    upset), and ``world`` is where the premises hold and the goal fails."""
 
     __slots__ = ("worlds", "up", "valuation", "world")
-    __setattr__ = __delattr__ = _frozen
-    __eq__, __hash__ = _value_eq, _value_hash
-
-    def __init__(self, worlds: int, up: tuple[int, ...], valuation: dict, world: int):
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "up", up)                # up[w] = bitmask of successors (reflexive, transitive)
-        object.__setattr__(self, "valuation", valuation)  # var index -> bitmask of worlds (an upset)
-        object.__setattr__(self, "world", world)          # world where the premises hold and the goal fails
-
-    def __reduce__(self):
-        return KripkeModel, (self.worlds, self.up, self.valuation, self.world)
 
     def __repr__(self):
         return (f"KripkeModel(worlds={self.worlds!r}, up={self.up!r}, "

@@ -13,28 +13,20 @@ from .syntax import (
     BUILTIN_SIGNATURE,
     FlexibleMorphism,
     Formula,
+    FrozenRecord,
     Signature,
-    _frozen,
-    _value_eq,
-    _value_hash,
     enumerate_formulas,
     extend_morphism,
     formula_over,
 )
 
-class Matrix:
+class Matrix(FrozenRecord):
     """An algebra with a designated subset of truth values."""
 
     __slots__ = ("algebra", "filter")
-    __setattr__ = __delattr__ = _frozen
-    __eq__, __hash__ = _value_eq, _value_hash
 
     def __init__(self, algebra: FiniteAlgebra, filter: Iterable[int]):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "filter", frozenset(_carrier_subset(algebra, filter)))
-
-    def __reduce__(self):
-        return Matrix, (self.algebra, self.filter)
+        super().__init__(algebra, frozenset(_carrier_subset(algebra, filter)))
 
     def __repr__(self):
         return f"Matrix(size={self.algebra.size}, filter={sorted(self.filter)})"
@@ -165,23 +157,16 @@ def reduct(h: FlexibleMorphism, M: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(h.source, M.size, tables)
 
 
-class LogicMorphism:
+class LogicMorphism(FrozenRecord):
     """A flexible morphism between the signatures of two logics, intended to
     preserve consequence (checked only on bounded instances)."""
 
     __slots__ = ("source", "target", "morphism")
-    __setattr__ = __delattr__ = _frozen
-    __eq__, __hash__ = _value_eq, _value_hash
 
     def __init__(self, source: LogicSpec, target: LogicSpec, morphism: FlexibleMorphism):
         if morphism.source != source.signature or morphism.target != target.signature:
             raise ValueError("morphism signatures do not match the logics")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "morphism", morphism)
-
-    def __reduce__(self):
-        return LogicMorphism, (self.source, self.target, self.morphism)
+        super().__init__(source, target, morphism)
 
     def translate(self, phi: Formula) -> Formula:
         return extend_morphism(self.morphism, phi)

@@ -1,4 +1,4 @@
-"""Signatures, formulas, parsing/printing, substitution and flexible morphisms.
+"""Signatures, formulas, parsing/printing, substitution, flexible morphisms and the record bases.
 
 Formulas are immutable trees over a fixed enumerable variable set x0, x1, ...
 Nodes are interned: ``Var(i)`` and ``App(name, args)`` return the one live
@@ -160,19 +160,69 @@ def _integer(value, what: str) -> int:
     return value
 
 
-# Methods of the frozen records (``provers.Equation``, ``semantics.Matrix``,
-# ...), which set their slots through ``object.__setattr__``: they refuse
-# assignment, and compare and hash by what their ``__reduce__`` rebuilds them from.
-def _frozen(self, name, *value):
-    raise AttributeError(f"cannot assign to field {name!r}")
+class Record:
+    """A record whose fields are its class's ``__slots__``, in order. It
+    builds from positional or keyword arguments, as a function with those
+    parameters would, and ``_defaults`` holds the defaults of the last
+    fields, as a function's ``__defaults__`` does; a default ``dict`` or
+    ``list`` gives a fresh empty one for each record."""
+
+    __slots__ = ()
+    _defaults = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The fields' values from the arguments and the defaults."""
+        names, what = self.__slots__, f"{type(self).__name__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{what} takes at most {len(names)} positional arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names[len(args):]:
+                raise TypeError(f"{what} got {'multiple values for' if name in names else 'an unexpected keyword'} "
+                                f"argument {name!r}")
+        given = {name: default() if default is dict or default is list else default
+                 for name, default in zip(names[len(names) - len(self._defaults):], self._defaults)}
+        given.update(kwargs)
+        for name in names[len(args):]:
+            if name not in given:
+                raise TypeError(f"{what} missing required argument: {name!r}")
+        return [*args, *(given[name] for name in names[len(args):])]
 
 
-def _value_eq(self, other):
-    return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+class FrozenRecord(Record):
+    """A record that refuses assignment and deletion, and compares, hashes
+    and pickles by its fields: by what ``__reduce__`` rebuilds it from."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
 
 
-def _value_hash(self):
-    return hash(self.__reduce__())
+class Report(Record):
+    """A record with a ``passed`` verdict; its JSON is its fields followed by ``passed``."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {**{name: getattr(self, name) for name in self.__slots__}, "passed": self.passed}
 
 
 class Signature:

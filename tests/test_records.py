@@ -1,9 +1,12 @@
-"""The contract of the package's records, plain ``__slots__`` classes with
-an explicit ``__init__``: each builds from positional or keyword arguments,
-in the order and with the defaults below, and a default ``{}`` or ``[]`` is
-fresh for each instance. The frozen records refuse assignment, compare and
-hash by value (``KripkeModel`` holds a dict and is unhashable), and
-round-trip ``pickle`` and ``copy.deepcopy``."""
+"""The contract of the package's records, plain ``__slots__`` classes on
+one of two bases in ``aalogic.syntax``, so that no record loads
+``dataclasses`` or ``inspect``. A ``Record`` builds from positional or
+keyword arguments, in the order and with the defaults below; it refuses
+with ``TypeError`` the arguments that a function with those parameters
+would refuse, and a default ``{}`` or ``[]`` is fresh for each instance. A
+``FrozenRecord`` also refuses assignment, compares and hashes by value
+(``KripkeModel`` holds a dict and is unhashable), and round-trips
+``pickle`` and ``copy.deepcopy``."""
 
 import copy
 import pickle
@@ -101,6 +104,38 @@ class TestConstruction:
 
     def test_slots_only(self, cls):
         assert not hasattr(build(cls), "__dict__")
+
+    def test_defaults_are_of_the_last_fields(self, cls):
+        assert len(cls._defaults) <= len(cls.__slots__)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=name_of)
+class TestBinding:
+    """Arguments that a function with the record's fields as its parameters
+    would refuse are refused with TypeError."""
+
+    def test_too_many_positional_arguments(self, cls):
+        with pytest.raises(TypeError):
+            cls(*(field[1] for field in RECORDS[cls]), None)
+
+    def test_missing_required_field(self, cls):
+        required = [field[1] for field in RECORDS[cls] if len(field) == 2]
+        if not required:
+            assert type(cls()) is cls
+            return
+        with pytest.raises(TypeError):
+            cls(*required[:-1])
+        with pytest.raises(TypeError):
+            cls(**{field[0]: field[1] for field in RECORDS[cls][1:]})
+
+    def test_unknown_keyword(self, cls):
+        with pytest.raises(TypeError):
+            cls(*(field[1] for field in RECORDS[cls]), unknown=None)
+
+    def test_field_given_by_position_and_by_keyword(self, cls):
+        (name, value, *_), *rest = RECORDS[cls]
+        with pytest.raises(TypeError):
+            cls(value, **{name: value}, **{field[0]: field[1] for field in rest})
 
 
 @pytest.mark.parametrize("cls", [cls for cls in RECORDS if cls not in FROZEN], ids=name_of)
