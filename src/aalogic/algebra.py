@@ -24,9 +24,8 @@ instance, in ``A._memo`` (formulas in its keys hash and compare by identity):
 
 - value vectors, keyed ``(frame, phi)``, and equation masks, keyed
   ``(frame, lhs, rhs)``, also read directly by ``provers.quasiidentity_holds``;
-- the sorted unary-polynomial clone, read through ``_polynomials`` by
-  ``leibniz`` and ``congruence_generated``, and the congruence list (for
-  ``leibniz_bruteforce``, which must not share the clone);
+- the basic translations, read through ``_translations`` by ``leibniz`` and
+  ``congruence_generated``, and the congruence list (for ``leibniz_bruteforce``);
 - theorem values and spot-theorem values per logic, both read through
   ``_proved_values``, for ``filter_closure``, which ``is_filter`` reads;
 - membership verdicts of ``algebraization.qv_membership`` per class;
@@ -45,9 +44,9 @@ interned nodes afresh on every call.
 Homomorphisms come from one backtracking search over table rows
 (``_homomorphism_search``), which ``homomorphisms`` lists and
 ``find_isomorphism`` stops at its first bijection; ``is_homomorphism``
-checks one given map (quotients, the unit, the certificates). The
-unary-polynomial clone is the closure of the identity under composition
-with the basic translations x -> c(a1, .., x, .., ak).
+checks one given map (quotients, the unit, the certificates). ``leibniz``
+and ``congruence_generated`` are fixpoints over the basic translations
+x -> c(a1, .., x, .., ak), which generate the unary polynomials.
 
 A partition has one form, its least-representative map: ``from_pairs``
 merges two blocks by relabelling the larger representative to the smaller,
@@ -388,15 +387,18 @@ def is_congruence(A: FiniteAlgebra, theta: Congruence) -> bool:
 
 
 def congruence_generated(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing ``pairs``. By Mal'cev's lemma (Burris and
-    Sankappanavar, *A Course in Universal Algebra*, ch. II) it is the
-    equivalence closure of (p(a), p(b)) for every pair (a, b) and every unary
-    polynomial p of A."""
-    pairs = list(pairs)
-    for a, b in pairs:
-        if not (0 <= a < A.size and 0 <= b < A.size):
-            raise ValueError(f"element out of range: {(a, b)}")
-    return Congruence.from_pairs(A.size, [(p[a], p[b]) for p in _polynomials(A) for a, b in pairs])
+    """Least congruence containing ``pairs``: the least equivalence holding
+    them that each basic translation t preserves (Mal'cev's lemma, Burris and
+    Sankappanavar, *A Course in Universal Algebra*, ch. II). Each round merges
+    t(a) with t(rep(a)) for every element a and translation t, which covers
+    every related pair by transitivity, until a round merges nothing."""
+    theta = Congruence.from_pairs(A.size, pairs)
+    while True:
+        rep = theta.rep
+        theta = Congruence.from_pairs(A.size, [
+            *enumerate(rep), *((t[a], t[r]) for a, r in enumerate(rep) if a != r for t in _translations(A))])
+        if theta.rep == rep:
+            return theta
 
 
 def all_congruences(A: FiniteAlgebra) -> list[Congruence]:
@@ -442,29 +444,6 @@ def compatible(theta: Congruence, F: Iterable[int]) -> bool:
     return all((b in F) == (r in F) for b, r in enumerate(theta.rep))
 
 
-def unary_polynomials(A: FiniteAlgebra) -> set[tuple[int, ...]]:
-    """All unary polynomial functions: the closure of the identity under
-    composition with the basic translations x -> c(a1, .., x, .., ak)."""
-    n = A.size
-    translations = set()
-    for name, arity in A.signature.connectives:
-        table = A.tables[name]
-        for pos in range(arity):
-            step = n ** (arity - 1 - pos)  # the table index step of the argument at pos
-            translations.update(table[i : i + n * step : step] for i in range(n**arity) if i // step % n == 0)
-    identity = tuple(A.elements())
-    funcs = {identity}
-    stack = [identity]
-    while stack:
-        f = stack.pop()
-        for t in translations:
-            g = tuple(map(t.__getitem__, f))
-            if g not in funcs:
-                funcs.add(g)
-                stack.append(g)
-    return funcs
-
-
 def _invariant(A: FiniteAlgebra, key: tuple, compute):
     """A value that depends only on A, computed once and kept in A's memo."""
     value = A._memo.get(key)
@@ -473,9 +452,19 @@ def _invariant(A: FiniteAlgebra, key: tuple, compute):
     return value
 
 
-def _polynomials(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    """A's unary-polynomial clone, sorted and kept in A's memo."""
-    return _invariant(A, ("unary_polynomials",), lambda A: tuple(sorted(unary_polynomials(A))))
+def _translations(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """A's basic translations x -> c(a1, .., x, .., ak), sorted and kept in A's memo."""
+    def compute(A):
+        n = A.size
+        found = set()
+        for name, arity in A.signature.connectives:
+            table = A.tables[name]
+            for pos in range(arity):
+                step = n ** (arity - 1 - pos)  # the table index step of the argument at pos
+                found.update(table[i : i + n * step : step] for i in range(n**arity) if i // step % n == 0)
+        return tuple(sorted(found))
+
+    return _invariant(A, ("translations",), compute)
 
 
 def _carrier_subset(A: FiniteAlgebra, F: Iterable[int]) -> set[int]:
@@ -487,13 +476,21 @@ def _carrier_subset(A: FiniteAlgebra, F: Iterable[int]) -> set[int]:
 
 
 def leibniz(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:
-    """Largest congruence compatible with F, via the unary-polynomial
-    characterization: a ~ b iff p(a) and p(b) agree on F-membership for
-    every unary polynomial p."""
+    """Largest congruence compatible with F: a ~ b iff p(a) and p(b) agree on
+    F-membership for every unary polynomial p. Each round refines the
+    partition by F-membership, sending every element to the least element
+    with the same block and the same blocks of its basic translates, until a
+    round adds no block; one block or all singletons cannot split."""
     F = _carrier_subset(A, F)
-    polys = _polynomials(A)
-    first: dict[tuple, int] = {}  # profile -> least element with it
-    return Congruence(A.size, [first.setdefault(tuple(p[a] in F for p in polys), a) for a in A.elements()])
+    first: dict = {}  # a block's profile -> its least element
+    rep = [first.setdefault(a in F, a) for a in A.elements()]
+    while 1 < len(first) < A.size:
+        blocks, first = len(first), {}
+        profiles = zip(rep, *(map(rep.__getitem__, t) for t in _translations(A)))
+        rep = [first.setdefault(profile, a) for a, profile in enumerate(profiles)]
+        if len(first) == blocks:
+            break
+    return Congruence(A.size, rep)
 
 
 def leibniz_bruteforce(A: FiniteAlgebra, F: Iterable[int]) -> Congruence:

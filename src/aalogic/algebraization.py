@@ -18,6 +18,7 @@ from .syntax import (
     BUILTIN_SIGNATURE,
     App,
     Formula,
+    FrozenRecord,
     Record,
     Report,
     Signature,
@@ -30,27 +31,23 @@ from .syntax import (
 )
 
 
-class AlgebraizingPair:
+class AlgebraizingPair(FrozenRecord):
     """Equivalence formulas (two variables) plus defining equations (one
     variable, stored as (lhs, rhs) formula pairs)."""
 
+    __slots__ = ("delta", "tau")
+
     def __init__(self, delta: Sequence[Formula], tau: Sequence[tuple[Formula, Formula]]):
-        self.delta = tuple(delta)
-        self.tau = tuple((l, r) for l, r in tau)
-        if not self.delta or not self.tau:
+        delta, tau = tuple(delta), tuple((l, r) for l, r in tau)
+        if not delta or not tau:
             raise ValueError("delta and tau must be nonempty")
-        for d in self.delta:
+        for d in delta:
             if not variables(d) <= {0, 1}:
                 raise ValueError(f"equivalence formula {d!r} must use only x0, x1")
-        for l, r in self.tau:
+        for l, r in tau:
             if not variables(l) <= {0} or not variables(r) <= {0}:
                 raise ValueError("defining equations must use only x0")
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraizingPair) and (self.delta, self.tau) == (other.delta, other.tau)
-
-    def __hash__(self):
-        return hash((self.delta, self.tau))
+        super().__init__(delta, tau)
 
     def __repr__(self):
         ds = ",".join(map(print_formula, self.delta))

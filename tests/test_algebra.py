@@ -37,7 +37,6 @@ from aalogic.algebra import (
     is_congruence,
     is_filter,
     theorem_values,
-    unary_polynomials,
     value_vector,
 )
 from aalogic.corpus import load_algebra
@@ -172,8 +171,9 @@ class TestIsHomomorphism:
 
 
 # ---------------------------------------------------------------------------
-# the backtracking homomorphism search and the clone built from translations,
-# against the brute-force loops they replaced, kept here verbatim as oracles
+# the backtracking homomorphism search, the basic translations and the
+# Leibniz refinement over them, against the brute-force loops and the
+# unary-polynomial profiles they replaced, kept here as oracles
 # ---------------------------------------------------------------------------
 
 def ref_homomorphisms(A, B):
@@ -201,6 +201,20 @@ def ref_unary_polynomials(A):
                             new.append(g)
         frontier = new
     return funcs
+
+
+def ref_translations(A):
+    """The basic translations x -> c(a1, .., x, .., ak), one constant tuple at a time."""
+    return {tuple(A.op(name, *(consts[:pos] + (x,) + consts[pos:])) for x in A.elements())
+            for name, arity in A.signature.connectives for pos in range(arity)
+            for consts in itertools.product(A.elements(), repeat=arity - 1)}
+
+
+def ref_leibniz(A, F, polys):
+    """The profile characterisation: a ~ b iff p(a) and p(b) agree on
+    F-membership for every unary polynomial p of A, given as ``polys``."""
+    first = {}
+    return Congruence(A.size, [first.setdefault(tuple(p[a] in F for p in polys), a) for a in A.elements()])
 
 
 # a nullary, a unary, a binary and a ternary connective
@@ -238,13 +252,27 @@ class TestSearchAgainstBruteForce:
         assert several > 100  # the order is tested, not only single maps
         assert isomorphic >= 14 + 24  # at least every algebra with itself
 
-    def test_unary_polynomials(self):
+    @staticmethod
+    def profile_algebras():
         rng = random.Random(2802)
         algebras = [A for _, A in corpus.heyting_corpus() + corpus.boolean_corpus()] + [corpus.lukasiewicz3()]
-        algebras += [random_algebra(rng, sig, rng.randint(1, 4))
-                     for sig in GENERATOR_SIGNATURES + [SEARCH_SIGNATURE] for _ in range(20)]
-        for A in algebras:
-            assert unary_polynomials(A) == ref_unary_polynomials(A)
+        return algebras + [random_algebra(rng, sig, rng.randint(1, 4))
+                           for sig in GENERATOR_SIGNATURES + [SEARCH_SIGNATURE] for _ in range(20)]
+
+    def test_translations(self):
+        for A in self.profile_algebras():
+            assert algebra._translations(A) == tuple(sorted(ref_translations(A)))
+
+    def test_leibniz_is_the_profile_partition(self):
+        split = 0
+        for A in self.profile_algebras():
+            polys = ref_unary_polynomials(A)
+            for k in range(A.size + 1):
+                for F in itertools.combinations(A.elements(), k):
+                    theta = leibniz(A, F)
+                    assert theta == ref_leibniz(A, set(F), polys)
+                    split += 1 < theta.num_blocks() < A.size
+        assert split > 100  # the refinement runs, not only its exits
 
     def test_adjoint_of_the_nine_element_chain(self):
         # the brute-force search tried 4**9 maps into the four-element Boolean algebra
@@ -348,19 +376,6 @@ class TestLeibniz:
             assert leibniz(A, F) == leibniz_bruteforce(A, F) == theta
             assert len(A._memo) <= 1
 
-    def test_mutating_the_returned_clone_does_not_change_leibniz(self, h3):
-        A = FiniteAlgebra.from_json(h3.to_json())
-        subsets = [F for k in range(A.size + 1) for F in itertools.combinations(range(A.size), k)]
-        clone = unary_polynomials(A)
-        unary_polynomials(A).clear()  # before the memo holds the sorted clone
-        expected = [leibniz_bruteforce(A, F) for F in subsets]
-        assert [leibniz(A, F) for F in subsets] == expected
-        polys = unary_polynomials(A)  # and after
-        polys.clear()
-        polys.add((0, 1, 0))  # would split the block {1, 2} of the filter {1, 2}
-        assert [leibniz(A, F) for F in subsets] == expected
-        assert unary_polynomials(A) == clone
-
     def test_result_is_compatible_congruence(self, h3, b4):
         for A in (h3, b4):
             for k in range(A.size + 1):
@@ -368,11 +383,6 @@ class TestLeibniz:
                     theta = leibniz(A, F)
                     assert is_congruence(A, theta)
                     assert compatible(theta, F)
-
-    def test_unary_polynomials_contain_identity_and_tables(self, h3):
-        polys = unary_polynomials(h3)
-        assert tuple(range(3)) in polys
-        assert tuple(h3.tables["neg"]) in polys
 
     def test_is_reduced(self, b2, h3):
         assert is_reduced(b2, {1})
@@ -791,9 +801,9 @@ def assert_least_congruence_holding(A, congs, pairs):
 
 
 class TestCongruenceGeneratedAgainstAllCongruences:
-    """``congruence_generated`` reads the unary-polynomial clone; the oracle
-    is ``all_congruences``, which checks every partition operation by
-    operation and shares no code with the clone."""
+    """``congruence_generated`` is a fixpoint over the basic translations;
+    the oracle is ``all_congruences``, which checks every partition operation
+    by operation and shares no code with the translations."""
 
     def generating_sets(self, rng, A):
         singles = [[(a, b)] for a in A.elements() for b in range(a, A.size)]
@@ -816,13 +826,17 @@ class TestCongruenceGeneratedAgainstAllCongruences:
             for pairs in self.generating_sets(rng, A):
                 assert_least_congruence_holding(A, congs, pairs)
 
-    def test_the_clone_is_memoised_and_shared_with_leibniz(self, h3):
-        A = FiniteAlgebra.from_json(h3.to_json())
-        congruence_generated(A, [(1, 2)])
-        polys = A._memo[("unary_polynomials",)]
-        assert polys == tuple(sorted(unary_polynomials(A)))
-        leibniz(A, {2})
-        assert A._memo[("unary_polynomials",)] is polys
+    def test_the_translations_are_memoised_and_shared_with_leibniz(self, h3):
+        # {2} splits h3 into two blocks, so leibniz reads the translations too
+        calls = (lambda A: congruence_generated(A, [(1, 2)]), lambda A: leibniz(A, {2}))
+        for first, second in (calls, calls[::-1]):
+            A = FiniteAlgebra.from_json(h3.to_json())
+            first(A)
+            translations = A._memo[("translations",)]
+            assert translations == tuple(sorted(ref_translations(A)))
+            second(A)
+            assert A._memo[("translations",)] is translations
+            assert list(A._memo) == [("translations",)]
 
 
 # ---------------------------------------------------------------------------

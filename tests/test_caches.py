@@ -129,10 +129,14 @@ def test_translations_keep_nothing_on_their_objects():
     objects = (ctx, pair, morphism)
 
     def sizes():
+        # a record has slots, not a __dict__: its fields are all it can hold
         return [
-            {name: len(value) for name, value in vars(obj).items() if isinstance(value, (dict, list, set))}
+            {name: len(value) for name, value in attributes(obj).items() if isinstance(value, (dict, list, set))}
             for obj in objects
         ]
+
+    def attributes(obj):
+        return vars(obj) if hasattr(obj, "__dict__") else {name: getattr(obj, name) for name in obj.__slots__}
 
     before = sizes()
     rng = random.Random(2000)

@@ -208,6 +208,36 @@ class TestUniverseLimit:
         assert elapsed < 1.0
 
 
+def irregular_algebra(size: int) -> dict:
+    """An algebra with one binary operation whose table is drawn at random,
+    seeded by its size: its unary polynomials are close to all size**size maps."""
+    rng = random.Random(size)
+    return {"signature": {"connectives": [{"name": "b", "arity": 2}]}, "size": size,
+            "tables": {"b": [rng.randrange(size) for _ in range(size * size)]}}
+
+
+class TestLeibnizOnIrregularAlgebras:
+    """``check leibniz`` refines a partition over the basic translations.
+    It once built the whole unary-polynomial clone first, near size**size
+    maps: 13.5 s and 158 MB at 8 elements, and longer still at 9 before the
+    oracle's refusal."""
+
+    @pytest.mark.parametrize("size, code, out, err, limit", [
+        (8, 0, "leibniz congruence: 0|1|2|3|4|5|6|7\nidentity: true; oracle agrees: true\n", "", 2.0),
+        (9, 2, "", "error: carrier too large for exhaustive congruence enumeration (> 8)\n", 1.0),
+    ], ids=["8-elements", "9-elements"])
+    def test_exit_code_in_time(self, size, code, out, err, limit, tmp_path, capsys):
+        from aalogic.cli import main
+
+        path = tmp_path / f"irregular{size}.json"
+        path.write_text(json.dumps(irregular_algebra(size)))
+        start = time.perf_counter()
+        exit_code = main(["check", "leibniz", "--algebra", str(path), "--filter", "0"])
+        elapsed = time.perf_counter() - start
+        assert (exit_code, *capsys.readouterr()) == (code, out, err)
+        assert elapsed < limit
+
+
 def b2_json():
     from aalogic import corpus
 

@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from aalogic import corpus
-from aalogic.algebraization import BPReport, ConditionResult, LindReport
+from aalogic.algebraization import AlgebraizingPair, BPReport, ConditionResult, LindReport
 from aalogic.glivenko import AdjointData, AdjointReport, ContextReport, SweepReport
 from aalogic.institutions import Corpus, InstitutionReport
 from aalogic.provers import Equation, KripkeModel
@@ -23,6 +23,8 @@ from aalogic.syntax import App, FlexibleMorphism, Signature, Var
 
 X0, X1 = Var(0), Var(1)
 NEG_X1 = App("neg", (X1,))
+DELTA = (App("iff", (X0, X1)),)
+TAU = ((App("imp", (X0, X0)), X0),)
 BOUNDS = {"vars": 2, "depth": 1}
 
 
@@ -61,6 +63,7 @@ RECORDS = {
     AdjointData: [("algebra", b2()), ("unit", (0, 1)), ("section", (0, 1))],
     Matrix: [("algebra", b2()), ("filter", frozenset({1}))],
     LogicMorphism: list(zip(("source", "target", "morphism"), cpc_identity())),
+    AlgebraizingPair: [("delta", DELTA), ("tau", TAU)],
 }
 # frozen record -> a field and a value other than its value in RECORDS
 FROZEN = {
@@ -69,6 +72,7 @@ FROZEN = {
     AdjointData: ("section", (1, 0)),
     Matrix: ("filter", frozenset({0, 1})),
     LogicMorphism: ("source", corpus.ipc_logic()),
+    AlgebraizingPair: ("tau", ((X0, X0),)),
 }
 
 
@@ -90,7 +94,8 @@ class TestConstruction:
         given = {field[0]: field[1] for field in RECORDS[cls]}
         for record in (build(cls), cls(**given)):
             assert fields(record) == given
-            assert all(getattr(record, name) is value for name, value in given.items() if name != "filter")
+            # Matrix converts its filter and AlgebraizingPair each pair of tau: equal, not the same object
+            assert all(getattr(record, name) is value for name, value in given.items() if name not in ("filter", "tau"))
 
     def test_defaults(self, cls):
         required = [field[1] for field in RECORDS[cls] if len(field) == 2]
@@ -198,7 +203,18 @@ class TestFrozenChecks:
             with pytest.raises(ValueError, match="morphism signatures do not match the logics"):
                 LogicMorphism(*args)
 
+    def test_algebraizing_pair_stores_tuples_and_checks_its_variables(self):
+        pair = AlgebraizingPair(list(DELTA), [list(TAU[0])])
+        assert (pair.delta, pair.tau) == (DELTA, TAU) and pair == build(AlgebraizingPair)
+        with pytest.raises(ValueError, match="delta and tau must be nonempty"):
+            AlgebraizingPair(DELTA, ())
+        with pytest.raises(ValueError, match="must use only x0, x1"):
+            AlgebraizingPair((App("neg", (Var(2),)),), TAU)
+        with pytest.raises(ValueError, match="defining equations must use only x0"):
+            AlgebraizingPair(DELTA, ((X0, X1),))
+
     def test_reprs(self):
         assert repr(Equation(X0, NEG_X1)) == "x0 == neg(x1)"
+        assert repr(build(AlgebraizingPair)) == "AlgebraizingPair(delta=[iff(x0,x1)], tau=[(imp(x0,x0),x0)])"
         assert repr(Matrix(b2(), {1, 0})) == "Matrix(size=2, filter=[0, 1])"
         assert repr(build(KripkeModel)) == "KripkeModel(worlds=2, up=(3, 2), valuation={0: 2}, world=0)"
